@@ -154,6 +154,7 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   std::vector<std::pair<std::size_t, float>> verify_pruned;  // exact-only hits
   {
     const obs::ScopedSpan dl_span("pipeline.detect.dl");
+    QueryScorer scorer(*model_, query_features);
     std::size_t shortlist_pos = 0;
     for (std::size_t i = 0; i < target.features.size(); ++i) {
       if (is_cancelled(cancel)) {
@@ -177,7 +178,7 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
           ++outcome.true_negatives;
         continue;
       }
-      const float score = model_->score(query_features, target.features[i]);
+      const float score = scorer.score(target.features[i]);
       const bool accepted = score >= config_.detection_threshold;
       if (prefilter == retrieval::PrefilterMode::verify && accepted) {
         ++outcome.prefilter_exact_candidates;

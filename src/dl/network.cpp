@@ -134,12 +134,6 @@ std::vector<float> Network::predict(const Matrix& x) const {
   return out;
 }
 
-float Network::predict_one(const std::vector<float>& x) const {
-  Matrix m(1, x.size());
-  m.data = x;
-  return predict(m)[0];
-}
-
 EpochStats Network::train_epoch(const Matrix& x, const std::vector<float>& y,
                                 const TrainConfig& config, Rng& rng) {
   const std::size_t n = x.rows;

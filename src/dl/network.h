@@ -91,9 +91,6 @@ class Network {
   /// Sigmoid outputs for a batch, one per row.
   std::vector<float> predict(const Matrix& x) const;
 
-  /// Single-sample convenience.
-  float predict_one(const std::vector<float>& x) const;
-
   /// One full pass over (x, y) in shuffled mini-batches; returns mean loss
   /// and accuracy. Labels are 0/1.
   EpochStats train_epoch(const Matrix& x, const std::vector<float>& y,

@@ -1,27 +1,141 @@
 #include "dl/similarity_model.h"
 
-#include <cstdint>
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <fstream>
+#include <stdexcept>
 
 namespace patchecko {
 
-std::vector<float> SimilarityModel::pair_input(
-    const StaticFeatureVector& a, const StaticFeatureVector& b) const {
-  const StaticFeatureVector na = normalizer_.transform(a);
-  const StaticFeatureVector nb = normalizer_.transform(b);
-  std::vector<float> input;
-  input.reserve(2 * static_feature_count);
-  for (double v : na) input.push_back(static_cast<float>(v));
-  for (double v : nb) input.push_back(static_cast<float>(v));
-  return input;
-}
-
 float SimilarityModel::score(const StaticFeatureVector& a,
                              const StaticFeatureVector& b) const {
-  // The pair input is ordered; symmetrize so score(a,b) == score(b,a) and a
-  // single lopsided prediction cannot drop a true match.
-  const float forward = network_.predict_one(pair_input(a, b));
-  const float backward = network_.predict_one(pair_input(b, a));
+  return QueryScorer(*this, a).score(b);
+}
+
+namespace {
+
+using Term = QueryScorer::Term;
+
+/// Output columns per block. The block's partial sums live in a local array
+/// the compiler keeps in vector registers, so the loops vectorize across
+/// outputs; each output still sums its own terms in order.
+constexpr std::size_t kBlock = 8;
+
+/// Collects the nonzero entries of x[0..n) in ascending order: the inputs
+/// DenseLayer::forward does not skip.
+std::size_t nonzero_terms(const float* x, std::size_t n, Term* out) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    if (x[i] != 0.f) out[count++] = {x[i], static_cast<std::uint32_t>(i)};
+  return count;
+}
+
+/// Like nonzero_terms over ReLU(x): ReLU(v) is nonzero exactly when v > 0.
+std::size_t relu_terms(const float* x, std::size_t n, Term* out) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    if (x[i] > 0.f) out[count++] = {x[i], static_cast<std::uint32_t>(i)};
+  return count;
+}
+
+/// y[o] += t.x * w[t.row][o] for each term t in order: DenseLayer::forward's
+/// per-output sequence of separately rounded multiplies and adds. `w` is the
+/// layer's row-major (in x out) weight matrix.
+void accumulate(float* y, const float* w, std::size_t out, const Term* terms,
+                std::size_t count) {
+  std::size_t o = 0;
+  for (; o + kBlock <= out; o += kBlock) {
+    float acc[kBlock];
+    for (std::size_t k = 0; k < kBlock; ++k) acc[k] = y[o + k];
+    for (std::size_t j = 0; j < count; ++j) {
+      const float x = terms[j].x;
+      const float* wrow = w + terms[j].row * out + o;
+      for (std::size_t k = 0; k < kBlock; ++k) acc[k] += x * wrow[k];
+    }
+    for (std::size_t k = 0; k < kBlock; ++k) y[o + k] = acc[k];
+  }
+  for (; o < out; ++o) {
+    float acc = y[o];
+    for (std::size_t j = 0; j < count; ++j)
+      acc += terms[j].x * w[terms[j].row * out + o];
+    y[o] = acc;
+  }
+}
+
+/// The normalized features as the network sees them (float32).
+std::array<float, static_feature_count> normalized(
+    const FeatureNormalizer& normalizer, const StaticFeatureVector& raw) {
+  const StaticFeatureVector z = normalizer.transform(raw);
+  std::array<float, static_feature_count> out;
+  for (std::size_t i = 0; i < static_feature_count; ++i)
+    out[i] = static_cast<float>(z[i]);
+  return out;
+}
+
+float sigmoid(float v) { return 1.f / (1.f + std::exp(-v)); }
+
+}  // namespace
+
+QueryScorer::QueryScorer(const SimilarityModel& model,
+                         const StaticFeatureVector& query)
+    : layers_(model.network().layers()), normalizer_(model.normalizer()) {
+  if (layers_.empty() || layers_.front().in_dim() != 2 * static_feature_count)
+    throw std::invalid_argument(
+        "QueryScorer: the network must take the 96-wide pair input");
+  std::size_t widest = 0;
+  for (const DenseLayer& layer : layers_)
+    widest = std::max(widest, layer.out_dim());
+  query_terms_.resize(static_feature_count);
+  target_terms_.resize(static_feature_count);
+  hidden_terms_.resize(widest);
+  act_.resize(widest);
+
+  const std::array<float, static_feature_count> q =
+      normalized(normalizer_, query);
+  query_terms_.resize(nonzero_terms(q.data(), q.size(), query_terms_.data()));
+  const DenseLayer& first = layers_.front();
+  query_partial_ = first.biases();
+  accumulate(query_partial_.data(), first.weights().data(), first.out_dim(),
+             query_terms_.data(), query_terms_.size());
+}
+
+float QueryScorer::finish() {
+  for (std::size_t l = 1; l < layers_.size(); ++l) {
+    const DenseLayer& layer = layers_[l];
+    const std::size_t count =
+        relu_terms(act_.data(), layer.in_dim(), hidden_terms_.data());
+    std::copy(layer.biases().begin(), layer.biases().end(), act_.begin());
+    accumulate(act_.data(), layer.weights().data(), layer.out_dim(),
+               hidden_terms_.data(), count);
+  }
+  return sigmoid(act_[0]);
+}
+
+float QueryScorer::score(const StaticFeatureVector& target) {
+  const std::array<float, static_feature_count> t =
+      normalized(normalizer_, target);
+  const DenseLayer& first = layers_.front();
+  const float* w = first.weights().data();
+  const std::size_t out = first.out_dim();
+  const float* second_half = w + static_feature_count * out;
+
+  // (query, target): the cached query half, then target inputs 48..95.
+  const std::size_t count =
+      nonzero_terms(t.data(), t.size(), target_terms_.data());
+  std::copy(query_partial_.begin(), query_partial_.end(), act_.begin());
+  accumulate(act_.data(), second_half, out, target_terms_.data(), count);
+  const float forward = finish();
+
+  // (target, query): bias, target inputs 0..47, then query inputs 48..95.
+  std::copy(first.biases().begin(), first.biases().end(), act_.begin());
+  accumulate(act_.data(), w, out, target_terms_.data(), count);
+  accumulate(act_.data(), second_half, out, query_terms_.data(),
+             query_terms_.size());
+  const float backward = finish();
+
+  // Symmetrized, so score(a,b) == score(b,a) and a single lopsided
+  // prediction cannot drop a true match.
   return 0.5f * (forward + backward);
 }
 

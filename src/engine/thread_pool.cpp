@@ -99,7 +99,6 @@ bool ThreadPool::try_run_one() {
       next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   if (!pop_task(start, task)) return false;
   task();
-  PoolMetrics::get().completed.add();
   return true;
 }
 
@@ -108,7 +107,6 @@ void ThreadPool::worker_loop(std::size_t index) {
     std::function<void()> task;
     if (pop_task(index, task)) {
       task();
-      PoolMetrics::get().completed.add();
       continue;
     }
     std::unique_lock<std::mutex> lock(sleep_mutex_);
@@ -146,6 +144,7 @@ void TaskGroup::run(std::function<void()> task) {
         error_ = std::current_exception();
       }
     }
+    PoolMetrics::get().completed.add();
     finish_one();
   });
 }

@@ -35,10 +35,6 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Enqueues a task (round-robin across worker deques). Tasks must not
-  /// throw; wrap them (TaskGroup does) if they can.
-  void submit(std::function<void()> task);
-
   /// Steals and runs one pending task on the calling thread. Returns false
   /// when every deque is empty. This is what lets waiters "help": a thread
   /// blocked on a TaskGroup keeps executing pool work instead of holding a
@@ -49,6 +45,14 @@ class ThreadPool {
   static ThreadPool& shared();
 
  private:
+  friend class TaskGroup;
+
+  /// Enqueues a task (round-robin across worker deques). Only TaskGroup
+  /// submits: its tasks never throw, and each adds itself to
+  /// `pool.completed` before signalling its group, so the count includes
+  /// every task by the time TaskGroup::wait() returns.
+  void submit(std::function<void()> task);
+
   struct WorkerQueue {
     std::mutex mutex;
     std::deque<std::function<void()>> tasks;

@@ -62,7 +62,9 @@ class AdmissionQueue {
   /// empty (dispatcher shutdown).
   std::optional<PendingScan> next();
 
-  /// A dispatched scan finished (success or failure).
+  /// A dispatched scan finished (success or failure). The dispatcher calls
+  /// this before the scan's response frame goes out, so `completed`
+  /// includes every result a client already holds.
   void job_done();
 
   /// Stops admission and wakes blocked dispatchers; queued scans still

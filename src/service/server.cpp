@@ -308,23 +308,24 @@ void ScanService::session_loop(std::shared_ptr<Connection> connection) {
 void ScanService::handle_payload(
     const std::shared_ptr<Connection>& connection, std::string_view payload) {
   const Stopwatch watch;
-  // Synchronous endpoints share one completion path: send the response,
-  // then record it (rollup + access log, in that order — the log line must
-  // never precede the frame it describes). Scans return before `done` and
-  // account for themselves from the dispatcher.
+  // Synchronous endpoints share one completion path: count the request in
+  // the rollup, send the response, then log it (the log line must never
+  // precede the frame it describes). Scans return before `done` and account
+  // for themselves from the dispatcher.
   AccessEntry entry;
   entry.bytes_in = payload.size();
   entry.corpus_version = store_.current()->version;
   const auto done = [&](std::string_view op, int status,
                         std::string_view outcome,
                         const std::string& response) {
-    connection->send_frame(response);
     entry.op = op;
     entry.status = status;
     entry.outcome = outcome;
     entry.service_s = watch.elapsed_seconds();
+    record_request(entry);
+    connection->send_frame(response);
     entry.bytes_out = response.size() + kLengthPrefixBytes;
-    finish_request(entry);
+    access_log_.append(entry);
   };
 
   std::string parse_error;
@@ -433,14 +434,15 @@ void ScanService::handle_scan(const std::shared_ptr<Connection>& connection,
   const auto reject = [&](std::uint64_t id, int status,
                           std::string_view outcome,
                           const std::string& response, bool locked) {
-    const bool sent = locked ? connection->send_frame_locked(response)
-                             : connection->send_frame(response);
     entry.id = id;
     entry.status = status;
     entry.outcome = outcome;
     entry.service_s = watch.elapsed_seconds();
+    record_request(entry);
+    const bool sent = locked ? connection->send_frame_locked(response)
+                             : connection->send_frame(response);
     entry.bytes_out = sent ? response.size() + kLengthPrefixBytes : 0;
-    finish_request(entry);
+    access_log_.append(entry);
   };
 
   if (draining_.load(std::memory_order_acquire) ||
@@ -533,8 +535,6 @@ void ScanService::dispatch_loop() {
   while (auto scan = queue_.next()) {
     if (cancel_queued_.load(std::memory_order_acquire)) {
       set_state(scan->id, "cancelled");
-      scan->respond(error_response(503, "scan cancelled: service shutting down",
-                                   scan->id));
       AccessEntry entry;
       entry.id = scan->id;
       entry.op = "scan";
@@ -543,14 +543,23 @@ void ScanService::dispatch_loop() {
       entry.queue_wait_s = seconds_since(scan->admitted_at);
       entry.corpus_version = store_.current()->version;
       entry.bytes_in = scan->bytes_in;
-      if (scan->bytes_out)
-        entry.bytes_out = scan->bytes_out->load(std::memory_order_relaxed);
-      finish_request(entry);
+      finish_scan(*scan, entry,
+                  error_response(503, "scan cancelled: service shutting down",
+                                 scan->id));
     } else {
       run_scan(*scan);
     }
-    queue_.job_done();
   }
+}
+
+void ScanService::finish_scan(const PendingScan& scan, AccessEntry& entry,
+                              const std::string& response) {
+  record_request(entry);
+  queue_.job_done();
+  scan.respond(response);
+  if (scan.bytes_out)
+    entry.bytes_out = scan.bytes_out->load(std::memory_order_relaxed);
+  access_log_.append(entry);
 }
 
 void ScanService::run_scan(const PendingScan& scan) {
@@ -574,22 +583,22 @@ void ScanService::run_scan(const PendingScan& scan) {
   entry.queue_wait_s = queue_wait;
   entry.corpus_version = snapshot->version;
   entry.bytes_in = scan.bytes_in;
-  const auto finish = [&](int status, std::string_view outcome) {
+  const auto finish = [&](int status, std::string_view outcome,
+                          const std::string& response) {
     entry.status = status;
     entry.outcome = outcome;
     entry.service_s = service_watch.elapsed_seconds();
-    if (scan.bytes_out)
-      entry.bytes_out = scan.bytes_out->load(std::memory_order_relaxed);
-    finish_request(entry);
+    finish_scan(scan, entry, response);
   };
 
   const auto image = load_firmware(scan.request.firmware);
   if (!image) {
     set_state(scan.id, "failed");
-    scan.respond(error_response(
-        400, "cannot load firmware image '" + scan.request.firmware + "'",
-        scan.id));
-    finish(400, "error");
+    finish(400, "error",
+           error_response(400,
+                          "cannot load firmware image '" +
+                              scan.request.firmware + "'",
+                          scan.id));
     return;
   }
 
@@ -624,8 +633,7 @@ void ScanService::run_scan(const PendingScan& scan) {
     report = engine_.run(request);
   } catch (const std::exception& error) {
     set_state(scan.id, "failed");
-    scan.respond(error_response(500, error.what(), scan.id));
-    finish(500, "error");
+    finish(500, "error", error_response(500, error.what(), scan.id));
     return;
   }
 
@@ -677,8 +685,8 @@ void ScanService::run_scan(const PendingScan& scan) {
   // State before response: a client that just read its result may query
   // status immediately and must not still see "running".
   set_state(scan.id, report.interrupted ? "interrupted" : "done");
-  scan.respond(result_response(info));
-  finish(200, report.interrupted ? "interrupted" : "ok");
+  finish(200, report.interrupted ? "interrupted" : "ok",
+         result_response(info));
 }
 
 // --- health ----------------------------------------------------------------
@@ -822,10 +830,9 @@ std::string ScanService::stats_json() const {
   return out;
 }
 
-void ScanService::finish_request(const AccessEntry& entry) {
+void ScanService::record_request(const AccessEntry& entry) {
   rollup_.record(obs::endpoint_from_name(entry.op), entry.service_s,
                  entry.queue_wait_s, entry.status >= 400);
-  access_log_.append(entry);
 }
 
 void ScanService::stats_ticker_loop() {

@@ -176,10 +176,16 @@ class ScanService {
   void dispatch_loop();
   void run_scan(const PendingScan& scan);
 
-  /// Records one completed request into the rollup and — after the
-  /// response frame is already on the wire — the access log. `entry.op`
-  /// names the endpoint ("scan", "health", …; unknown maps to "other").
-  void finish_request(const AccessEntry& entry);
+  /// Counts one completed request in the rollup. Called before the
+  /// response frame goes out, so a client holding a response finds it in
+  /// `stats`; the access-log line follows the frame, whose bytes it
+  /// records. `entry.op` names the endpoint ("scan", "health", …; unknown
+  /// maps to "other").
+  void record_request(const AccessEntry& entry);
+  /// Completes a dispatched scan in that order: the rollup and the queue
+  /// count it, `response` goes out, the access log records it.
+  void finish_scan(const PendingScan& scan, AccessEntry& entry,
+                   const std::string& response);
   void stats_ticker_loop();
 
   void set_state(std::uint64_t id, const char* state);

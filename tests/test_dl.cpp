@@ -1,16 +1,31 @@
 // Tests for the neural-network stack: numerical gradient checking, learning
-// on synthetic separable data, metrics, and model serialization.
+// on synthetic separable data, metrics, model serialization, and the
+// bit-exactness of the query-bound pair scorer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 
+#include "core/cve_database.h"
+#include "core/pipeline.h"
 #include "dl/network.h"
 #include "dl/similarity_model.h"
+#include "dl/trainer.h"
+#include "obs/metrics.h"
+#include "obs/resource.h"
 
 namespace patchecko {
 namespace {
+
+/// An untransformed normalizer: signed log1p only (mean 0, stddev 1).
+FeatureNormalizer identity_normalizer() {
+  FeatureNormalizer normalizer;
+  normalizer.fit({});
+  return normalizer;
+}
 
 TEST(Matrix, IndexingRowMajor) {
   Matrix m(2, 3);
@@ -128,10 +143,14 @@ TEST(Network, PatcheckoModelShape) {
 }
 
 TEST(Network, DeterministicFromSeed) {
-  Network a = Network::make_patchecko_model(5);
-  Network b = Network::make_patchecko_model(5);
-  std::vector<float> input(96, 0.3f);
-  EXPECT_EQ(a.predict_one(input), b.predict_one(input));
+  const SimilarityModel a(Network::make_patchecko_model(5),
+                          identity_normalizer());
+  const SimilarityModel b(Network::make_patchecko_model(5),
+                          identity_normalizer());
+  StaticFeatureVector x{}, y{};
+  x.fill(0.3);
+  y.fill(4.0);
+  EXPECT_EQ(a.score(x, y), b.score(x, y));
 }
 
 TEST(Metrics, AucPerfectAndInverted) {
@@ -156,10 +175,8 @@ TEST(Metrics, AccuracyThreshold) {
 }
 
 TEST(SimilarityModel, ScoreIsSymmetric) {
-  Network net = Network::make_patchecko_model(13);
-  FeatureNormalizer normalizer;
-  normalizer.fit({});
-  const SimilarityModel model(std::move(net), normalizer);
+  const SimilarityModel model(Network::make_patchecko_model(13),
+                              identity_normalizer());
   StaticFeatureVector a{}, b{};
   a.fill(3.0);
   b.fill(8.0);
@@ -197,6 +214,142 @@ TEST(SimilarityModel, LoadRejectsMissingAndCorrupt) {
   std::fclose(f);
   EXPECT_FALSE(SimilarityModel::load(path).has_value());
   std::filesystem::remove(path);
+}
+
+// --- QueryScorer: bit-exact against the batch network ----------------------
+
+/// SimilarityModel::score by its definition: the (a, b) and (b, a) rows of
+/// normalized float features through Network::predict, averaged.
+float reference_score(const SimilarityModel& model,
+                      const StaticFeatureVector& a,
+                      const StaticFeatureVector& b) {
+  const StaticFeatureVector na = model.normalizer().transform(a);
+  const StaticFeatureVector nb = model.normalizer().transform(b);
+  constexpr std::size_t n = static_feature_count;
+  Matrix x(2, 2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x.at(0, i) = static_cast<float>(na[i]);
+    x.at(0, n + i) = static_cast<float>(nb[i]);
+    x.at(1, i) = static_cast<float>(nb[i]);
+    x.at(1, n + i) = static_cast<float>(na[i]);
+  }
+  const std::vector<float> p = model.network().predict(x);
+  return 0.5f * (p[0] + p[1]);
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Scores every target against `query` with one scorer (and with score())
+/// and counts results whose bits differ from the reference.
+std::size_t mismatches(const SimilarityModel& model,
+                       const StaticFeatureVector& query,
+                       const std::vector<StaticFeatureVector>& targets) {
+  QueryScorer scorer(model, query);
+  std::size_t bad = 0;
+  for (const StaticFeatureVector& target : targets) {
+    const float expected = reference_score(model, query, target);
+    if (!same_bits(scorer.score(target), expected)) ++bad;
+    if (!same_bits(model.score(query, target), expected)) ++bad;
+  }
+  return bad;
+}
+
+TEST(QueryScorer, BitIdenticalOnEvalLibraryBothQueryDirections) {
+  TrainerConfig trainer;
+  trainer.dataset.library_count = 8;
+  trainer.dataset.functions_per_library = 10;
+  trainer.epochs = 3;
+  const SimilarityModel model = train_similarity_model(trainer).model;
+  ASSERT_TRUE(model.normalizer().fitted());
+
+  EvalConfig eval;
+  eval.scale = 0.05;
+  const EvalCorpus corpus(eval);
+  const CveDatabase database(corpus, DatabaseConfig{});
+  const std::size_t library = database.entries().front().library_index;
+  const LibraryBinary binary =
+      corpus.compile_for_device(library, android_things_device());
+  const AnalyzedLibrary analyzed = analyze_library(binary);
+  ASSERT_FALSE(analyzed.features.empty());
+
+  std::size_t queries = 0;
+  for (const CveEntry& entry : database.entries()) {
+    if (entry.library_index != library) continue;
+    for (const StaticFeatureVector* query :
+         {&entry.vulnerable_features, &entry.patched_features}) {
+      EXPECT_EQ(mismatches(model, *query, analyzed.features), 0u)
+          << entry.spec.cve_id;
+      ++queries;
+    }
+  }
+  EXPECT_GE(queries, 2u);
+}
+
+TEST(QueryScorer, BitIdenticalOnEdgeVectors) {
+  // Identity normalization keeps zeros at zero, so the all-zero vector
+  // exercises DenseLayer::forward's zero skip on the pair input.
+  const SimilarityModel model(Network::make_patchecko_model(29),
+                              identity_normalizer());
+  StaticFeatureVector zero{}, negative{}, huge{}, mixed{};
+  negative.fill(-7.5);
+  huge.fill(std::numeric_limits<double>::max());
+  for (std::size_t i = 0; i < static_feature_count; ++i)
+    mixed[i] = i % 3 == 0 ? 0.0 : (i % 3 == 1 ? -0.0 : 1e6 * double(i));
+  const std::vector<StaticFeatureVector> vectors = {zero, negative, huge,
+                                                    mixed};
+  for (const StaticFeatureVector& query : vectors) {
+    EXPECT_EQ(mismatches(model, query, vectors), 0u);  // includes query==target
+  }
+
+  // 0 * inf is NaN, so infinite weights on inputs 0 and 48 — exactly zero
+  // in both pair orders below — show whether zeros are skipped.
+  Network net = Network::make_patchecko_model(29);
+  DenseLayer& first = net.layers().front();
+  for (std::size_t o = 0; o < first.out_dim(); ++o) {
+    first.weights()[o] = std::numeric_limits<float>::infinity();
+    first.weights()[static_feature_count * first.out_dim() + o] =
+        -std::numeric_limits<float>::infinity();
+  }
+  const SimilarityModel inf_model(std::move(net), identity_normalizer());
+  EXPECT_EQ(mismatches(inf_model, mixed, {mixed, zero}), 0u);
+  EXPECT_FALSE(std::isnan(inf_model.score(mixed, zero)));
+}
+
+TEST(QueryScorer, BitIdenticalWithWidthsOffTheBlockSize) {
+  // 20 and 7 outputs leave remainders after the 8-wide blocks.
+  std::vector<StaticFeatureVector> corpus(40);
+  Rng rng(31);
+  for (auto& v : corpus)
+    for (double& x : v) x = rng.uniform_real(-50, 400);
+  FeatureNormalizer normalizer;
+  normalizer.fit(corpus);
+  const SimilarityModel model(Network({96, 20, 7, 1}, 37), normalizer);
+  for (std::size_t q = 0; q < corpus.size(); q += 7)
+    EXPECT_EQ(mismatches(model, corpus[q], corpus), 0u) << q;
+}
+
+TEST(QueryScorer, RejectsNetworkWithoutPairInput) {
+  const SimilarityModel model(Network({48, 8, 1}, 3), identity_normalizer());
+  EXPECT_THROW(QueryScorer(model, StaticFeatureVector{}),
+               std::invalid_argument);
+}
+
+TEST(QueryScorer, ScoringTargetsMakesNoHeapAllocations) {
+  if (!obs::allocation_counting_available())
+    GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+  const obs::EnabledScope on(true);
+  const SimilarityModel model(Network::make_patchecko_model(41),
+                              identity_normalizer());
+  std::vector<StaticFeatureVector> targets(1000);
+  Rng rng(43);
+  for (auto& v : targets)
+    for (double& x : v) x = rng.uniform_real(-10, 1000);
+  QueryScorer scorer(model, targets.front());
+  const std::uint64_t before = obs::thread_allocation_count();
+  float sum = 0.f;
+  for (const StaticFeatureVector& target : targets) sum += scorer.score(target);
+  EXPECT_EQ(obs::thread_allocation_count() - before, 0u);
+  EXPECT_GT(sum, 0.f);
 }
 
 }  // namespace

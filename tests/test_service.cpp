@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "dl/trainer.h"
 #include "engine/corpus_store.h"
 #include "engine/engine.h"
@@ -349,6 +351,7 @@ TEST(Service, SignalHandlersFlipFlagsWithoutKillingTheProcess) {
 struct ServiceUniverse {
   SimilarityModel model;
   EvalConfig eval;
+  std::filesystem::path image_dir;
   std::string firmware_path;
   std::vector<std::string> some_cves;
   std::string expected_report;  ///< one-shot canonical_text for some_cves
@@ -369,11 +372,13 @@ struct ServiceUniverse {
       some_cves.push_back(entry.spec.cve_id);
     }
 
-    const auto dir =
-        std::filesystem::temp_directory_path() / "pk_service_universe";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    firmware_path = (dir / "fw.img").string();
+    // One directory per process: ctest -j runs each test in its own process
+    // and they would otherwise rewrite one shared image under each other.
+    image_dir = std::filesystem::temp_directory_path() /
+                ("pk_service_universe_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(image_dir);
+    std::filesystem::create_directories(image_dir);
+    firmware_path = (image_dir / "fw.img").string();
     if (!save_firmware(firmware, firmware_path))
       throw std::runtime_error("cannot save test firmware");
 
@@ -384,6 +389,11 @@ struct ServiceUniverse {
     request.database = &database;
     request.cve_ids = some_cves;
     expected_report = engine.run(request).canonical_text();
+  }
+
+  ~ServiceUniverse() {
+    std::error_code ignored;
+    std::filesystem::remove_all(image_dir, ignored);
   }
 
   svc::ServiceConfig service_config(const std::string& name) const {
@@ -684,10 +694,8 @@ TEST(Service, HealthAndStatusEndpointsReportServiceState) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(parsed(*response).get("state").as_string(), "done");
 
-  // The dispatcher bumps `completed` just after streaming the result.
-  for (int i = 0; i < 200 && service.health().queue.completed == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-
+  // The dispatcher counts a scan as completed before its result frame
+  // goes out.
   response = client.call(svc::health_request_json());
   ASSERT_TRUE(response.has_value());
   const json::Value health = parsed(*response);
