@@ -1,89 +1,15 @@
 #include "corpus/serialize.h"
 
-#include <cstring>
 #include <type_traits>
 
+#include "blob/blob_store.h"
 #include "features/static_features.h"
 
 namespace patchecko::corpus {
 
+using namespace blob;
+
 namespace {
-
-// --- byte-stream helpers ---------------------------------------------------
-// Same shape as the PR 1 result-cache helpers (engine/cache.cpp): raw
-// native-endian scalars, bounds-checked reads with a latched failure flag.
-
-void append_bytes(std::vector<std::uint8_t>& out, const void* data,
-                  std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), bytes, bytes + size);
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  append_bytes(out, &value, sizeof(value));
-}
-
-void append_i64(std::vector<std::uint8_t>& out, std::int64_t value) {
-  append_bytes(out, &value, sizeof(value));
-}
-
-void append_double(std::vector<std::uint8_t>& out, double value) {
-  append_bytes(out, &value, sizeof(value));
-}
-
-void append_string(std::vector<std::uint8_t>& out, const std::string& text) {
-  append_u64(out, text.size());
-  append_bytes(out, text.data(), text.size());
-}
-
-struct Reader {
-  const std::vector<std::uint8_t>& bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool read(void* out, std::size_t size) {
-    if (!ok || pos + size > bytes.size()) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, bytes.data() + pos, size);
-    pos += size;
-    return true;
-  }
-  std::uint64_t read_u64() {
-    std::uint64_t value = 0;
-    read(&value, sizeof(value));
-    return value;
-  }
-  std::int64_t read_i64() {
-    std::int64_t value = 0;
-    read(&value, sizeof(value));
-    return value;
-  }
-  double read_double() {
-    double value = 0.0;
-    read(&value, sizeof(value));
-    return value;
-  }
-  std::string read_string() {
-    const std::uint64_t size = read_u64();
-    if (!ok || pos + size > bytes.size()) {
-      ok = false;
-      return {};
-    }
-    std::string text(reinterpret_cast<const char*>(bytes.data() + pos),
-                     static_cast<std::size_t>(size));
-    pos += static_cast<std::size_t>(size);
-    return text;
-  }
-  /// Guards count-prefixed loops: a fabricated huge count must fail before
-  /// any resize() tries to allocate it.
-  bool fits(std::uint64_t count, std::size_t element_size) {
-    if (ok && count <= (bytes.size() - pos) / element_size) return true;
-    ok = false;
-    return false;
-  }
-};
 
 // DynamicFeatures is 21 naturally-aligned 8-byte fields, so the raw object
 // representation has no padding and round-trips bit-exactly.

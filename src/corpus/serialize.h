@@ -10,8 +10,8 @@
 //
 // Deserializers return nullopt on any malformed or truncated input: a
 // corrupt store object degrades to a cache miss and a rebuild, never UB.
-// Like the PR 1 result cache, payloads are host-local native-endian
-// artifacts, not an interchange format.
+// Payloads use the shared blob codec (blob/blob_store.h): host-local
+// native-endian artifacts, not an interchange format.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,7 @@
 #include "corpus/store.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -37,156 +33,19 @@ struct StoreMetrics {
   }
 };
 
-constexpr std::uint8_t kStoreMagic[4] = {'P', 'K', 'C', 'S'};
-constexpr std::uint64_t kContainerVersion = 1;
 constexpr std::uint64_t kManifestSchema = 1;
 
-void append_bytes(std::vector<std::uint8_t>& out, const void* data,
-                  std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), bytes, bytes + size);
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  append_bytes(out, &value, sizeof(value));
-}
-
-void append_string(std::vector<std::uint8_t>& out, const std::string& text) {
-  append_u64(out, text.size());
-  append_bytes(out, text.data(), text.size());
-}
-
-struct Reader {
-  const std::vector<std::uint8_t>& bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool read(void* out, std::size_t size) {
-    if (!ok || pos + size > bytes.size()) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, bytes.data() + pos, size);
-    pos += size;
-    return true;
-  }
-  std::uint64_t read_u64() {
-    std::uint64_t value = 0;
-    read(&value, sizeof(value));
-    return value;
-  }
-  std::string read_string() {
-    const std::uint64_t size = read_u64();
-    if (!ok || pos + size > bytes.size()) {
-      ok = false;
-      return {};
-    }
-    std::string text(reinterpret_cast<const char*>(bytes.data() + pos),
-                     static_cast<std::size_t>(size));
-    pos += static_cast<std::size_t>(size);
-    return text;
-  }
-};
-
-/// Parsed container header + payload view.
-struct Container {
-  ArtifactKey key;
-  std::vector<std::uint8_t> payload;
-};
-
-std::vector<std::uint8_t> build_container(
-    const ArtifactKey& key, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(payload.size() + key.kind.size() + key.params.size() + 96);
-  append_bytes(out, kStoreMagic, sizeof(kStoreMagic));
-  append_u64(out, kContainerVersion);
-  append_string(out, key.kind);
-  append_u64(out, key.source_fingerprint);
-  append_u64(out, static_cast<std::uint64_t>(key.arch));
-  append_u64(out, static_cast<std::uint64_t>(key.opt));
-  append_u64(out, key.compiler_version);
-  append_string(out, key.params);
-  append_u64(out, payload.size());
-  append_bytes(out, payload.data(), payload.size());
-  Digest digest;
-  digest.absorb_u64(payload.size());
-  digest.absorb(payload.data(), payload.size());
-  append_u64(out, digest.hi);
-  append_u64(out, digest.lo);
+/// The container echo: every key field. key_digest (the object address) is
+/// the Digest of exactly these bytes.
+blob::Bytes key_echo(const ArtifactKey& key) {
+  blob::Bytes out;
+  blob::append_string(out, key.kind);
+  blob::append_u64(out, key.source_fingerprint);
+  blob::append_u64(out, static_cast<std::uint64_t>(key.arch));
+  blob::append_u64(out, static_cast<std::uint64_t>(key.opt));
+  blob::append_u64(out, key.compiler_version);
+  blob::append_string(out, key.params);
   return out;
-}
-
-/// nullopt on any structural problem or payload-digest mismatch; `detail`
-/// (when non-null) receives a human-readable reason for verify().
-std::optional<Container> parse_container(
-    const std::vector<std::uint8_t>& bytes, std::string* detail = nullptr) {
-  const auto fail = [detail](const char* reason) -> std::optional<Container> {
-    if (detail != nullptr) *detail = reason;
-    return std::nullopt;
-  };
-  Reader reader{bytes};
-  std::uint8_t magic[4] = {};
-  if (!reader.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kStoreMagic, sizeof(magic)) != 0)
-    return fail("bad magic");
-  if (reader.read_u64() != kContainerVersion)
-    return fail("unsupported container version");
-  Container container;
-  container.key.kind = reader.read_string();
-  container.key.source_fingerprint = reader.read_u64();
-  container.key.arch = static_cast<Arch>(reader.read_u64());
-  container.key.opt = static_cast<OptLevel>(reader.read_u64());
-  container.key.compiler_version = reader.read_u64();
-  container.key.params = reader.read_string();
-  const std::uint64_t payload_size = reader.read_u64();
-  if (!reader.ok || payload_size > bytes.size() - reader.pos)
-    return fail("truncated header");
-  container.payload.resize(static_cast<std::size_t>(payload_size));
-  if (!reader.read(container.payload.data(), container.payload.size()))
-    return fail("truncated payload");
-  Digest digest;
-  digest.absorb_u64(container.payload.size());
-  digest.absorb(container.payload.data(), container.payload.size());
-  const std::uint64_t hi = reader.read_u64();
-  const std::uint64_t lo = reader.read_u64();
-  if (!reader.ok || reader.pos != bytes.size())
-    return fail("truncated trailer");
-  if (hi != digest.hi || lo != digest.lo)
-    return fail("payload digest mismatch");
-  return container;
-}
-
-std::optional<std::vector<std::uint8_t>> read_all(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return bytes;
-}
-
-bool write_atomic(const fs::path& final_path,
-                  const std::vector<std::uint8_t>& bytes) {
-  // Write-to-temp + rename so readers never observe a half-written object;
-  // the counter keeps concurrent writers of the same key apart.
-  static std::atomic<std::uint64_t> temp_counter{0};
-  const fs::path temp_path =
-      final_path.string() + ".tmp" +
-      std::to_string(temp_counter.fetch_add(1));
-  {
-    std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) return false;
-  }
-  std::error_code ec;
-  fs::rename(temp_path, final_path, ec);
-  if (ec) {
-    fs::remove(temp_path, ec);
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -194,14 +53,7 @@ bool write_atomic(const fs::path& final_path,
 // --- key -------------------------------------------------------------------
 
 Digest key_digest(const ArtifactKey& key) {
-  Digest digest;
-  digest.absorb_string(key.kind);
-  digest.absorb_u64(key.source_fingerprint);
-  digest.absorb_u64(static_cast<std::uint64_t>(key.arch));
-  digest.absorb_u64(static_cast<std::uint64_t>(key.opt));
-  digest.absorb_u64(key.compiler_version);
-  digest.absorb_string(key.params);
-  return digest;
+  return blob::BlobStore::address(key_echo(key));
 }
 
 std::string key_to_string(const ArtifactKey& key) {
@@ -216,14 +68,8 @@ std::string key_to_string(const ArtifactKey& key) {
 
 // --- PrebuiltStore ---------------------------------------------------------
 
-PrebuiltStore::PrebuiltStore(std::string root) : root_(std::move(root)) {
-  fs::create_directories(fs::path(root_) / "objects");
+PrebuiltStore::PrebuiltStore(std::string root) : blobs_(std::move(root)) {
   read_manifest();
-}
-
-std::string PrebuiltStore::object_path(const std::string& hex) const {
-  return (fs::path(root_) / "objects" / hex.substr(0, 2) / (hex + ".bin"))
-      .string();
 }
 
 std::uint64_t PrebuiltStore::generation() const {
@@ -243,60 +89,39 @@ bool PrebuiltStore::contains(const ArtifactKey& key) const {
     if (entries_.find(hex) == entries_.end()) return false;
   }
   std::error_code ec;
-  return fs::exists(object_path(hex), ec);
+  return fs::exists(blobs_.path(hex), ec);
 }
 
 std::optional<std::vector<std::uint8_t>> PrebuiltStore::load(
     const ArtifactKey& key) {
-  const std::string hex = key_digest(key).hex();
-  const auto miss = [this] {
-    std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t stored_bytes = 0;
+  auto payload = blobs_.get(key_echo(key), &stored_bytes);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!payload) {
     ++counters_.misses;
     StoreMetrics::get().misses.add();
     return std::nullopt;
-  };
-  const auto bytes = read_all(object_path(hex));
-  if (!bytes) return miss();
-  const auto container = parse_container(*bytes);
-  // The echoed key must be the one we asked for: an object renamed or
-  // copied over another key's address is rejected here, not served.
-  if (!container || container->key != key) return miss();
-  std::lock_guard<std::mutex> lock(mutex_);
+  }
   ++counters_.hits;
   StoreMetrics::get().hits.add();
-  auto it = entries_.find(hex);
-  if (it == entries_.end()) {
-    // Object written by another process since our manifest snapshot:
-    // adopt it so flush()/gc() account for it.
-    ManifestEntry entry;
-    entry.key = key_to_string(key);
-    entry.kind = key.kind;
-    entry.bytes = bytes->size();
-    entry.generation = generation_;
-    entries_.emplace(hex, std::move(entry));
-  } else {
-    it->second.generation = generation_;
-  }
-  return container->payload;
+  // An object another process wrote since our manifest snapshot is adopted
+  // so flush()/gc() account for it.
+  ManifestEntry& entry = entries_[key_digest(key).hex()];
+  if (entry.key.empty())
+    entry = {key_to_string(key), key.kind, stored_bytes, 0};
+  entry.generation = generation_;
+  return payload;
 }
 
 void PrebuiltStore::put(const ArtifactKey& key,
                         const std::vector<std::uint8_t>& payload) {
-  const std::string hex = key_digest(key).hex();
-  const std::vector<std::uint8_t> container = build_container(key, payload);
-  const fs::path path = object_path(hex);
-  std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-  if (!write_atomic(path, container)) return;
+  const std::uint64_t stored_bytes = blobs_.put(key_echo(key), payload);
+  if (stored_bytes == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   ++counters_.stores;
   StoreMetrics::get().stores.add();
-  ManifestEntry entry;
-  entry.key = key_to_string(key);
-  entry.kind = key.kind;
-  entry.bytes = container.size();
-  entry.generation = generation_;
-  entries_[hex] = std::move(entry);
+  entries_[key_digest(key).hex()] = {key_to_string(key), key.kind,
+                                     stored_bytes, generation_};
 }
 
 void PrebuiltStore::touch(const ArtifactKey& key) {
@@ -309,7 +134,8 @@ void PrebuiltStore::touch(const ArtifactKey& key) {
 // --- manifest --------------------------------------------------------------
 
 void PrebuiltStore::read_manifest() {
-  const auto bytes = read_all(fs::path(root_) / "store.json");
+  const auto bytes =
+      blob::read_file((fs::path(root()) / "store.json").string());
   if (!bytes) return;  // fresh store
   const std::string text(bytes->begin(), bytes->end());
   const auto parsed = obs::json::parse(text);
@@ -330,14 +156,12 @@ void PrebuiltStore::read_manifest() {
   }
   for (const auto& [hex, value] : entries.as_object()) {
     if (value.kind() != Value::Kind::object) continue;
-    ManifestEntry entry;
-    entry.key = value.get("key").as_string();
-    entry.kind = value.get("kind").as_string();
-    entry.bytes =
-        static_cast<std::uint64_t>(value.get("bytes").as_number());
-    entry.generation =
-        static_cast<std::uint64_t>(value.get("generation").as_number());
-    entries_.emplace(hex, std::move(entry));
+    entries_.emplace(
+        hex, ManifestEntry{
+                 value.get("key").as_string(), value.get("kind").as_string(),
+                 static_cast<std::uint64_t>(value.get("bytes").as_number()),
+                 static_cast<std::uint64_t>(
+                     value.get("generation").as_number())});
   }
 }
 
@@ -358,28 +182,8 @@ bool PrebuiltStore::flush() {
            ",\"generation\":" + std::to_string(entry.generation) + "}";
   }
   out += "}}\n";
-  const std::vector<std::uint8_t> bytes(out.begin(), out.end());
-  return write_atomic(fs::path(root_) / "store.json", bytes);
-}
-
-std::vector<std::pair<std::string, std::string>> PrebuiltStore::disk_objects()
-    const {
-  // (hex, relative path) of every *.bin under objects/, sorted for
-  // deterministic verify/gc ordering. Leftover .tmp files from a crashed
-  // writer are ignored (gc sweeps them).
-  std::vector<std::pair<std::string, std::string>> found;
-  const fs::path objects = fs::path(root_) / "objects";
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(objects, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    if (!it->is_regular_file(ec)) continue;
-    const fs::path& path = it->path();
-    if (path.extension() != ".bin") continue;
-    found.emplace_back(path.stem().string(),
-                       fs::relative(path, root_, ec).string());
-  }
-  std::sort(found.begin(), found.end());
-  return found;
+  return blob::write_file((fs::path(root()) / "store.json").string(),
+                          blob::Bytes(out.begin(), out.end()));
 }
 
 std::optional<VerifyIssue> PrebuiltStore::verify() {
@@ -397,22 +201,22 @@ std::optional<VerifyIssue> PrebuiltStore::verify() {
     const auto issue = [&](const std::string& detail) {
       return VerifyIssue{hex, entry.key, detail};
     };
-    const auto bytes = read_all(object_path(hex));
+    auto bytes = blob::read_file(blobs_.path(hex));
     if (!bytes) return issue("object missing on disk");
     if (bytes->size() != entry.bytes)
       return issue("size drift: manifest says " +
                    std::to_string(entry.bytes) + " bytes, disk has " +
                    std::to_string(bytes->size()));
     std::string detail;
-    const auto container = parse_container(*bytes, &detail);
-    if (!container) return issue(detail);
+    const auto sealed = blob::open(std::move(*bytes), &detail);
+    if (!sealed) return issue(detail);
     // The container's echoed key must hash to the address it is filed
     // under — a swapped object fails here even when internally consistent.
-    if (key_digest(container->key).hex() != hex)
+    if (blob::BlobStore::address(sealed->echo).hex() != hex)
       return issue("key echo does not match object address");
   }
 
-  for (const auto& [hex, path] : disk_objects()) {
+  for (const auto& [hex, path] : blobs_.list()) {
     if (entries.find(hex) == entries.end())
       return VerifyIssue{path, "", "object not in manifest"};
   }
@@ -435,12 +239,12 @@ GcResult PrebuiltStore::gc(bool dry_run) {
       continue;
     }
     std::error_code ec;
-    fs::remove(object_path(it->first), ec);
+    fs::remove(blobs_.path(it->first), ec);
     it = entries_.erase(it);
   }
   // Pass 2: on-disk objects (and stale temp files) the manifest does not
   // know about.
-  const fs::path objects = fs::path(root_) / "objects";
+  const fs::path objects = fs::path(root()) / "objects";
   std::error_code ec;
   for (fs::recursive_directory_iterator it(objects, ec), end;
        !ec && it != end; it.increment(ec)) {
@@ -475,7 +279,7 @@ StoreStats PrebuiltStore::stats() const {
 std::string PrebuiltStore::stats_json() const {
   const StoreStats totals = stats();
   std::string out = "{\"dir\":";
-  obs::json::append_string(out, root_);
+  obs::json::append_string(out, root());
   out += ",\"entries\":" + std::to_string(totals.entries) +
          ",\"bytes\":" + std::to_string(totals.bytes) +
          ",\"generation\":" + std::to_string(totals.generation) +

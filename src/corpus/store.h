@@ -11,16 +11,13 @@
 // fuzz budget — misses and rebuilds, while an unchanged matrix is served
 // without touching the compiler at all.
 //
-// Disk layout (PR 1 result-cache idioms: sharded hash dirs, write-to-temp +
-// atomic rename, version-stamped headers):
+// Disk layout and object format come from the shared blob layer
+// (blob/blob_store.h):
 //   <root>/store.json              manifest (deterministic JSON)
-//   <root>/objects/<hh>/<hex>.bin  one artifact container per key digest
-//
-// Container format ("PKCS"): magic, format version, the full key echoed
-// back, payload length, payload, then a 128-bit payload digest. load()
-// re-derives the expected key and digest, so a swapped, truncated or
-// bit-flipped object degrades to a miss (cache-poisoning guard) — the
-// caller rebuilds and overwrites.
+//   <root>/objects/<hh>/<hex>.bin  one verified container per key digest
+// Each container echoes the full key back and carries a payload digest, so
+// a swapped, truncated or bit-flipped object degrades to a miss on load()
+// (cache-poisoning guard) — the caller rebuilds and overwrites.
 //
 // The manifest tracks a monotonically increasing build generation; every
 // key a `corpus build` run requests (hit or miss) is stamped with that
@@ -36,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "engine/cache.h"
+#include "blob/blob_store.h"
 #include "isa/isa.h"
 
 namespace patchecko::corpus {
@@ -98,7 +95,7 @@ class PrebuiltStore {
  public:
   explicit PrebuiltStore(std::string root);
 
-  const std::string& root() const { return root_; }
+  const std::string& root() const { return blobs_.root(); }
   std::uint64_t generation() const;
 
   /// Manifest-level membership plus an on-disk existence check (a manifest
@@ -150,11 +147,9 @@ class PrebuiltStore {
     std::uint64_t generation = 0;
   };
 
-  std::string object_path(const std::string& hex) const;
   void read_manifest();
-  std::vector<std::pair<std::string, std::string>> disk_objects() const;
 
-  std::string root_;
+  blob::BlobStore blobs_;  ///< owns the root and <root>/objects
   mutable std::mutex mutex_;
   // hex digest -> manifest entry; kept sorted on flush for deterministic
   // manifests (std::map iterates in key order).

@@ -1,14 +1,10 @@
 #include "engine/cache.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-
 #include "obs/metrics.h"
 
 namespace patchecko {
+
+using namespace blob;
 
 namespace {
 
@@ -31,89 +27,6 @@ struct CacheMetrics {
   static CacheMetrics& get() {
     static CacheMetrics metrics;
     return metrics;
-  }
-};
-
-std::uint64_t rotl64(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-/// splitmix64 finalizer: avalanches a lane before printing so that short
-/// inputs still flip high bits.
-std::uint64_t finalize(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-// --- little-endian byte-stream helpers -------------------------------------
-// Serialized artifacts are raw native-endian scalars; every platform this
-// repo targets (x86, amd64, arm64 hosts) is little-endian, and cache files
-// are host-local artifacts, not interchange formats.
-
-void append_bytes(std::vector<std::uint8_t>& out, const void* data,
-                  std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), bytes, bytes + size);
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  append_bytes(out, &value, sizeof(value));
-}
-
-void append_i64(std::vector<std::uint8_t>& out, std::int64_t value) {
-  append_bytes(out, &value, sizeof(value));
-}
-
-void append_double(std::vector<std::uint8_t>& out, double value) {
-  append_bytes(out, &value, sizeof(value));
-}
-
-void append_string(std::vector<std::uint8_t>& out, const std::string& text) {
-  append_u64(out, text.size());
-  append_bytes(out, text.data(), text.size());
-}
-
-/// Cursor over a byte buffer; every read checks bounds and latches failure.
-struct Reader {
-  const std::vector<std::uint8_t>& bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool read(void* out, std::size_t size) {
-    if (!ok || pos + size > bytes.size()) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, bytes.data() + pos, size);
-    pos += size;
-    return true;
-  }
-  std::uint64_t read_u64() {
-    std::uint64_t value = 0;
-    read(&value, sizeof(value));
-    return value;
-  }
-  std::int64_t read_i64() {
-    std::int64_t value = 0;
-    read(&value, sizeof(value));
-    return value;
-  }
-  double read_double() {
-    double value = 0.0;
-    read(&value, sizeof(value));
-    return value;
-  }
-  std::string read_string() {
-    const std::uint64_t size = read_u64();
-    if (!ok || pos + size > bytes.size()) {
-      ok = false;
-      return {};
-    }
-    std::string text(reinterpret_cast<const char*>(bytes.data() + pos),
-                     static_cast<std::size_t>(size));
-    pos += static_cast<std::size_t>(size);
-    return text;
   }
 };
 
@@ -150,41 +63,6 @@ void absorb_features(Digest& digest, const StaticFeatureVector& features) {
 }
 
 }  // namespace
-
-// --- Digest ----------------------------------------------------------------
-
-void Digest::absorb(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = hi, l = lo;
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ bytes[i]) * 0x00000100000001b3ULL;            // FNV-1a lane
-    l = rotl64(l ^ (bytes[i] * 0x9e3779b97f4a7c15ULL), 27) // mixed lane
-        * 0xc2b2ae3d27d4eb4fULL;
-  }
-  hi = h;
-  lo = l;
-}
-
-void Digest::absorb_u64(std::uint64_t value) { absorb(&value, sizeof(value)); }
-
-void Digest::absorb_double(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  absorb_u64(bits);
-}
-
-void Digest::absorb_string(const std::string& text) {
-  absorb_u64(text.size());
-  absorb(text.data(), text.size());
-}
-
-std::string Digest::hex() const {
-  char out[33] = {};
-  std::snprintf(out, sizeof(out), "%016llx%016llx",
-                static_cast<unsigned long long>(finalize(hi)),
-                static_cast<unsigned long long>(finalize(lo)));
-  return out;
-}
 
 // --- input digests ---------------------------------------------------------
 
@@ -312,15 +190,13 @@ std::optional<std::vector<StaticFeatureVector>> deserialize_features(
   Reader reader{bytes};
   if (!check_magic(reader, kFeatureMagic)) return std::nullopt;
   const std::uint64_t count = reader.read_u64();
-  if (!reader.ok ||
-      reader.pos + count * static_feature_count * sizeof(double) !=
-          bytes.size())
+  if (!reader.fits(count, static_feature_count * sizeof(double)))
     return std::nullopt;
   std::vector<StaticFeatureVector> features(
       static_cast<std::size_t>(count));
   for (StaticFeatureVector& vector : features)
     reader.read(vector.data(), vector.size() * sizeof(double));
-  if (!reader.ok) return std::nullopt;
+  if (!reader.ok || reader.pos != bytes.size()) return std::nullopt;
   return features;
 }
 
@@ -393,8 +269,7 @@ std::optional<DetectionOutcome> deserialize_outcome(
   outcome.false_positives = static_cast<int>(reader.read_i64());
   outcome.false_negatives = static_cast<int>(reader.read_i64());
   const std::uint64_t candidate_count = reader.read_u64();
-  if (!reader.ok ||
-      candidate_count > (bytes.size() - reader.pos) / sizeof(std::uint64_t))
+  if (!reader.fits(candidate_count, sizeof(std::uint64_t)))
     return std::nullopt;
   outcome.candidates.resize(static_cast<std::size_t>(candidate_count));
   for (std::size_t& index : outcome.candidates)
@@ -402,8 +277,7 @@ std::optional<DetectionOutcome> deserialize_outcome(
   outcome.dl_seconds = reader.read_double();
   outcome.executed = static_cast<std::size_t>(reader.read_u64());
   const std::uint64_t ranked_count = reader.read_u64();
-  if (!reader.ok || ranked_count > (bytes.size() - reader.pos) / 24)
-    return std::nullopt;
+  if (!reader.fits(ranked_count, 24)) return std::nullopt;
   outcome.ranking.resize(static_cast<std::size_t>(ranked_count));
   for (RankedCandidate& ranked : outcome.ranking) {
     ranked.function_index = static_cast<std::size_t>(reader.read_u64());
@@ -429,8 +303,7 @@ std::optional<DetectionOutcome> deserialize_outcome(
   provenance.prefilter_exact = reader.read_u64();
   provenance.prefilter_recalled = reader.read_u64();
   const std::uint64_t record_count = reader.read_u64();
-  if (!reader.ok || record_count > (bytes.size() - reader.pos) / 8)
-    return std::nullopt;
+  if (!reader.fits(record_count, 8)) return std::nullopt;
   provenance.candidates.resize(static_cast<std::size_t>(record_count));
   for (obs::CandidateRecord& candidate : provenance.candidates) {
     candidate.function_index = reader.read_u64();
@@ -439,8 +312,7 @@ std::optional<DetectionOutcome> deserialize_outcome(
     candidate.crash_env = reader.read_i64();
     candidate.prefiltered = reader.read_u64() != 0;
     const std::uint64_t env_count = reader.read_u64();
-    if (!reader.ok || env_count > (bytes.size() - reader.pos) / sizeof(double))
-      return std::nullopt;
+    if (!reader.fits(env_count, sizeof(double))) return std::nullopt;
     candidate.env_distances.resize(static_cast<std::size_t>(env_count));
     for (double& distance : candidate.env_distances)
       distance = reader.read_double();
@@ -455,122 +327,82 @@ std::optional<DetectionOutcome> deserialize_outcome(
 
 ResultCache::ResultCache(std::string disk_dir, bool enabled)
     : dir_(std::move(disk_dir)), enabled_(enabled) {
-  if (enabled_ && !dir_.empty())
-    std::filesystem::create_directories(dir_);
+  if (enabled_ && !dir_.empty()) disk_.emplace(dir_);
 }
 
-std::optional<std::vector<std::uint8_t>> ResultCache::read_file(
-    const std::string& key) const {
-  if (dir_.empty()) return std::nullopt;
-  const std::filesystem::path path =
-      std::filesystem::path(dir_) / (key + ".bin");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return bytes;
-}
-
-void ResultCache::write_file(const std::string& key,
-                             const std::vector<std::uint8_t>& bytes) const {
-  if (dir_.empty()) return;
-  // Write-to-temp + rename so readers never observe a half-written entry;
-  // the counter keeps concurrent writers of the same key apart.
-  static std::atomic<std::uint64_t> temp_counter{0};
-  const std::filesystem::path final_path =
-      std::filesystem::path(dir_) / (key + ".bin");
-  const std::filesystem::path temp_path =
-      std::filesystem::path(dir_) /
-      (key + ".tmp" + std::to_string(temp_counter.fetch_add(1)));
-  {
-    std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) return;
+template <typename T>
+std::optional<T> ResultCache::find(
+    std::unordered_map<std::string, T>& memory, const std::string& key,
+    bool outcome,
+    std::optional<T> (*decode)(const std::vector<std::uint8_t>&)) {
+  if (enabled_) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = memory.find(key);
+    if (it != memory.end()) {
+      count_lookup(outcome, /*hit=*/true, /*from_disk=*/false);
+      return it->second;
+    }
   }
-  std::error_code ec;
-  std::filesystem::rename(temp_path, final_path, ec);
-  if (ec) std::filesystem::remove(temp_path, ec);
+  // The file read, its verification and the decode run unlocked, so workers
+  // missing different keys never queue behind each other's IO.
+  std::optional<T> loaded;
+  if (disk_) {
+    if (const auto payload = disk_->get(Bytes(key.begin(), key.end())))
+      loaded = decode(*payload);
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  count_lookup(outcome, loaded.has_value(), loaded.has_value());
+  if (loaded) memory.emplace(key, *loaded);
+  return loaded;
+}
+
+template <typename T>
+void ResultCache::store(std::unordered_map<std::string, T>& memory,
+                        const std::string& key, const T& value,
+                        std::vector<std::uint8_t> (*encode)(const T&)) {
+  if (!enabled_) return;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    memory[key] = value;
+    ++stats_.stores;
+    CacheMetrics::get().stores.add();
+  }
+  if (disk_) disk_->put(Bytes(key.begin(), key.end()), encode(value));
+}
+
+void ResultCache::count_lookup(bool outcome, bool hit, bool from_disk) {
+  CacheMetrics& metrics = CacheMetrics::get();
+  if (hit) {
+    ++(outcome ? stats_.outcome_hits : stats_.feature_hits);
+    (outcome ? metrics.outcome_hits : metrics.feature_hits).add();
+  } else {
+    ++(outcome ? stats_.outcome_misses : stats_.feature_misses);
+    (outcome ? metrics.outcome_misses : metrics.feature_misses).add();
+  }
+  if (from_disk) {
+    ++stats_.disk_loads;
+    metrics.disk_loads.add();
+  }
 }
 
 std::optional<std::vector<StaticFeatureVector>> ResultCache::find_features(
     const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_) {
-    ++stats_.feature_misses;
-    CacheMetrics::get().feature_misses.add();
-    return std::nullopt;
-  }
-  const auto it = features_.find(key);
-  if (it != features_.end()) {
-    ++stats_.feature_hits;
-    CacheMetrics::get().feature_hits.add();
-    return it->second;
-  }
-  if (const auto bytes = read_file(key)) {
-    if (auto features = deserialize_features(*bytes)) {
-      ++stats_.feature_hits;
-      ++stats_.disk_loads;
-      CacheMetrics::get().feature_hits.add();
-      CacheMetrics::get().disk_loads.add();
-      features_.emplace(key, *features);
-      return features;
-    }
-  }
-  ++stats_.feature_misses;
-  CacheMetrics::get().feature_misses.add();
-  return std::nullopt;
+  return find(features_, key, /*outcome=*/false, &deserialize_features);
 }
 
 void ResultCache::store_features(
     const std::string& key, const std::vector<StaticFeatureVector>& features) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_) return;
-  features_[key] = features;
-  ++stats_.stores;
-  CacheMetrics::get().stores.add();
-  write_file(key, serialize_features(features));
+  store(features_, key, features, &serialize_features);
 }
 
 std::optional<DetectionOutcome> ResultCache::find_outcome(
     const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_) {
-    ++stats_.outcome_misses;
-    CacheMetrics::get().outcome_misses.add();
-    return std::nullopt;
-  }
-  const auto it = outcomes_.find(key);
-  if (it != outcomes_.end()) {
-    ++stats_.outcome_hits;
-    CacheMetrics::get().outcome_hits.add();
-    return it->second;
-  }
-  if (const auto bytes = read_file(key)) {
-    if (auto outcome = deserialize_outcome(*bytes)) {
-      ++stats_.outcome_hits;
-      ++stats_.disk_loads;
-      CacheMetrics::get().outcome_hits.add();
-      CacheMetrics::get().disk_loads.add();
-      outcomes_.emplace(key, *outcome);
-      return outcome;
-    }
-  }
-  ++stats_.outcome_misses;
-  CacheMetrics::get().outcome_misses.add();
-  return std::nullopt;
+  return find(outcomes_, key, /*outcome=*/true, &deserialize_outcome);
 }
 
 void ResultCache::store_outcome(const std::string& key,
                                 const DetectionOutcome& outcome) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_) return;
-  outcomes_[key] = outcome;
-  ++stats_.stores;
-  CacheMetrics::get().stores.add();
-  write_file(key, serialize_outcome(outcome));
+  store(outcomes_, key, outcome, &serialize_outcome);
 }
 
 void ResultCache::clear_memory() {

@@ -13,6 +13,12 @@
 //     query direction).
 // The config digest deliberately excludes worker_threads: parallelism never
 // changes results, so a cache populated at --jobs 8 serves --jobs 1 runs.
+//
+// The disk tier is a blob::BlobStore under the cache directory
+// (<dir>/objects/<hh>/<hex>.bin): every entry echoes its key and carries a
+// payload digest, so a bit-flipped, truncated or misfiled file is a miss,
+// never a hit. The mutex guards only the memory maps and the counters; file
+// reads, verification and (de)serialization run outside it.
 #pragma once
 
 #include <cstdint>
@@ -22,37 +28,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "blob/blob_store.h"
 #include "core/cve_database.h"
 #include "core/pipeline.h"
 #include "dl/similarity_model.h"
 
 namespace patchecko {
-
-/// 128-bit streaming content digest: two independent FNV-1a-style lanes
-/// with a splitmix finalizer. Not cryptographic — collision resistance is
-/// only needed against accidental key clashes in a cache namespace.
-struct Digest {
-  std::uint64_t hi = 0xcbf29ce484222325ULL;
-  std::uint64_t lo = 0x9e3779b97f4a7c15ULL;
-
-  void absorb(const void* data, std::size_t size);
-  void absorb_u64(std::uint64_t value);
-  void absorb_i64(std::int64_t value) {
-    absorb_u64(static_cast<std::uint64_t>(value));
-  }
-  void absorb_double(double value);
-  void absorb_string(const std::string& text);
-
-  /// 32 hex characters, usable as a filename.
-  std::string hex() const;
-
-  friend bool operator==(const Digest& a, const Digest& b) {
-    return a.hi == b.hi && a.lo == b.lo;
-  }
-  friend bool operator!=(const Digest& a, const Digest& b) {
-    return !(a == b);
-  }
-};
 
 /// Digest of a library's serialized bytes (identity of the scan target).
 Digest digest_library(const LibraryBinary& library);
@@ -117,16 +98,24 @@ class ResultCache {
   CacheStats stats() const;
 
  private:
-  std::optional<std::vector<std::uint8_t>> read_file(
-      const std::string& key) const;
-  void write_file(const std::string& key,
-                  const std::vector<std::uint8_t>& bytes) const;
+  template <typename T>
+  std::optional<T> find(std::unordered_map<std::string, T>& memory,
+                        const std::string& key, bool outcome,
+                        std::optional<T> (*decode)(
+                            const std::vector<std::uint8_t>&));
+  template <typename T>
+  void store(std::unordered_map<std::string, T>& memory,
+             const std::string& key, const T& value,
+             std::vector<std::uint8_t> (*encode)(const T&));
+  /// Books one lookup in stats_ and the process-wide counters; mutex_ held.
+  void count_lookup(bool outcome, bool hit, bool from_disk);
 
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  ///< guards features_, outcomes_ and stats_
   std::unordered_map<std::string, std::vector<StaticFeatureVector>> features_;
   std::unordered_map<std::string, DetectionOutcome> outcomes_;
   std::string dir_;
   bool enabled_ = true;
+  std::optional<blob::BlobStore> disk_;  ///< set when enabled with a dir
   CacheStats stats_;
 };
 

@@ -9,9 +9,8 @@
 // collision-resistant enough for cache addressing (the store additionally
 // folds the fingerprint into a 128-bit key digest).
 //
-// pk_source sits below the engine layer, so this deliberately does not use
-// engine/cache.h's Digest; callers absorb the returned word into whatever
-// wider digest they maintain.
+// The result is a plain 64-bit word, not a blob/blob_store.h Digest; callers
+// absorb it into whatever wider digest they maintain.
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "blob/blob_store.h"
 #include "core/pipeline.h"
 #include "dl/trainer.h"
 #include "engine/cache.h"
@@ -394,6 +396,15 @@ TEST(Cache, DeserializersRejectCorruptInput) {
   std::vector<std::uint8_t> outcome_bytes = serialize_outcome(outcome);
   outcome_bytes.resize(outcome_bytes.size() - 4);
   EXPECT_FALSE(deserialize_outcome(outcome_bytes).has_value());
+
+  // A vector count whose byte size wraps around 2^64 must be rejected before
+  // anything is allocated: PKFE, v3, count (2^64 + 128) / 384, 128 bytes.
+  std::vector<std::uint8_t> wrapping = {'P', 'K', 'F', 'E'};
+  blob::append_u64(wrapping, 3);
+  blob::append_u64(wrapping, 48038396025285291ULL);
+  wrapping.resize(wrapping.size() + 128);
+  ASSERT_EQ(wrapping.size(), 148u);
+  EXPECT_FALSE(deserialize_features(wrapping).has_value());
 }
 
 TEST(Cache, KeyChangesWithModelConfigAndLibrary) {
@@ -483,6 +494,156 @@ TEST(Cache, DiskEntriesSurviveProcessRestartSimulation) {
   EXPECT_EQ(fresh.stats().disk_loads, 1u);
   EXPECT_FALSE(fresh.find_features("feat-missing").has_value());
   EXPECT_EQ(fresh.stats().feature_misses, 1u);
+}
+
+/// Object file of a ResultCache entry (the blob layout under the cache dir).
+std::filesystem::path cache_object(const std::string& dir,
+                                   const std::string& key) {
+  const blob::BlobStore blobs(dir);
+  return blobs.path(
+      blob::BlobStore::address(blob::Bytes(key.begin(), key.end())).hex());
+}
+
+DetectionOutcome sample_outcome(const std::string& cve, std::size_t ranked) {
+  DetectionOutcome outcome;
+  outcome.cve_id = cve;
+  outcome.total = 100 + ranked;
+  for (std::size_t i = 0; i < ranked; ++i)
+    outcome.ranking.push_back({i, 0.5 + static_cast<double>(i), 0.25});
+  outcome.rank_of_target = 1;
+  return outcome;
+}
+
+std::vector<StaticFeatureVector> sample_features(double base) {
+  std::vector<StaticFeatureVector> features(3);
+  for (std::size_t i = 0; i < features.size(); ++i)
+    for (std::size_t f = 0; f < static_feature_count; ++f)
+      features[i][f] = base + static_cast<double>(i * static_feature_count + f);
+  return features;
+}
+
+/// Stores entries under two keys per kind, damages the "-a" entries on disk
+/// with `damage`, then checks that a fresh cache counts them as misses (no
+/// disk load) and that the next store_* overwrites them with a good entry.
+void expect_damaged_entries_miss_then_heal(
+    const std::string& name,
+    const std::function<void(const std::string& dir, const std::string& key,
+                             const std::string& other)>& damage) {
+  const std::string dir = scratch_dir(name);
+  const DetectionOutcome outcome = sample_outcome("CVE-A", 8);
+  const std::vector<StaticFeatureVector> features = sample_features(1.0);
+  {
+    ResultCache writer(dir);
+    writer.store_outcome("det-a", outcome);
+    writer.store_outcome("det-b", sample_outcome("CVE-B", 8));
+    writer.store_features("feat-a", features);
+    writer.store_features("feat-b", sample_features(2.0));
+  }
+  damage(dir, "det-a", "det-b");
+  damage(dir, "feat-a", "feat-b");
+
+  ResultCache reader(dir);
+  EXPECT_FALSE(reader.find_outcome("det-a").has_value());
+  EXPECT_FALSE(reader.find_features("feat-a").has_value());
+  CacheStats stats = reader.stats();
+  EXPECT_EQ(stats.outcome_misses, 1u);
+  EXPECT_EQ(stats.feature_misses, 1u);
+  EXPECT_EQ(stats.hits(), 0u);
+  EXPECT_EQ(stats.disk_loads, 0u);
+
+  reader.store_outcome("det-a", outcome);
+  reader.store_features("feat-a", features);
+  ResultCache healed(dir);
+  const auto found_outcome = healed.find_outcome("det-a");
+  ASSERT_TRUE(found_outcome.has_value());
+  EXPECT_EQ(serialize_outcome(*found_outcome), serialize_outcome(outcome));
+  const auto found_features = healed.find_features("feat-a");
+  ASSERT_TRUE(found_features.has_value());
+  EXPECT_EQ(serialize_features(*found_features), serialize_features(features));
+  EXPECT_EQ(healed.stats().disk_loads, 2u);
+}
+
+TEST(Cache, BitFlippedDiskEntryIsAMissAndIsOverwritten) {
+  // A flipped byte inside a double still parses, so only the container's
+  // payload digest can catch it.
+  expect_damaged_entries_miss_then_heal(
+      "tamper_flip",
+      [](const std::string& dir, const std::string& key, const std::string&) {
+        const auto path = cache_object(dir, key);
+        std::vector<std::uint8_t> bytes = blob::read_file(path).value();
+        bytes[bytes.size() / 2] ^= 0x01;
+        ASSERT_TRUE(blob::write_file(path, bytes));
+      });
+}
+
+TEST(Cache, TruncatedDiskEntryIsAMissAndIsOverwritten) {
+  expect_damaged_entries_miss_then_heal(
+      "tamper_truncate",
+      [](const std::string& dir, const std::string& key, const std::string&) {
+        const auto path = cache_object(dir, key);
+        std::filesystem::resize_file(path,
+                                     std::filesystem::file_size(path) - 1);
+      });
+}
+
+TEST(Cache, MisfiledDiskEntryIsAMissAndIsOverwritten) {
+  // Another key's intact object copied over this key's address: the key
+  // echo no longer matches, so it must not be served under this key.
+  expect_damaged_entries_miss_then_heal(
+      "tamper_misfile", [](const std::string& dir, const std::string& key,
+                           const std::string& other) {
+        std::filesystem::copy_file(
+            cache_object(dir, other), cache_object(dir, key),
+            std::filesystem::copy_options::overwrite_existing);
+      });
+}
+
+TEST(Cache, ConcurrentSameKeyWritersNeverTearDiskReads) {
+  // Writers replace one key's entry while readers drop the memory tier and
+  // look it up again, so most lookups read the file while it is being
+  // renamed over. A reader must always see one whole entry, never a mix or
+  // a partial write, and the accounting must balance.
+  const std::string dir = scratch_dir("cache_race");
+  const DetectionOutcome a = sample_outcome("CVE-A", 16);
+  const DetectionOutcome b = sample_outcome("CVE-B", 256);
+  const std::vector<std::uint8_t> a_bytes = serialize_outcome(a);
+  const std::vector<std::uint8_t> b_bytes = serialize_outcome(b);
+  const std::vector<StaticFeatureVector> fa = sample_features(1.0);
+  const std::vector<StaticFeatureVector> fb = sample_features(2.0);
+  ResultCache cache(dir);
+  cache.store_outcome("det-race", a);
+  cache.store_features("feat-race", fa);
+
+  std::atomic<std::uint64_t> lookups{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; ++w)
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < 25; ++i) {
+        cache.store_outcome("det-race", (w % 2) != 0 ? a : b);
+        cache.store_features("feat-race", (w % 2) != 0 ? fa : fb);
+      }
+    });
+  for (int r = 0; r < 2; ++r)
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) {
+        cache.clear_memory();
+        const auto outcome = cache.find_outcome("det-race");
+        const auto features = cache.find_features("feat-race");
+        lookups += 2;
+        ASSERT_TRUE(outcome.has_value());
+        const std::vector<std::uint8_t> bytes = serialize_outcome(*outcome);
+        ASSERT_TRUE(bytes == a_bytes || bytes == b_bytes) << "torn outcome";
+        ASSERT_TRUE(features.has_value());
+        ASSERT_TRUE(serialize_features(*features) == serialize_features(fa) ||
+                    serialize_features(*features) == serialize_features(fb))
+            << "torn features";
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits() + stats.misses(), lookups.load());
+  EXPECT_EQ(stats.misses(), 0u);
+  EXPECT_EQ(stats.stores, 2u + 4u * 25u * 2u);
 }
 
 TEST(Engine, RejectsIncompleteRequests) {
