@@ -205,8 +205,9 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   outcome.dl_seconds = dl_watch.elapsed_seconds();
 
   // --- Stage 2: execution validation + dynamic ranking ----------------------
-  // Candidates validate and profile independently, so this fans out over
-  // worker threads (Machine::run is stateless per call).
+  // One pass per candidate: its first crashing environment prunes it, else
+  // the same runs are its profile. Candidates are independent, so this fans
+  // out over worker threads (each thread runs on its own VM image).
   Stopwatch da_watch;
   const Machine machine(*target.binary, config_.machine);
   std::vector<CandidateProfile> profiles;
@@ -222,15 +223,14 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
                    if (is_cancelled(cancel)) return;
                    const std::size_t index = outcome.candidates[c];
                    std::size_t crash_env = 0;
-                   if (!validate_candidate(machine, index, entry.environments,
-                                           &crash_env)) {
+                   std::optional<DynamicProfile> profile = profile_candidate(
+                       machine, index, entry.environments, &crash_env);
+                   if (!profile) {
                      crash_envs[c] = static_cast<std::int64_t>(crash_env);
                      return;
                    }
-                   slots[c] = CandidateProfile{
-                       index,
-                       profile_function(machine, index, entry.environments),
-                       candidate_scores[c]};
+                   slots[c] = CandidateProfile{index, std::move(*profile),
+                                               candidate_scores[c]};
                  });
     profiles.reserve(slots.size());
     for (const auto& slot : slots)
@@ -349,13 +349,18 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
 PatchDecision Patchecko::analyze_patch(const CveEntry& entry,
                                        const AnalyzedLibrary& target,
                                        std::size_t target_function) const {
+  const Machine machine(*target.binary, config_.machine);
+  return decide_patch(
+      entry, target, target_function,
+      profile_function(machine, target_function, entry.environments));
+}
+
+PatchDecision Patchecko::decide_patch(
+    const CveEntry& entry, const AnalyzedLibrary& target,
+    std::size_t target_function, const DynamicProfile& target_profile) const {
   const FunctionBinary& fn = target.binary->functions[target_function];
   const StaticFeatureVector target_features = target.features[target_function];
   const DiffSignature target_signature = make_signature(fn);
-
-  const Machine machine(*target.binary, config_.machine);
-  const DynamicProfile target_profile =
-      profile_function(machine, target_function, entry.environments);
 
   // Prefer the architecture-matched references: comparing an ARM target to
   // x86 references would drown patch-sized deltas in codegen noise.
@@ -431,14 +436,15 @@ PatchReport Patchecko::report_from(const CveEntry& entry,
       refs != nullptr ? refs->vulnerable_profile : entry.vulnerable_profile;
   const DynamicProfile& ref_patch_profile =
       refs != nullptr ? refs->patched_profile : entry.patched_profile;
-  std::size_t best = pool.front();
   std::size_t best_slot = 0;
+  std::vector<DynamicProfile> profiles;  // index-aligned with report.pool
   double best_distance = std::numeric_limits<double>::infinity();
   std::size_t best_effects = 0;
   report.pool.reserve(pool.size());
+  profiles.reserve(pool.size());
   for (std::size_t index : pool) {
     if (is_cancelled(cancel)) break;
-    const DynamicProfile profile =
+    DynamicProfile profile =
         profile_function(machine, index, entry.environments);
     obs::PatchCandidateRecord member;
     member.function_index = index;
@@ -461,10 +467,10 @@ PatchReport Patchecko::report_from(const CveEntry& entry,
         (distance == best_distance && effects > best_effects)) {
       best_distance = distance;
       best_effects = effects;
-      best = index;
       best_slot = report.pool.size();
     }
     report.pool.push_back(member);
+    profiles.push_back(std::move(profile));
   }
   if (report.pool.empty()) {
     // Cancelled before any pool member was profiled; no verdict to render.
@@ -472,8 +478,9 @@ PatchReport Patchecko::report_from(const CveEntry& entry,
     return report;
   }
   report.pool[best_slot].chosen = true;
+  const std::size_t best = report.pool[best_slot].function_index;
   report.matched_function = best;
-  report.decision = analyze_patch(entry, target, best);
+  report.decision = decide_patch(entry, target, best, profiles[best_slot]);
   if (obs::events_enabled()) {
     const PatchDecision& decision = *report.decision;
     obs::EventLog::global().emit(

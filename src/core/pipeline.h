@@ -167,6 +167,12 @@ class Patchecko {
   const PipelineConfig& config() const { return config_; }
 
  private:
+  /// analyze_patch on a target whose profile is already known.
+  PatchDecision decide_patch(const CveEntry& entry,
+                             const AnalyzedLibrary& target,
+                             std::size_t target_function,
+                             const DynamicProfile& target_profile) const;
+
   const SimilarityModel* model_;
   PipelineConfig config_;
 };

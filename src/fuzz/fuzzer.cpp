@@ -16,10 +16,6 @@ struct FuzzMetrics {
       obs::Registry::global().counter("fuzz.env_crashes");
   obs::Counter& envs_selected =
       obs::Registry::global().counter("fuzz.envs_selected");
-  obs::Counter& candidates_validated =
-      obs::Registry::global().counter("fuzz.candidates_validated");
-  obs::Counter& candidates_crash_pruned =
-      obs::Registry::global().counter("fuzz.candidates_crash_pruned");
 
   static FuzzMetrics& get() {
     static FuzzMetrics metrics;
@@ -204,21 +200,6 @@ std::vector<CallEnv> generate_environments(const LibraryBinary& library,
   }
   FuzzMetrics::get().envs_selected.add(selected.size());
   return selected;
-}
-
-bool validate_candidate(const Machine& machine, std::size_t function_index,
-                        const std::vector<CallEnv>& environments,
-                        std::size_t* first_crash_env) {
-  FuzzMetrics::get().candidates_validated.add();
-  for (std::size_t i = 0; i < environments.size(); ++i) {
-    const RunResult result = machine.run(function_index, environments[i]);
-    if (result.status != ExecStatus::ok) {
-      FuzzMetrics::get().candidates_crash_pruned.add();
-      if (first_crash_env != nullptr) *first_crash_env = i;
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace patchecko

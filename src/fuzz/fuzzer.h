@@ -4,9 +4,12 @@
 // concrete argument values plus the byte buffers pointer arguments reference.
 // We generate them with a light coverage-guided fuzzer: random seeds,
 // mutation of surviving inputs, and greedy selection for instruction-site
-// coverage of the subject function. Candidate functions are later *validated*
-// against these environments — any crash removes the candidate, exactly the
-// paper's input-validation pruning step.
+// coverage of the subject function. Stage 2 then runs every candidate on
+// these environments once, in order (profile_candidate in
+// similarity/similarity.h): the first environment a candidate crashes on
+// removes it, exactly the paper's input-validation pruning step, and a
+// candidate that survives all of them has its dynamic profile from the
+// same runs.
 #pragma once
 
 #include <cstdint>
@@ -54,14 +57,5 @@ std::vector<CallEnv> generate_environments(const LibraryBinary& library,
                                            std::size_t function_index,
                                            Rng& rng,
                                            const FuzzConfig& config);
-
-/// Paper's "candidate functions execution validation": true iff the
-/// candidate returns normally on every environment. On failure,
-/// `first_crash_env` (when non-null) receives the index of the first
-/// environment that crashed — decision provenance records it as the prune
-/// reason.
-bool validate_candidate(const Machine& machine, std::size_t function_index,
-                        const std::vector<CallEnv>& environments,
-                        std::size_t* first_crash_env = nullptr);
 
 }  // namespace patchecko

@@ -40,6 +40,16 @@ DynamicProfile profile_function(const Machine& machine,
                                 std::size_t function_index,
                                 const std::vector<CallEnv>& environments);
 
+/// Stage 2 for one stage-1 candidate in a single pass: the paper's execution
+/// validation and profiling together. Runs the environments in order and
+/// stops at the first one where the candidate does not return normally:
+/// the candidate is pruned, nullopt is returned and that environment's index
+/// goes to `crash_env` (when non-null). Otherwise returns the profile, which
+/// then has every environment filled in.
+std::optional<DynamicProfile> profile_candidate(
+    const Machine& machine, std::size_t function_index,
+    const std::vector<CallEnv>& environments, std::size_t* crash_env = nullptr);
+
 /// Eq. (1) + (2): mean Minkowski-p distance over environments where both
 /// profiles succeeded. Returns +inf if no common environment exists.
 double profile_distance(const DynamicProfile& a, const DynamicProfile& b,

@@ -1,10 +1,11 @@
 #include "vm/machine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <string>
 
 #include "isa/runtime_scalar.h"
 #include "obs/metrics.h"
@@ -66,9 +67,9 @@ enum class RegionKind : std::uint8_t { lib, anon, heap, stack };
 struct MemObject {
   std::int64_t base = 0;
   std::int64_t size = 0;
+  std::uint8_t* bytes = nullptr;  ///< `size` bytes of backing store
   bool writable = true;
   RegionKind kind = RegionKind::anon;
-  std::vector<std::uint8_t> bytes;
 };
 
 constexpr std::int64_t lib_base = 0x10000000;
@@ -76,15 +77,79 @@ constexpr std::int64_t heap_base = 0x50000000;
 constexpr std::int64_t anon_base = 0x60000000;
 constexpr std::int64_t stack_base = 0x70000000;
 
+/// Table II instruction classes of each opcode, precomputed from the isa
+/// predicates so the per-instruction bookkeeping does one table load.
+enum OpClass : std::uint8_t {
+  op_arith = 1,
+  op_branch = 2,
+  op_load = 4,
+  op_store = 8,
+  op_call = 16,  ///< call/callr: binary-defined calls
+};
+
+const std::array<std::uint8_t, 256> op_classes = [] {
+  std::array<std::uint8_t, 256> classes{};
+  for (int i = 0; i <= static_cast<int>(Opcode::nop); ++i) {
+    const auto op = static_cast<Opcode>(i);
+    classes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
+        (is_arith(op) ? op_arith : 0) | (is_branch(op) ? op_branch : 0) |
+        (is_load(op) ? op_load : 0) | (is_store(op) ? op_store : 0) |
+        (is_call(op) ? op_call : 0));
+  }
+  return classes;
+}();
+
+/// The object of `objects` containing `addr`, or null. Each region's objects
+/// are laid out at strictly ascending bases without overlap, so at most one
+/// matches and a binary search finds it.
+const MemObject* find_object(const std::vector<MemObject>& objects,
+                             std::int64_t addr) {
+  if (objects.empty() || addr < objects.front().base ||
+      addr >= objects.back().base + objects.back().size)
+    return nullptr;
+  const auto above = std::upper_bound(
+      objects.begin(), objects.end(), addr,
+      [](std::int64_t a, const MemObject& object) { return a < object.base; });
+  const MemObject& object = *std::prev(above);
+  return addr < object.base + object.size ? &object : nullptr;
+}
+
+}  // namespace
+
+/// String pool: one read-only object per string, NUL included, each at a
+/// 64-byte-aligned base.
+struct StringPool {
+  std::vector<std::uint8_t> bytes;
+  std::vector<MemObject> objects;
+
+  explicit StringPool(const std::vector<std::string>& strings) {
+    std::size_t total = 0;
+    for (const std::string& s : strings) total += s.size() + 1;
+    bytes.reserve(total);  // never reallocates below: objects point into it
+    std::int64_t cursor = lib_base;
+    for (const std::string& s : strings) {
+      const auto size = static_cast<std::int64_t>(s.size()) + 1;
+      objects.push_back({cursor, size, bytes.data() + bytes.size(), false,
+                         RegionKind::lib});
+      bytes.insert(bytes.end(), s.begin(), s.end());
+      bytes.push_back(0);
+      cursor += size + 63;
+      cursor &= ~std::int64_t{63};
+    }
+  }
+};
+
+namespace {
+
+/// One thread's memory image and execution state. run() resets it for the
+/// next (function, environment) pair instead of rebuilding it, so buffers
+/// keep their capacity across runs and a warm run allocates only its result.
 class Execution {
  public:
-  Execution(const LibraryBinary& library, const MachineConfig& config,
-            const CallEnv& env)
-      : library_(library), config_(config) {
-    build_memory(env);
-  }
-
-  RunResult run(std::size_t function_index, const CallEnv& env) {
+  RunResult run(const LibraryBinary& library, const MachineConfig& config,
+                const StringPool& strings, std::size_t function_index,
+                const CallEnv& env) {
+    reset(library, config, strings, env);
     RunResult result;
     try {
       setup_entry(function_index, env);
@@ -97,72 +162,89 @@ class Execution {
     finalize_features();
     result.features = features_;
     // Return mutated environment buffers (index-aligned with env.buffers).
-    for (std::size_t i = 0; i < env_buffer_objects_.size(); ++i)
-      result.buffers_after.push_back(
-          objects_[env_buffer_objects_[i]].bytes);
+    result.buffers_after.reserve(anon_.size());
+    for (const MemObject& object : anon_)
+      result.buffers_after.emplace_back(object.bytes,
+                                        object.bytes + object.size);
+    // Heap chunks never outlive their run, so an idle thread holds none.
+    heap_.clear();
+    heap_chunks_.clear();
     return result;
   }
 
  private:
-  // --- memory ---------------------------------------------------------------
+  // --- reset -----------------------------------------------------------------
 
-  void add_object(MemObject object) {
-    objects_.push_back(std::move(object));
-  }
+  void reset(const LibraryBinary& library, const MachineConfig& config,
+             const StringPool& strings, const CallEnv& env) {
+    library_ = &library;
+    config_ = &config;
+    strings_ = &strings;
 
-  void build_memory(const CallEnv& env) {
-    // String pool: one read-only object per string, NUL included.
-    std::int64_t cursor = lib_base;
-    string_bases_.reserve(library_.strings.size());
-    for (const std::string& s : library_.strings) {
-      MemObject object;
-      object.base = cursor;
-      object.size = static_cast<std::int64_t>(s.size()) + 1;
-      object.writable = false;
-      object.kind = RegionKind::lib;
-      object.bytes.assign(s.begin(), s.end());
-      object.bytes.push_back(0);
-      string_bases_.push_back(cursor);
-      cursor += object.size + 63;
-      cursor &= ~std::int64_t{63};
-      add_object(std::move(object));
-    }
+    // Stack: zero the range the last run wrote, so the whole stack reads
+    // zero again, then size it for this config.
+    std::fill(stack_bytes_.begin() +
+                  static_cast<std::ptrdiff_t>(stack_dirty_from_),
+              stack_bytes_.end(), 0);
+    stack_bytes_.resize(static_cast<std::size_t>(config.stack_size));
+    stack_dirty_from_ = stack_bytes_.size();
+    stack_ = {stack_base, config.stack_size, stack_bytes_.data(), true,
+              RegionKind::stack};
+
     // Environment buffers: anonymous mappings with guard gaps.
-    cursor = anon_base;
-    for (const auto& buffer : env.buffers) {
-      MemObject object;
-      object.base = cursor;
-      object.size = static_cast<std::int64_t>(buffer.size());
-      object.kind = RegionKind::anon;
-      object.bytes = buffer;
-      env_buffer_objects_.push_back(objects_.size());
-      buffer_bases_.push_back(cursor);
-      cursor += object.size + 4095;
+    anon_.clear();
+    if (anon_bytes_.size() < env.buffers.size())
+      anon_bytes_.resize(env.buffers.size());
+    std::int64_t cursor = anon_base;
+    for (std::size_t i = 0; i < env.buffers.size(); ++i) {
+      anon_bytes_[i].assign(env.buffers[i].begin(), env.buffers[i].end());
+      const auto size = static_cast<std::int64_t>(env.buffers[i].size());
+      anon_.push_back(
+          {cursor, size, anon_bytes_[i].data(), true, RegionKind::anon});
+      cursor += size + 4095;
       cursor &= ~std::int64_t{4095};
-      if (object.size == 0) cursor += 4096;
-      add_object(std::move(object));
+      if (size == 0) cursor += 4096;
     }
-    // Stack.
-    MemObject stack;
-    stack.base = stack_base;
-    stack.size = config_.stack_size;
-    stack.kind = RegionKind::stack;
-    stack.bytes.assign(static_cast<std::size_t>(config_.stack_size), 0);
-    add_object(std::move(stack));
 
+    // Already empty unless the last run threw something other than a Trap.
+    heap_.clear();
+    heap_chunks_.clear();
     heap_cursor_ = heap_base;
+    if (staging_.capacity() > 4096) std::vector<std::uint8_t>().swap(staging_);
+
+    frames_.clear();
+    regs_.clear();
+    reg_count_ = static_cast<std::size_t>(register_count(library.arch));
+
+    for (const std::size_t fn : executed_) site_offset_[fn] = 0;
+    executed_.clear();
+    site_hits_.clear();
+    if (site_offset_.size() < library.functions.size())
+      site_offset_.resize(library.functions.size(), 0);
+
+    steps_ = 0;
+    features_ = {};
+    depth_min_ = depth_max_ = depth_sum_ = depth_sq_sum_ = 0.0;
+    depth_count_ = 0;
   }
 
-  MemObject& object_at(std::int64_t addr) {
-    for (MemObject& object : objects_) {
-      if (addr >= object.base && addr < object.base + object.size)
-        return object;
-    }
+  // --- memory ----------------------------------------------------------------
+
+  /// The object holding `addr`. Checks the regions in the order the objects
+  /// were mapped (strings, buffers, stack, heap), so an address that lies
+  /// in two regions resolves to the same object a first-match scan over all
+  /// objects in mapping order would return.
+  const MemObject& object_at(std::int64_t addr) const {
+    if (const MemObject* object = find_object(strings_->objects, addr))
+      return *object;
+    if (const MemObject* object = find_object(anon_, addr)) return *object;
+    if (addr >= stack_.base && addr < stack_.base + stack_.size) return stack_;
+    if (const MemObject* object = find_object(heap_, addr)) return *object;
     throw Trap{ExecStatus::trap_oob};
   }
 
   void count_access(RegionKind kind, std::uint64_t n = 1) {
-    if (!config_.collect_features) return;
+    if (!config_->collect_features) return;
     switch (kind) {
       case RegionKind::heap: features_.mem_heap += n; break;
       case RegionKind::stack: features_.mem_stack += n; break;
@@ -171,67 +253,86 @@ class Execution {
     }
   }
 
-  std::uint8_t read_byte(std::int64_t addr, bool count = true) {
-    MemObject& object = object_at(addr);
-    if (count) count_access(object.kind);
-    return object.bytes[static_cast<std::size_t>(addr - object.base)];
+  /// Records a write at `addr` so the next reset zeroes it.
+  void note_write(const MemObject& object, std::int64_t addr) {
+    if (object.kind == RegionKind::stack)
+      stack_dirty_from_ = std::min(
+          stack_dirty_from_, static_cast<std::size_t>(addr - object.base));
   }
 
-  void write_byte(std::int64_t addr, std::uint8_t byte, bool count = true) {
-    MemObject& object = object_at(addr);
+  std::uint8_t read_byte(std::int64_t addr) {
+    const MemObject& object = object_at(addr);
+    count_access(object.kind);
+    return object.bytes[addr - object.base];
+  }
+
+  void write_byte(std::int64_t addr, std::uint8_t byte) {
+    const MemObject& object = object_at(addr);
     if (!object.writable) throw Trap{ExecStatus::trap_oob};
-    if (count) count_access(object.kind);
-    object.bytes[static_cast<std::size_t>(addr - object.base)] = byte;
+    count_access(object.kind);
+    note_write(object, addr);
+    object.bytes[addr - object.base] = byte;
   }
 
   std::int64_t read_word(std::int64_t addr) {
-    MemObject& object = object_at(addr);
+    const MemObject& object = object_at(addr);
     if (addr + 8 > object.base + object.size)
       throw Trap{ExecStatus::trap_oob};
     count_access(object.kind);
     std::uint64_t word = 0;
-    const auto off = static_cast<std::size_t>(addr - object.base);
+    const std::uint8_t* bytes = object.bytes + (addr - object.base);
     for (int b = 0; b < 8; ++b)
-      word |= static_cast<std::uint64_t>(object.bytes[off + b]) << (8 * b);
+      word |= static_cast<std::uint64_t>(bytes[b]) << (8 * b);
     return static_cast<std::int64_t>(word);
   }
 
   void write_word(std::int64_t addr, std::int64_t value) {
-    MemObject& object = object_at(addr);
+    const MemObject& object = object_at(addr);
     if (!object.writable) throw Trap{ExecStatus::trap_oob};
     if (addr + 8 > object.base + object.size)
       throw Trap{ExecStatus::trap_oob};
     count_access(object.kind);
-    const auto off = static_cast<std::size_t>(addr - object.base);
+    note_write(object, addr);
+    std::uint8_t* bytes = object.bytes + (addr - object.base);
     for (int b = 0; b < 8; ++b)
-      object.bytes[off + b] = static_cast<std::uint8_t>(
+      bytes[b] = static_cast<std::uint8_t>(
           (static_cast<std::uint64_t>(value) >> (8 * b)) & 0xff);
   }
 
   // --- execution state --------------------------------------------------------
 
   struct Frame {
-    std::vector<std::int64_t> regs;
     std::size_t fn = 0;
     std::int64_t pc = 0;
     std::int64_t saved_sp = 0;
     std::int64_t saved_fp = 0;
     std::int64_t ret_pc = 0;
+    std::size_t regs = 0;   ///< offset of this frame's registers in regs_
+    std::size_t sites = 0;  ///< offset of fn's site counters in site_hits_
   };
 
-  void setup_entry(std::size_t function_index, const CallEnv& env) {
-    if (function_index >= library_.functions.size())
-      throw Trap{ExecStatus::trap_type};
-    sp_ = stack_base + config_.stack_size;
-    fp_ = sp_;
+  /// Pushes a frame for `fn` with zeroed registers.
+  Frame& push_frame(std::size_t fn) {
     Frame frame;
-    frame.fn = function_index;
-    frame.pc = 0;
-    frame.regs.assign(
-        static_cast<std::size_t>(register_count(library_.arch)), 0);
+    frame.fn = fn;
+    frame.regs = regs_.size();
+    regs_.resize(regs_.size() + reg_count_, 0);
+    if (config_->collect_features) frame.sites = sites_of(fn);
+    frames_.push_back(frame);
+    return frames_.back();
+  }
+
+  void setup_entry(std::size_t function_index, const CallEnv& env) {
+    if (function_index >= library_->functions.size())
+      throw Trap{ExecStatus::trap_type};
+    sp_ = stack_base + config_->stack_size;
+    fp_ = sp_;
+    std::int64_t args[4] = {};
     for (std::size_t i = 0; i < env.args.size() && i < 4; ++i)
-      frame.regs[i] = arg_value(env.args[i]);
-    frames_.push_back(std::move(frame));
+      args[i] = arg_value(env.args[i]);
+    const Frame& frame = push_frame(function_index);
+    std::copy_n(args, 4,
+                regs_.begin() + static_cast<std::ptrdiff_t>(frame.regs));
   }
 
   std::int64_t arg_value(const Value& value) {
@@ -244,14 +345,15 @@ class Execution {
         if (value.buffer <= -2) {
           const int sid = -2 - value.buffer;
           if (sid < 0 ||
-              static_cast<std::size_t>(sid) >= string_bases_.size())
+              static_cast<std::size_t>(sid) >= strings_->objects.size())
             throw Trap{ExecStatus::trap_type};
-          return string_bases_[static_cast<std::size_t>(sid)] + value.offset;
+          return strings_->objects[static_cast<std::size_t>(sid)].base +
+                 value.offset;
         }
         if (value.buffer < 0 ||
-            static_cast<std::size_t>(value.buffer) >= buffer_bases_.size())
+            static_cast<std::size_t>(value.buffer) >= anon_.size())
           throw Trap{ExecStatus::trap_type};
-        return buffer_bases_[static_cast<std::size_t>(value.buffer)] +
+        return anon_[static_cast<std::size_t>(value.buffer)].base +
                value.offset;
       }
     }
@@ -261,34 +363,42 @@ class Execution {
   std::int64_t read_reg(const Frame& frame, std::uint8_t index) {
     if (index == reg::sp) return sp_;
     if (index == reg::fp) return fp_;
-    if (index >= frame.regs.size()) throw Trap{ExecStatus::trap_type};
-    return frame.regs[index];
+    if (index >= reg_count_) throw Trap{ExecStatus::trap_type};
+    return regs_[frame.regs + index];
   }
 
-  void write_reg(Frame& frame, std::uint8_t index, std::int64_t value) {
-    if (index >= frame.regs.size()) throw Trap{ExecStatus::trap_type};
-    frame.regs[index] = value;
+  void write_reg(const Frame& frame, std::uint8_t index, std::int64_t value) {
+    if (index >= reg_count_) throw Trap{ExecStatus::trap_type};
+    regs_[frame.regs + index] = value;
   }
 
   // --- feature bookkeeping ----------------------------------------------------
 
+  /// Offset of `fn`'s per-site hit counters, allocated (zeroed) on first use
+  /// in this run.
+  std::size_t sites_of(std::size_t fn) {
+    if (site_offset_[fn] == 0) {
+      site_offset_[fn] = site_hits_.size() + 1;
+      site_hits_.resize(site_hits_.size() + library_->functions[fn].code.size(),
+                        0);
+      executed_.push_back(fn);
+    }
+    return site_offset_[fn] - 1;
+  }
+
   void observe(const Frame& frame, const Instruction& inst) {
     ++steps_;
-    if (steps_ > config_.step_limit) throw Trap{ExecStatus::trap_step_limit};
-    if (!config_.collect_features) return;
+    if (steps_ > config_->step_limit) throw Trap{ExecStatus::trap_step_limit};
+    if (!config_->collect_features) return;
 
     DynamicFeatures& f = features_;
     ++f.instructions;
 
-    // Unique sites.
-    auto& visited = visited_[frame.fn];
-    if (visited.empty())
-      visited.assign(library_.functions[frame.fn].code.size(), 0);
-    const auto pc = static_cast<std::size_t>(frame.pc);
-    if (visited[pc] == 0) {
-      visited[pc] = 1;
-      ++f.unique_instructions;
-    }
+    // One hit counter per site. A site holds exactly one opcode, so its
+    // count is also that site's branch or arithmetic frequency.
+    const std::uint64_t hits =
+        ++site_hits_[frame.sites + static_cast<std::size_t>(frame.pc)];
+    if (hits == 1) ++f.unique_instructions;
 
     // Stack depth sample: the paper's traces bottom out at 2 (debugger +
     // target frame), which our single entry frame reproduces as frames+1.
@@ -300,27 +410,20 @@ class Execution {
     ++depth_count_;
 
     const Opcode op = inst.op;
-    if (is_arith(op)) {
+    const std::uint8_t classes = op_classes[static_cast<std::uint8_t>(op)];
+    if (classes & op_arith) {
       ++f.arith_instructions;
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(frame.fn) << 32) |
-          static_cast<std::uint64_t>(frame.pc);
-      const std::uint64_t hits = ++arith_counts_[key];
       f.max_arith_frequency = std::max(f.max_arith_frequency, hits);
     }
-    if (is_branch(op)) {
+    if (classes & op_branch) {
       ++f.branch_instructions;
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(frame.fn) << 32) |
-          static_cast<std::uint64_t>(frame.pc);
-      const std::uint64_t hits = ++branch_counts_[key];
       f.max_branch_frequency = std::max(f.max_branch_frequency, hits);
     }
-    if (is_load(op)) ++f.load_instructions;
-    if (is_store(op)) ++f.store_instructions;
-    if (is_call(op) || op == Opcode::libcall || op == Opcode::syscall)
+    if (classes & op_load) ++f.load_instructions;
+    if (classes & op_store) ++f.store_instructions;
+    if ((classes & op_call) || op == Opcode::libcall || op == Opcode::syscall)
       ++f.call_instructions;
-    if (is_call(op)) ++f.binary_fun_calls;
+    if (classes & op_call) ++f.binary_fun_calls;
     if (op == Opcode::libcall) ++f.library_calls;
     if (op == Opcode::syscall) ++f.syscalls;
   }
@@ -339,10 +442,10 @@ class Execution {
   // --- runtime library ----------------------------------------------------------
 
   std::int64_t strlen_at(std::int64_t addr) {
-    MemObject& object = object_at(addr);
+    const MemObject& object = object_at(addr);
     std::int64_t n = 0;
-    auto off = static_cast<std::size_t>(addr - object.base);
-    while (off < object.bytes.size() && object.bytes[off] != 0) {
+    std::int64_t off = addr - object.base;
+    while (off < object.size && object.bytes[off] != 0) {
       ++n;
       ++off;
     }
@@ -350,19 +453,17 @@ class Execution {
     return n;
   }
 
+  /// memmove semantics: every source byte is read before any is written.
   void mem_copy(std::int64_t dst, std::int64_t src, std::int64_t n) {
     if (n < 0) throw Trap{ExecStatus::trap_oob};
-    std::vector<std::uint8_t> staged(static_cast<std::size_t>(n));
+    staging_.clear();
+    for (std::int64_t i = 0; i < n; ++i) staging_.push_back(read_byte(src + i));
     for (std::int64_t i = 0; i < n; ++i)
-      staged[static_cast<std::size_t>(i)] = read_byte(src + i);
-    for (std::int64_t i = 0; i < n; ++i)
-      write_byte(dst + i, staged[static_cast<std::size_t>(i)]);
+      write_byte(dst + i, staging_[static_cast<std::size_t>(i)]);
   }
 
-  std::int64_t run_libcall(Frame& frame, LibFn fn) {
-    auto arg = [&](std::size_t i) {
-      return frame.regs.size() > i ? frame.regs[i] : 0;
-    };
+  std::int64_t run_libcall(const Frame& frame, LibFn fn) {
+    auto arg = [&](std::size_t i) { return regs_[frame.regs + i]; };
     auto farg = [&](std::size_t i) { return std::bit_cast<double>(arg(i)); };
     auto fret = [](double v) { return std::bit_cast<std::int64_t>(v); };
     switch (fn) {
@@ -373,15 +474,14 @@ class Execution {
       case LibFn::memset: {
         const std::int64_t n = arg(2);
         if (n < 0) throw Trap{ExecStatus::trap_oob};
-        MemObject& object = object_at(arg(0));
+        const MemObject& object = object_at(arg(0));
         if (!object.writable) throw Trap{ExecStatus::trap_oob};
         if (arg(0) + n > object.base + object.size)
           throw Trap{ExecStatus::trap_oob};
         count_access(object.kind, static_cast<std::uint64_t>(n));
-        std::fill_n(
-            object.bytes.begin() +
-                static_cast<std::ptrdiff_t>(arg(0) - object.base),
-            n, static_cast<std::uint8_t>(arg(1) & 0xff));
+        note_write(object, arg(0));
+        std::fill_n(object.bytes + (arg(0) - object.base), n,
+                    static_cast<std::uint8_t>(arg(1) & 0xff));
         return arg(0);
       }
       case LibFn::strlen:
@@ -405,16 +505,15 @@ class Execution {
       }
       case LibFn::malloc: {
         const std::int64_t n = rt::clamp64(arg(0), 0, 1 << 16);
-        MemObject object;
-        object.base = heap_cursor_;
-        object.size = n;
-        object.kind = RegionKind::heap;
-        object.bytes.assign(static_cast<std::size_t>(n), 0);
+        // Chunks own separate buffers, so earlier chunks' bytes pointers
+        // survive heap_chunks_ growing.
+        heap_chunks_.emplace_back(static_cast<std::size_t>(n), 0);
+        const std::int64_t base = heap_cursor_;
+        heap_.push_back({base, n, heap_chunks_.back().data(), true,
+                         RegionKind::heap});
         heap_cursor_ += n + 63;
         heap_cursor_ &= ~std::int64_t{63};
         if (n == 0) heap_cursor_ += 64;
-        const std::int64_t base = object.base;
-        add_object(std::move(object));
         return base;
       }
       case LibFn::free:
@@ -462,7 +561,7 @@ class Execution {
   std::int64_t execute() {
     while (true) {
       Frame& frame = frames_.back();
-      const auto& code = library_.functions[frame.fn].code;
+      const auto& code = library_->functions[frame.fn].code;
       if (frame.pc < 0 ||
           frame.pc >= static_cast<std::int64_t>(code.size()))
         throw Trap{ExecStatus::trap_type};  // fell past the function end
@@ -481,8 +580,9 @@ class Execution {
           break;
         case Opcode::ldstr: {
           const auto sid = static_cast<std::size_t>(inst.imm);
-          if (sid >= string_bases_.size()) throw Trap{ExecStatus::trap_type};
-          write_reg(frame, inst.dst, string_bases_[sid]);
+          if (sid >= strings_->objects.size())
+            throw Trap{ExecStatus::trap_type};
+          write_reg(frame, inst.dst, strings_->objects[sid].base);
           break;
         }
         case Opcode::load:
@@ -642,7 +742,7 @@ class Execution {
           break;
         }
         case Opcode::jmpi: {
-          const auto& fn = library_.functions[frame.fn];
+          const auto& fn = library_->functions[frame.fn];
           const auto table_id = static_cast<std::size_t>(inst.imm);
           if (table_id >= fn.jump_tables.size())
             throw Trap{ExecStatus::trap_type};
@@ -664,21 +764,20 @@ class Execution {
                                       : read_reg(frame, inst.src1);
           if (callee < 0 ||
               callee >= static_cast<std::int64_t>(
-                            library_.functions.size()))
+                            library_->functions.size()))
             throw Trap{ExecStatus::trap_type};
-          if (static_cast<int>(frames_.size()) > config_.max_call_depth)
+          if (static_cast<int>(frames_.size()) > config_->max_call_depth)
             throw Trap{ExecStatus::trap_step_limit};
-          Frame callee_frame;
-          callee_frame.fn = static_cast<std::size_t>(callee);
-          callee_frame.pc = 0;
+          const std::size_t caller_regs = frame.regs;
+          const std::int64_t ret_pc = frame.pc + 1;
+          Frame& callee_frame = push_frame(static_cast<std::size_t>(callee));
           callee_frame.saved_sp = sp_;
           callee_frame.saved_fp = fp_;
-          callee_frame.ret_pc = frame.pc + 1;
-          callee_frame.regs.assign(
-              static_cast<std::size_t>(register_count(library_.arch)), 0);
-          for (std::size_t i = 0; i < 4 && i < frame.regs.size(); ++i)
-            callee_frame.regs[i] = frame.regs[i];
-          frames_.push_back(std::move(callee_frame));
+          callee_frame.ret_pc = ret_pc;
+          std::copy_n(regs_.begin() + static_cast<std::ptrdiff_t>(caller_regs),
+                      4,
+                      regs_.begin() +
+                          static_cast<std::ptrdiff_t>(callee_frame.regs));
           continue;  // frame reference invalidated; restart the loop
         }
         case Opcode::libcall:
@@ -689,14 +788,15 @@ class Execution {
           write_reg(frame, 0, run_syscall(static_cast<Sys>(inst.imm)));
           break;
         case Opcode::ret: {
-          const std::int64_t value = frame.regs.empty() ? 0 : frame.regs[0];
+          const std::int64_t value = regs_[frame.regs];
           if (frames_.size() == 1) return value;
           sp_ = frame.saved_sp;
           fp_ = frame.saved_fp;
           const std::int64_t resume = frame.ret_pc;
+          regs_.resize(frame.regs);
           frames_.pop_back();
           Frame& caller = frames_.back();
-          caller.regs[0] = value;
+          regs_[caller.regs] = value;
           caller.pc = resume;
           continue;
         }
@@ -705,24 +805,36 @@ class Execution {
     }
   }
 
-  const LibraryBinary& library_;
-  const MachineConfig& config_;
+  const LibraryBinary* library_ = nullptr;
+  const MachineConfig* config_ = nullptr;
+  const StringPool* strings_ = nullptr;
 
-  std::vector<MemObject> objects_;
-  std::vector<std::size_t> env_buffer_objects_;
-  std::vector<std::int64_t> string_bases_;
-  std::vector<std::int64_t> buffer_bases_;
+  // Memory image. The stack stays all-zero between runs except for
+  // [stack_dirty_from_, size), the range the current run has written.
+  std::vector<std::uint8_t> stack_bytes_;
+  std::size_t stack_dirty_from_ = 0;
+  MemObject stack_;
+  std::vector<std::vector<std::uint8_t>> anon_bytes_;  ///< per env buffer
+  std::vector<MemObject> anon_;
+  std::vector<std::vector<std::uint8_t>> heap_chunks_;
+  std::vector<MemObject> heap_;
   std::int64_t heap_cursor_ = heap_base;
+  std::vector<std::uint8_t> staging_;  ///< mem_copy's read-before-write copy
 
+  // Call stack: frame registers are concatenated in regs_.
   std::vector<Frame> frames_;
+  std::vector<std::int64_t> regs_;
+  std::size_t reg_count_ = 0;
   std::int64_t sp_ = 0;
   std::int64_t fp_ = 0;
 
+  // Features. site_offset_[fn] is 1 + the offset of fn's counters in
+  // site_hits_, or 0 when fn has not executed in this run.
   std::uint64_t steps_ = 0;
   DynamicFeatures features_;
-  std::unordered_map<std::size_t, std::vector<std::uint8_t>> visited_;
-  std::unordered_map<std::uint64_t, std::uint64_t> branch_counts_;
-  std::unordered_map<std::uint64_t, std::uint64_t> arith_counts_;
+  std::vector<std::uint64_t> site_hits_;
+  std::vector<std::size_t> site_offset_;
+  std::vector<std::size_t> executed_;  ///< functions with site counters
   double depth_min_ = 0.0, depth_max_ = 0.0, depth_sum_ = 0.0,
          depth_sq_sum_ = 0.0;
   std::uint64_t depth_count_ = 0;
@@ -731,11 +843,14 @@ class Execution {
 }  // namespace
 
 Machine::Machine(const LibraryBinary& library, MachineConfig config)
-    : library_(&library), config_(config) {}
+    : library_(&library),
+      config_(config),
+      strings_(std::make_shared<const StringPool>(library.strings)) {}
 
 RunResult Machine::run(std::size_t function_index, const CallEnv& env) const {
-  Execution execution(*library_, config_, env);
-  RunResult result = execution.run(function_index, env);
+  thread_local Execution execution;
+  RunResult result =
+      execution.run(*library_, config_, *strings_, function_index, env);
   // Published per run, not per instruction: one relaxed add amortized over
   // thousands of interpreted steps keeps the interpreter loop untouched.
   static obs::Counter& runs = obs::Registry::global().counter("vm.runs");

@@ -15,9 +15,15 @@
 //   * stack — one contiguous region holding frames, spills and push/pop
 // Any access outside an object traps, which matches the reference
 // interpreter's per-buffer bounds exactly.
+//
+// The string pool is laid out once per Machine. Everything a run mutates
+// (stack, buffers, heap, frames, per-site counters) lives in one image per
+// thread that each run() resets instead of rebuilding; see DESIGN.md,
+// "Stage-2 execution".
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "binary/binary.h"
@@ -45,8 +51,12 @@ struct RunResult {
   std::vector<std::vector<std::uint8_t>> buffers_after;
 };
 
-/// Executes functions of one library. Construction precomputes the string
-/// pool layout; each run() builds a fresh memory image from the environment.
+/// The read-only string-pool objects of one library (defined in machine.cpp).
+struct StringPool;
+
+/// Executes functions of one library. Construction lays out the string pool;
+/// each run() resets the calling thread's memory image for `env` and runs on
+/// it, so run() is const and safe to call from many threads at once.
 class Machine {
  public:
   explicit Machine(const LibraryBinary& library, MachineConfig config = {});
@@ -60,6 +70,7 @@ class Machine {
  private:
   const LibraryBinary* library_;
   MachineConfig config_;
+  std::shared_ptr<const StringPool> strings_;  ///< shared by copies
 };
 
 }  // namespace patchecko

@@ -1,12 +1,13 @@
-// Tests for the fuzzer (environment generation, dictionary mutation,
-// validation pruning) and the dynamic-similarity engine (Eq. 1-2, effect
-// hashes, ranking).
+// Tests for the fuzzer (environment generation, dictionary mutation), the
+// fused validation-and-profiling pass, and the dynamic-similarity engine
+// (Eq. 1-2, effect hashes, ranking).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "compiler/compiler.h"
 #include "fuzz/fuzzer.h"
+#include "obs/metrics.h"
 #include "similarity/similarity.h"
 #include "source/generator.h"
 
@@ -129,11 +130,11 @@ TEST(Fuzz, ValidationRejectsSignatureMismatch) {
   const auto envs = generate_environments(fx.binary, ptr_fn, rng, config);
   ASSERT_FALSE(envs.empty());
   // The ptr function's own environments validate.
-  EXPECT_TRUE(validate_candidate(fx.machine, ptr_fn, envs));
+  EXPECT_TRUE(profile_candidate(fx.machine, ptr_fn, envs).has_value());
   // An int-only function receiving a pointer as its scalar may or may not
   // crash, but a function that *loads through* its first int param will.
   // Validation itself must at least be callable on any candidate:
-  (void)validate_candidate(fx.machine, int_fn, envs);
+  (void)profile_candidate(fx.machine, int_fn, envs);
 }
 
 TEST(Fuzz, ValidationPrunesCrashingCandidate) {
@@ -157,8 +158,84 @@ TEST(Fuzz, ValidationPrunesCrashingCandidate) {
   FuzzConfig config;
   const auto envs = generate_environments(bin, 0, rng, config);
   ASSERT_FALSE(envs.empty());
-  EXPECT_TRUE(validate_candidate(machine, 0, envs));
-  EXPECT_FALSE(validate_candidate(machine, 1, envs));
+  EXPECT_TRUE(profile_candidate(machine, 0, envs).has_value());
+  EXPECT_FALSE(profile_candidate(machine, 1, envs).has_value());
+}
+
+// A library whose function 1 traps exactly on buffers shorter than 32 bytes
+// (it loads data[31]), and a run of environments with chosen lengths.
+struct LengthGate {
+  LibraryBinary binary;
+  Machine machine;
+
+  LengthGate()
+      : binary([] {
+          SourceLibrary src;
+          src.name = "gate";
+          src.strings.assign(12, "s");
+          SourceFunction safe;
+          safe.name = "safe";
+          safe.param_types = {ValueType::ptr, ValueType::i64};
+          safe.body.push_back(make_ret(make_int(1)));
+          SourceFunction gate;
+          gate.name = "gate";
+          gate.param_types = {ValueType::ptr, ValueType::i64};
+          gate.body.push_back(make_ret(
+              make_load(make_param(0, ValueType::ptr), make_int(31), true)));
+          src.functions = {safe, gate};
+          return compile_library(src, Arch::amd64, OptLevel::O1);
+        }()),
+        machine(binary) {}
+
+  static std::vector<CallEnv> environments(
+      const std::vector<std::size_t>& lengths) {
+    std::vector<CallEnv> envs;
+    for (const std::size_t length : lengths) {
+      CallEnv env;
+      env.buffers.push_back(std::vector<std::uint8_t>(length, 7));
+      env.args = {Value::from_ptr(0),
+                  Value::from_int(static_cast<std::int64_t>(length))};
+      envs.push_back(std::move(env));
+    }
+    return envs;
+  }
+};
+
+std::uint64_t vm_runs() {
+  return obs::Registry::global().counter("vm.runs").value();
+}
+
+TEST(Fuzz, PrunedCandidateStopsAtFirstCrashingEnvironment) {
+  const obs::EnabledScope on(true);
+  const LengthGate gate;
+  // Environments 0-2 hold data[31]; 3 and 5 do not.
+  const auto envs = LengthGate::environments({64, 40, 32, 8, 64, 4});
+  std::size_t crash_env = 99;
+  const std::uint64_t before = vm_runs();
+  EXPECT_FALSE(profile_candidate(gate.machine, 1, envs, &crash_env));
+  EXPECT_EQ(crash_env, 3u);
+  EXPECT_EQ(vm_runs() - before, crash_env + 1);
+}
+
+TEST(Fuzz, SurvivorRunsEachEnvironmentOnce) {
+  const obs::EnabledScope on(true);
+  const LengthGate gate;
+  const auto envs = LengthGate::environments({64, 40, 32, 33, 100});
+  std::size_t crash_env = 99;
+  const std::uint64_t before = vm_runs();
+  const auto profile = profile_candidate(gate.machine, 1, envs, &crash_env);
+  EXPECT_EQ(vm_runs() - before, envs.size());
+  ASSERT_TRUE(profile.has_value());
+  EXPECT_EQ(crash_env, 99u);  // untouched on survival
+  EXPECT_EQ(profile->successful_runs(), envs.size());
+  // The single pass yields exactly what profiling alone yields.
+  const DynamicProfile reference = profile_function(gate.machine, 1, envs);
+  ASSERT_EQ(profile->per_env.size(), reference.per_env.size());
+  for (std::size_t i = 0; i < envs.size(); ++i) {
+    EXPECT_EQ(profile->per_env[i]->to_vector(),
+              reference.per_env[i]->to_vector());
+    EXPECT_EQ(profile->effect_hash[i], reference.effect_hash[i]);
+  }
 }
 
 // --- similarity -----------------------------------------------------------------

@@ -2,7 +2,15 @@
 // and exact dynamic-feature accounting on hand-assembled code.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <string>
+#include <thread>
+
 #include "compiler/compiler.h"
+#include "fuzz/fuzzer.h"
+#include "obs/metrics.h"
+#include "obs/resource.h"
 #include "source/generator.h"
 #include "vm/machine.h"
 
@@ -399,6 +407,210 @@ TEST(VmFeatures, DeterministicAcrossRuns) {
   EXPECT_EQ(static_cast<int>(a.status), static_cast<int>(b.status));
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.features.to_vector(), b.features.to_vector());
+}
+
+
+// --- per-thread image reuse ------------------------------------------------
+
+Instruction libcall(LibFn fn) {
+  return I(Opcode::libcall, reg::none, reg::none, reg::none,
+           static_cast<std::int64_t>(fn));
+}
+
+// Functions that dirty every part of a thread's reused image, and functions
+// whose results would expose any state left behind: stale stack bytes, heap
+// chunks, registers or site counters.
+enum AsmFn : std::size_t {
+  scribble,    // stack stores, push, memset and strcpy into its frame
+  deep_memset, // only a memset, 2 KiB below the entry stack pointer
+  deep_strcpy, // only a strcpy, 4 KiB below the entry stack pointer
+  peek,        // sums the stack words the three above write
+  heap_fill,   // mallocs four 64-byte chunks and fills them with 0xEE
+  heap_peek,   // malloc(32): returns base + the chunk's last byte
+  heap_stale,  // malloc(8), then reads 64 bytes past it (no chunk there)
+  trap_caller, // stores into its frame, then calls trap_callee
+  trap_callee, // stores into its frame, then divides by zero
+};
+
+LibraryBinary image_lib() {
+  LibraryBinary lib = asm_lib({});
+  lib.strings = {"hello, reused stack"};
+  lib.functions.clear();
+  auto fn = [&](std::vector<Instruction> code) {
+    FunctionBinary f;
+    f.arch = Arch::amd64;
+    f.code = std::move(code);
+    lib.functions.push_back(std::move(f));
+  };
+  const auto ldi = [](std::uint8_t r, std::int64_t v) {
+    return I(Opcode::ldi, r, reg::none, reg::none, v);
+  };
+  fn({I(Opcode::frame, reg::none, reg::none, reg::none, 512),
+      ldi(1, 0x5A5A5A5A5A),
+      I(Opcode::store, reg::none, reg::fp, 1, 0),
+      I(Opcode::store, reg::none, reg::fp, 1, 256),
+      I(Opcode::push, reg::none, 1),
+      I(Opcode::mov, 0, reg::fp), ldi(3, 64), I(Opcode::add, 0, 0, 3),
+      ldi(1, 0xAB), ldi(2, 128), libcall(LibFn::memset),
+      I(Opcode::mov, 0, reg::fp), ldi(3, 400), I(Opcode::add, 0, 0, 3),
+      I(Opcode::ldstr, 1, reg::none, reg::none, 0), libcall(LibFn::strcpy),
+      I(Opcode::ret)});
+  fn({I(Opcode::mov, 0, reg::sp), ldi(3, 2048), I(Opcode::sub, 0, 0, 3),
+      ldi(1, 0xCD), ldi(2, 64), libcall(LibFn::memset), I(Opcode::ret)});
+  fn({I(Opcode::mov, 0, reg::sp), ldi(3, 4096), I(Opcode::sub, 0, 0, 3),
+      I(Opcode::ldstr, 1, reg::none, reg::none, 0), libcall(LibFn::strcpy),
+      I(Opcode::ret)});
+  // peek's frame sits 512 bytes below the entry stack pointer.
+  fn({I(Opcode::frame, reg::none, reg::none, reg::none, 512),
+      I(Opcode::load, 0, reg::fp, reg::none, 0),
+      I(Opcode::load, 1, reg::fp, reg::none, 256), I(Opcode::add, 0, 0, 1),
+      I(Opcode::load, 1, reg::fp, reg::none, -8), I(Opcode::add, 0, 0, 1),
+      I(Opcode::load, 1, reg::fp, reg::none, 64), I(Opcode::add, 0, 0, 1),
+      I(Opcode::load, 1, reg::fp, reg::none, 400), I(Opcode::add, 0, 0, 1),
+      I(Opcode::load, 1, reg::fp, reg::none, 512 - 2048),
+      I(Opcode::add, 0, 0, 1),
+      I(Opcode::load, 1, reg::fp, reg::none, 512 - 4096),
+      I(Opcode::add, 0, 0, 1), I(Opcode::ret)});
+  std::vector<Instruction> fill;
+  for (int chunk = 0; chunk < 4; ++chunk) {
+    fill.insert(fill.end(),
+                {ldi(0, 64), libcall(LibFn::malloc), ldi(1, 0xEE),
+                 ldi(2, 64), libcall(LibFn::memset)});
+  }
+  fill.push_back(I(Opcode::ret));
+  fn(fill);
+  fn({ldi(0, 32), libcall(LibFn::malloc),
+      I(Opcode::loadb, 1, 0, reg::none, 31), I(Opcode::add, 0, 0, 1),
+      I(Opcode::ret)});
+  fn({ldi(0, 8), libcall(LibFn::malloc),
+      I(Opcode::loadb, 0, 0, reg::none, 64), I(Opcode::ret)});
+  fn({I(Opcode::frame, reg::none, reg::none, reg::none, 64), ldi(1, 17),
+      I(Opcode::store, reg::none, reg::fp, 1, 0),
+      I(Opcode::call, reg::none, reg::none, reg::none, trap_callee),
+      I(Opcode::ret)});
+  fn({I(Opcode::frame, reg::none, reg::none, reg::none, 128), ldi(2, 0),
+      I(Opcode::store, reg::none, reg::fp, 1, 8),
+      I(Opcode::divi, 3, 1, 2), I(Opcode::ret)});
+  return lib;
+}
+
+void expect_same_run(const RunResult& got, const RunResult& fresh,
+                     const std::string& what) {
+  EXPECT_EQ(static_cast<int>(got.status), static_cast<int>(fresh.status))
+      << what;
+  EXPECT_EQ(got.ret, fresh.ret) << what;
+  EXPECT_EQ(got.steps, fresh.steps) << what;
+  static_assert(sizeof(DynamicFeatures) == 8 * DynamicFeatures::count);
+  EXPECT_EQ(std::memcmp(&got.features, &fresh.features,
+                        sizeof(DynamicFeatures)),
+            0)
+      << what;
+  EXPECT_EQ(got.buffers_after, fresh.buffers_after) << what;
+}
+
+TEST(Vm, ReusedImageMatchesFreshThread) {
+  const LibraryBinary lib = image_lib();
+  const Machine machine(lib);
+  MachineConfig small_stack;
+  small_stack.stack_size = 1 << 12;
+  const Machine small_machine(lib, small_stack);
+
+  const SourceLibrary source = generate_library("reuse", 0x5EED, 12);
+  const LibraryBinary compiled =
+      compile_library(source, Arch::arm32, OptLevel::O2, 3);
+  const Machine compiled_machine(compiled);
+  const LibraryBinary other = compile_library(
+      generate_library("other", 0x07E4, 6), Arch::arm64, OptLevel::O0, 5);
+  const Machine other_machine(other);
+
+  struct Pair {
+    const Machine* machine;
+    std::size_t function;
+    CallEnv env;
+  };
+  std::vector<Pair> pairs;
+  CallEnv empty;
+  for (const std::size_t f :
+       {peek, heap_peek, heap_stale, trap_caller, scribble, deep_memset,
+        deep_strcpy})
+    pairs.push_back({&machine, f, empty});
+  pairs.push_back({&small_machine, peek, empty});
+  Rng rng(0x15);
+  FuzzConfig fuzz;
+  fuzz.env_count = 2;
+  for (std::size_t f = 0; f < 6; ++f)
+    for (const CallEnv& env : generate_environments(compiled, f, rng, fuzz))
+      pairs.push_back({&compiled_machine, f, env});
+  ASSERT_GT(pairs.size(), 12u);
+
+  std::vector<RunResult> fresh(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    std::thread([&] {
+      fresh[i] = pairs[i].machine->run(pairs[i].function, pairs[i].env);
+    }).join();
+  // A fresh image reads zeroed stack and has no heap chunk past a malloc.
+  EXPECT_EQ(fresh[0].ret, 0);
+  EXPECT_EQ(static_cast<int>(fresh[2].status),
+            static_cast<int>(ExecStatus::trap_oob));
+  EXPECT_EQ(static_cast<int>(fresh[3].status),
+            static_cast<int>(ExecStatus::trap_div_zero));
+  for (std::size_t i = 4; i < 7; ++i)  // the stack dirtiers run cleanly
+    EXPECT_EQ(static_cast<int>(fresh[i].status),
+              static_cast<int>(ExecStatus::ok));
+
+  MachineConfig big_stack;
+  big_stack.stack_size = 1 << 18;
+  MachineConfig no_features;
+  no_features.collect_features = false;
+  const Machine big_machine(lib, big_stack);
+  const Machine quiet_machine(lib, no_features);
+  CallEnv other_env;
+  other_env.buffers.push_back(std::vector<std::uint8_t>(48, 0x33));
+  other_env.args = {Value::from_ptr(0), Value::from_int(48),
+                    Value::from_int(7)};
+  const std::vector<std::pair<std::string, std::function<void()>>> dirtiers{
+      {"stack", [&] { (void)machine.run(scribble, empty); }},
+      {"memset", [&] { (void)machine.run(deep_memset, empty); }},
+      {"strcpy", [&] { (void)machine.run(deep_strcpy, empty); }},
+      {"malloc", [&] { (void)machine.run(heap_fill, empty); }},
+      {"trap mid-call", [&] { (void)machine.run(trap_caller, empty); }},
+      {"second library",
+       [&] {
+         for (std::size_t f = 0; f < other.functions.size(); ++f)
+           (void)other_machine.run(f, other_env);
+       }},
+      {"small stack", [&] { (void)small_machine.run(scribble, empty); }},
+      {"big stack", [&] { (void)big_machine.run(scribble, empty); }},
+      {"no features", [&] { (void)quiet_machine.run(scribble, empty); }},
+  };
+  for (const auto& [name, dirty] : dirtiers)
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      dirty();
+      expect_same_run(
+          pairs[i].machine->run(pairs[i].function, pairs[i].env), fresh[i],
+          "after " + name + ", pair " + std::to_string(i));
+    }
+}
+
+TEST(Vm, WarmRunAllocatesOnlyItsResult) {
+  if (!obs::allocation_counting_available())
+    GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+  const obs::EnabledScope on(true);
+  const LibraryBinary lib = image_lib();
+  const Machine machine(lib);
+  CallEnv env;
+  env.buffers = {std::vector<std::uint8_t>(16, 1), {},
+                 std::vector<std::uint8_t>(5, 2)};
+  env.args = {Value::from_ptr(0), Value::from_ptr(2)};
+  for (const std::size_t f : {scribble, deep_strcpy, peek, trap_caller}) {
+    (void)machine.run(f, env);  // warm-up: the image grows to fit
+    const std::uint64_t before = obs::thread_allocation_count();
+    const RunResult result = machine.run(f, env);
+    const std::uint64_t allocations = obs::thread_allocation_count() - before;
+    // The buffers_after vector and one copy per non-empty buffer.
+    EXPECT_EQ(allocations, 1u + 2u) << "function " << f;
+    EXPECT_EQ(result.buffers_after.size(), 3u);
+  }
 }
 
 }  // namespace
