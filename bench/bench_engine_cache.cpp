@@ -3,17 +3,60 @@
 // least 2x faster and produce a byte-identical canonical report, and a
 // fresh single-job engine served from the same cache directory must agree
 // byte-for-byte with the multi-job cold run (determinism across both job
-// count and cache temperature).
+// count and cache temperature). Two unit-cost rows price the content digest
+// under every cache key: bulk bytes (the verified blob read) and
+// digest_library over the Things image (every analyze job's key).
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "engine/engine.h"
 #include "harness.h"
 #include "util/parallel.h"
 #include "util/table.h"
+#include "util/timer.h"
 
 using namespace patchecko;
+
+namespace {
+
+/// Median wall seconds of `passes` calls of `fn`.
+template <typename Fn>
+double median_seconds(int passes, Fn&& fn) {
+  std::vector<double> seconds;
+  for (int i = 0; i < passes; ++i) {
+    const Stopwatch watch;
+    fn();
+    seconds.push_back(watch.elapsed_seconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
+}
+
+/// ns/byte of Digest::absorb over a 16 MiB buffer.
+double digest_ns_per_byte() {
+  std::vector<std::uint8_t> bytes(16u << 20);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 131);
+  const double seconds = median_seconds(5, [&] {
+    Digest digest;
+    digest.absorb(bytes.data(), bytes.size());
+  });
+  return seconds * 1e9 / static_cast<double>(bytes.size());
+}
+
+/// ns/function of digest_library over every library of `firmware`.
+double digest_ns_per_function(const FirmwareImage& firmware) {
+  const double seconds = median_seconds(5, [&] {
+    for (const LibraryBinary& library : firmware.libraries)
+      digest_library(library);
+  });
+  return seconds * 1e9 / static_cast<double>(firmware.total_functions());
+}
+
+}  // namespace
 
 int main() {
   const bench::EvalContext& ctx = bench::shared_eval_context();
@@ -65,10 +108,18 @@ int main() {
         name, {{"seconds", report.total_seconds},
                {"cache_misses", static_cast<double>(report.cache.misses())}});
   };
+  const double ns_per_byte = digest_ns_per_byte();
+  const double ns_per_function = digest_ns_per_function(firmware);
+  std::printf("digest: %.3f ns/byte (16 MiB), digest_library %.1f "
+              "ns/function (%zu functions)\n",
+              ns_per_byte, ns_per_function, firmware.total_functions());
   bool ok = bench::write_bench_json(
       "engine_cache",
       {json_row("cold", cold), json_row("warm_memory", warm),
-       json_row("replay_disk", replay)});
+       json_row("replay_disk", replay),
+       bench::BenchRow("digest_bytes", {{"ns_per_byte", ns_per_byte}}),
+       bench::BenchRow("digest_library",
+                       {{"ns_per_function", ns_per_function}})});
   if (warm.canonical_text() != cold.canonical_text()) {
     std::printf("FAIL: warm report differs from cold report\n");
     ok = false;

@@ -16,29 +16,39 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t rotl64(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-/// splitmix64 finalizer: avalanches a lane before printing so that short
-/// inputs still flip high bits.
+/// splitmix64 finalizer: avalanches a merged lane sum before printing so
+/// that short inputs still flip high bits.
 std::uint64_t finalize(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
 
+/// Folds one lane into a merge accumulator; a bijection in both arguments,
+/// so a difference in any one lane survives the merge.
+std::uint64_t merge_lane(std::uint64_t acc, std::uint64_t lane) {
+  acc ^= Digest::lane_step(0, lane);
+  return acc * Digest::kPrime1 + 0x85ebca77c2b2ae63ULL;
+}
+
+std::uint64_t load_word(const std::uint8_t* bytes) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, bytes, sizeof(word));
+  return word;
+}
+
 constexpr std::uint8_t kContainerMagic[4] = {'P', 'K', 'C', 'S'};
 // v2: the echo is an opaque length-prefixed byte string, so one container
-// serves every store. v1 objects (a corpus-key-shaped echo) fail the version
-// check and degrade to a miss; their owner rebuilds and overwrites them.
-constexpr std::uint64_t kContainerVersion = 2;
+// serves every store. v3: the payload digest and the object address use the
+// word-at-a-time Digest. Older objects fail the version check and degrade to
+// a miss; their owner rebuilds and overwrites them.
+constexpr std::uint64_t kContainerVersion = 3;
 
-Digest payload_digest(const std::uint8_t* data, std::size_t size) {
+Digest::Value payload_digest(const std::uint8_t* data, std::size_t size) {
   Digest digest;
   digest.absorb_u64(size);
   digest.absorb(data, size);
-  return digest;
+  return digest.value();
 }
 
 }  // namespace
@@ -47,34 +57,57 @@ Digest payload_digest(const std::uint8_t* data, std::size_t size) {
 
 void Digest::absorb(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = hi, l = lo;
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ bytes[i]) * 0x00000100000001b3ULL;            // FNV-1a lane
-    l = rotl64(l ^ (bytes[i] * 0x9e3779b97f4a7c15ULL), 27) // mixed lane
-        * 0xc2b2ae3d27d4eb4fULL;
+  // Whole words until the next word lands on lane 0...
+  while (size >= 8 && (words & 3) != 0) {
+    absorb_u64(load_word(bytes));
+    bytes += 8;
+    size -= 8;
   }
-  hi = h;
-  lo = l;
+  // ...then four words per iteration, one per lane, with the lanes in
+  // registers: four independent multiply chains.
+  if (size >= 32) {
+    std::uint64_t a = lane[0], b = lane[1], c = lane[2], d = lane[3];
+    const std::size_t blocks = size / 32;
+    for (std::size_t i = 0; i < blocks; ++i, bytes += 32) {
+      a = lane_step(a, load_word(bytes));
+      b = lane_step(b, load_word(bytes + 8));
+      c = lane_step(c, load_word(bytes + 16));
+      d = lane_step(d, load_word(bytes + 24));
+    }
+    lane[0] = a;
+    lane[1] = b;
+    lane[2] = c;
+    lane[3] = d;
+    words += 4 * blocks;
+    size -= 32 * blocks;
+  }
+  for (; size >= 8; bytes += 8, size -= 8) absorb_u64(load_word(bytes));
+  if (size == 0) return;
+  // The 1-7 tail bytes share one word with their count in the top byte.
+  std::uint64_t tail = 0;
+  std::memcpy(&tail, bytes, size);
+  absorb_u64(tail | (static_cast<std::uint64_t>(size) << 56));
 }
 
-void Digest::absorb_u64(std::uint64_t value) { absorb(&value, sizeof(value)); }
-
-void Digest::absorb_double(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  absorb_u64(bits);
-}
-
-void Digest::absorb_string(const std::string& text) {
-  absorb_u64(text.size());
-  absorb(text.data(), text.size());
+Digest::Value Digest::value() const {
+  // Two merges of the same lanes in opposite orders, seeded differently, so
+  // the halves are independent functions of the whole state.
+  std::uint64_t hi = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+                     std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  std::uint64_t lo = (words * kPrime2) ^ kSeed;
+  for (int i = 0; i < 4; ++i) {
+    hi = merge_lane(hi, lane[i]);
+    lo = merge_lane(lo, lane[3 - i]);
+  }
+  return {finalize(hi + words), finalize(lo)};
 }
 
 std::string Digest::hex() const {
+  const Value digest = value();
   char out[33] = {};
   std::snprintf(out, sizeof(out), "%016llx%016llx",
-                static_cast<unsigned long long>(finalize(hi)),
-                static_cast<unsigned long long>(finalize(lo)));
+                static_cast<unsigned long long>(digest.hi),
+                static_cast<unsigned long long>(digest.lo));
   return out;
 }
 
@@ -92,7 +125,7 @@ Bytes seal(const Bytes& echo, const Bytes& payload) {
   append_bytes(out, echo.data(), echo.size());
   append_u64(out, payload.size());
   append_bytes(out, payload.data(), payload.size());
-  const Digest digest = payload_digest(payload.data(), payload.size());
+  const Digest::Value digest = payload_digest(payload.data(), payload.size());
   append_u64(out, digest.hi);
   append_u64(out, digest.lo);
   return out;
@@ -124,8 +157,8 @@ std::optional<Sealed> open(Bytes bytes, std::string* detail) {
   const std::uint64_t lo = reader.read_u64();
   if (!reader.ok || reader.pos != bytes.size())
     return fail("truncated trailer");
-  const Digest digest = payload_digest(bytes.data() + payload_pos,
-                                       static_cast<std::size_t>(payload_size));
+  const Digest::Value digest = payload_digest(
+      bytes.data() + payload_pos, static_cast<std::size_t>(payload_size));
   if (hi != digest.hi || lo != digest.lo)
     return fail("payload digest mismatch");
   // Reuse the file buffer for the payload rather than copying it out.
@@ -193,6 +226,7 @@ BlobStore::BlobStore(std::string root) : root_(std::move(root)) {
 
 Digest BlobStore::address(const Bytes& echo) {
   Digest digest;
+  digest.absorb_u64(echo.size());
   digest.absorb(echo.data(), echo.size());
   return digest;
 }

@@ -15,6 +15,7 @@
 // little-endian.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -24,29 +25,61 @@
 
 namespace patchecko {
 
-/// 128-bit streaming content digest: two independent FNV-1a-style lanes
-/// with a splitmix finalizer. Not cryptographic — collision resistance is
-/// only needed against accidental key clashes in a cache namespace.
+/// 128-bit streaming content digest. Four independent 64-bit
+/// multiply-rotate lanes take the input one 8-byte word per lane step,
+/// round-robin, so a bulk absorb runs at memory speed. Not cryptographic:
+/// collision resistance is only needed against accidental key clashes in a
+/// cache namespace.
+///
+/// Field-stream semantics: the digest covers a sequence of absorb_* calls,
+/// not a concatenated byte stream. absorb_u64 is one word. absorb(data, n)
+/// is its whole words in order, then, when n is not a multiple of 8, one
+/// word packing the tail bytes with their count. So absorb("ab") followed by
+/// absorb("c") differs from absorb("abc"), and every variable-length field
+/// needs its own length prefix (absorb_string writes one). A byte range of
+/// whole words digests exactly like absorb_u64 of each word.
 struct Digest {
-  std::uint64_t hi = 0xcbf29ce484222325ULL;
-  std::uint64_t lo = 0x9e3779b97f4a7c15ULL;
+  /// The finished 128-bit value.
+  struct Value {
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+  };
+
+  std::uint64_t lane[4] = {kSeed + kPrime1 + kPrime2, kSeed + kPrime2, kSeed,
+                           kSeed - kPrime1};
+  std::uint64_t words = 0;  ///< words absorbed; also the next lane's index
 
   void absorb(const void* data, std::size_t size);
-  void absorb_u64(std::uint64_t value);
+  void absorb_u64(std::uint64_t value) {
+    std::uint64_t& acc = lane[words & 3];
+    acc = lane_step(acc, value);
+    ++words;
+  }
   void absorb_i64(std::int64_t value) {
     absorb_u64(static_cast<std::uint64_t>(value));
   }
-  void absorb_double(double value);
-  void absorb_string(const std::string& text);
+  void absorb_double(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    absorb_u64(bits);
+  }
+  void absorb_string(const std::string& text) {
+    absorb_u64(text.size());
+    absorb(text.data(), text.size());
+  }
 
-  /// 32 hex characters, usable as a filename.
+  /// Merges the lanes and the word count, then avalanches each half.
+  Value value() const;
+  /// value() as 32 hex characters, usable as a filename.
   std::string hex() const;
 
-  friend bool operator==(const Digest& a, const Digest& b) {
-    return a.hi == b.hi && a.lo == b.lo;
-  }
-  friend bool operator!=(const Digest& a, const Digest& b) {
-    return !(a == b);
+  static constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+  static constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+  static constexpr std::uint64_t kSeed = 0x5043484b44494731ULL;
+
+  /// One lane step: add the multiplied word, rotate, multiply.
+  static std::uint64_t lane_step(std::uint64_t acc, std::uint64_t word) {
+    return std::rotl(acc + word * kPrime2, 31) * kPrime1;
   }
 };
 

@@ -66,11 +66,45 @@ void absorb_features(Digest& digest, const StaticFeatureVector& features) {
 
 // --- input digests ---------------------------------------------------------
 
+void absorb_function(Digest& digest, const FunctionBinary& function) {
+  digest.absorb_string(function.name);
+  digest.absorb_u64(function.id);
+  digest.absorb_i64(function.frame_size);
+  digest.absorb_u64(function.source_uid);
+  digest.absorb_u64(function.param_types.size());
+  digest.absorb(function.param_types.data(),
+                function.param_types.size() * sizeof(ValueType));
+  digest.absorb_u64(function.jump_tables.size());
+  for (const std::vector<std::int32_t>& table : function.jump_tables) {
+    digest.absorb_u64(table.size());
+    digest.absorb(table.data(), table.size() * sizeof(std::int32_t));
+  }
+  digest.absorb_u64(function.code.size());
+  // Two words per instruction: {op, dst, src1, src2, target}, then imm.
+  for (const Instruction& inst : function.code) {
+    digest.absorb_u64(
+        static_cast<std::uint64_t>(inst.op) |
+        static_cast<std::uint64_t>(inst.dst) << 8 |
+        static_cast<std::uint64_t>(inst.src1) << 16 |
+        static_cast<std::uint64_t>(inst.src2) << 24 |
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(inst.target))
+            << 32);
+    digest.absorb_i64(inst.imm);
+  }
+}
+
 Digest digest_library(const LibraryBinary& library) {
   Digest digest;
-  const std::vector<std::uint8_t> bytes = serialize_library(library);
-  digest.absorb_u64(bytes.size());
-  digest.absorb(bytes.data(), bytes.size());
+  digest.absorb_string(library.name);
+  digest.absorb_u64(static_cast<std::uint64_t>(library.arch) |
+                    static_cast<std::uint64_t>(library.opt) << 8 |
+                    static_cast<std::uint64_t>(library.stripped ? 1 : 0)
+                        << 16);
+  digest.absorb_u64(library.strings.size());
+  for (const std::string& text : library.strings) digest.absorb_string(text);
+  digest.absorb_u64(library.functions.size());
+  for (const FunctionBinary& function : library.functions)
+    absorb_function(digest, function);
   return digest;
 }
 
@@ -159,14 +193,11 @@ std::string outcome_cache_key(const Digest& library, const Digest& model,
                               const Digest& config, const Digest& entry,
                               bool query_is_patched) {
   Digest key;
-  key.absorb_u64(library.hi);
-  key.absorb_u64(library.lo);
-  key.absorb_u64(model.hi);
-  key.absorb_u64(model.lo);
-  key.absorb_u64(config.hi);
-  key.absorb_u64(config.lo);
-  key.absorb_u64(entry.hi);
-  key.absorb_u64(entry.lo);
+  for (const Digest* part : {&library, &model, &config, &entry}) {
+    const Digest::Value value = part->value();
+    key.absorb_u64(value.hi);
+    key.absorb_u64(value.lo);
+  }
   key.absorb_u64(query_is_patched ? 1 : 0);
   return "det-" + key.hex();
 }
@@ -395,6 +426,22 @@ void ResultCache::store_features(
   store(features_, key, features, &serialize_features);
 }
 
+std::shared_ptr<const retrieval::FunctionIndex> ResultCache::find_index(
+    const std::string& key) const {
+  if (!enabled_) return nullptr;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = indexes_.find(key);
+  return it == indexes_.end() ? nullptr : it->second;
+}
+
+void ResultCache::store_index(
+    const std::string& key,
+    std::shared_ptr<const retrieval::FunctionIndex> index) {
+  if (!enabled_) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  indexes_[key] = std::move(index);
+}
+
 std::optional<DetectionOutcome> ResultCache::find_outcome(
     const std::string& key) {
   return find(outcomes_, key, /*outcome=*/true, &deserialize_outcome);
@@ -409,6 +456,7 @@ void ResultCache::clear_memory() {
   std::lock_guard<std::mutex> lock(mutex_);
   CacheMetrics::get().evictions.add(features_.size() + outcomes_.size());
   features_.clear();
+  indexes_.clear();
   outcomes_.clear();
 }
 

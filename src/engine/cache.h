@@ -8,7 +8,7 @@
 // cache and skips Stage 1 entirely. Two result kinds are cached, in memory
 // and optionally as files in a cache directory:
 //   * the per-function StaticFeatureVector set of an analyzed library,
-//     keyed by the library's serialized bytes, and
+//     keyed by a digest of the library's content, and
 //   * a DetectionOutcome, keyed by (library, model, config, CVE entry,
 //     query direction).
 // The config digest deliberately excludes worker_threads: parallelism never
@@ -17,11 +17,15 @@
 // The disk tier is a blob::BlobStore under the cache directory
 // (<dir>/objects/<hh>/<hex>.bin): every entry echoes its key and carries a
 // payload digest, so a bit-flipped, truncated or misfiled file is a miss,
-// never a hit. The mutex guards only the memory maps and the counters; file
-// reads, verification and (de)serialization run outside it.
+// never a hit. The memory tier also keeps the retrieval index built over a
+// features entry, under the same key, so a warm hit never rebuilds it; the
+// index is never written to disk. The mutex guards only the memory maps and
+// the counters; file reads, verification and (de)serialization run outside
+// it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -35,8 +39,14 @@
 
 namespace patchecko {
 
-/// Digest of a library's serialized bytes (identity of the scan target).
+/// Digest of the identity of a scan target: exactly the fields
+/// serialize_library writes, streamed field by field with no serialized
+/// copy (name, arch, opt, stripped, strings, then absorb_function per
+/// function).
 Digest digest_library(const LibraryBinary& library);
+/// The per-function part of digest_library: name, id, frame_size,
+/// source_uid, param_types, jump_tables and code.
+void absorb_function(Digest& digest, const FunctionBinary& function);
 /// Digest of model weights, biases, and the fitted normalizer.
 Digest digest_model(const SimilarityModel& model);
 /// Digest of every config field that influences results. Excludes
@@ -88,11 +98,21 @@ class ResultCache {
   void store_features(const std::string& key,
                       const std::vector<StaticFeatureVector>& features);
 
+  /// Memory tier only: the retrieval index retained beside the features
+  /// stored under `key`, or null. The engine only ever builds the default
+  /// retrieval::IndexConfig, so the features key alone names the index; a
+  /// caller building another config would have to add its fields to the
+  /// key.
+  std::shared_ptr<const retrieval::FunctionIndex> find_index(
+      const std::string& key) const;
+  void store_index(const std::string& key,
+                   std::shared_ptr<const retrieval::FunctionIndex> index);
+
   std::optional<DetectionOutcome> find_outcome(const std::string& key);
   void store_outcome(const std::string& key, const DetectionOutcome& outcome);
 
-  /// Drops the in-memory maps (disk files stay); used to measure the
-  /// disk-hit path.
+  /// Drops the in-memory maps and the retained indexes (disk files stay);
+  /// used to measure the disk-hit path.
   void clear_memory();
 
   CacheStats stats() const;
@@ -110,8 +130,12 @@ class ResultCache {
   /// Books one lookup in stats_ and the process-wide counters; mutex_ held.
   void count_lookup(bool outcome, bool hit, bool from_disk);
 
-  mutable std::mutex mutex_;  ///< guards features_, outcomes_ and stats_
+  /// Guards features_, indexes_, outcomes_ and stats_.
+  mutable std::mutex mutex_;
   std::unordered_map<std::string, std::vector<StaticFeatureVector>> features_;
+  std::unordered_map<std::string,
+                     std::shared_ptr<const retrieval::FunctionIndex>>
+      indexes_;  ///< keyed like features_
   std::unordered_map<std::string, DetectionOutcome> outcomes_;
   std::string dir_;
   bool enabled_ = true;

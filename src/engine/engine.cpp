@@ -408,8 +408,14 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     else
       label = report.results[job.target].cve_id;
 
+    // While a stall is injected the watchdog watches the stalled job alone,
+    // so its deadlines can never fire on a slow but healthy job.
+    const bool stall_injected = config_.stall_inject_seconds > 0.0;
+    const bool stall_here = stall_injected && job.kind == JobKind::detect &&
+                            !job.skipped &&
+                            label == config_.stall_inject_label;
     obs::StallWatchdog::Job watchdog_job;
-    if (watchdog.has_value())
+    if (watchdog.has_value() && (!stall_injected || stall_here))
       watchdog_job = watchdog->job_started(job_kind_name(job.kind), label);
     // The per-job cooperative cancel token: the watchdog's when one exists,
     // otherwise the run-wide interrupt flag doubles as the token so a
@@ -417,11 +423,12 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     const std::atomic<bool>* cancel =
         watchdog_job.cancel ? watchdog_job.cancel.get() : interrupt;
 
-    if (job.kind == JobKind::detect && !job.skipped &&
-        config_.stall_inject_seconds > 0.0 &&
-        label == config_.stall_inject_label)
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(config_.stall_inject_seconds));
+    if (stall_here) {
+      const Stopwatch stall;
+      while (stall.elapsed_seconds() < config_.stall_inject_seconds &&
+             !(cancel != nullptr && cancel->load(std::memory_order_relaxed)))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
 
     const Stopwatch watch;
     // Resource sampling honors the no-op contract: with obs off, no extra
@@ -449,11 +456,20 @@ ScanReport ScanEngine::run(const ScanRequest& request,
             analyze_library(*slot.binary, pipeline_config.worker_threads);
         if (caching) cache_.store_features(key, slot.analyzed.features);
       }
-      // The retrieval index derives from the features alone, so it is
-      // rebuilt (deterministically) on cache hits too rather than being
-      // persisted — building is much cheaper than feature extraction.
-      if (pipeline_config.prefilter_mode != retrieval::PrefilterMode::off)
-        ensure_retrieval_index(slot.analyzed);
+      // The retrieval index derives from the features alone: the memory
+      // tier keeps it under the features key, so only a library without a
+      // retained index builds one (and retains it for the next request).
+      if (pipeline_config.prefilter_mode != retrieval::PrefilterMode::off) {
+        if (caching) {
+          auto index = cache_.find_index(key);
+          if (index && index->size() == slot.analyzed.features.size())
+            slot.analyzed.index = std::move(index);
+        }
+        if (!slot.analyzed.index) {
+          ensure_retrieval_index(slot.analyzed);
+          if (caching) cache_.store_index(key, slot.analyzed.index);
+        }
+      }
     } else if (job.kind == JobKind::detect && !job.skipped) {
       const CveEntry& entry = *entries[job.target];
       const LibSlot& slot = libs[entry_lib[job.target]];
@@ -515,7 +531,7 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     const obs::ResourceSample resources =
         obs_on ? obs::resource_delta(resources_start, obs::resource_sample())
                : obs::ResourceSample{};
-    if (watchdog.has_value()) watchdog->job_finished(watchdog_job);
+    if (watchdog_job.cancel) watchdog->job_finished(watchdog_job);
     EngineMetrics::get().job_histogram(job.kind).record(seconds);
     if (obs_on) {
       EngineMetrics::get().cpu_histogram(job.kind).record(

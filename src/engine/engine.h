@@ -47,9 +47,12 @@ struct EngineConfig {
   /// job, finish() when run() returns (also on exception unwind).
   obs::Heartbeat* heartbeat = nullptr;
 
-  /// Test hook (--stall-inject): sleep this long at the start of the detect
-  /// job with this CVE label, so watchdog deadlines fire deterministically
-  /// in CI without a genuinely pathological input.
+  /// Test hook (--stall-inject): the detect job with this CVE label holds
+  /// at its start for this long, or until its cancel token fires, so
+  /// watchdog deadlines fire deterministically in CI without a genuinely
+  /// pathological input. While a stall is injected the watchdog watches
+  /// that job alone: no other job can meet a deadline, however loaded the
+  /// machine.
   std::string stall_inject_label;
   double stall_inject_seconds = 0.0;
 

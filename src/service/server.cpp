@@ -186,8 +186,13 @@ void ScanService::stop() {
   stopped_ = true;
   // Shed queued work first: dispatchers answer every not-yet-started scan
   // with a structured cancellation, finish what is in flight (the engine's
-  // interrupt token, when wired, shortens that), then exit.
-  stopping_.store(true, std::memory_order_release);
+  // interrupt token, when wired, shortens that; a scan held by the
+  // scan_delay_seconds hook is released), then exit.
+  {
+    std::lock_guard<std::mutex> lock(delay_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
+  delay_cv_.notify_all();
   cancel_queued_.store(true, std::memory_order_release);
   queue_.close();
   for (std::thread& thread : dispatchers_) thread.join();
@@ -568,9 +573,12 @@ void ScanService::run_scan(const PendingScan& scan) {
   const double queue_wait = seconds_since(scan.admitted_at);
   const Stopwatch service_watch;
   set_state(scan.id, "running");
-  if (config_.scan_delay_seconds > 0.0)
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        config_.scan_delay_seconds));
+  if (config_.scan_delay_seconds > 0.0) {
+    std::unique_lock<std::mutex> lock(delay_mutex_);
+    delay_cv_.wait_for(
+        lock, std::chrono::duration<double>(config_.scan_delay_seconds),
+        [this] { return stopping_.load(std::memory_order_acquire); });
+  }
 
   // Capture the corpus generation up front: a reload that lands mid-scan
   // swaps the store pointer, but this shared_ptr keeps our generation

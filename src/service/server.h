@@ -98,8 +98,9 @@ struct ServiceConfig {
   /// Sliding window of the per-endpoint rollup (the `stats` endpoint).
   double stats_window_seconds = 60.0;
 
-  /// Test hook: hold each dispatched scan this long before running it, so
-  /// backpressure tests can saturate the queue deterministically.
+  /// Test hook: hold each dispatched scan this long, or until stop(),
+  /// before running it, so backpressure and shutdown tests can saturate
+  /// the queue deterministically.
   double scan_delay_seconds = 0.0;
 };
 
@@ -232,6 +233,10 @@ class ScanService {
   std::mutex stats_stop_mutex_;
   std::condition_variable stats_stop_cv_;
   bool stats_stop_ = false;
+
+  /// Releases scans held by the scan_delay_seconds hook once stop() runs.
+  std::mutex delay_mutex_;
+  std::condition_variable delay_cv_;
 
   bool started_ = false;
   bool stopped_ = false;

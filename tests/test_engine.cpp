@@ -1078,6 +1078,41 @@ TEST(Engine, PrefilteredOutcomesSurviveWarmCacheByteIdentical) {
   }
 }
 
+TEST(Engine, RetainedIndexIsReusedUntilClearMemory) {
+  // The memory tier keeps each library's retrieval index beside its
+  // features: a warm run builds none, and clear_memory() costs exactly one
+  // rebuild per library, after which the index is retained again. This
+  // counter is the one that shows the reuse: perfbench's traced replay
+  // calls ensure_retrieval_index on a fresh AnalyzedLibrary, so its
+  // retrieval.index_build_s still books one build per library.
+  const EngineUniverse& u = universe();
+  const obs::EnabledScope obs_on(true);
+  const obs::Counter& builds =
+      obs::Registry::global().counter("retrieval.index_builds");
+  EngineConfig config;
+  config.jobs = 2;
+  config.cache_dir = scratch_dir("engine_retained_index");
+  config.pipeline.prefilter_mode = retrieval::PrefilterMode::on;
+  config.pipeline.prefilter_min_total = 0;
+  ScanEngine engine(config);
+  const auto builds_during = [&](ScanReport& report) {
+    const std::uint64_t before = builds.value();
+    report = engine.run(u.request());
+    return builds.value() - before;
+  };
+
+  ScanReport cold, warm, cleared, rewarmed;
+  EXPECT_EQ(builds_during(cold), cold.analyzed_libraries);
+  ASSERT_GE(cold.analyzed_libraries, 2u);
+  EXPECT_EQ(builds_during(warm), 0u);
+  engine.cache().clear_memory();
+  EXPECT_EQ(builds_during(cleared), cold.analyzed_libraries);
+  EXPECT_EQ(cleared.cache.disk_loads, cleared.cache.hits());
+  EXPECT_EQ(builds_during(rewarmed), 0u);
+  for (const ScanReport* report : {&warm, &cleared, &rewarmed})
+    EXPECT_EQ(report->canonical_text(), cold.canonical_text());
+}
+
 TEST(Engine, ConcurrentRunsOnOneEngineStayDeterministic) {
   // The scan service dispatches many requests through one resident engine;
   // concurrent run() calls share the result cache and the global pool but

@@ -357,9 +357,12 @@ TEST(Health, WatchdogHardDeadlineSetsCooperativeCancel) {
 }
 
 TEST(Health, EngineStallInjectionRecordsStalledOutcome) {
-  // End-to-end: an injected oversleep in one detect job trips the real
+  // End-to-end: an injected stall in one detect job trips the real
   // watchdog poller, the pipeline abandons the job cooperatively, and the
   // scan records a deterministic `stalled` decision instead of hanging.
+  // The injected job holds until the watchdog cancels it, and it is the
+  // only job the watchdog watches, so the tight deadlines below cannot fire
+  // on a healthy job of a loaded machine.
   const HealthUniverse& u = universe();
   const obs::EnabledScope obs_on(true);
   const std::string stalled_cve = u.some_cves.front();
@@ -369,7 +372,7 @@ TEST(Health, EngineStallInjectionRecordsStalledOutcome) {
   config.jobs = 2;
   config.cache_dir = cache_dir;
   config.stall_inject_label = stalled_cve;
-  config.stall_inject_seconds = 0.4;
+  config.stall_inject_seconds = 60.0;  // upper bound: the cancel ends it
   config.watchdog.soft_deadline_seconds = 0.05;
   config.watchdog.hard_deadline_seconds = 0.1;
   config.watchdog.poll_interval_seconds = 0.01;

@@ -26,6 +26,7 @@
 #include "engine/engine.h"
 #include "firmware/firmware.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "service/admission.h"
 #include "service/client.h"
@@ -461,6 +462,47 @@ TEST(Service, ScanOverUnixSocketMatchesOneShotReportByteForByte) {
   service.stop();
 }
 
+TEST(Service, WarmRequestsReuseRetainedRetrievalIndexes) {
+  // Every request loads the image afresh, but the engine's memory tier
+  // keeps each library's retrieval index beside its features: after the
+  // cold request, the health block's retrieval.index_builds stays flat and
+  // every report is byte-identical to the cold one. (perfbench's traced
+  // replay builds on a fresh AnalyzedLibrary, so this counter, not its
+  // retrieval.index_build_s, is what shows the reuse.)
+  const ServiceUniverse& env = universe();
+  const obs::EnabledScope obs_on(true);
+  svc::ServiceConfig config = env.service_config("index_reuse");
+  config.engine.pipeline.prefilter_mode = retrieval::PrefilterMode::on;
+  config.engine.pipeline.prefilter_min_total = 0;
+  svc::ScanService service(config);
+  service.start();
+  auto client =
+      svc::ServiceClient::connect_unix(service.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  const auto index_builds = [&client] {
+    const auto health = client.call(svc::health_request_json());
+    EXPECT_TRUE(health.has_value());
+    return parsed(health.value_or("{}"))
+        .get("retrieval")
+        .get("index_builds")
+        .as_number(-1.0);
+  };
+
+  const auto cold = submit_scan(client, env.some_cves);
+  ASSERT_TRUE(cold.has_value());
+  const std::string cold_report = parsed(*cold).get("report").as_string();
+  ASSERT_FALSE(cold_report.empty());
+  const double warmed_builds = index_builds();
+  EXPECT_GT(warmed_builds, 0.0);
+  for (int i = 0; i < 5; ++i) {
+    const auto warm = submit_scan(client, env.some_cves);
+    ASSERT_TRUE(warm.has_value());
+    EXPECT_EQ(parsed(*warm).get("report").as_string(), cold_report);
+    EXPECT_EQ(index_builds(), warmed_builds) << "warm request " << i;
+  }
+  service.stop();
+}
+
 TEST(Service, FourConcurrentClientsGetIdenticalReports) {
   const ServiceUniverse& env = universe();
   svc::ServiceConfig config = env.service_config("concurrent");
@@ -770,7 +812,9 @@ TEST(Service, StopCancelsQueuedScansWithStructuredErrors) {
   svc::ServiceConfig config = env.service_config("shutdown");
   config.queue_limit = 8;
   config.dispatchers = 1;
-  config.scan_delay_seconds = 0.2;
+  // Holds the dispatched scan until stop() releases it, so the second scan
+  // is still queued when stop() runs however slowly this test is scheduled.
+  config.scan_delay_seconds = 3600.0;
   svc::ScanService service(config);
   service.start();
 
@@ -783,8 +827,9 @@ TEST(Service, StopCancelsQueuedScansWithStructuredErrors) {
       svc::scan_request_json(env.firmware_path, env.some_cves, false)));
   ASSERT_EQ(parsed(running.receive().value_or("")).get("type").as_string(),
             "accepted");
-  for (int i = 0; i < 200 && service.health().queue.active == 0; ++i)
+  for (int i = 0; i < 6000 && service.health().queue.active == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(service.health().queue.active, 1u);
   ASSERT_TRUE(queued.send(
       svc::scan_request_json(env.firmware_path, env.some_cves, false)));
   ASSERT_EQ(parsed(queued.receive().value_or("")).get("type").as_string(),
