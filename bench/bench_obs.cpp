@@ -185,44 +185,40 @@ int main() {
   }
   row(rows, "rollup.snapshot", on, off);
 
-  // Profiler scope boundary, exactly as ScopedSpan's ctor/dtor run it: the
-  // disabled column is the production no-op path (one relaxed load) and
-  // must hold the same sub-ns bar as the other primitives; the enabled
-  // column is the trie push/pop plus the allocation-delta flush. hz = 0
-  // keeps the sampler thread out of the measurement (its cadence cost is
-  // the sample_once row).
+  // A ScopedSpan while a capture runs: the enabled column adds the trie
+  // entry and the allocation-delta flush to the traced span; the disabled
+  // column is the same traced span with no capture running. hz = 0 keeps
+  // the sampler thread out of the measurement (its cadence cost is the
+  // sample_once row).
   obs::Profiler& profiler = obs::Profiler::global();
   obs::Profiler::Config profiler_config;
   profiler_config.hz = 0.0;
   {
+    obs::EnabledScope scope(true);
+    tracer.clear();
     profiler.start(profiler_config);
-    on = ns_per_op(iters, [&](std::size_t) {
-      if (obs::profiling_enabled()) {
-        obs::detail::profile_scope_push("bench.pscope");
-        obs::detail::profile_scope_pop();
-      }
+    on = ns_per_op(span_iters, [&](std::size_t) {
+      const obs::ScopedSpan span("bench.pscope", tracer);
     });
     profiler.stop();
+    tracer.clear();
+    off = ns_per_op(span_iters, [&](std::size_t) {
+      const obs::ScopedSpan span("bench.pscope", tracer);
+    });
   }
-  off = ns_per_op(iters, [&](std::size_t) {
-    if (obs::profiling_enabled()) {
-      obs::detail::profile_scope_push("bench.pscope");
-      obs::detail::profile_scope_pop();
-    }
-  });
-  row(rows, "profiler.scope", on, off);
+  row(rows, "scoped_span.profiled", on, off);
 
-  // One sampler sweep over the registry with a live two-deep stack; the
-  // disabled column is a sweep attempt with no capture running (sampler
-  // fully off — the overhead a daemon pays between captures).
+  // One sampler sweep over the registry while this thread is inside a
+  // two-deep span stack; the disabled column is a sweep attempt with no
+  // capture running (sampler fully off — the overhead a daemon pays
+  // between captures).
   constexpr std::size_t sweep_iters = 200'000;
   {
+    obs::EnabledScope scope(true);
     profiler.start(profiler_config);
-    obs::detail::profile_scope_push("bench.sweep");
-    obs::detail::profile_scope_push("bench.sweep.leaf");
+    const obs::ScopedSpan sweep("bench.sweep", tracer);
+    const obs::ScopedSpan leaf("bench.sweep.leaf", tracer);
     on = ns_per_op(sweep_iters, [&](std::size_t) { profiler.sample_once(); });
-    obs::detail::profile_scope_pop();
-    obs::detail::profile_scope_pop();
     profiler.stop();
   }
   off = ns_per_op(sweep_iters, [&](std::size_t) { profiler.sample_once(); });

@@ -15,8 +15,6 @@
 #include "engine/thread_pool.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/request_context.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 #include "util/timer.h"
@@ -71,7 +69,7 @@ struct EngineMetrics {
   }
 };
 
-std::string_view job_span_name(JobKind kind) {
+obs::SpanLabel job_span_name(JobKind kind) {
   switch (kind) {
     case JobKind::analyze: return "job.analyze";
     case JobKind::detect: return "job.detect";
@@ -391,14 +389,10 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     Job& job = jobs[id];
     job.done = true;  // own-job write; read only after the graph drains
     // A waiter helping the pool may run this job while its own job's spans
-    // are still open; re-root the profiler stack so the job's subtree hangs
-    // off the root wherever it executes — folded exports stay identical
-    // across --jobs.
-    const obs::ProfileTaskRoot profile_root;
-    // Tag this job's spans/events with the owning service request (0 for
-    // one-shot runs). The scope must open before the span so the span
-    // itself is stamped.
-    const obs::RequestScope request_scope(request.request_id);
+    // are still open; the task scope makes this job's span a root wherever
+    // it executes (trace trees and folded profiles stay identical across
+    // --jobs) and tags its spans/events with the owning service request.
+    const obs::TaskScope task(request.request_id);
     const obs::ScopedSpan span(job_span_name(job.kind));
 
     // Label first: the watchdog needs it while the job is still running.

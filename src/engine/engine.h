@@ -101,8 +101,9 @@ struct ScanRequest {
   /// per call when absent (or when an entry is missing from the catalog).
   const retrieval::QueryCatalog* query_codes = nullptr;
   /// Service request id (0 = one-shot run). Each job body runs inside an
-  /// obs::RequestScope with this id, so spans, events, and the provenance
-  /// meta line of a multiplexed daemon are attributable to the request.
+  /// obs::TaskScope with this id: the job's span is a trace root on
+  /// whichever thread runs it, and spans, events, and the provenance meta
+  /// line of a multiplexed daemon are attributable to the request.
   std::uint64_t request_id = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "obs/events.h"
 
 #include "obs/json.h"
-#include "obs/request_context.h"
+#include "obs/trace.h"
 
 namespace patchecko::obs {
 

@@ -156,7 +156,7 @@ class EventLog {
 
 /// One JSONL line (no trailing newline): {"type":"event","name":...,
 /// "sev":...,"req":N,"seq":N,"thread":T,"thread_seq":N,"t_s":...,
-/// "fields":{...}}. `req` is the request-scope id (0 outside a service
+/// "fields":{...}}. `req` is the TaskScope request id (0 outside a service
 /// request). Non-finite doubles render as null.
 std::string event_jsonl_line(const Event& event);
 

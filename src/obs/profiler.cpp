@@ -9,7 +9,9 @@
 #include <thread>
 #include <unordered_map>
 
+#include "obs/events.h"
 #include "obs/resource.h"
+#include "obs/trace.h"
 
 namespace patchecko::obs {
 
@@ -18,10 +20,11 @@ namespace {
 std::atomic<bool> g_profiling{false};
 
 // ---------------------------------------------------------------------------
-// Name interning. Scope names become small integer ids so trie nodes and
-// path comparisons never touch strings on the push path. Ids are global and
-// permanent (the set of distinct span names is a few dozen literals), so
-// tries from different threads and captures always agree on them.
+// The label table. Span names become small integer ids so frames, trace
+// records, trie nodes and path comparisons never touch strings on the push
+// path. Ids are global and permanent (the set of distinct span names is a
+// few dozen literals), so traces, and tries from different threads and
+// captures, always agree on them.
 
 struct InternTable {
   std::mutex mutex;
@@ -46,15 +49,9 @@ std::uint32_t intern_slow(std::string_view name) {
   return id;
 }
 
-std::string intern_name(std::uint32_t id) {
-  InternTable& table = intern_table();
-  std::lock_guard<std::mutex> lock(table.mutex);
-  return id < table.names.size() ? table.names[id] : "(?)";
-}
-
-// Thread-local cache keyed by the string_view's data pointer: span names
-// are string literals, so the same call site hits the same slot without
-// hashing the characters or taking the global lock.
+// Thread-local cache keyed by the name's address: a SpanLabel is a string
+// literal, so the same call site hits the same slot without hashing the
+// characters or taking the global lock.
 struct InternCacheEntry {
   const char* data = nullptr;
   std::size_t size = 0;
@@ -73,9 +70,13 @@ std::uint32_t intern(std::string_view name) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread trie. All fields are guarded by `lock` (a spinlock: critical
-// sections are a handful of loads/stores, and the sampler must not block on
-// a mutex the owner could hold across a malloc).
+// Per-thread state: the one stack of open-span frames every ScopedSpan
+// pushes and pops, the task base and request a TaskScope sets, and the trie
+// of the capture the thread last took part in. Once the thread is
+// registered with the sampler, what the sampler reads (frames, base, trie)
+// changes only under `lock` (a spinlock: critical sections are a handful of
+// loads/stores, and the sampler must not block on a mutex the owner could
+// hold across a malloc); before that, the owner is its only reader.
 
 struct TrieNode {
   std::uint32_t name = 0;
@@ -88,15 +89,26 @@ struct TrieNode {
   std::uint64_t alloc_bytes = 0;
 };
 
+// Set on the node of a frame whose trie entry was refused past a cap: the
+// node is then the deepest recorded ancestor, and every frame pushed above
+// inherits the refusal, so the trie stays balanced with a plain pop.
+constexpr std::uint32_t kTruncated = 1u << 31;
+
+struct Frame {
+  std::uint64_t span = 0;     // tracer id
+  std::uint32_t label = 0;    // interned name
+  std::uint32_t node = 0;     // trie node while this frame is on top
+  std::uint64_t capture = 0;  // capture `node` belongs to; 0 = none
+};
+
 struct ThreadState {
   std::atomic_flag lock = ATOMIC_FLAG_INIT;
-  std::vector<TrieNode> nodes{TrieNode{}};  // [0] = root
-  std::uint32_t current = 0;
-  std::uint32_t depth = 0;
-  // Pushes refused past the caps; the matching pops decrement this instead
-  // of ascending, so the trie stays balanced.
-  std::uint32_t overflow = 0;
-  std::uint64_t truncated = 0;
+  std::vector<Frame> frames;
+  std::size_t base = 0;  // frames below it belong to enclosing tasks
+  std::uint64_t request = 0;
+  std::vector<TrieNode> nodes;  // [0] = root, once registered
+  std::uint64_t capture = 0;    // the capture `nodes` belongs to
+  std::uint64_t truncated = 0;  // trie entries refused past the caps
   // Allocation-counter values at the last boundary. Unsynced after a
   // capture reset: the first boundary re-reads the counters instead of
   // flushing a delta that spans the reset.
@@ -104,18 +116,20 @@ struct ThreadState {
   std::uint64_t last_alloc_count = 0;
   std::uint64_t last_alloc_bytes = 0;
   bool registered = false;
-  // Bumped by every capture reset so a ProfileTaskRoot can tell that the
-  // position it saved belongs to a discarded trie and must not be restored.
-  std::uint64_t resets = 0;
 };
 
+// Locks `state` unless `engage` is false (an unregistered owner).
 struct SpinGuard {
-  explicit SpinGuard(ThreadState& state) : state_(state) {
-    while (state_.lock.test_and_set(std::memory_order_acquire))
+  explicit SpinGuard(ThreadState& state, bool engage = true)
+      : state_(engage ? &state : nullptr) {
+    if (state_ == nullptr) return;
+    while (state_->lock.test_and_set(std::memory_order_acquire))
       std::this_thread::yield();
   }
-  ~SpinGuard() { state_.lock.clear(std::memory_order_release); }
-  ThreadState& state_;
+  ~SpinGuard() {
+    if (state_ != nullptr) state_->lock.clear(std::memory_order_release);
+  }
+  ThreadState* state_;
 };
 
 // Registry of live thread states plus the tries of already-exited threads
@@ -127,6 +141,7 @@ struct ProfRegistry {
   std::vector<ThreadState*> threads;
   std::vector<std::vector<TrieNode>> retired;
   std::uint64_t retired_truncated = 0;
+  std::uint64_t capture = 0;  // the latest capture; 0 = none yet
 };
 
 ProfRegistry& prof_registry() {
@@ -134,15 +149,21 @@ ProfRegistry& prof_registry() {
   return *registry;
 }
 
-void reset_state_locked(ThreadState& state) {
+void reset_state_locked(ThreadState& state, std::uint64_t capture) {
   const SpinGuard guard(state);
   state.nodes.assign(1, TrieNode{});
-  state.current = 0;
-  state.depth = 0;
-  state.overflow = 0;
+  state.capture = capture;
   state.truncated = 0;
   state.alloc_synced = false;
-  ++state.resets;
+}
+
+// The trie node the thread is inside: its top frame's when that frame
+// belongs to the thread's capture (spans open when the capture started are
+// invisible to it), else the root. Caller holds the lock or owns the state.
+std::uint32_t top_node(const ThreadState& state) {
+  if (state.frames.size() == state.base) return 0;
+  const Frame& top = state.frames.back();
+  return top.capture == state.capture ? top.node : 0;
 }
 
 // Flush the allocation delta since the last boundary into the node that was
@@ -152,7 +173,7 @@ void flush_alloc(ThreadState& state) {
   std::uint64_t bytes = 0;
   thread_allocation_totals(&count, &bytes);
   if (state.alloc_synced) {
-    TrieNode& node = state.nodes[state.current];
+    TrieNode& node = state.nodes[top_node(state) & ~kTruncated];
     node.alloc_count += count - state.last_alloc_count;
     node.alloc_bytes += bytes - state.last_alloc_bytes;
   } else {
@@ -162,10 +183,43 @@ void flush_alloc(ThreadState& state) {
   state.last_alloc_bytes = bytes;
 }
 
-// Owner-thread slot: registers on first use, retires its trie on exit.
+// The node a frame labelled `label` enters: the matching child of the node
+// the thread is inside, created on first entry. Caller holds the spinlock.
+std::uint32_t enter_node(ThreadState& state, std::uint32_t label) {
+  const std::uint32_t parent = top_node(state);
+  if ((parent & kTruncated) != 0) {
+    ++state.truncated;
+    return parent;
+  }
+  for (std::uint32_t c = state.nodes[parent].first_child; c != 0;
+       c = state.nodes[c].next_sibling)
+    if (state.nodes[c].name == label) {
+      ++state.nodes[c].entries;
+      return c;
+    }
+  std::size_t depth = 0;
+  for (std::uint32_t n = parent; n != 0; n = state.nodes[n].parent) ++depth;
+  if (depth >= Profiler::max_depth ||
+      state.nodes.size() >= Profiler::max_nodes) {
+    ++state.truncated;
+    return parent | kTruncated;
+  }
+  const auto child = static_cast<std::uint32_t>(state.nodes.size());
+  TrieNode node;
+  node.name = label;
+  node.parent = parent;
+  node.next_sibling = state.nodes[parent].first_child;
+  node.entries = 1;
+  state.nodes.push_back(node);
+  state.nodes[parent].first_child = child;
+  return child;
+}
+
+// Owner-thread slot: retires its trie on exit if it ever registered.
 struct ThreadSlot {
   ThreadState state;
   ~ThreadSlot() {
+    if (!state.registered) return;
     ProfRegistry& registry = prof_registry();
     std::lock_guard<std::mutex> lock(registry.mutex);
     registry.threads.erase(
@@ -181,13 +235,33 @@ struct ThreadSlot {
 
 ThreadState& local_state() {
   thread_local ThreadSlot slot;
-  if (!slot.state.registered) {
-    ProfRegistry& registry = prof_registry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.threads.push_back(&slot.state);
-    slot.state.registered = true;
-  }
   return slot.state;
+}
+
+// Makes the thread visible to the sampler; from here on its owner changes
+// sampled state only under the spinlock.
+void register_thread(ThreadState& state) {
+  if (state.registered) return;
+  ProfRegistry& registry = prof_registry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  state.nodes.assign(1, TrieNode{});
+  state.capture = registry.capture;
+  registry.threads.push_back(&state);
+  state.registered = true;
+}
+
+// Applies `change` to the calling thread's state at a span or task
+// boundary. While a capture runs, the thread registers with the sampler and
+// the allocation delta since its previous boundary is flushed into the node
+// it was inside.
+template <typename Change>
+void at_boundary(const Change& change) {
+  ThreadState& state = local_state();
+  const bool profiling = profiling_enabled();
+  if (profiling) register_thread(state);
+  const SpinGuard guard(state, state.registered);
+  if (profiling) flush_alloc(state);
+  change(state, profiling);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,17 +304,18 @@ void merge_trie(std::vector<MergeNode>& merged,
 }
 
 ProfileNode to_profile_node(const std::vector<MergeNode>& merged,
+                            const std::vector<std::string>& names,
                             std::size_t index) {
   const MergeNode& from = merged[index];
   ProfileNode node;
-  node.name = intern_name(from.name);
+  node.name = names[from.name];
   node.samples = from.samples;
   node.entries = from.entries;
   node.alloc_count = from.alloc_count;
   node.alloc_bytes = from.alloc_bytes;
   node.children.reserve(from.children.size());
   for (const auto& [name, child] : from.children)
-    node.children.push_back(to_profile_node(merged, child));
+    node.children.push_back(to_profile_node(merged, names, child));
   std::sort(node.children.begin(), node.children.end(),
             [](const ProfileNode& a, const ProfileNode& b) {
               return a.name < b.name;
@@ -289,88 +364,62 @@ bool profiling_enabled() {
   return g_profiling.load(std::memory_order_relaxed);
 }
 
-namespace detail {
-
-void profile_scope_push(std::string_view name) {
-  const std::uint32_t name_id = intern(name);
-  ThreadState& state = local_state();
-  const SpinGuard guard(state);
-  flush_alloc(state);
-  if (state.overflow > 0 || state.depth >= Profiler::max_depth) {
-    ++state.overflow;
-    ++state.truncated;
-    return;
-  }
-  std::uint32_t child = 0;
-  for (std::uint32_t c = state.nodes[state.current].first_child; c != 0;
-       c = state.nodes[c].next_sibling)
-    if (state.nodes[c].name == name_id) {
-      child = c;
-      break;
+void ScopedSpan::begin(SpanLabel label, Tracer& tracer) {
+  tracer_ = &tracer;
+  id_ = tracer.next_id();
+  start_seconds_ = tracer.since_epoch();
+  const std::uint32_t label_id = intern(label.text());
+  at_boundary([&](ThreadState& state, bool profiling) {
+    Frame frame{id_, label_id, 0, 0};
+    if (profiling) {
+      frame.node = enter_node(state, label_id);
+      frame.capture = state.capture;
     }
-  if (child == 0) {
-    if (state.nodes.size() >= Profiler::max_nodes) {
-      ++state.overflow;
-      ++state.truncated;
-      return;
-    }
-    child = static_cast<std::uint32_t>(state.nodes.size());
-    TrieNode node;
-    node.name = name_id;
-    node.parent = state.current;
-    node.next_sibling = state.nodes[state.current].first_child;
-    state.nodes.push_back(node);
-    state.nodes[state.current].first_child = child;
-  }
-  state.current = child;
-  ++state.depth;
-  ++state.nodes[child].entries;
+    state.frames.push_back(frame);
+  });
 }
 
-void profile_scope_pop() {
-  ThreadState& state = local_state();
-  const SpinGuard guard(state);
-  flush_alloc(state);
-  if (state.overflow > 0) {
-    --state.overflow;
-    return;
-  }
-  // depth 0: the scope was opened before the capture started (its push was
-  // absorbed by the reset) — ignore the pop to keep the trie balanced.
-  if (state.depth == 0) return;
-  state.current = state.nodes[state.current].parent;
-  --state.depth;
+void ScopedSpan::end() {
+  Tracer::Record record{id_, 0, 0, 0, thread_ordinal(), start_seconds_, 0.0};
+  at_boundary([&](ThreadState& state, bool) {
+    // Spans nest strictly (RAII), so this span is the top frame.
+    const std::size_t top = state.frames.size() - 1;
+    record.label = state.frames[top].label;
+    record.parent = top > state.base ? state.frames[top - 1].span : 0;
+    record.request = state.request;
+    state.frames.pop_back();
+  });
+  record.end_seconds = tracer_->since_epoch();
+  tracer_->record(record);
+}
+
+namespace detail {
+
+std::vector<std::string> label_names() {
+  InternTable& table = intern_table();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  return table.names;
 }
 
 }  // namespace detail
 
-ProfileTaskRoot::ProfileTaskRoot() {
-  if (!profiling_enabled()) return;  // mirror ScopedSpan: inactive when off
-  ThreadState& state = local_state();
-  const SpinGuard guard(state);
-  flush_alloc(state);  // attribute the tail to the scope we are leaving
-  current_ = state.current;
-  depth_ = state.depth;
-  overflow_ = state.overflow;
-  resets_ = state.resets;
-  state.current = 0;
-  state.depth = 0;
-  state.overflow = 0;
-  active_ = true;
+TaskScope::TaskScope(std::uint64_t request_id) {
+  at_boundary([&](ThreadState& state, bool) {
+    previous_base_ = state.base;
+    previous_request_ = state.request;
+    state.base = state.frames.size();
+    state.request = request_id;
+  });
 }
 
-ProfileTaskRoot::~ProfileTaskRoot() {
-  if (!active_) return;
-  ThreadState& state = local_state();
-  const SpinGuard guard(state);
-  flush_alloc(state);
-  // A capture reset while re-rooted discarded the trie the saved position
-  // points into; stay at root, like the unbalanced-pop guard above.
-  if (state.resets != resets_) return;
-  state.current = current_;
-  state.depth = depth_;
-  state.overflow = overflow_;
+TaskScope::~TaskScope() {
+  at_boundary([&](ThreadState& state, bool) {
+    state.base = previous_base_;
+    state.request = previous_request_;
+  });
 }
+
+std::uint64_t current_request_id() { return local_state().request; }
 
 // ---------------------------------------------------------------------------
 
@@ -410,8 +459,9 @@ std::uint64_t sweep_threads() {
   std::uint64_t credited = 0;
   for (ThreadState* state : registry.threads) {
     const SpinGuard guard(*state);
-    if (state->depth == 0) continue;  // idle w.r.t. profile scopes
-    ++state->nodes[state->current].samples;
+    const std::uint32_t node = top_node(*state) & ~kTruncated;
+    if (node == 0) continue;  // inside no span of this capture
+    ++state->nodes[node].samples;
     ++credited;
   }
   return credited;
@@ -443,8 +493,7 @@ ProfileReport build_report(std::uint64_t sweeps, std::uint64_t samples,
     merge_trie(merged, copy);
     report.truncated += truncated;
   }
-  report.root = to_profile_node(merged, 0);
-  report.root.name = "(root)";
+  report.root = to_profile_node(merged, detail::label_names(), 0);
   return report;
 }
 
@@ -486,7 +535,9 @@ bool Profiler::start(const Config& config) {
     std::lock_guard<std::mutex> lock(registry.mutex);
     registry.retired.clear();
     registry.retired_truncated = 0;
-    for (ThreadState* state : registry.threads) reset_state_locked(*state);
+    ++registry.capture;
+    for (ThreadState* state : registry.threads)
+      reset_state_locked(*state, registry.capture);
   }
 
   profiler.config = config;

@@ -4,21 +4,22 @@
 // heavyweight, and its JSON export is per-run forensic data. The profiler
 // answers a different question: across a long scan or a live daemon, where
 // does the time and memory actually go, by pipeline stage? It works by
-// sampling: each thread that opens a ScopedSpan maintains a thread-local
-// trie of the span paths it has entered (a "scope path" is the stack of
-// span names, e.g. engine.detect;pipeline.detect.prefilter), and a sampler
-// sweeps the registered threads at a fixed cadence, crediting one sample to
-// the node each thread is currently inside. Sample counts are *self* time
-// (the sample lands on the innermost scope); inclusive time is the subtree
-// sum, derived at render time.
+// sampling. Each frame on a thread's span stack (obs/trace.h) records the
+// node it entered in that thread's trie of span paths (a "scope path" is
+// the stack of span names above the current task, e.g.
+// job.detect;pipeline.detect.prefilter), and a sampler sweeps the
+// registered threads at a fixed cadence, crediting one sample to the node
+// of each thread's top frame. Sample counts are *self* time (the sample
+// lands on the innermost span); inclusive time is the subtree sum, derived
+// at render time.
 //
 // Allocation attribution rides on PK_ALLOC_HOOK (obs/resource.h): at every
-// scope boundary (push/pop) the delta of the thread's allocation counters
+// span or task boundary the delta of the thread's allocation counters
 // since the previous boundary is flushed into the node that was active over
 // that interval, so every node also carries exact allocation counts/bytes
-// for the code that ran directly inside it. Granularity is scope
-// boundaries: allocations after a thread's last boundary are unattributed
-// until its next one, and threads that never enter a profile scope are
+// for the code that ran directly inside it. Granularity is boundaries:
+// allocations after a thread's last boundary are unattributed until its
+// next one, and threads that cross no boundary during a capture are
 // invisible. Under sanitizers (PK_ALLOC_HOOK == 0) the counters stay zero
 // and reports say so (alloc_available == false).
 //
@@ -32,59 +33,26 @@
 // sweeps against parked threads in tests).
 //
 // No-op contract: when no capture is running, the only cost added to a
-// ScopedSpan is one relaxed atomic load (profiling_enabled()) — the same
-// sub-ns bar every other obs primitive holds. Starting a capture resets all
-// per-thread tries; scopes already open when a capture starts are invisible
-// to it (their pops are absorbed), which is what makes on-demand daemon
-// captures safe mid-request.
+// ScopedSpan is one relaxed atomic load (profiling_enabled()). Starting a
+// capture resets every per-thread trie and begins a new capture
+// generation; a frame's node counts only within the capture it was entered
+// in, so spans already open when a capture starts are invisible to it and
+// spans opened under them start at the root. That is what makes on-demand
+// daemon captures safe mid-request.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/health.h"
 
 namespace patchecko::obs {
 
-/// True while a capture is running. One relaxed load; the gate every
-/// ScopedSpan checks before touching profiler state.
+/// True while a capture is running. One relaxed load; the gate every span
+/// and task boundary checks before touching profiler state.
 bool profiling_enabled();
-
-namespace detail {
-/// Called by ScopedSpan when profiling_enabled() was true at construction.
-/// push interns the name, registers the thread on first use, and descends
-/// the thread-local trie; pop ascends. Both flush the allocation delta
-/// since the previous boundary into the node that was active.
-void profile_scope_push(std::string_view name);
-void profile_scope_pop();
-}  // namespace detail
-
-/// Re-roots the calling thread's profiler scope stack for its lifetime:
-/// scopes opened while it is alive attach to the trie root instead of
-/// whatever scopes the thread already has open, and the previous position
-/// is restored on destruction. The engine wraps each top-level job in one,
-/// because a thread blocked in a TaskGroup wait "helps" by running queued
-/// pool work — without re-rooting, a stolen job's spans would nest under
-/// the waiter's open stack and the folded export would depend on which
-/// thread happened to pick the job up.
-class ProfileTaskRoot {
- public:
-  ProfileTaskRoot();
-  ~ProfileTaskRoot();
-
-  ProfileTaskRoot(const ProfileTaskRoot&) = delete;
-  ProfileTaskRoot& operator=(const ProfileTaskRoot&) = delete;
-
- private:
-  std::uint32_t current_ = 0;
-  std::uint32_t depth_ = 0;
-  std::uint32_t overflow_ = 0;
-  std::uint64_t resets_ = 0;  ///< capture-reset count at construction
-  bool active_ = false;
-};
 
 /// One merged trie node. Children are sorted by name; `samples` is self
 /// samples (the sweep landed inside this exact scope), inclusive counts are
@@ -131,8 +99,9 @@ class Profiler {
     const Clock* clock = nullptr;  ///< null = Clock::real()
   };
 
-  /// Per-thread caps; pushes beyond them count into ProfileReport::truncated
-  /// (the trie stays balanced — the matching pops are absorbed).
+  /// Per-thread caps; spans entered beyond them count into
+  /// ProfileReport::truncated and are credited to their deepest recorded
+  /// ancestor, as is every span opened inside them.
   static constexpr std::size_t max_depth = 64;
   static constexpr std::size_t max_nodes = 1u << 16;
 

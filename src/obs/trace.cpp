@@ -2,20 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/events.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/request_context.h"
-
 namespace patchecko::obs {
-
-namespace {
-
-/// Per-thread stack of open span ids: the top is the parent of the next
-/// span opened on this thread.
-thread_local std::vector<std::uint64_t> t_span_stack;
-
-}  // namespace
 
 Tracer& Tracer::global() {
   static Tracer* tracer = new Tracer();
@@ -28,60 +15,40 @@ double Tracer::since_epoch() const {
       .count();
 }
 
-void Tracer::record(Span span) {
+void Tracer::record(const Record& record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (spans_.size() >= max_spans) {
+  if (records_.size() >= max_spans) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  spans_.push_back(std::move(span));
+  records_.push_back(record);
 }
 
 std::vector<Span> Tracer::spans() const {
-  std::vector<Span> out;
+  std::vector<Record> records;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    out = spans_;
+    records = records_;
   }
   // Spans finish (and are appended) in arbitrary order across threads;
   // id order == start order is the stable rendering.
-  std::sort(out.begin(), out.end(),
-            [](const Span& a, const Span& b) { return a.id < b.id; });
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.id < b.id; });
+  const std::vector<std::string> names = detail::label_names();
+  std::vector<Span> out;
+  out.reserve(records.size());
+  for (const Record& r : records)
+    out.push_back(Span{r.id, r.parent, r.request, names[r.label], r.thread,
+                       r.start_seconds, r.end_seconds});
   return out;
 }
 
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  spans_.clear();
+  records_.clear();
   next_id_.store(1, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
-}
-
-ScopedSpan::ScopedSpan(std::string_view name, Tracer& tracer) {
-  if (!enabled()) return;  // id_ stays 0: the destructor is a no-op
-  tracer_ = &tracer;
-  id_ = tracer.next_id();
-  parent_ = t_span_stack.empty() ? 0 : t_span_stack.back();
-  request_ = current_request_id();
-  name_.assign(name.data(), name.size());
-  start_seconds_ = tracer.since_epoch();
-  t_span_stack.push_back(id_);
-  if (profiling_enabled()) {
-    detail::profile_scope_push(name);
-    profiled_ = true;
-  }
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (profiled_) detail::profile_scope_pop();
-  if (id_ == 0) return;
-  // Open spans nest strictly (RAII), so this span is the stack top.
-  if (!t_span_stack.empty() && t_span_stack.back() == id_)
-    t_span_stack.pop_back();
-  tracer_->record(Span{id_, parent_, request_, std::move(name_),
-                       thread_ordinal(), start_seconds_,
-                       tracer_->since_epoch()});
 }
 
 }  // namespace patchecko::obs

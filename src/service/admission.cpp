@@ -29,6 +29,7 @@ std::optional<PendingScan> AdmissionQueue::next() {
   if (queue_.empty()) return std::nullopt;
   PendingScan scan = std::move(queue_.front());
   queue_.pop_front();
+  scan.shed = shed_;
   ++active_;
   obs::Registry::global().gauge("service.queue_depth").add(-1);
   return scan;
@@ -50,6 +51,14 @@ void AdmissionQueue::close() {
   }
   available_.notify_all();
   idle_.notify_all();
+}
+
+void AdmissionQueue::shed() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    shed_ = true;
+  }
+  close();
 }
 
 bool AdmissionQueue::closed() const {

@@ -34,6 +34,10 @@ struct PendingScan {
   /// Admission timestamp; the dispatcher derives the access-log queue-wait
   /// from it when the scan finally starts.
   std::chrono::steady_clock::time_point admitted_at{};
+  /// Set by next() when the queue was shed before this scan was handed
+  /// out: the dispatcher answers it with a cancellation instead of running
+  /// it. A scan already handed out (counted `active`) is never shed.
+  bool shed = false;
   /// Request payload size as read off the wire (access-log bytes_in).
   std::size_t bytes_in = 0;
   /// Running response byte count for this request (accepted frame + result
@@ -70,6 +74,9 @@ class AdmissionQueue {
   /// Stops admission and wakes blocked dispatchers; queued scans still
   /// drain through next().
   void close();
+  /// close(), and every scan still queued comes out of next() marked
+  /// `shed` (service shutdown).
+  void shed();
   bool closed() const;
 
   /// Blocks until nothing is queued or running (drain barrier).
@@ -85,6 +92,7 @@ class AdmissionQueue {
   std::deque<PendingScan> queue_;
   std::size_t active_ = 0;
   bool closed_ = false;
+  bool shed_ = false;
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t completed_ = 0;

@@ -193,8 +193,7 @@ void ScanService::stop() {
     stopping_.store(true, std::memory_order_release);
   }
   delay_cv_.notify_all();
-  cancel_queued_.store(true, std::memory_order_release);
-  queue_.close();
+  queue_.shed();
   for (std::thread& thread : dispatchers_) thread.join();
   dispatchers_.clear();
   // Stop the stats ticker only after the dispatchers have drained: its
@@ -538,7 +537,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 void ScanService::dispatch_loop() {
   while (auto scan = queue_.next()) {
-    if (cancel_queued_.load(std::memory_order_acquire)) {
+    if (scan->shed) {
       set_state(scan->id, "cancelled");
       AccessEntry entry;
       entry.id = scan->id;

@@ -199,7 +199,6 @@ class ScanService {
   Stopwatch uptime_;
 
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> cancel_queued_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> drained_{false};
   std::atomic<std::uint64_t> next_request_id_{1};

@@ -814,6 +814,44 @@ TEST(Engine, MetricsCountJobsAndNestPipelineSpansUnderJobs) {
   EXPECT_EQ(dl_spans, 2 * report.results.size());
 }
 
+// Every job span is a trace root, whichever thread runs the job: a pool
+// thread that helps while it waits runs other jobs on top of its own open
+// spans, and each job's TaskScope keeps them out of that subtree. The
+// tree's shape, as a multiset of (parent name, child name) edges, is then
+// the same at any --jobs.
+TEST(Engine, JobSpansAreTraceRootsAtAnyJobs) {
+  const EngineUniverse& u = universe();
+  const obs::EnabledScope on(true);
+  std::vector<std::multiset<std::pair<std::string, std::string>>> trees;
+  for (const int jobs : {1, 8}) {
+    EngineConfig config;
+    config.jobs = jobs;
+    config.use_cache = false;
+    obs::Tracer::global().clear();
+    const ScanReport report = ScanEngine(config).run(u.request());
+    ASSERT_FALSE(report.results.empty());
+
+    const std::vector<obs::Span> spans = obs::Tracer::global().spans();
+    std::map<std::uint64_t, std::string> name_of;
+    for (const obs::Span& span : spans) name_of[span.id] = span.name;
+    std::multiset<std::pair<std::string, std::string>> tree;
+    std::size_t job_spans = 0;
+    for (const obs::Span& span : spans) {
+      if (span.name.rfind("job.", 0) == 0) {
+        ++job_spans;
+        EXPECT_EQ(span.parent, 0u)
+            << span.name << " under " << name_of[span.parent] << " at --jobs "
+            << jobs;
+      }
+      tree.emplace(span.parent == 0 ? "(root)" : name_of[span.parent],
+                   span.name);
+    }
+    EXPECT_EQ(job_spans, report.timings.size());
+    trees.push_back(std::move(tree));
+  }
+  EXPECT_EQ(trees[0], trees[1]);
+}
+
 TEST(Engine, CanonicalReportIsUnaffectedByMetrics) {
   // The determinism oracle: metrics on/off and jobs 1/8 must all yield the
   // byte-identical canonical report.

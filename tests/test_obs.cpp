@@ -217,6 +217,63 @@ TEST(Obs, SpanStacksAreThreadLocal) {
   EXPECT_NE(spans[0].thread, spans[1].thread);
 }
 
+// A TaskScope is a job boundary: inside an open span, a span opened under
+// it is a root carrying the scope's request; closing it brings back the
+// enclosing span as parent and the enclosing request.
+TEST(Obs, TaskScopeReRootsSpansAndStampsRequest) {
+  EnabledScope on(true);
+  Tracer tracer;
+  EXPECT_EQ(obs::current_request_id(), 0u);
+  {
+    ScopedSpan outer("task.outer", tracer);
+    {
+      const obs::TaskScope task(5);
+      EXPECT_EQ(obs::current_request_id(), 5u);
+      ScopedSpan job("task.job", tracer);
+      {
+        const obs::TaskScope nested(6);
+        EXPECT_EQ(obs::current_request_id(), 6u);
+        ScopedSpan inner("task.nested", tracer);
+      }
+      EXPECT_EQ(obs::current_request_id(), 5u);
+      ScopedSpan child("task.job.child", tracer);
+    }
+    EXPECT_EQ(obs::current_request_id(), 0u);
+    ScopedSpan after("task.after", tracer);
+  }
+  const std::vector<Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_EQ(spans[0].name, "task.outer");
+  EXPECT_EQ(spans[1].name, "task.job");
+  EXPECT_EQ(spans[2].name, "task.nested");
+  EXPECT_EQ(spans[3].name, "task.job.child");
+  EXPECT_EQ(spans[4].name, "task.after");
+  EXPECT_EQ(spans[0].parent, 0u);
+  EXPECT_EQ(spans[0].request, 0u);
+  EXPECT_EQ(spans[1].parent, 0u);  // a root, though task.outer is open
+  EXPECT_EQ(spans[1].request, 5u);
+  EXPECT_EQ(spans[2].parent, 0u);
+  EXPECT_EQ(spans[2].request, 6u);
+  EXPECT_EQ(spans[3].parent, spans[1].id);
+  EXPECT_EQ(spans[3].request, 5u);  // the nested scope restored 5
+  EXPECT_EQ(spans[4].parent, spans[0].id);
+  EXPECT_EQ(spans[4].request, 0u);
+}
+
+// Records are fixed-size and hold no heap name, so the cap bounds the
+// tracer's memory whatever the labels; spans past it are only counted.
+TEST(Obs, TracerCapCountsDroppedSpans) {
+  EnabledScope on(true);
+  Tracer tracer;
+  for (std::size_t i = 0; i < Tracer::max_spans + 5; ++i)
+    ScopedSpan span("cap.a_label_longer_than_any_small_string_buffer", tracer);
+  EXPECT_EQ(tracer.dropped(), 5u);
+  const std::vector<Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), Tracer::max_spans);
+  EXPECT_EQ(spans.back().name,
+            "cap.a_label_longer_than_any_small_string_buffer");
+}
+
 TEST(Obs, TracerClearResetsIdsAndEpoch) {
   EnabledScope on(true);
   Tracer tracer;

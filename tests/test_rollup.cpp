@@ -13,7 +13,6 @@
 #include "obs/events.h"
 #include "obs/health.h"
 #include "obs/json.h"
-#include "obs/request_context.h"
 #include "obs/rollup.h"
 #include "obs/trace.h"
 #include "service/access_log.h"
@@ -169,21 +168,21 @@ TEST(Rollup, SnapshotJsonHasDocumentedShape) {
   EXPECT_EQ(text, rollup_snapshot_json(snapshot));
 }
 
-TEST(Rollup, RequestScopeNestsAndStampsSpansAndEvents) {
+TEST(Rollup, TaskScopeNestsAndStampsSpansAndEvents) {
   EXPECT_EQ(obs::current_request_id(), 0u);
   obs::EnabledScope metrics_on(true);
   obs::EventsEnabledScope events_on(true);
   obs::Tracer tracer;
   obs::EventLog log(16);
   {
-    obs::RequestScope outer(7);
+    obs::TaskScope outer(7);
     EXPECT_EQ(obs::current_request_id(), 7u);
     {
       obs::ScopedSpan span("req.outer", tracer);
       log.emit(obs::Severity::info, "req.event");
     }
     {
-      obs::RequestScope inner(9);  // nesting: inner id wins, then restores
+      obs::TaskScope inner(9);  // nesting: inner id wins, then restores
       EXPECT_EQ(obs::current_request_id(), 9u);
       obs::ScopedSpan span("req.inner", tracer);
     }
