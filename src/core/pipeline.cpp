@@ -1,8 +1,10 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -34,6 +36,9 @@ struct PipelineMetrics {
       obs::Registry::global().histogram("pipeline.da_seconds");
   obs::Histogram& patch_seconds =
       obs::Registry::global().histogram("pipeline.patch_seconds");
+  /// Candidates whose stage-2 result came from a ProfileMemo, not the VM.
+  obs::Counter& profile_reuses =
+      obs::Registry::global().counter("vm.profile_reuses");
 
   // Stage-1 retrieval prefilter (src/retrieval). `prefilter_recall` is only
   // recorded in verify mode: its mean (sum/count) is the measured
@@ -66,6 +71,22 @@ struct PipelineMetrics {
 inline bool is_cancelled(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
 }
+
+/// One stage-1 chunk's share of a detect outcome: confusion counts, the
+/// accepted candidates (ascending) with their scores, and verify mode's
+/// prefilter bookkeeping.
+struct Stage1Chunk {
+  int true_positives = 0;
+  int true_negatives = 0;
+  int false_positives = 0;
+  int false_negatives = 0;
+  std::vector<std::size_t> candidates;
+  std::vector<float> scores;
+  std::size_t exact_candidates = 0;
+  std::size_t recalled = 0;
+  std::vector<std::pair<std::size_t, float>> verify_pruned;
+  bool cancelled = false;
+};
 
 }  // namespace
 
@@ -103,8 +124,8 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
                                    const AnalyzedLibrary& target,
                                    bool query_is_patched,
                                    const std::atomic<bool>* cancel,
-                                   const retrieval::QuantizedVector* query_code)
-    const {
+                                   const retrieval::QuantizedVector* query_code,
+                                   ProfileMemo* memo) const {
   DetectionOutcome outcome;
   outcome.cve_id = entry.spec.cve_id;
   outcome.query_is_patched = query_is_patched;
@@ -148,72 +169,100 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   // `on` scores only shortlisted functions; everything else is classified
   // negative unscored. `verify` scores every function (measuring what the
   // exact scan would have accepted) but classifies through the shortlist
-  // exactly like `on`, so both modes produce identical outcomes.
+  // exactly like `on`, so both modes produce identical outcomes. The target
+  // splits into index ranges holding about stage1_chunk_pairs scored pairs
+  // each; chunks score independently and merge in index order, so the
+  // outcome does not depend on the worker count.
   Stopwatch dl_watch;
-  std::vector<float> candidate_scores;
-  std::vector<std::pair<std::size_t, float>> verify_pruned;  // exact-only hits
+  const std::size_t total = outcome.total;
+  const std::size_t scored =
+      prefilter == retrieval::PrefilterMode::on ? shortlist.size() : total;
+  const std::size_t span =
+      scored <= stage1_chunk_pairs
+          ? std::max<std::size_t>(total, 1)
+          : (stage1_chunk_pairs * total + scored - 1) / scored;
+  std::vector<Stage1Chunk> chunks(std::max<std::size_t>(
+      (total + span - 1) / span, 1));
   {
     const obs::ScopedSpan dl_span("pipeline.detect.dl");
-    QueryScorer scorer(*model_, query_features);
-    std::size_t shortlist_pos = 0;
-    for (std::size_t i = 0; i < target.features.size(); ++i) {
-      if (is_cancelled(cancel)) {
-        outcome.cancelled = true;
-        break;
+    parallel_for(chunks.size(), config_.worker_threads, [&](std::size_t c) {
+      Stage1Chunk& chunk = chunks[c];
+      const std::size_t begin = c * span;
+      const std::size_t end = std::min(total, begin + span);
+      QueryScorer scorer(*model_, query_features);
+      std::size_t shortlist_pos = static_cast<std::size_t>(
+          std::lower_bound(shortlist.begin(), shortlist.end(), begin) -
+          shortlist.begin());
+      for (std::size_t i = begin; i < end; ++i) {
+        if (is_cancelled(cancel)) {
+          chunk.cancelled = true;
+          break;
+        }
+        bool shortlisted = true;
+        if (prefilter != retrieval::PrefilterMode::off) {
+          shortlisted = shortlist_pos < shortlist.size() &&
+                        shortlist[shortlist_pos] == i;
+          if (shortlisted) ++shortlist_pos;
+        }
+        const bool is_target =
+            target.binary->functions[i].source_uid == entry.target_uid;
+        if (prefilter == retrieval::PrefilterMode::on && !shortlisted) {
+          // Pruned before the model ran; a true match here is the
+          // prefilter's recall loss and lands in false_negatives like any
+          // stage-1 miss.
+          ++(is_target ? chunk.false_negatives : chunk.true_negatives);
+          continue;
+        }
+        const float score = scorer.score(target.features[i]);
+        const bool accepted = score >= config_.detection_threshold;
+        if (prefilter == retrieval::PrefilterMode::verify && accepted) {
+          ++chunk.exact_candidates;
+          if (shortlisted)
+            ++chunk.recalled;
+          else
+            chunk.verify_pruned.emplace_back(i, score);
+        }
+        if (accepted && shortlisted) {
+          chunk.candidates.push_back(i);
+          chunk.scores.push_back(score);
+          ++(is_target ? chunk.true_positives : chunk.false_positives);
+        } else {
+          ++(is_target ? chunk.false_negatives : chunk.true_negatives);
+        }
       }
-      bool shortlisted = true;
-      if (prefilter != retrieval::PrefilterMode::off) {
-        shortlisted = shortlist_pos < shortlist.size() &&
-                      shortlist[shortlist_pos] == i;
-        if (shortlisted) ++shortlist_pos;
-      }
-      const bool is_target =
-          target.binary->functions[i].source_uid == entry.target_uid;
-      if (prefilter == retrieval::PrefilterMode::on && !shortlisted) {
-        // Pruned before the model ran; a true match here is the prefilter's
-        // recall loss and lands in false_negatives like any stage-1 miss.
-        if (is_target)
-          ++outcome.false_negatives;
-        else
-          ++outcome.true_negatives;
-        continue;
-      }
-      const float score = scorer.score(target.features[i]);
-      const bool accepted = score >= config_.detection_threshold;
-      if (prefilter == retrieval::PrefilterMode::verify && accepted) {
-        ++outcome.prefilter_exact_candidates;
-        if (shortlisted)
-          ++outcome.prefilter_recalled;
-        else
-          verify_pruned.emplace_back(i, score);
-      }
-      if (accepted && shortlisted) {
-        outcome.candidates.push_back(i);
-        candidate_scores.push_back(score);
-        if (is_target)
-          ++outcome.true_positives;
-        else
-          ++outcome.false_positives;
-      } else {
-        if (is_target)
-          ++outcome.false_negatives;
-        else
-          ++outcome.true_negatives;
-      }
-    }
+    });
+  }
+  std::vector<float> candidate_scores;
+  std::vector<std::pair<std::size_t, float>> verify_pruned;  // exact-only hits
+  for (const Stage1Chunk& chunk : chunks) {
+    outcome.true_positives += chunk.true_positives;
+    outcome.true_negatives += chunk.true_negatives;
+    outcome.false_positives += chunk.false_positives;
+    outcome.false_negatives += chunk.false_negatives;
+    outcome.candidates.insert(outcome.candidates.end(),
+                              chunk.candidates.begin(), chunk.candidates.end());
+    candidate_scores.insert(candidate_scores.end(), chunk.scores.begin(),
+                            chunk.scores.end());
+    verify_pruned.insert(verify_pruned.end(), chunk.verify_pruned.begin(),
+                         chunk.verify_pruned.end());
+    outcome.prefilter_exact_candidates += chunk.exact_candidates;
+    outcome.prefilter_recalled += chunk.recalled;
+    outcome.cancelled = outcome.cancelled || chunk.cancelled;
   }
   outcome.dl_seconds = dl_watch.elapsed_seconds();
 
   // --- Stage 2: execution validation + dynamic ranking ----------------------
   // One pass per candidate: its first crashing environment prunes it, else
   // the same runs are its profile. Candidates are independent, so this fans
-  // out over worker threads (each thread runs on its own VM image).
+  // out over worker threads (each thread runs on its own VM image). The
+  // memo is only read here; this call's new results go in after the loop.
   Stopwatch da_watch;
   const Machine machine(*target.binary, config_.machine);
   std::vector<CandidateProfile> profiles;
   std::vector<std::optional<CandidateProfile>> slots(
       outcome.candidates.size());
   std::vector<std::int64_t> crash_envs(outcome.candidates.size(), -1);
+  std::vector<char> reused(outcome.candidates.size(), 0);
   {
     const obs::ScopedSpan exec_span("pipeline.detect.exec");
     parallel_for(outcome.candidates.size(), config_.worker_threads,
@@ -222,6 +271,17 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
                    // drain as no-ops so parallel_for still joins cleanly.
                    if (is_cancelled(cancel)) return;
                    const std::size_t index = outcome.candidates[c];
+                   if (memo != nullptr) {
+                     const auto hit = memo->results.find(index);
+                     if (hit != memo->results.end()) {
+                       reused[c] = 1;
+                       crash_envs[c] = hit->second.crash_env;
+                       if (hit->second.profile)
+                         slots[c] = CandidateProfile{
+                             index, *hit->second.profile, candidate_scores[c]};
+                       return;
+                     }
+                   }
                    std::size_t crash_env = 0;
                    std::optional<DynamicProfile> profile = profile_candidate(
                        machine, index, entry.environments, &crash_env);
@@ -232,9 +292,11 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
                    slots[c] = CandidateProfile{index, std::move(*profile),
                                                candidate_scores[c]};
                  });
+    // Survivors move into `profiles` in candidate order; a moved-from slot
+    // still reads as validated.
     profiles.reserve(slots.size());
-    for (const auto& slot : slots)
-      if (slot.has_value()) profiles.push_back(*slot);
+    for (auto& slot : slots)
+      if (slot.has_value()) profiles.push_back(std::move(*slot));
   }
   outcome.executed = profiles.size();
   {
@@ -266,6 +328,7 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   // Merge scored candidates with verify-mode prefilter-pruned hits, ascending
   // by function index (both inputs are already ascending).
   std::size_t pruned_pos = 0;
+  std::size_t survivor = 0;
   for (std::size_t c = 0; c < outcome.candidates.size(); ++c) {
     while (pruned_pos < verify_pruned.size() &&
            verify_pruned[pruned_pos].first < outcome.candidates[c]) {
@@ -283,7 +346,7 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
     record.crash_env = crash_envs[c];
     if (record.validated) {
       record.env_distances = per_env_distances(
-          query_profile, slots[c]->profile, config_.minkowski_p);
+          query_profile, profiles[survivor++].profile, config_.minkowski_p);
       for (std::size_t r = 0; r < outcome.ranking.size(); ++r) {
         if (outcome.ranking[r].function_index == outcome.candidates[c]) {
           record.distance = outcome.ranking[r].distance;
@@ -323,7 +386,21 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
          obs::Field::i64("rank_of_target", outcome.rank_of_target)});
   }
 
+  // This call's stage-2 results go into the memo (rewriting a reused one
+  // with the same value). A cancelled call skipped candidates, so it leaves
+  // the memo as it was.
+  if (memo != nullptr && !outcome.cancelled) {
+    for (CandidateProfile& survivor : profiles)
+      memo->results[survivor.function_index].profile =
+          std::move(survivor.profile);
+    for (std::size_t c = 0; c < crash_envs.size(); ++c)
+      if (crash_envs[c] >= 0)
+        memo->results[outcome.candidates[c]].crash_env = crash_envs[c];
+  }
+
   PipelineMetrics& metrics = PipelineMetrics::get();
+  metrics.profile_reuses.add(
+      static_cast<std::uint64_t>(std::count(reused.begin(), reused.end(), 1)));
   metrics.candidates_stage1.add(outcome.candidates.size());
   metrics.candidates_executed.add(outcome.executed);
   metrics.candidates_pruned.add(outcome.candidates.size() - outcome.executed);
@@ -395,18 +472,46 @@ PatchReport Patchecko::full_report(const CveEntry& entry,
   // patched version of the vulnerable function" — both references always
   // drive a search, because either one alone can miss (the vulnerable query
   // misses heavily-patched targets, the paper's CVE-2017-13209 case).
+  ProfileMemo memo;
   const DetectionOutcome from_vulnerable =
-      detect(entry, target, /*query_is_patched=*/false);
+      detect(entry, target, /*query_is_patched=*/false, nullptr, nullptr,
+             &memo);
   const DetectionOutcome from_patched =
-      detect(entry, target, /*query_is_patched=*/true);
-  return report_from(entry, target, from_vulnerable, from_patched);
+      detect(entry, target, /*query_is_patched=*/true, nullptr, nullptr,
+             &memo);
+  return report_from(entry, target, from_vulnerable, from_patched, nullptr,
+                     &memo);
+}
+
+void ProfileMemo::retain(const std::vector<std::size_t>& keep) {
+  for (auto it = results.begin(); it != results.end();)
+    it = std::find(keep.begin(), keep.end(), it->first) == keep.end()
+             ? results.erase(it)
+             : std::next(it);
+}
+
+std::vector<std::size_t> patch_pool(const DetectionOutcome& from_vulnerable,
+                                    const DetectionOutcome& from_patched,
+                                    std::size_t patch_candidates) {
+  std::vector<std::size_t> pool;
+  for (const DetectionOutcome* outcome : {&from_vulnerable, &from_patched}) {
+    const std::size_t considered =
+        std::min(patch_candidates, outcome->ranking.size());
+    for (std::size_t r = 0; r < considered; ++r) {
+      const std::size_t index = outcome->ranking[r].function_index;
+      if (std::find(pool.begin(), pool.end(), index) == pool.end())
+        pool.push_back(index);
+    }
+  }
+  return pool;
 }
 
 PatchReport Patchecko::report_from(const CveEntry& entry,
                                    const AnalyzedLibrary& target,
                                    const DetectionOutcome& from_vulnerable,
                                    const DetectionOutcome& from_patched,
-                                   const std::atomic<bool>* cancel) const {
+                                   const std::atomic<bool>* cancel,
+                                   const ProfileMemo* memo) const {
   const obs::ScopedSpan span("pipeline.patch");
   const Stopwatch watch;
   PatchReport report;
@@ -415,37 +520,46 @@ PatchReport Patchecko::report_from(const CveEntry& entry,
   // Pool the top candidates of both rankings; the differential subject is
   // the one nearest to *either* reference profile (a false positive is far
   // from both). No ground-truth knowledge is involved.
-  std::vector<std::size_t> pool;
-  for (const DetectionOutcome* outcome : {&from_vulnerable, &from_patched}) {
-    const std::size_t considered =
-        std::min(config_.patch_candidates, outcome->ranking.size());
-    for (std::size_t r = 0; r < considered; ++r) {
-      const std::size_t index = outcome->ranking[r].function_index;
-      if (std::find(pool.begin(), pool.end(), index) == pool.end())
-        pool.push_back(index);
-    }
-  }
+  const std::vector<std::size_t> pool =
+      patch_pool(from_vulnerable, from_patched, config_.patch_candidates);
   if (pool.empty()) {
     PipelineMetrics::get().patch_seconds.record(watch.elapsed_seconds());
     return report;
   }
 
-  const Machine machine(*target.binary, config_.machine);
   const ArchRefs* refs = entry.refs_for(target.binary->arch);
   const DynamicProfile& ref_vuln_profile =
       refs != nullptr ? refs->vulnerable_profile : entry.vulnerable_profile;
   const DynamicProfile& ref_patch_profile =
       refs != nullptr ? refs->patched_profile : entry.patched_profile;
   std::size_t best_slot = 0;
-  std::vector<DynamicProfile> profiles;  // index-aligned with report.pool
+  // Pool members are validated candidates, so a memo profile (all runs ok)
+  // is exactly what profile_function would return; only misses run, on a
+  // Machine built for the first of them.
+  std::optional<Machine> machine;
+  std::vector<DynamicProfile> computed;
+  std::vector<const DynamicProfile*> profiles;  // index-aligned with pool
   double best_distance = std::numeric_limits<double>::infinity();
   std::size_t best_effects = 0;
   report.pool.reserve(pool.size());
-  profiles.reserve(pool.size());
+  computed.reserve(pool.size());  // never reallocates: `profiles` points in
+  std::size_t reuses = 0;
   for (std::size_t index : pool) {
     if (is_cancelled(cancel)) break;
-    DynamicProfile profile =
-        profile_function(machine, index, entry.environments);
+    const DynamicProfile* memo_profile = nullptr;
+    if (memo != nullptr)
+      if (const auto hit = memo->results.find(index);
+          hit != memo->results.end() && hit->second.profile)
+        memo_profile = &*hit->second.profile;
+    if (memo_profile != nullptr) {
+      ++reuses;
+    } else {
+      if (!machine) machine.emplace(*target.binary, config_.machine);
+      computed.push_back(
+          profile_function(*machine, index, entry.environments));
+    }
+    const DynamicProfile& profile =
+        memo_profile != nullptr ? *memo_profile : computed.back();
     obs::PatchCandidateRecord member;
     member.function_index = index;
     member.distance_vulnerable =
@@ -470,8 +584,9 @@ PatchReport Patchecko::report_from(const CveEntry& entry,
       best_slot = report.pool.size();
     }
     report.pool.push_back(member);
-    profiles.push_back(std::move(profile));
+    profiles.push_back(&profile);
   }
+  PipelineMetrics::get().profile_reuses.add(reuses);
   if (report.pool.empty()) {
     // Cancelled before any pool member was profiled; no verdict to render.
     PipelineMetrics::get().patch_seconds.record(watch.elapsed_seconds());
@@ -480,7 +595,7 @@ PatchReport Patchecko::report_from(const CveEntry& entry,
   report.pool[best_slot].chosen = true;
   const std::size_t best = report.pool[best_slot].function_index;
   report.matched_function = best;
-  report.decision = decide_patch(entry, target, best, profiles[best_slot]);
+  report.decision = decide_patch(entry, target, best, *profiles[best_slot]);
   if (obs::events_enabled()) {
     const PatchDecision& decision = *report.decision;
     obs::EventLog::global().emit(

@@ -4,9 +4,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/cve_database.h"
@@ -42,6 +44,11 @@ struct PipelineConfig {
   /// the prefilter is on — index overhead only pays off past this size.
   std::size_t prefilter_min_total = 96;
 };
+
+/// Stage 1 scores a target in chunks of about this many model pairs, fanned
+/// out over `PipelineConfig::worker_threads`. A detect call that scores
+/// fewer pairs (a prefiltered shortlist) runs as one inline chunk.
+inline constexpr std::size_t stage1_chunk_pairs = 512;
 
 /// A target library with its static features precomputed (shared across all
 /// CVE queries against the same library).
@@ -116,6 +123,23 @@ struct DetectionOutcome {
   }
 };
 
+/// Stage-2 results of one CVE's candidates, keyed by function index: the
+/// profile of a validated candidate, or the first environment that crashed
+/// a pruned one. One memo covers one (CVE entry, target library, machine
+/// config) within one run, so the index alone is a complete key. Both detect
+/// directions of the CVE and its differential stage share it, so each
+/// candidate runs on the VM once (see DESIGN.md §19).
+struct ProfileMemo {
+  struct Result {
+    std::optional<DynamicProfile> profile;  ///< absent: crash-pruned
+    std::int64_t crash_env = -1;            ///< set when pruned
+  };
+  std::unordered_map<std::size_t, Result> results;
+
+  /// Drops every result whose function index is not in `keep`.
+  void retain(const std::vector<std::size_t>& keep);
+};
+
 /// Result of the differential stage plus the target it was applied to.
 struct PatchReport {
   std::string cve_id;
@@ -126,6 +150,12 @@ struct PatchReport {
   /// deterministically each run (patch jobs are never cached).
   std::vector<obs::PatchCandidateRecord> pool;
 };
+
+/// The differential stage's subjects: the top `patch_candidates` of each
+/// ranking, vulnerable query first, without repeats.
+std::vector<std::size_t> patch_pool(const DetectionOutcome& from_vulnerable,
+                                    const DetectionOutcome& from_patched,
+                                    std::size_t patch_candidates);
 
 class Patchecko {
  public:
@@ -138,13 +168,16 @@ class Patchecko {
   /// remaining work once it reads true (outcome.cancelled records that).
   /// `query_code`, when given, is the precomputed quantized form of the
   /// query's features (the corpus snapshot caches one per entry/direction);
-  /// when absent the prefilter quantizes on the fly.
+  /// when absent the prefilter quantizes on the fly. `memo`, when given,
+  /// serves candidates an earlier call on the same CVE already ran, and
+  /// receives the ones this call runs (nothing when cancelled).
   DetectionOutcome detect(const CveEntry& entry,
                           const AnalyzedLibrary& target,
                           bool query_is_patched,
                           const std::atomic<bool>* cancel = nullptr,
                           const retrieval::QuantizedVector* query_code =
-                              nullptr) const;
+                              nullptr,
+                          ProfileMemo* memo = nullptr) const;
 
   /// Differential stage on one matched target function.
   PatchDecision analyze_patch(const CveEntry& entry,
@@ -159,10 +192,12 @@ class Patchecko {
   /// Differential stage given already-computed detection outcomes for both
   /// query directions — the batch engine's patch jobs consume the (possibly
   /// cache-served) outcomes of its detect jobs through this entry point.
+  /// Pool members found in `memo` are not run again.
   PatchReport report_from(const CveEntry& entry, const AnalyzedLibrary& target,
                           const DetectionOutcome& from_vulnerable,
                           const DetectionOutcome& from_patched,
-                          const std::atomic<bool>* cancel = nullptr) const;
+                          const std::atomic<bool>* cancel = nullptr,
+                          const ProfileMemo* memo = nullptr) const;
 
   const PipelineConfig& config() const { return config_; }
 

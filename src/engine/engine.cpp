@@ -325,6 +325,10 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     if (!missing) jobs[entry_lib[e]].dependents.push_back(detect_id);
   }
 
+  // One stage-2 memo per entry: its detect job fills it, its patch job
+  // reads it. The scheduler's mutex orders the two, so it needs no lock.
+  std::vector<ProfileMemo> memos(entries.size());
+
   // --- per-run pipeline + digests ------------------------------------------
   PipelineConfig pipeline_config = config_.pipeline;
   pipeline_config.worker_threads = config_.jobs;
@@ -492,11 +496,16 @@ ScanReport ScanEngine::run(const ScanRequest& request,
             query_codes == nullptr
                 ? nullptr
                 : (query_is_patched ? &query_codes->patched
-                                    : &query_codes->vulnerable));
+                                    : &query_codes->vulnerable),
+            &memos[job.target]);
         // A cancelled outcome is partial; caching it would poison every
         // later warm run with the truncated result.
         if (caching && !outcome.cancelled) cache_.store_outcome(key, outcome);
       }
+      // The patch job needs only the differential pool's profiles.
+      memos[job.target].retain(patch_pool(result.from_vulnerable,
+                                          result.from_patched,
+                                          pipeline_config.patch_candidates));
       if (result.from_vulnerable.cancelled || result.from_patched.cancelled) {
         // An interrupt and a watchdog hard deadline share the cooperative
         // cancel mechanism; attribute the outcome to whichever fired.
@@ -510,9 +519,10 @@ ScanReport ScanEngine::run(const ScanRequest& request,
       const CveEntry& entry = *entries[job.target];
       const LibSlot& slot = libs[entry_lib[job.target]];
       CveScanResult& result = report.results[job.target];
-      result.report = pipeline.report_from(entry, slot.analyzed,
-                                           result.from_vulnerable,
-                                           result.from_patched, cancel);
+      result.report = pipeline.report_from(
+          entry, slot.analyzed, result.from_vulnerable, result.from_patched,
+          cancel, &memos[job.target]);
+      memos[job.target] = ProfileMemo{};
       if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
         if (interrupted())
           result.cancelled = true;

@@ -131,7 +131,7 @@ std::string summary_line(const Registry& registry, const Tracer* tracer,
       line, sizeof(line),
       "metrics: analyze %.2fs, dl %.2fs, exec %.2fs, patch %.2fs | cache "
       "%llu/%llu hits (%.1f%%) | candidates %llu -> %llu (%llu pruned) | "
-      "steals %llu/%llu tasks | vm %llu runs, %llu traps",
+      "steals %llu/%llu tasks | vm %llu runs, %llu reused, %llu traps",
       sum("pipeline.analyze_seconds"), sum("pipeline.dl_seconds"),
       sum("pipeline.da_seconds"), sum("pipeline.patch_seconds"),
       static_cast<unsigned long long>(hits),
@@ -145,6 +145,7 @@ std::string summary_line(const Registry& registry, const Tracer* tracer,
       static_cast<unsigned long long>(counter("pool.steals")),
       static_cast<unsigned long long>(counter("pool.completed")),
       static_cast<unsigned long long>(counter("vm.runs")),
+      static_cast<unsigned long long>(counter("vm.profile_reuses")),
       static_cast<unsigned long long>(counter("vm.traps")));
   std::string out = line;
   const std::uint64_t spans_dropped = tracer != nullptr ? tracer->dropped() : 0;

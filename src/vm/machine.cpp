@@ -224,8 +224,8 @@ class Execution {
 
     steps_ = 0;
     features_ = {};
-    depth_min_ = depth_max_ = depth_sum_ = depth_sq_sum_ = 0.0;
-    depth_count_ = 0;
+    depth_min_ = std::numeric_limits<std::uint64_t>::max();
+    depth_max_ = depth_sum_ = depth_sq_sum_ = 0;
   }
 
   // --- memory ----------------------------------------------------------------
@@ -402,12 +402,14 @@ class Execution {
 
     // Stack depth sample: the paper's traces bottom out at 2 (debugger +
     // target frame), which our single entry frame reproduces as frames+1.
-    const double depth = static_cast<double>(frames_.size()) + 1.0;
-    depth_min_ = depth_count_ == 0 ? depth : std::min(depth_min_, depth);
+    // Integer sums, converted once in finalize_features. At the default
+    // limits (depth <= 66, 2^20 steps) both stay below 2^53, where a running
+    // double sum is exact too, so the features are the same bits.
+    const std::uint64_t depth = frames_.size() + 1;
+    depth_min_ = std::min(depth_min_, depth);
     depth_max_ = std::max(depth_max_, depth);
     depth_sum_ += depth;
     depth_sq_sum_ += depth * depth;
-    ++depth_count_;
 
     const Opcode op = inst.op;
     const std::uint8_t classes = op_classes[static_cast<std::uint8_t>(op)];
@@ -429,13 +431,17 @@ class Execution {
   }
 
   void finalize_features() {
-    if (depth_count_ == 0) return;
-    features_.min_stack_depth = depth_min_;
-    features_.max_stack_depth = depth_max_;
-    const double mean = depth_sum_ / static_cast<double>(depth_count_);
+    // One depth sample per counted instruction.
+    const std::uint64_t samples = features_.instructions;
+    if (samples == 0) return;
+    features_.min_stack_depth = static_cast<double>(depth_min_);
+    features_.max_stack_depth = static_cast<double>(depth_max_);
+    const double mean =
+        static_cast<double>(depth_sum_) / static_cast<double>(samples);
     features_.avg_stack_depth = mean;
     const double var =
-        depth_sq_sum_ / static_cast<double>(depth_count_) - mean * mean;
+        static_cast<double>(depth_sq_sum_) / static_cast<double>(samples) -
+        mean * mean;
     features_.std_stack_depth = var > 0.0 ? std::sqrt(var) : 0.0;
   }
 
@@ -835,9 +841,8 @@ class Execution {
   std::vector<std::uint64_t> site_hits_;
   std::vector<std::size_t> site_offset_;
   std::vector<std::size_t> executed_;  ///< functions with site counters
-  double depth_min_ = 0.0, depth_max_ = 0.0, depth_sum_ = 0.0,
-         depth_sq_sum_ = 0.0;
-  std::uint64_t depth_count_ = 0;
+  std::uint64_t depth_min_ = 0, depth_max_ = 0, depth_sum_ = 0,
+                depth_sq_sum_ = 0;
 };
 
 }  // namespace

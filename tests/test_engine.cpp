@@ -932,6 +932,45 @@ TEST(Engine, ProvenanceSurvivesCacheRoundTrip) {
   EXPECT_EQ(warm_report.provenance_jsonl(), cold);
 }
 
+// Only the vulnerable direction is in the cache: the detect job runs the
+// patched direction alone, so its memo lacks the vulnerable ranking's pool
+// members and the patch job must profile those itself. The report must still
+// be a cold run's.
+TEST(Engine, PartialOutcomeCacheHitStillProfiles) {
+  const EngineUniverse& u = universe();
+  const std::string dir = scratch_dir("engine_partial_hit");
+  EngineConfig config;
+  config.jobs = 4;
+  config.cache_dir = dir;
+  {
+    ResultCache cache(dir);
+    const Patchecko pipeline(&u.model, config.pipeline);
+    const Digest model = digest_model(u.model);
+    const Digest pipeline_config = digest_pipeline_config(config.pipeline);
+    for (const std::string& cve : u.some_cves) {
+      const CveEntry& entry = u.database->by_id(cve);
+      for (const LibraryBinary& library : u.firmware.libraries) {
+        if (library.name != entry.spec.library) continue;
+        const AnalyzedLibrary analyzed = analyze_library(library);
+        cache.store_outcome(
+            outcome_cache_key(digest_library(library), model, pipeline_config,
+                              digest_entry(entry), /*query_is_patched=*/false),
+            pipeline.detect(entry, analyzed, /*query_is_patched=*/false));
+      }
+    }
+  }
+
+  EngineConfig cold_config = config;
+  cold_config.use_cache = false;
+  const ScanReport cold = ScanEngine(cold_config).run(u.request());
+  const ScanReport partial = ScanEngine(config).run(u.request());
+  ASSERT_FALSE(partial.results.empty());
+  EXPECT_EQ(partial.cache.outcome_hits, partial.results.size());
+  EXPECT_EQ(partial.cache.outcome_misses, partial.results.size());
+  EXPECT_EQ(partial.canonical_text(), cold.canonical_text());
+  EXPECT_EQ(partial.provenance_jsonl(), cold.provenance_jsonl());
+}
+
 TEST(Engine, InterruptAlreadySetSkipsEveryJob) {
   // A SIGINT that lands before the first job launches must still produce a
   // (fully partial) report: every job cancelled, nothing executed.

@@ -4,10 +4,18 @@
 // one-integer miss, and the cross-device patch-gap signal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "core/pipeline.h"
 #include "dl/trainer.h"
+#include "obs/decision.h"
+#include "obs/metrics.h"
 
 namespace patchecko {
 namespace {
@@ -43,6 +51,76 @@ struct Universe {
 const Universe& universe() {
   static Universe instance;
   return instance;
+}
+
+// libwebview at a scale where it spans more than three stage-1 chunks plus a
+// ragged tail, with the retrieval index built for the prefilter modes.
+struct LargeTarget {
+  std::unique_ptr<EvalCorpus> corpus;
+  std::unique_ptr<CveDatabase> database;
+  LibraryBinary library;
+  AnalyzedLibrary analyzed;
+
+  LargeTarget() {
+    EvalConfig eval;
+    eval.scale = 0.12;
+    corpus = std::make_unique<EvalCorpus>(eval);
+    database = std::make_unique<CveDatabase>(*corpus, DatabaseConfig{});
+    const CveEntry& entry = database->by_id("CVE-2018-9498");
+    library =
+        corpus->compile_for_device(entry.library_index, android_things_device());
+    analyzed = analyze_library(library, 1, /*build_retrieval_index=*/true);
+  }
+};
+
+const LargeTarget& large_target() {
+  static LargeTarget instance;
+  return instance;
+}
+
+/// Every stage-1 and stage-2 field of an outcome, scores and distances as
+/// exact bits (via the provenance line), so equal text is equal outcomes.
+std::string outcome_text(const DetectionOutcome& outcome) {
+  std::ostringstream out;
+  out << outcome.total << ' ' << outcome.true_positives << ' '
+      << outcome.true_negatives << ' ' << outcome.false_positives << ' '
+      << outcome.false_negatives << ' ' << outcome.executed << ' '
+      << outcome.rank_of_target << ' ' << outcome.prefilter_shortlist << ' '
+      << outcome.prefilter_exact_candidates << ' '
+      << outcome.prefilter_recalled << ' ' << outcome.cancelled << '\n';
+  for (std::size_t index : outcome.candidates) out << index << ',';
+  out << '\n';
+  for (const RankedCandidate& ranked : outcome.ranking) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &ranked.distance, sizeof(bits));
+    out << ranked.function_index << ':' << bits << ' ';
+  }
+  obs::DecisionRecord record;
+  record.from_vulnerable = outcome.provenance;
+  out << '\n' << obs::decision_jsonl_line(record);
+  return out.str();
+}
+
+/// The differential stage's output, distances as exact bits.
+std::string report_text(const PatchReport& report) {
+  obs::DecisionRecord record;
+  record.pool = report.pool;
+  std::ostringstream out;
+  out << obs::decision_jsonl_line(record) << '\n';
+  if (report.matched_function) out << *report.matched_function;
+  if (report.decision) {
+    const PatchDecision& decision = *report.decision;
+    out << ' ' << static_cast<int>(decision.verdict) << ' '
+        << decision.votes_vulnerable << ' ' << decision.votes_patched;
+    for (const double value : {decision.dynamic_distance_vulnerable,
+                               decision.dynamic_distance_patched}) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      out << ' ' << bits;
+    }
+    for (const std::string& note : decision.evidence) out << '\n' << note;
+  }
+  return out.str();
 }
 
 TEST(Pipeline, ModelQualityInPaperBand) {
@@ -192,6 +270,155 @@ TEST(Pipeline, CrossDeviceScanFindsPatchGap) {
       ++pixel_vulnerable;
   }
   EXPECT_GT(pixel_vulnerable, things_vulnerable);
+}
+
+// Stage 1 scores in chunks across workers; the merged outcome must be the
+// same bits at every worker count and match a serial one-scorer pass, in
+// every prefilter mode, including the `on` mode with a shortlist long
+// enough to split into chunks.
+TEST(Pipeline, ChunkedStage1MatchesSerial) {
+  const Universe& u = universe();
+  const LargeTarget& large = large_target();
+  const std::size_t total = large.analyzed.features.size();
+  ASSERT_GT(total, 3 * stage1_chunk_pairs);
+  ASSERT_NE(total % stage1_chunk_pairs, 0u);
+  const CveEntry& entry = large.database->by_id("CVE-2018-9498");
+
+  struct Mode {
+    retrieval::PrefilterMode mode;
+    std::size_t top_k;
+  };
+  const Mode modes[] = {{retrieval::PrefilterMode::off, 32},
+                        {retrieval::PrefilterMode::on, 32},
+                        {retrieval::PrefilterMode::on, 2 * stage1_chunk_pairs},
+                        {retrieval::PrefilterMode::verify, 32}};
+  for (const Mode& mode : modes) {
+    for (const bool query_is_patched : {false, true}) {
+      std::string texts[2];
+      DetectionOutcome chunked;
+      for (const unsigned threads : {1u, 4u}) {
+        PipelineConfig config;
+        config.worker_threads = threads;
+        config.prefilter_mode = mode.mode;
+        config.prefilter_top_k = mode.top_k;
+        const Patchecko pipeline(&u.model, config);
+        const DetectionOutcome outcome =
+            pipeline.detect(entry, large.analyzed, query_is_patched);
+        EXPECT_FALSE(outcome.cancelled);
+        EXPECT_EQ(outcome.prefilter_mode, mode.mode);
+        EXPECT_EQ(outcome.true_positives + outcome.true_negatives +
+                      outcome.false_positives + outcome.false_negatives,
+                  static_cast<int>(total));
+        EXPECT_TRUE(std::is_sorted(outcome.candidates.begin(),
+                                   outcome.candidates.end()));
+        texts[threads == 1 ? 0 : 1] = outcome_text(outcome);
+        chunked = outcome;
+      }
+      const std::string where = "mode " +
+                                std::to_string(static_cast<int>(mode.mode)) +
+                                " top_k " + std::to_string(mode.top_k) +
+                                " patched " + std::to_string(query_is_patched);
+      EXPECT_EQ(texts[0], texts[1]) << where;
+
+      // Serial reference: one scorer over the pairs stage 1 scores, in
+      // index order, classified through the shortlist.
+      const StaticFeatureVector& query = query_is_patched
+                                             ? entry.patched_features
+                                             : entry.vulnerable_features;
+      std::vector<bool> shortlisted(
+          total, mode.mode == retrieval::PrefilterMode::off);
+      if (mode.mode != retrieval::PrefilterMode::off)
+        for (const std::uint32_t i : large.analyzed.index->top_k(
+                 retrieval::quantize(query), mode.top_k))
+          shortlisted[i] = true;
+      QueryScorer scorer(u.model, query);
+      std::vector<std::size_t> candidates;
+      std::vector<float> scores;
+      std::size_t exact = 0;
+      for (std::size_t i = 0; i < total; ++i) {
+        if (mode.mode == retrieval::PrefilterMode::on && !shortlisted[i])
+          continue;
+        const float score = scorer.score(large.analyzed.features[i]);
+        if (score < PipelineConfig{}.detection_threshold) continue;
+        ++exact;
+        if (!shortlisted[i]) continue;
+        candidates.push_back(i);
+        scores.push_back(score);
+      }
+      EXPECT_EQ(chunked.candidates, candidates) << where;
+      std::vector<float> chunked_scores;
+      for (const obs::CandidateRecord& record :
+           chunked.provenance.candidates)
+        if (!record.prefiltered)
+          chunked_scores.push_back(static_cast<float>(record.dl_score));
+      EXPECT_EQ(chunked_scores, scores) << where;
+      if (mode.mode == retrieval::PrefilterMode::verify) {
+        EXPECT_EQ(chunked.prefilter_exact_candidates, exact) << where;
+      }
+    }
+  }
+
+  // A token that is already set cancels every chunk; detect still returns.
+  PipelineConfig config;
+  config.worker_threads = 4;
+  const Patchecko pipeline(&u.model, config);
+  const std::atomic<bool> cancel{true};
+  DetectionOutcome outcome;
+  EXPECT_NO_THROW(outcome = pipeline.detect(entry, large.analyzed, false,
+                                            &cancel));
+  EXPECT_TRUE(outcome.cancelled);
+  EXPECT_TRUE(outcome.candidates.empty());
+}
+
+// full_report shares one memo between its detect directions and the
+// differential stage; the report must be the memo-less one, bit for bit,
+// while the patched direction and the patch stage reuse VM runs.
+TEST(Pipeline, ProfileMemoIsBitIdentical) {
+  const Universe& u = universe();
+  const Patchecko pipeline(&u.model);
+  const obs::EnabledScope on(true);
+  obs::Counter& runs = obs::Registry::global().counter("vm.runs");
+  obs::Counter& reuses = obs::Registry::global().counter("vm.profile_reuses");
+  std::uint64_t plain_runs = 0, memo_runs = 0, patch_runs = 0;
+  std::uint64_t memo_reuses = 0;
+  for (const CveEntry& entry : u.database->entries()) {
+    const AnalyzedLibrary& target = u.analyzed[entry.library_index];
+    std::uint64_t before = runs.value();
+    const DetectionOutcome plain_vulnerable =
+        pipeline.detect(entry, target, /*query_is_patched=*/false);
+    const DetectionOutcome plain_patched =
+        pipeline.detect(entry, target, /*query_is_patched=*/true);
+    const PatchReport plain = pipeline.report_from(
+        entry, target, plain_vulnerable, plain_patched);
+    plain_runs += runs.value() - before;
+
+    before = runs.value();
+    const std::uint64_t reuses_before = reuses.value();
+    ProfileMemo memo;
+    const DetectionOutcome memo_vulnerable =
+        pipeline.detect(entry, target, false, nullptr, nullptr, &memo);
+    const DetectionOutcome memo_patched =
+        pipeline.detect(entry, target, true, nullptr, nullptr, &memo);
+    const std::uint64_t patch_before = runs.value();
+    const PatchReport memoized = pipeline.report_from(
+        entry, target, memo_vulnerable, memo_patched, nullptr, &memo);
+    patch_runs += runs.value() - patch_before;
+    memo_runs += runs.value() - before;
+    memo_reuses += reuses.value() - reuses_before;
+
+    EXPECT_EQ(outcome_text(memo_vulnerable), outcome_text(plain_vulnerable))
+        << entry.spec.cve_id;
+    EXPECT_EQ(outcome_text(memo_patched), outcome_text(plain_patched))
+        << entry.spec.cve_id;
+    EXPECT_EQ(report_text(memoized), report_text(plain)) << entry.spec.cve_id;
+    EXPECT_EQ(report_text(pipeline.full_report(entry, target)),
+              report_text(plain))
+        << entry.spec.cve_id;
+  }
+  // Every pool member is a validated candidate detect already ran.
+  EXPECT_EQ(patch_runs, 0u);
+  EXPECT_GT(memo_reuses, 0u);
+  EXPECT_LT(memo_runs, plain_runs);
 }
 
 }  // namespace

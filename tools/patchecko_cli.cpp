@@ -593,13 +593,16 @@ int cmd_scan(const Args& args) {
           pipeline_config.prefilter_mode != retrieval::PrefilterMode::off);
     // Both query directions run explicitly (full_report's exact workflow)
     // so the outcomes — and their decision provenance — are in hand.
+    ProfileMemo memo;
     result.from_vulnerable =
-        pipeline.detect(entry, cached->second, /*query_is_patched=*/false);
+        pipeline.detect(entry, cached->second, /*query_is_patched=*/false,
+                        nullptr, nullptr, &memo);
     result.from_patched =
-        pipeline.detect(entry, cached->second, /*query_is_patched=*/true);
-    result.report = pipeline.report_from(entry, cached->second,
-                                         result.from_vulnerable,
-                                         result.from_patched);
+        pipeline.detect(entry, cached->second, /*query_is_patched=*/true,
+                        nullptr, nullptr, &memo);
+    result.report =
+        pipeline.report_from(entry, cached->second, result.from_vulnerable,
+                             result.from_patched, nullptr, &memo);
     const PatchReport& report = result.report;
     if (!report.decision) {
       std::printf("%-16s %-18s no match\n", entry.spec.cve_id.c_str(),
