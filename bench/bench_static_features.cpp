@@ -1,6 +1,7 @@
 // Table I companion + microbenchmarks: the 48 static features with a sample
 // extraction, and google-benchmark timings for CFG recovery and feature
-// extraction (the per-function cost of the paper's IDA plugin analog).
+// extraction (the per-function cost of the paper's IDA plugin analog),
+// with the extractor's heap allocations per function.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -8,6 +9,8 @@
 #include "compiler/compiler.h"
 #include "features/static_features.h"
 #include "harness.h"
+#include "obs/metrics.h"
+#include "obs/resource.h"
 #include "source/generator.h"
 #include "util/table.h"
 
@@ -35,12 +38,22 @@ BENCHMARK(BM_BuildCfg);
 
 void BM_ExtractStaticFeatures(benchmark::State& state) {
   const LibraryBinary& library = sample_library();
+  // Warm the thread's extractor scratch on the whole library first.
+  for (const FunctionBinary& fn : library.functions)
+    benchmark::DoNotOptimize(extract_static_features(fn));
+  const obs::EnabledScope count_allocations(true);
+  const std::uint64_t allocations_before = obs::thread_allocation_count();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         extract_static_features(library.functions[i]));
     i = (i + 1) % library.functions.size();
   }
+  // Heap allocations per extracted function once warm.
+  state.counters["allocs_per_function"] =
+      static_cast<double>(obs::thread_allocation_count() -
+                          allocations_before) /
+      static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_ExtractStaticFeatures);
 

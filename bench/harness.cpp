@@ -2,6 +2,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -168,15 +169,29 @@ class CapturingReporter : public benchmark::ConsoleReporter {
       row.name = run.benchmark_name();
       row.set("real_ns", run.GetAdjustedRealTime());
       row.set("cpu_ns", run.GetAdjustedCPUTime());
+      // User counters (state.counters[...]) ride along as extra metrics,
+      // already finalized by the runner (rates divided, averages taken). A
+      // rate (items_per_second, ...) is a throughput: higher is better.
+      for (const auto& [name, counter] : run.counters) {
+        row.set(name, counter.value);
+        if ((counter.flags & benchmark::Counter::kIsRate) != 0 &&
+            std::find(higher_is_better_.begin(), higher_is_better_.end(),
+                      name) == higher_is_better_.end())
+          higher_is_better_.push_back(name);
+      }
       rows_.push_back(std::move(row));
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
   }
 
   const std::vector<BenchRow>& rows() const { return rows_; }
+  const std::vector<std::string>& higher_is_better() const {
+    return higher_is_better_;
+  }
 
  private:
   std::vector<BenchRow> rows_;
+  std::vector<std::string> higher_is_better_;
 };
 
 }  // namespace
@@ -186,7 +201,9 @@ int run_gbench_to_json(const std::string& bench, int* argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(*argc, argv)) return 1;
   CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  return write_bench_json(bench, reporter.rows()) ? 0 : 1;
+  return write_bench_json(bench, reporter.rows(), reporter.higher_is_better())
+             ? 0
+             : 1;
 }
 
 }  // namespace patchecko::bench

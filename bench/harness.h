@@ -97,9 +97,10 @@ bool write_bench_json(const std::string& bench,
                       const std::vector<std::string>& higher_is_better = {});
 
 /// Runs google-benchmark (Initialize + RunSpecifiedBenchmarks) and captures
-/// each benchmark's real/CPU ns into BENCH_<bench>.json alongside the normal
-/// console output. Returns the process exit status (nonzero when the JSON
-/// could not be written).
+/// each benchmark's real/CPU ns, plus its user counters, into
+/// BENCH_<bench>.json alongside the normal console output. Rate counters
+/// (items_per_second, ...) are listed as higher-is-better. Returns the
+/// process exit status (nonzero when the JSON could not be written).
 int run_gbench_to_json(const std::string& bench, int* argc, char** argv);
 
 }  // namespace patchecko::bench

@@ -1,49 +1,56 @@
 #include "binary/cfg.h"
 
-#include <algorithm>
-#include <set>
-
 namespace patchecko {
 
-Cfg build_cfg(const FunctionBinary& function) {
-  Cfg cfg;
+void build_cfg(const FunctionBinary& function, Cfg& cfg) {
   const auto& code = function.code;
   const std::size_t n = code.size();
-  if (n == 0) return cfg;
+  cfg.blocks.clear();
+  if (n == 0) {
+    cfg.block_of.clear();
+    cfg.graph.reset(0);
+    return;
+  }
 
   // --- Leaders: entry, branch targets, jump-table entries, fallthroughs of
-  // control transfers.
-  std::set<std::size_t> leaders{0};
+  // control transfers. block_of doubles as the leader marker array (nonzero
+  // = leader) until the block pass below overwrites it; the entry is always
+  // a leader and needs no mark.
+  std::vector<std::size_t>& leader = cfg.block_of;
+  leader.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const Instruction& inst = code[i];
     if (is_conditional_branch(inst.op) || inst.op == Opcode::jmp) {
       if (inst.target >= 0 && static_cast<std::size_t>(inst.target) < n)
-        leaders.insert(static_cast<std::size_t>(inst.target));
-      if (i + 1 < n) leaders.insert(i + 1);
+        leader[static_cast<std::size_t>(inst.target)] = 1;
+      if (i + 1 < n) leader[i + 1] = 1;
     } else if (inst.op == Opcode::jmpi) {
       const auto table_id = static_cast<std::size_t>(inst.imm);
       if (table_id < function.jump_tables.size())
         for (std::int32_t entry : function.jump_tables[table_id])
           if (entry >= 0 && static_cast<std::size_t>(entry) < n)
-            leaders.insert(static_cast<std::size_t>(entry));
-      if (i + 1 < n) leaders.insert(i + 1);
+            leader[static_cast<std::size_t>(entry)] = 1;
+      if (i + 1 < n) leader[i + 1] = 1;
     } else if (inst.op == Opcode::ret) {
-      if (i + 1 < n) leaders.insert(i + 1);
+      if (i + 1 < n) leader[i + 1] = 1;
     }
   }
 
-  // --- Blocks: consecutive leader-to-leader ranges.
-  std::vector<std::size_t> starts(leaders.begin(), leaders.end());
-  cfg.block_of.assign(n, 0);
-  for (std::size_t b = 0; b < starts.size(); ++b) {
-    BasicBlock block;
-    block.first = starts[b];
-    block.last = (b + 1 < starts.size()) ? starts[b + 1] - 1 : n - 1;
-    for (std::size_t i = block.first; i <= block.last; ++i)
-      cfg.block_of[i] = b;
-    cfg.blocks.push_back(block);
-    cfg.graph.add_node();
+  // --- Blocks: consecutive leader-to-leader ranges. Position i's marker is
+  // read before block_of[i] is written, so one pass does both.
+  cfg.blocks.push_back(BasicBlock{});
+  cfg.block_of[0] = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (leader[i] != 0) {
+      cfg.blocks.back().last = i - 1;
+      BasicBlock block;
+      block.first = i;
+      cfg.blocks.push_back(block);
+    }
+    cfg.block_of[i] = cfg.blocks.size() - 1;
   }
+  cfg.blocks.back().last = n - 1;
+  cfg.graph.reset(cfg.blocks.size());
 
   // --- Edges + block kinds.
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
@@ -106,7 +113,11 @@ Cfg build_cfg(const FunctionBinary& function) {
     else if (has_libcall)
       block.kind = BlockKind::external;
   }
+}
 
+Cfg build_cfg(const FunctionBinary& function) {
+  Cfg cfg;
+  build_cfg(function, cfg);
   return cfg;
 }
 

@@ -42,8 +42,13 @@ struct Cfg {
   std::size_t block_count() const { return blocks.size(); }
 };
 
-/// Recovers the CFG of a compiled function. Handles empty functions (no
-/// blocks) gracefully.
+/// Recovers the CFG of a compiled function into `out`, reusing its storage:
+/// rebuilding into a Cfg that already holds enough capacity (for example,
+/// one that held the same function before) makes no heap allocation.
+/// Handles empty functions (no blocks) gracefully.
+void build_cfg(const FunctionBinary& function, Cfg& out);
+
+/// Recovers the CFG of a compiled function into fresh storage.
 Cfg build_cfg(const FunctionBinary& function);
 
 }  // namespace patchecko

@@ -1,7 +1,8 @@
 #include "features/static_features.h"
 
+#include <algorithm>
+#include <bitset>
 #include <cmath>
-#include <set>
 
 #include "util/stats.h"
 
@@ -28,35 +29,94 @@ std::string_view static_feature_name(std::size_t index) {
   return index < names.size() ? names[index] : "unknown";
 }
 
-StaticFeatureVector extract_static_features(const FunctionBinary& function) {
-  return extract_static_features(function, build_cfg(function));
+namespace {
+
+// Per-thread working storage of the extractor. Every container keeps its
+// capacity from call to call, so a thread that has extracted a function
+// extracts it again, or any function that fits, without heap allocation.
+struct ExtractScratch {
+  Cfg cfg;
+  std::vector<std::int32_t> code_refs;
+  std::vector<double> insts_per_block, bytes_per_block, calls_per_block,
+      arith_per_block, fp_per_block;
+  BrandesScratch brandes;
+};
+
+ExtractScratch& thread_scratch() {
+  thread_local ExtractScratch scratch;
+  return scratch;
 }
 
-StaticFeatureVector extract_static_features(const FunctionBinary& function,
-                                            const Cfg& cfg) {
+StaticFeatureVector extract(const FunctionBinary& function, const Cfg& cfg,
+                            ExtractScratch& scratch) {
   StaticFeatureVector f{};
   const auto& code = function.code;
 
-  // --- whole-function counters ------------------------------------------------
-  double num_constant = 0, num_string = 0, num_cx = 0;
-  std::set<LibFn> imports;
-  std::set<std::int32_t> code_refs;
+  // --- one pass over the code, block by block -------------------------------
+  // The blocks partition the code, so this visits every instruction once,
+  // in order, classifying it for both the whole-function counters and its
+  // block's samples.
+  const std::size_t block_count = cfg.block_count();
+  scratch.code_refs.clear();
+  scratch.insts_per_block.resize(block_count);
+  scratch.bytes_per_block.resize(block_count);
+  scratch.calls_per_block.resize(block_count);
+  scratch.arith_per_block.resize(block_count);
+  scratch.fp_per_block.resize(block_count);
+  std::int64_t num_constant = 0, num_string = 0, num_cx = 0, size_fun = 0;
+  // One bit per LibFn byte value: static_cast<LibFn> truncates imm to it.
+  std::bitset<256> imports;
   bool has_fp = false;
-  for (const Instruction& inst : code) {
-    if (inst.op == Opcode::ldi) ++num_constant;
-    if (inst.op == Opcode::ldstr) ++num_string;
-    if (is_call(inst.op)) ++num_cx;
-    if (inst.op == Opcode::libcall)
-      imports.insert(static_cast<LibFn>(inst.imm));
-    if (is_fp_arith(inst.op)) has_fp = true;
-    if (inst.target >= 0) code_refs.insert(inst.target);
-    if (inst.op == Opcode::jmpi) {
-      const auto table_id = static_cast<std::size_t>(inst.imm);
-      if (table_id < function.jump_tables.size())
-        for (std::int32_t entry : function.jump_tables[table_id])
-          code_refs.insert(entry);
+  std::array<double, 8> kind_counts{};
+  for (std::size_t b = 0; b < block_count; ++b) {
+    const BasicBlock& block = cfg.blocks[b];
+    std::int64_t calls = 0, arith = 0, fp = 0, bytes = 0;
+    for (std::size_t i = block.first; i <= block.last; ++i) {
+      const Instruction& inst = code[i];
+      switch (inst.op) {
+        case Opcode::ldi: ++num_constant; break;
+        case Opcode::ldstr: ++num_string; break;
+        case Opcode::call:
+        case Opcode::callr:
+          ++num_cx;
+          ++calls;
+          break;
+        case Opcode::libcall:
+          imports.set(static_cast<std::uint8_t>(static_cast<LibFn>(inst.imm)));
+          ++calls;
+          break;
+        case Opcode::syscall: ++calls; break;
+        case Opcode::jmpi: {
+          const auto table_id = static_cast<std::size_t>(inst.imm);
+          if (table_id < function.jump_tables.size())
+            for (std::int32_t entry : function.jump_tables[table_id])
+              scratch.code_refs.push_back(entry);
+          break;
+        }
+        default:
+          if (is_int_arith(inst.op)) {
+            ++arith;
+          } else if (is_fp_arith(inst.op)) {
+            ++fp;
+            has_fp = true;
+          }
+          break;
+      }
+      if (inst.target >= 0) scratch.code_refs.push_back(inst.target);
+      bytes += encoded_size(inst, function.arch);
     }
+    size_fun += bytes;
+    scratch.insts_per_block[b] = static_cast<double>(block.instruction_count());
+    scratch.bytes_per_block[b] = static_cast<double>(bytes);
+    scratch.calls_per_block[b] = static_cast<double>(calls);
+    scratch.arith_per_block[b] = static_cast<double>(arith);
+    scratch.fp_per_block[b] = static_cast<double>(fp);
+    kind_counts[static_cast<std::size_t>(block.kind)] += 1.0;
   }
+  std::sort(scratch.code_refs.begin(), scratch.code_refs.end());
+  const auto distinct_refs =
+      std::unique(scratch.code_refs.begin(), scratch.code_refs.end()) -
+      scratch.code_refs.begin();
 
   // fun_flag: a small bitmask of structural properties (the paper's IDA
   // FUNC_* flags analog).
@@ -66,42 +126,19 @@ StaticFeatureVector extract_static_features(const FunctionBinary& function,
   if (has_fp) fun_flag += 4.0;
   if (function.frame_size > 0) fun_flag += 8.0;
 
-  f[0] = num_constant;
-  f[1] = num_string;
+  f[0] = static_cast<double>(num_constant);
+  f[1] = static_cast<double>(num_string);
   f[2] = static_cast<double>(code.size());
   f[3] = static_cast<double>(function.frame_size);
   f[4] = fun_flag;
-  f[5] = static_cast<double>(imports.size());
-  f[6] = static_cast<double>(code_refs.size());
-  f[7] = num_cx;
-  f[8] = static_cast<double>(function.byte_size());
+  f[5] = static_cast<double>(imports.count());
+  f[6] = static_cast<double>(distinct_refs);
+  f[7] = static_cast<double>(num_cx);
+  f[8] = static_cast<double>(size_fun);
 
   // --- per-basic-block statistics ---------------------------------------------
-  std::vector<double> insts_per_block, bytes_per_block, calls_per_block,
-      arith_per_block, fp_per_block;
-  std::array<double, 8> kind_counts{};
-  for (const BasicBlock& block : cfg.blocks) {
-    double calls = 0, arith = 0, fp = 0, bytes = 0;
-    for (std::size_t i = block.first; i <= block.last; ++i) {
-      const Instruction& inst = code[i];
-      if (is_call(inst.op) || inst.op == Opcode::libcall ||
-          inst.op == Opcode::syscall)
-        ++calls;
-      if (is_int_arith(inst.op)) ++arith;
-      if (is_fp_arith(inst.op)) ++fp;
-      bytes += static_cast<double>(encoded_size(inst, function.arch));
-    }
-    insts_per_block.push_back(
-        static_cast<double>(block.instruction_count()));
-    bytes_per_block.push_back(bytes);
-    calls_per_block.push_back(calls);
-    arith_per_block.push_back(arith);
-    fp_per_block.push_back(fp);
-    kind_counts[static_cast<std::size_t>(block.kind)] += 1.0;
-  }
-
-  const Summary inst_summary = summarize(insts_per_block);
-  const Summary byte_summary = summarize(bytes_per_block);
+  const Summary inst_summary = summarize(scratch.insts_per_block);
+  const Summary byte_summary = summarize(scratch.bytes_per_block);
   f[9] = inst_summary.min;
   f[10] = inst_summary.max;
   f[11] = inst_summary.mean;
@@ -110,27 +147,27 @@ StaticFeatureVector extract_static_features(const FunctionBinary& function,
   f[14] = byte_summary.max;
   f[15] = byte_summary.mean;
   f[16] = byte_summary.stddev;
-  f[17] = static_cast<double>(cfg.block_count());
+  f[17] = static_cast<double>(block_count);
   f[18] = static_cast<double>(cfg.graph.edge_count());
   f[19] = static_cast<double>(cfg.graph.cyclomatic_complexity());
   for (std::size_t k = 0; k < kind_counts.size(); ++k)
     f[20 + k] = kind_counts[k];
 
-  const Summary call_summary = summarize(calls_per_block);
+  const Summary call_summary = summarize(scratch.calls_per_block);
   f[28] = call_summary.min;
   f[29] = call_summary.max;
   f[30] = call_summary.mean;
   f[31] = call_summary.stddev;
   f[32] = call_summary.sum;
 
-  const Summary arith_summary = summarize(arith_per_block);
+  const Summary arith_summary = summarize(scratch.arith_per_block);
   f[33] = arith_summary.min;
   f[34] = arith_summary.max;
   f[35] = arith_summary.mean;
   f[36] = arith_summary.stddev;
   f[37] = arith_summary.sum;
 
-  const Summary fp_summary = summarize(fp_per_block);
+  const Summary fp_summary = summarize(scratch.fp_per_block);
   f[38] = fp_summary.min;
   f[39] = fp_summary.max;
   f[40] = fp_summary.mean;
@@ -138,7 +175,8 @@ StaticFeatureVector extract_static_features(const FunctionBinary& function,
   f[42] = fp_summary.sum;
 
   // --- betweenness centrality over the CFG --------------------------------------
-  const std::vector<double> centrality = betweenness_centrality(cfg.graph);
+  const std::span<const double> centrality =
+      betweenness_centrality(cfg.graph, scratch.brandes);
   const Summary cent_summary = summarize(centrality);
   double zero_centrality = 0;
   for (double c : centrality)
@@ -150,6 +188,19 @@ StaticFeatureVector extract_static_features(const FunctionBinary& function,
   f[47] = zero_centrality;
 
   return f;
+}
+
+}  // namespace
+
+StaticFeatureVector extract_static_features(const FunctionBinary& function) {
+  ExtractScratch& scratch = thread_scratch();
+  build_cfg(function, scratch.cfg);
+  return extract(function, scratch.cfg, scratch);
+}
+
+StaticFeatureVector extract_static_features(const FunctionBinary& function,
+                                            const Cfg& cfg) {
+  return extract(function, cfg, thread_scratch());
 }
 
 void FeatureNormalizer::fit(const std::vector<StaticFeatureVector>& corpus) {

@@ -85,59 +85,6 @@ std::string_view opcode_name(Opcode op) {
   return "unknown";
 }
 
-bool is_int_arith(Opcode op) {
-  switch (op) {
-    case Opcode::add: case Opcode::sub: case Opcode::mul:
-    case Opcode::divi: case Opcode::modi: case Opcode::neg:
-    case Opcode::andi: case Opcode::ori: case Opcode::xori:
-    case Opcode::shl: case Opcode::shr: case Opcode::cmp:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_fp_arith(Opcode op) {
-  switch (op) {
-    case Opcode::fadd: case Opcode::fsub: case Opcode::fmul:
-    case Opcode::fdiv: case Opcode::fneg: case Opcode::cvtif:
-    case Opcode::cvtfi:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_arith(Opcode op) { return is_int_arith(op) || is_fp_arith(op); }
-
-bool is_conditional_branch(Opcode op) {
-  switch (op) {
-    case Opcode::beq: case Opcode::bne: case Opcode::blt:
-    case Opcode::bge: case Opcode::bgt: case Opcode::ble:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_branch(Opcode op) {
-  return is_conditional_branch(op) || op == Opcode::jmp || op == Opcode::jmpi;
-}
-
-bool is_call(Opcode op) { return op == Opcode::call || op == Opcode::callr; }
-
-bool is_load(Opcode op) {
-  return op == Opcode::load || op == Opcode::loadb || op == Opcode::pop;
-}
-
-bool is_store(Opcode op) {
-  return op == Opcode::store || op == Opcode::storeb || op == Opcode::push;
-}
-
-bool is_terminator(Opcode op) {
-  return op == Opcode::jmp || op == Opcode::jmpi || op == Opcode::ret;
-}
-
 std::string_view libfn_name(LibFn fn) {
   switch (fn) {
     case LibFn::memmove: return "memmove";

@@ -81,17 +81,60 @@ enum class Opcode : std::uint8_t {
 std::string_view opcode_name(Opcode op);
 
 /// Instruction classification used by both the static (Table I) and dynamic
-/// (Table II) feature extractors.
-bool is_int_arith(Opcode op);
-bool is_fp_arith(Opcode op);
-bool is_arith(Opcode op);  ///< integer or floating point
-bool is_branch(Opcode op); ///< conditional branches + jmp + jmpi
-bool is_conditional_branch(Opcode op);
-bool is_call(Opcode op);   ///< call, callr (libcall/syscall are separate)
-bool is_load(Opcode op);
-bool is_store(Opcode op);
+/// (Table II) feature extractors. Inline so the per-instruction loops of the
+/// extractors and the CFG builder fold them into range checks.
+constexpr bool is_int_arith(Opcode op) {
+  switch (op) {
+    case Opcode::add: case Opcode::sub: case Opcode::mul:
+    case Opcode::divi: case Opcode::modi: case Opcode::neg:
+    case Opcode::andi: case Opcode::ori: case Opcode::xori:
+    case Opcode::shl: case Opcode::shr: case Opcode::cmp:
+      return true;
+    default:
+      return false;
+  }
+}
+constexpr bool is_fp_arith(Opcode op) {
+  switch (op) {
+    case Opcode::fadd: case Opcode::fsub: case Opcode::fmul:
+    case Opcode::fdiv: case Opcode::fneg: case Opcode::cvtif:
+    case Opcode::cvtfi:
+      return true;
+    default:
+      return false;
+  }
+}
+/// Integer or floating point.
+constexpr bool is_arith(Opcode op) {
+  return is_int_arith(op) || is_fp_arith(op);
+}
+constexpr bool is_conditional_branch(Opcode op) {
+  switch (op) {
+    case Opcode::beq: case Opcode::bne: case Opcode::blt:
+    case Opcode::bge: case Opcode::bgt: case Opcode::ble:
+      return true;
+    default:
+      return false;
+  }
+}
+/// Conditional branches + jmp + jmpi.
+constexpr bool is_branch(Opcode op) {
+  return is_conditional_branch(op) || op == Opcode::jmp || op == Opcode::jmpi;
+}
+/// call, callr (libcall/syscall are separate).
+constexpr bool is_call(Opcode op) {
+  return op == Opcode::call || op == Opcode::callr;
+}
+constexpr bool is_load(Opcode op) {
+  return op == Opcode::load || op == Opcode::loadb || op == Opcode::pop;
+}
+constexpr bool is_store(Opcode op) {
+  return op == Opcode::store || op == Opcode::storeb || op == Opcode::push;
+}
 /// True when control does not fall through to the next instruction.
-bool is_terminator(Opcode op);
+constexpr bool is_terminator(Opcode op) {
+  return op == Opcode::jmp || op == Opcode::jmpi || op == Opcode::ret;
+}
 
 /// Runtime library functions implemented by the VM (the paper's imported
 /// libc symbols; e.g. the memmove that the CVE-2018-9412 patch removes).

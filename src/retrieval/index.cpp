@@ -40,6 +40,21 @@ std::uint32_t nearest_centroid(const QuantizedVector& code,
   return best;
 }
 
+// Squared distance from each centroid to its nearest other centroid; the
+// largest value when there is no other.
+void centroid_separation(const std::vector<QuantizedVector>& centroids,
+                         std::vector<std::uint32_t>& separation) {
+  separation.assign(centroids.size(),
+                    std::numeric_limits<std::uint32_t>::max());
+  for (std::size_t a = 0; a < centroids.size(); ++a)
+    for (std::size_t b = a + 1; b < centroids.size(); ++b) {
+      const std::uint32_t dist =
+          quantized_distance_sq(centroids[a], centroids[b]);
+      separation[a] = std::min(separation[a], dist);
+      separation[b] = std::min(separation[b], dist);
+    }
+}
+
 }  // namespace
 
 std::string_view prefilter_mode_name(PrefilterMode mode) {
@@ -82,9 +97,17 @@ FunctionIndex FunctionIndex::build(
 
     // Farthest-point seeding from function 0: maximally spread, no RNG.
     // Ties (equal max-min distance) go to the lowest function index.
+    //
+    // Both loops below skip distances the triangle inequality settles
+    // exactly. With d = sqrt(D), d(x,c) >= d(g,c) - d(x,g), so
+    // D(g,c) >= 4 D(x,g) gives D(x,c) >= D(x,g): c cannot come strictly
+    // closer to x than g. The test stays in integers.
     std::vector<QuantizedVector>& centroids = index.centroids_;
     centroids.push_back(index.codes_[0]);
     std::vector<std::uint32_t> min_dist(n);
+    // nearest[i]: a centroid at distance min_dist[i] from function i.
+    std::vector<std::uint32_t> nearest(n, 0);
+    std::vector<std::uint32_t> to_added;
     for (std::size_t i = 0; i < n; ++i)
       min_dist[i] = quantized_distance_sq(index.codes_[i], centroids[0]);
     while (centroids.size() < clusters) {
@@ -92,9 +115,20 @@ FunctionIndex FunctionIndex::build(
       for (std::size_t i = 1; i < n; ++i)
         if (min_dist[i] > min_dist[far]) far = i;
       centroids.push_back(index.codes_[far]);
-      for (std::size_t i = 0; i < n; ++i)
-        min_dist[i] = std::min(
-            min_dist[i], quantized_distance_sq(index.codes_[i], centroids.back()));
+      const auto added = static_cast<std::uint32_t>(centroids.size() - 1);
+      to_added.resize(centroids.size());
+      for (std::size_t c = 0; c < centroids.size(); ++c)
+        to_added[c] = quantized_distance_sq(centroids[c], centroids[added]);
+      for (std::size_t i = 0; i < n; ++i) {
+        // The added centroid cannot lower min_dist[i].
+        if (to_added[nearest[i]] >= 4 * min_dist[i]) continue;
+        const std::uint32_t dist =
+            quantized_distance_sq(index.codes_[i], centroids[added]);
+        if (dist < min_dist[i]) {
+          min_dist[i] = dist;
+          nearest[i] = added;
+        }
+      }
     }
 
     // A few Lloyd rounds sharpen the seeds; assignment and the rounded-mean
@@ -102,10 +136,21 @@ FunctionIndex FunctionIndex::build(
     // centroid so the cluster count never shrinks.
     std::vector<std::vector<std::uint32_t>>& lists = index.lists_;
     lists.assign(centroids.size(), {});
+    std::vector<std::uint32_t> separation;
     for (std::size_t round = 0; round <= config.lloyd_iterations; ++round) {
       for (auto& list : lists) list.clear();
-      for (std::uint32_t i = 0; i < n; ++i)
-        lists[nearest_centroid(index.codes_[i], centroids)].push_back(i);
+      centroid_separation(centroids, separation);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        // nearest[i] is the last assignment (the seeding's at first). When
+        // 4 D(x,g) < separation[g], the bound above holds strictly for
+        // every other centroid, so g is the unique nearest: the centroid
+        // the full scan returns.
+        const std::uint32_t guess = nearest[i];
+        if (4 * quantized_distance_sq(index.codes_[i], centroids[guess]) >=
+            separation[guess])
+          nearest[i] = nearest_centroid(index.codes_[i], centroids);
+        lists[nearest[i]].push_back(i);
+      }
       if (round == config.lloyd_iterations) break;  // final assignment stands
       for (std::size_t c = 0; c < centroids.size(); ++c)
         if (!lists[c].empty()) centroids[c] = mean_code(index.codes_, lists[c]);

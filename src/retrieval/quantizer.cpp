@@ -45,15 +45,4 @@ StaticFeatureVector dequantize(const QuantizedVector& quantized) {
   return out;
 }
 
-std::uint32_t quantized_distance_sq(const QuantizedVector& a,
-                                    const QuantizedVector& b) {
-  std::uint32_t sum = 0;
-  for (std::size_t d = 0; d < static_feature_count; ++d) {
-    const std::int32_t delta = static_cast<std::int32_t>(a.codes[d]) -
-                               static_cast<std::int32_t>(b.codes[d]);
-    sum += static_cast<std::uint32_t>(delta * delta);
-  }
-  return sum;
-}
-
 }  // namespace patchecko::retrieval

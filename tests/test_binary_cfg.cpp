@@ -2,6 +2,8 @@
 // the CFG recovery pass (block partition, edges, Table I block kinds).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "binary/binary.h"
 #include "binary/cfg.h"
 #include "compiler/compiler.h"
@@ -124,10 +126,14 @@ TEST(Cfg, BlockPartitionCoversAllInstructionsOnce) {
     const Cfg cfg = build_cfg(fn);
     ASSERT_EQ(cfg.block_of.size(), fn.code.size());
     std::vector<int> covered(fn.code.size(), 0);
-    for (const BasicBlock& block : cfg.blocks) {
+    for (std::size_t b = 0; b < cfg.block_count(); ++b) {
+      const BasicBlock& block = cfg.blocks[b];
       ASSERT_LE(block.first, block.last);
       ASSERT_LT(block.last, fn.code.size());
-      for (std::size_t i = block.first; i <= block.last; ++i) ++covered[i];
+      for (std::size_t i = block.first; i <= block.last; ++i) {
+        ++covered[i];
+        EXPECT_EQ(cfg.block_of[i], b) << fn.name << " instr " << i;
+      }
     }
     for (std::size_t i = 0; i < covered.size(); ++i)
       EXPECT_EQ(covered[i], 1) << fn.name << " instr " << i;
@@ -199,6 +205,49 @@ TEST(Cfg, MostBlocksReachableFromEntry) {
     // The epilogue safety `ldi/ret` may be unreachable; everything else
     // should hang off the entry.
     EXPECT_GE(reachable + 2, cfg.block_count()) << fn.name;
+  }
+}
+
+// Field-by-field equality of two recovered CFGs, successor order included.
+void expect_same_cfg(const Cfg& actual, const Cfg& expected,
+                     const std::string& label) {
+  ASSERT_EQ(actual.block_count(), expected.block_count()) << label;
+  for (std::size_t b = 0; b < expected.block_count(); ++b) {
+    EXPECT_EQ(actual.blocks[b].first, expected.blocks[b].first) << label;
+    EXPECT_EQ(actual.blocks[b].last, expected.blocks[b].last) << label;
+    EXPECT_EQ(actual.blocks[b].kind, expected.blocks[b].kind) << label;
+  }
+  EXPECT_EQ(actual.block_of, expected.block_of) << label;
+  ASSERT_EQ(actual.graph.node_count(), expected.graph.node_count()) << label;
+  EXPECT_EQ(actual.graph.edge_count(), expected.graph.edge_count()) << label;
+  for (std::size_t b = 0; b < expected.graph.node_count(); ++b)
+    EXPECT_EQ(actual.graph.successors(b), expected.graph.successors(b))
+        << label << " block " << b;
+}
+
+TEST(Cfg, ReusedCfgMatchesFresh) {
+  const SourceLibrary src = generate_library("reuse", 0x5E5E, 40);
+  const LibraryBinary lib = compile_library(src, Arch::amd64, OptLevel::O0);
+  std::vector<const FunctionBinary*> by_size;
+  for (const FunctionBinary& fn : lib.functions) by_size.push_back(&fn);
+  std::sort(by_size.begin(), by_size.end(),
+            [](const FunctionBinary* a, const FunctionBinary* b) {
+              return a->code.size() < b->code.size();
+            });
+  const FunctionBinary empty;
+
+  // Large, then small (leaving stale nodes and markers behind), then large
+  // again, then empty, then every function in library order.
+  std::vector<const FunctionBinary*> sequence = {
+      by_size.back(), by_size.front(), by_size[by_size.size() - 2], &empty,
+      by_size.back()};
+  for (const FunctionBinary& fn : lib.functions) sequence.push_back(&fn);
+
+  Cfg reused;
+  for (std::size_t k = 0; k < sequence.size(); ++k) {
+    build_cfg(*sequence[k], reused);
+    expect_same_cfg(reused, build_cfg(*sequence[k]),
+                    "step " + std::to_string(k));
   }
 }
 

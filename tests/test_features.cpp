@@ -2,10 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
+#include "blob/blob_store.h"  // Digest
 #include "compiler/compiler.h"
+#include "core/pipeline.h"
 #include "features/static_features.h"
+#include "firmware/firmware.h"
+#include "obs/metrics.h"
+#include "obs/resource.h"
 #include "source/generator.h"
 
 namespace patchecko {
@@ -139,6 +146,86 @@ TEST(StaticFeatures, InstructionCountVariesAcrossOptLevels) {
     if (o0[f_num_inst] != o2[f_num_inst]) ++differing;
   }
   EXPECT_GT(differing, 8);
+}
+
+// Digest of every feature vector of one device image, in library and
+// function order, over the raw bits of each double.
+std::string image_feature_digest(const FirmwareImage& image) {
+  Digest digest;
+  for (const LibraryBinary& library : image.libraries)
+    for (const FunctionBinary& fn : library.functions)
+      for (double value : extract_static_features(fn))
+        digest.absorb_double(value);
+  return digest.hex();
+}
+
+// Recorded from the std::set/std::deque extractor that preceded the
+// per-thread scratch; every rewrite must reproduce every bit.
+TEST(StaticFeatures, GoldenDigestOnScaleSeedCorpora) {
+  struct Golden {
+    double scale;
+    std::uint64_t seed;
+    bool pixel;
+    const char* hex;
+  };
+  static constexpr Golden kGolden[] = {
+      {0.05, 1, false, "f73969b2555363241ffa9c7cee4b79c6"},
+      {0.05, 1, true, "7b1eea4d1d36ce99161cfcbc9873ea1c"},
+      {0.05, 2, false, "a86a686cb11cf921bfbf3845004b7494"},
+      {0.05, 2, true, "e7c3f29286f41d5a9fd424bfa0090fe9"},
+      {0.05, 3, false, "985bad624d483a98f2b7dfb2cf74b966"},
+      {0.05, 3, true, "8d449279efe55e378d9b229a8da3919f"},
+      {0.1, 1, false, "a6489aada62d6a1cc04e27e854b455dd"},
+      {0.1, 1, true, "cfa78d27115f4d736edc06d59a8d9ab3"},
+      {0.1, 2, false, "28e8daf881df9059b56ad4b70f3d273e"},
+      {0.1, 2, true, "3ee80cebb0ee114b5b0e9a80427e3b65"},
+      {0.1, 3, false, "e4f1a6cc148a86429147ef2fbcf2adaa"},
+      {0.1, 3, true, "fb23b1b0b1569a12dd20071540705534"},
+  };
+  for (const Golden& golden : kGolden) {
+    EvalConfig config;
+    config.scale = golden.scale;
+    config.seed = golden.seed;
+    const EvalCorpus corpus(config);
+    const FirmwareImage image = corpus.build_firmware(
+        golden.pixel ? pixel2xl_device() : android_things_device());
+    EXPECT_EQ(image_feature_digest(image), golden.hex)
+        << "scale " << golden.scale << " seed " << golden.seed
+        << (golden.pixel ? " pixel" : " things");
+  }
+}
+
+TEST(StaticFeatures, AnalyzeIsIndependentOfWorkerCount) {
+  EvalConfig config;
+  config.scale = 0.1;
+  const EvalCorpus corpus(config);
+  const FirmwareImage image = corpus.build_firmware(android_things_device());
+  for (const LibraryBinary& library : image.libraries) {
+    const AnalyzedLibrary serial = analyze_library(library, 1);
+    const AnalyzedLibrary pooled = analyze_library(library, 4);
+    ASSERT_EQ(serial.features.size(), pooled.features.size());
+    EXPECT_EQ(std::memcmp(serial.features.data(), pooled.features.data(),
+                          serial.features.size() *
+                              sizeof(StaticFeatureVector)),
+              0)
+        << library.name;
+  }
+}
+
+TEST(StaticFeatures, ExtractionMakesNoHeapAllocationsAfterWarmup) {
+  if (!obs::allocation_counting_available())
+    GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+  const obs::EnabledScope on(true);
+  const SourceLibrary src = generate_library("alloc", 0xA110C, 120);
+  const LibraryBinary lib = compile_library(src, Arch::amd64, OptLevel::O0);
+  double sum = 0.0;
+  for (const FunctionBinary& fn : lib.functions)
+    sum += extract_static_features(fn)[f_num_bb];
+  const std::uint64_t before = obs::thread_allocation_count();
+  for (const FunctionBinary& fn : lib.functions)
+    sum += extract_static_features(fn)[f_num_bb];
+  EXPECT_EQ(obs::thread_allocation_count() - before, 0u);
+  EXPECT_GT(sum, 0.0);
 }
 
 TEST(Normalizer, ZeroMeanUnitVarianceOnFit) {

@@ -124,6 +124,24 @@ TEST(Betweenness, EmptyGraph) {
   EXPECT_TRUE(betweenness_centrality(Digraph()).empty());
 }
 
+TEST(Betweenness, ReusedScratchMatchesFresh) {
+  // A dense graph, then a smaller one on the same scratch (stale slots and
+  // predecessor slices left behind), then the dense one again.
+  Digraph dense(7);
+  for (std::size_t v = 0; v < 7; ++v)
+    for (std::size_t w = 0; w < 7; ++w)
+      if ((v * 3 + w) % 4 != 0) dense.add_edge(v, w);
+  const Digraph small = path_graph(3);
+  BrandesScratch scratch;
+  for (const Digraph* graph :
+       std::vector<const Digraph*>{&dense, &small, &dense, &small}) {
+    const std::span<const double> reused =
+        betweenness_centrality(*graph, scratch);
+    const std::vector<double> fresh = betweenness_centrality(*graph);
+    EXPECT_EQ(std::vector<double>(reused.begin(), reused.end()), fresh);
+  }
+}
+
 TEST(Hungarian, IdentityMatrix) {
   // Zero diagonal is the optimal assignment.
   const std::vector<std::vector<double>> cost{

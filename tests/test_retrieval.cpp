@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "blob/blob_store.h"  // Digest
 #include "core/pipeline.h"
 #include "firmware/firmware.h"
 #include "retrieval/index.h"
@@ -207,6 +208,54 @@ TEST(Index, BuildIsIndependentOfAnalyzeWorkerCount) {
   for (std::size_t i = 0; i < sequential.features.size(); ++i)
     EXPECT_EQ(sequential.index->top_k(sequential.features[i], 8),
               parallel.index->top_k(parallel.features[i], 8));
+}
+
+// Recorded from the index build that ran every seeding and assignment
+// distance; the triangle-inequality skips must not change a single list.
+TEST(Index, ShortlistsMatchRecordedDigest) {
+  Digest digest;
+  const auto absorb_shortlists = [&](const FunctionIndex& index,
+                                     const std::vector<StaticFeatureVector>&
+                                         queries) {
+    digest.absorb_u64(index.cluster_count());
+    for (const StaticFeatureVector& query : queries) {
+      const std::vector<std::uint32_t> shortlist = index.top_k(query, 16);
+      digest.absorb_u64(shortlist.size());
+      for (const std::uint32_t i : shortlist) digest.absorb_u64(i);
+    }
+  };
+
+  // Synthetic corpora at the default, one, and many clusters, plus one
+  // with every vector duplicated (equal centroids, tied distances).
+  const std::vector<StaticFeatureVector> half = clustered_corpus(300, 37);
+  std::vector<StaticFeatureVector> duplicated = half;
+  duplicated.insert(duplicated.end(), half.begin(), half.end());
+  for (const auto& corpus : {clustered_corpus(3000, 31), duplicated}) {
+    Rng rng(41);
+    std::vector<StaticFeatureVector> queries;
+    for (int q = 0; q < 48; ++q) {
+      queries.push_back(random_feature_vector(rng));
+      queries.push_back(noisy_copy(rng.pick(corpus), rng));
+    }
+    for (const std::size_t clusters :
+         {std::size_t{0}, std::size_t{1}, std::size_t{400}}) {
+      IndexConfig config;
+      config.clusters = clusters;
+      absorb_shortlists(FunctionIndex::build(corpus, config), queries);
+    }
+  }
+
+  // Real features: every library of a Things image, each function a query.
+  EvalConfig eval;
+  eval.scale = 0.1;
+  eval.seed = 1;
+  const FirmwareImage image =
+      EvalCorpus(eval).build_firmware(android_things_device());
+  for (const LibraryBinary& library : image.libraries) {
+    const AnalyzedLibrary analyzed = analyze_library(library, 1, true);
+    absorb_shortlists(*analyzed.index, analyzed.features);
+  }
+  EXPECT_EQ(digest.hex(), "390fc7a2a05fb982cf99863ea117f48c");
 }
 
 // --- recall vs exact all-pairs ----------------------------------------------
