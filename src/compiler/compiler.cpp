@@ -3,6 +3,7 @@
 #include "compiler/lower.h"
 #include "compiler/passes.h"
 #include "compiler/regalloc.h"
+#include "util/parallel.h"
 
 namespace patchecko {
 
@@ -18,12 +19,10 @@ std::uint64_t schedule_seed(const SourceFunction& fn, Arch arch) {
 
 }  // namespace
 
-FunctionBinary compile_function(const SourceLibrary& library,
+FunctionBinary compile_function(const SourceFunction& function,
                                 std::size_t function_index, Arch arch,
                                 OptLevel opt, std::uint64_t uid_base) {
-  const SourceFunction& original = library.functions.at(function_index);
-
-  SourceFunction working = original;  // deep copy: unrolling mutates
+  SourceFunction working = function;  // deep copy: unrolling mutates
   if (opt == OptLevel::O3 || opt == OptLevel::Ofast)
     unroll_constant_loops(working, /*max_trip=*/8);
 
@@ -32,11 +31,18 @@ FunctionBinary compile_function(const SourceLibrary& library,
 
   FunctionBinary fn =
       allocate_and_emit(vcode, arch, opt, /*spill_all=*/opt == OptLevel::O0);
-  fn.name = original.name;
+  fn.name = function.name;
   fn.id = static_cast<std::uint32_t>(function_index);
-  fn.param_types = original.param_types;
+  fn.param_types = function.param_types;
   fn.source_uid = uid_base + function_index;
   return fn;
+}
+
+FunctionBinary compile_function(const SourceLibrary& library,
+                                std::size_t function_index, Arch arch,
+                                OptLevel opt, std::uint64_t uid_base) {
+  return compile_function(library.functions.at(function_index),
+                          function_index, arch, opt, uid_base);
 }
 
 LibraryBinary compile_library(const SourceLibrary& library, Arch arch,
@@ -46,10 +52,12 @@ LibraryBinary compile_library(const SourceLibrary& library, Arch arch,
   out.arch = arch;
   out.opt = opt;
   out.strings = library.strings;
-  out.functions.reserve(library.functions.size());
-  for (std::size_t i = 0; i < library.functions.size(); ++i)
-    out.functions.push_back(
-        compile_function(library, i, arch, opt, uid_base));
+  out.functions.resize(library.functions.size());
+  parallel_for(out.functions.size(), default_worker_threads(),
+               [&](std::size_t i) {
+                 out.functions[i] = compile_function(library.functions[i], i,
+                                                     arch, opt, uid_base);
+               });
   return out;
 }
 

@@ -22,14 +22,22 @@ namespace patchecko {
 /// silently serving binaries the current compiler would no longer produce.
 inline constexpr std::uint64_t kCompilerVersion = 1;
 
-/// Compiles one function of `library`. `function_index` must be valid.
-/// The returned binary's `source_uid` is seeded from `uid_base` + index so
+/// Compiles `function` as slot `function_index` of its library. The code
+/// depends only on the function itself and (arch, opt); the index names the
+/// binary (`id`) and seeds its `source_uid` as `uid_base` + index, so
 /// evaluation can identify same-source variants across the build matrix.
+FunctionBinary compile_function(const SourceFunction& function,
+                                std::size_t function_index, Arch arch,
+                                OptLevel opt, std::uint64_t uid_base = 0);
+
+/// Compiles function `function_index` of `library`, which must be valid.
 FunctionBinary compile_function(const SourceLibrary& library,
                                 std::size_t function_index, Arch arch,
                                 OptLevel opt, std::uint64_t uid_base = 0);
 
-/// Compiles a whole library for one (arch, opt) pair.
+/// Compiles a whole library for one (arch, opt) pair. Functions compile in
+/// parallel on the shared pool; each lands in its own index slot, so the
+/// output is byte-identical to a serial loop of compile_function.
 LibraryBinary compile_library(const SourceLibrary& library, Arch arch,
                               OptLevel opt, std::uint64_t uid_base = 0);
 

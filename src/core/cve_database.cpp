@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "compiler/compiler.h"
+#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace patchecko {
@@ -23,11 +24,9 @@ CveEntry build_cve_entry(const EvalCorpus& corpus, const HostedCve& cve,
       extract_static_features(entry.vulnerable_binary);
   entry.vulnerable_signature = make_signature(entry.vulnerable_binary);
 
-  // Compile the patched reference in the same library context.
-  SourceLibrary patched_source = corpus.vulnerable_source(lib);
-  patched_source.functions[cve.slot] = cve.pair.patched;
+  // The patched reference takes the vulnerable one's slot and uid.
   entry.patched_binary = compile_function(
-      patched_source, cve.slot, corpus.config().db_arch,
+      cve.pair.patched, cve.slot, corpus.config().db_arch,
       corpus.config().db_opt,
       entry.vulnerable_binary.source_uid - cve.slot);
   entry.patched_features = extract_static_features(entry.patched_binary);
@@ -88,23 +87,31 @@ CveEntry build_cve_entry(const EvalCorpus& corpus, const HostedCve& cve,
   return entry;
 }
 
+std::vector<const HostedCve*> entries_in_build_order(
+    const EvalCorpus& corpus) {
+  std::vector<const HostedCve*> ordered;
+  for (std::size_t lib = 0; lib < corpus.library_specs().size(); ++lib)
+    for (const HostedCve& cve : corpus.hosted_cves())
+      if (cve.library_index == lib) ordered.push_back(&cve);
+  return ordered;
+}
+
 CveDatabase::CveDatabase(const EvalCorpus& corpus,
                          const DatabaseConfig& config) {
+  const obs::ScopedSpan span("setup.database");
   Rng rng(config.seed);
-
-  // Group hosted CVEs by library so each reference library compiles once.
-  for (std::size_t lib = 0; lib < corpus.library_specs().size(); ++lib) {
-    std::vector<const HostedCve*> in_library;
-    for (const HostedCve& cve : corpus.hosted_cves())
-      if (cve.library_index == lib) in_library.push_back(&cve);
-    if (in_library.empty()) continue;
-
-    // Reference build with the vulnerable versions in place.
-    LibraryBinary reference = corpus.compile_reference(lib);
-
-    for (const HostedCve* cve : in_library)
-      entries_.push_back(build_cve_entry(corpus, *cve, reference, config,
-                                         rng.fork(0xF022 + entries_.size())));
+  const std::vector<const HostedCve*> ordered = entries_in_build_order(corpus);
+  entries_.reserve(ordered.size());
+  // Build order groups entries by library, so each reference library (the
+  // vulnerable versions in place) compiles once and is freed before the
+  // next one compiles.
+  for (std::size_t index = 0; index < ordered.size();) {
+    const std::size_t lib = ordered[index]->library_index;
+    const LibraryBinary reference = corpus.compile_reference(lib);
+    for (; index < ordered.size() && ordered[index]->library_index == lib;
+         ++index)
+      entries_.push_back(build_cve_entry(corpus, *ordered[index], reference,
+                                         config, rng.fork(0xF022 + index)));
   }
 }
 

@@ -87,6 +87,12 @@ CveEntry build_cve_entry(const EvalCorpus& corpus, const HostedCve& cve,
                          const LibraryBinary& reference,
                          const DatabaseConfig& config, Rng fuzz_rng);
 
+/// The cold build order: libraries ascending, hosted CVEs in corpus order
+/// within each library. Every caller that walks entries MUST use this
+/// order: an entry's position is its index, and the index picks its fuzz
+/// rng fork (`rng.fork(0xF022 + index)` off `DatabaseConfig::seed`).
+std::vector<const HostedCve*> entries_in_build_order(const EvalCorpus& corpus);
+
 /// Builds entries for every CVE hosted in the corpus. One reference library
 /// per evaluation library is compiled at database settings; environments are
 /// fuzzed on the vulnerable reference and kept only if the patched reference
@@ -97,8 +103,7 @@ class CveDatabase {
   CveDatabase(const EvalCorpus& corpus, const DatabaseConfig& config);
 
   /// Adopts prebuilt entries (the corpus-store warm path). Entries must be
-  /// in the cold build order: libraries ascending, hosted CVEs within each
-  /// library in corpus order.
+  /// in entries_in_build_order.
   explicit CveDatabase(std::vector<CveEntry> entries)
       : entries_(std::move(entries)) {}
 

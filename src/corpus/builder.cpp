@@ -8,6 +8,7 @@
 #include "compiler/compiler.h"
 #include "corpus/serialize.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "source/fingerprint.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -60,16 +61,50 @@ std::string database_params(const DatabaseConfig& config) {
          (config.fuzz.machine.collect_features ? "1" : "0");
 }
 
-/// The cold CveDatabase build order: libraries ascending, hosted CVEs in
-/// corpus order within each library. Every caller that walks entries MUST
-/// use this order — it defines each entry's index and thus its fuzz rng.
-std::vector<const HostedCve*> entries_in_build_order(
-    const EvalCorpus& corpus) {
-  std::vector<const HostedCve*> ordered;
-  for (std::size_t lib = 0; lib < corpus.library_specs().size(); ++lib)
-    for (const HostedCve& cve : corpus.hosted_cves())
-      if (cve.library_index == lib) ordered.push_back(&cve);
-  return ordered;
+/// fingerprint_library of every corpus library, one pool task each. Every
+/// library and entry key needs its host library's fingerprint, which walks
+/// the library's whole source, so each is computed once per build or load.
+std::vector<std::uint64_t> library_fingerprints(const EvalCorpus& corpus) {
+  std::vector<std::uint64_t> fingerprints(corpus.library_specs().size());
+  parallel_for(fingerprints.size(),
+               static_cast<unsigned>(fingerprints.size()),
+               [&](std::size_t lib) {
+                 fingerprints[lib] =
+                     fingerprint_library(corpus.vulnerable_source(lib));
+               });
+  return fingerprints;
+}
+
+ArtifactKey library_key(const EvalCorpus& corpus, std::size_t lib,
+                        std::uint64_t fingerprint, Arch arch, OptLevel opt) {
+  ArtifactKey key;
+  key.kind = "library";
+  key.source_fingerprint = fingerprint;
+  key.arch = arch;
+  key.opt = opt;
+  key.compiler_version = kCompilerVersion;
+  key.params = "lib=" + std::to_string(lib) + " " +
+               eval_params(corpus.config());
+  return key;
+}
+
+/// Key of hosted CVE `cve`'s database entry. `entry_index` is its position
+/// in entries_in_build_order: it pins the entry's fuzz rng fork.
+ArtifactKey entry_key(const EvalCorpus& corpus, const HostedCve& cve,
+                      std::uint64_t library_fingerprint,
+                      std::size_t entry_index, const DatabaseConfig& config) {
+  ArtifactKey key;
+  key.kind = "entry";
+  key.source_fingerprint =
+      combine(library_fingerprint, fingerprint_function(cve.pair.patched));
+  key.arch = corpus.config().db_arch;
+  key.opt = corpus.config().db_opt;
+  key.compiler_version = kCompilerVersion;
+  key.params = "cve=" + cve.spec.cve_id + " entry=" +
+               std::to_string(entry_index) + " slot=" +
+               std::to_string(cve.slot) + " " +
+               eval_params(corpus.config()) + " " + database_params(config);
+  return key;
 }
 
 LibraryBinary compile_variant(const EvalCorpus& corpus, std::size_t lib,
@@ -85,9 +120,10 @@ obs::Histogram& build_seconds_histogram() {
 /// Loads the reference library for `lib` from its (db_arch, db_opt) store
 /// cell, compiling (and storing) it on a miss.
 LibraryBinary reference_for(PrebuiltStore& store, const EvalCorpus& corpus,
-                            std::size_t lib) {
-  const ArtifactKey key = library_variant_key(
-      corpus, lib, corpus.config().db_arch, corpus.config().db_opt);
+                            std::size_t lib, std::uint64_t fingerprint) {
+  const ArtifactKey key = library_key(corpus, lib, fingerprint,
+                                      corpus.config().db_arch,
+                                      corpus.config().db_opt);
   if (const auto bytes = store.load(key)) {
     if (auto artifact = deserialize_library_artifact(*bytes))
       return std::move(artifact->library);
@@ -102,34 +138,9 @@ LibraryBinary reference_for(PrebuiltStore& store, const EvalCorpus& corpus,
 
 ArtifactKey library_variant_key(const EvalCorpus& corpus, std::size_t lib,
                                 Arch arch, OptLevel opt) {
-  ArtifactKey key;
-  key.kind = "library";
-  key.source_fingerprint =
-      fingerprint_library(corpus.vulnerable_source(lib));
-  key.arch = arch;
-  key.opt = opt;
-  key.compiler_version = kCompilerVersion;
-  key.params = "lib=" + std::to_string(lib) + " " +
-               eval_params(corpus.config());
-  return key;
-}
-
-ArtifactKey entry_key(const EvalCorpus& corpus, const HostedCve& cve,
-                      std::size_t entry_index,
-                      const DatabaseConfig& config) {
-  ArtifactKey key;
-  key.kind = "entry";
-  key.source_fingerprint = combine(
-      fingerprint_library(corpus.vulnerable_source(cve.library_index)),
-      fingerprint_function(cve.pair.patched));
-  key.arch = corpus.config().db_arch;
-  key.opt = corpus.config().db_opt;
-  key.compiler_version = kCompilerVersion;
-  key.params = "cve=" + cve.spec.cve_id + " entry=" +
-               std::to_string(entry_index) + " slot=" +
-               std::to_string(cve.slot) + " " +
-               eval_params(corpus.config()) + " " + database_params(config);
-  return key;
+  return library_key(corpus, lib,
+                     fingerprint_library(corpus.vulnerable_source(lib)), arch,
+                     opt);
 }
 
 BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix) {
@@ -137,6 +148,7 @@ BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix) {
   BuildReport report;
   store.begin_generation();
   const EvalCorpus corpus(matrix.eval);
+  const std::vector<std::uint64_t> fingerprints = library_fingerprints(corpus);
 
   // The library cell matrix, always including the database reference cell.
   std::vector<Arch> arches =
@@ -162,7 +174,7 @@ BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix) {
   std::vector<LibraryJob> missing_libraries;
   for (std::size_t lib = 0; lib < corpus.library_specs().size(); ++lib) {
     for (const auto& [arch, opt] : cells) {
-      ArtifactKey key = library_variant_key(corpus, lib, arch, opt);
+      ArtifactKey key = library_key(corpus, lib, fingerprints[lib], arch, opt);
       ++report.requested;
       ++report.library_artifacts;
       if (store.contains(key)) {
@@ -194,8 +206,9 @@ BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix) {
   const std::vector<const HostedCve*> ordered = entries_in_build_order(corpus);
   for (std::size_t index = 0; index < ordered.size(); ++index) {
     Rng fuzz_rng = rng.fork(0xF022 + index);
-    ArtifactKey key =
-        entry_key(corpus, *ordered[index], index, matrix.database);
+    ArtifactKey key = entry_key(corpus, *ordered[index],
+                                fingerprints[ordered[index]->library_index],
+                                index, matrix.database);
     ++report.requested;
     ++report.entry_artifacts;
     if (store.contains(key)) {
@@ -210,9 +223,10 @@ BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix) {
   std::map<std::size_t, LibraryBinary> references;
   for (const EntryJob& job : missing_entries)
     if (references.find(job.cve->library_index) == references.end())
-      references.emplace(job.cve->library_index,
-                         reference_for(store, corpus,
-                                       job.cve->library_index));
+      references.emplace(
+          job.cve->library_index,
+          reference_for(store, corpus, job.cve->library_index,
+                        fingerprints[job.cve->library_index]));
   parallel_for(missing_entries.size(), matrix.jobs, [&](std::size_t i) {
     const EntryJob& job = missing_entries[i];
     const CveEntry entry =
@@ -232,11 +246,13 @@ BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix) {
 CveDatabase load_database(PrebuiltStore& store, const EvalCorpus& corpus,
                           const DatabaseConfig& config,
                           SnapshotLoadStats* stats) {
+  const obs::ScopedSpan span("setup.database");
   std::vector<CveEntry> entries;
   Rng rng(config.seed);
   // Cold-build fallbacks compile their reference library at most once per
   // host library.
   std::map<std::size_t, LibraryBinary> references;
+  const std::vector<std::uint64_t> fingerprints = library_fingerprints(corpus);
   const std::vector<const HostedCve*> ordered = entries_in_build_order(corpus);
   entries.reserve(ordered.size());
   for (std::size_t index = 0; index < ordered.size(); ++index) {
@@ -244,7 +260,9 @@ CveDatabase load_database(PrebuiltStore& store, const EvalCorpus& corpus,
     // Forked unconditionally: entry N+1's stream depends on the parent rng
     // having advanced through entry N, warm or cold.
     Rng fuzz_rng = rng.fork(0xF022 + index);
-    const ArtifactKey key = entry_key(corpus, cve, index, config);
+    const ArtifactKey key = entry_key(corpus, cve,
+                                      fingerprints[cve.library_index], index,
+                                      config);
     if (const auto bytes = store.load(key)) {
       if (auto entry = deserialize_cve_entry(*bytes)) {
         entries.push_back(std::move(*entry));
@@ -257,8 +275,8 @@ CveDatabase load_database(PrebuiltStore& store, const EvalCorpus& corpus,
     if (reference == references.end())
       reference = references
                       .emplace(cve.library_index,
-                               reference_for(store, corpus,
-                                             cve.library_index))
+                               reference_for(store, corpus, cve.library_index,
+                                             fingerprints[cve.library_index]))
                       .first;
     CveEntry entry = build_cve_entry(corpus, cve, reference->second, config,
                                      fuzz_rng);

@@ -52,12 +52,6 @@ struct BuildReport {
 ArtifactKey library_variant_key(const EvalCorpus& corpus, std::size_t lib,
                                 Arch arch, OptLevel opt);
 
-/// Key of hosted CVE `cve`'s database entry. `entry_index` is the global
-/// cold-build position (libraries ascending, corpus order within each): it
-/// pins the entry's fuzz rng fork.
-ArtifactKey entry_key(const EvalCorpus& corpus, const HostedCve& cve,
-                      std::size_t entry_index, const DatabaseConfig& config);
-
 BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix);
 
 struct SnapshotLoadStats {

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/trace.h"
+
 namespace patchecko {
 
 float SimilarityModel::score(const StaticFeatureVector& a,
@@ -170,6 +172,7 @@ bool SimilarityModel::save(const std::string& path) const {
 }
 
 std::optional<SimilarityModel> SimilarityModel::load(const std::string& path) {
+  const obs::ScopedSpan span("setup.model");
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   auto get_u32 = [&]() {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "compiler/compiler.h"
+#include "obs/trace.h"
 #include "source/generator.h"
 #include "util/rng.h"
 
@@ -47,6 +48,7 @@ bool save_firmware(const FirmwareImage& image, const std::string& path) {
 }
 
 std::optional<FirmwareImage> load_firmware(const std::string& path) {
+  const obs::ScopedSpan span("setup.firmware");
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   auto get_u32 = [&]() {
@@ -181,6 +183,7 @@ std::uint64_t uid_base_for(std::size_t library_index) {
 }  // namespace
 
 EvalCorpus::EvalCorpus(const EvalConfig& config) : config_(config) {
+  const obs::ScopedSpan span("setup.corpus");
   library_specs_ = standard_libraries();
   for (EvalLibrarySpec& spec : library_specs_)
     spec.function_count = std::max<std::size_t>(

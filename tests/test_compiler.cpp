@@ -7,6 +7,7 @@
 #include "compiler/compiler.h"
 #include "compiler/lower.h"
 #include "compiler/passes.h"
+#include "firmware/firmware.h"
 #include "source/generator.h"
 
 namespace patchecko {
@@ -265,6 +266,61 @@ TEST(Compiler, DeterministicOutput) {
     for (std::size_t i = 0; i < a.code.size(); ++i)
       EXPECT_EQ(a.code[i], b.code[i]);
   }
+}
+
+void expect_same_function(const FunctionBinary& a, const FunctionBinary& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.arch, b.arch);
+  EXPECT_EQ(a.opt, b.opt);
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.code, b.code);
+  EXPECT_EQ(a.jump_tables, b.jump_tables);
+  EXPECT_EQ(a.frame_size, b.frame_size);
+  EXPECT_EQ(a.param_types, b.param_types);
+  EXPECT_EQ(a.source_uid, b.source_uid);
+}
+
+TEST(Compiler, LibraryMatchesPerFunctionCompile) {
+  // compile_library fans functions out over the shared pool; each slot must
+  // hold exactly what a serial compile_function of that index produces.
+  EvalConfig eval;
+  eval.scale = 0.05;
+  const EvalCorpus corpus(eval);
+  const std::size_t index = corpus.library_index("libwebview");
+  const SourceLibrary& lib = corpus.vulnerable_source(index);
+  const std::uint64_t uid_base = corpus.uid_base(index);
+  for (Arch arch : {Arch::arm32, Arch::amd64}) {
+    for (OptLevel opt : {OptLevel::O0, OptLevel::O2, OptLevel::Ofast}) {
+      const LibraryBinary bin = compile_library(lib, arch, opt, uid_base);
+      EXPECT_EQ(bin.name, lib.name);
+      EXPECT_EQ(bin.arch, arch);
+      EXPECT_EQ(bin.opt, opt);
+      EXPECT_FALSE(bin.stripped);
+      EXPECT_EQ(bin.strings, lib.strings);
+      ASSERT_EQ(bin.functions.size(), lib.functions.size());
+      for (std::size_t f = 0; f < lib.functions.size(); ++f)
+        expect_same_function(bin.functions[f],
+                             compile_function(lib, f, arch, opt, uid_base));
+    }
+  }
+}
+
+TEST(Compiler, FunctionOverloadMatchesLibraryOverload) {
+  const SourceLibrary lib = tiny_library();
+  for (OptLevel opt : {OptLevel::O0, OptLevel::O2, OptLevel::Ofast}) {
+    for (std::size_t f = 0; f < lib.functions.size(); ++f)
+      expect_same_function(
+          compile_function(lib.functions[f], f, Arch::arm64, opt, 700),
+          compile_function(lib, f, Arch::arm64, opt, 700));
+  }
+  // A function compiled on its own as slot 3 (the patched reference) equals
+  // the same function swapped into a copy of the library at slot 3.
+  SourceLibrary swapped = lib;
+  swapped.functions[3] = lib.functions[7];
+  for (OptLevel opt : {OptLevel::O0, OptLevel::O2, OptLevel::Ofast})
+    expect_same_function(
+        compile_function(lib.functions[7], 3, Arch::amd64, opt, 700),
+        compile_function(swapped, 3, Arch::amd64, opt, 700));
 }
 
 }  // namespace

@@ -113,6 +113,20 @@ TEST(CorpusStore, SecondBuildReusesEverything) {
   EXPECT_FALSE(store.verify().has_value());
 }
 
+TEST(CorpusStore, LibraryCellsAreFiledUnderTheirVariantKeys) {
+  // build_store fingerprints each library once and shares the result across
+  // keys; every cell must still be filed under the key library_variant_key
+  // derives from that library's own source.
+  corpus::PrebuiltStore store(scratch_dir("variant_keys"));
+  const corpus::BuildMatrix matrix = small_matrix();
+  corpus::build_store(store, matrix);
+  const EvalCorpus& corpus = shared_corpus();
+  for (std::size_t lib = 0; lib < corpus.library_specs().size(); ++lib)
+    EXPECT_TRUE(store.contains(corpus::library_variant_key(
+        corpus, lib, matrix.eval.db_arch, matrix.eval.db_opt)))
+        << "library " << lib;
+}
+
 TEST(CorpusStore, StoreBackedSnapshotIsBitIdenticalToColdBuild) {
   corpus::PrebuiltStore store(scratch_dir("bit_identity"));
   const corpus::BuildMatrix matrix = small_matrix();
