@@ -1,8 +1,9 @@
 // Prebuilt-corpus store acceptance bench: a store-backed snapshot load must
 // be at least 5x faster than the cold compile/fuzz/profile database build it
 // replaces, bit-identical to it, and a second `build` over the unchanged
-// matrix must recompile nothing. Cold build, warm load and the reference
-// compiles are each the median of three runs. BENCH_corpus.json feeds the
+// matrix must recompile nothing. Cold build, warm load (and its corpus,
+// fingerprint and entry-read parts) and the reference compiles are each
+// the median of three runs. BENCH_corpus.json feeds the
 // bench-diff perf gate.
 #include <algorithm>
 #include <cstdio>
@@ -78,7 +79,9 @@ int main() {
   const corpus::BuildReport populate = corpus::build_store(store, matrix);
   const corpus::BuildReport repopulate = corpus::build_store(store, matrix);
 
-  std::vector<double> warm_runs;
+  // The warm load and, each on its own, its three parts: corpus source
+  // generation, library fingerprints and entry reads.
+  std::vector<double> warm_runs, corpus_runs, fingerprint_runs, read_runs;
   corpus::SnapshotLoadStats load_stats;
   std::shared_ptr<const CorpusSnapshot> warm;
   for (int repeat = 0; repeat < kRepeats; ++repeat) {
@@ -88,6 +91,9 @@ int main() {
     warm = corpus::load_snapshot(store, 1, config.eval, config.database,
                                  &load_stats);
     warm_runs.push_back(watch.elapsed_seconds());
+    corpus_runs.push_back(load_stats.corpus_seconds);
+    fingerprint_runs.push_back(load_stats.fingerprint_seconds);
+    read_runs.push_back(load_stats.entry_read_seconds);
   }
   const double warm_seconds = median(warm_runs);
   const double speedup = cold_seconds / warm_seconds;
@@ -108,6 +114,12 @@ int main() {
                  std::to_string(repopulate.reused)});
   table.add_row({"warm snapshot load", fmt_double(warm_seconds, 3), "-",
                  std::to_string(load_stats.entries_loaded)});
+  table.add_row({"  corpus generation", fmt_double(median(corpus_runs), 3),
+                 "-", "-"});
+  table.add_row({"  library fingerprints",
+                 fmt_double(median(fingerprint_runs), 3), "-", "-"});
+  table.add_row({"  entry reads", fmt_double(median(read_runs), 3), "-",
+                 std::to_string(load_stats.entries_loaded)});
   std::printf("%s\nwarm speedup: %.1fx\n", table.render().c_str(), speedup);
 
   bool ok = bench::write_bench_json(
@@ -126,7 +138,10 @@ int main() {
            {{"seconds", repopulate.build_seconds},
             {"recompiles", static_cast<double>(repopulate.built)}}),
        bench::BenchRow("warm_load", {{"seconds", warm_seconds},
-                                     {"warm_speedup", speedup}})},
+                                     {"warm_speedup", speedup}}),
+       bench::BenchRow("corpus", {{"seconds", median(corpus_runs)}}),
+       bench::BenchRow("fingerprint", {{"seconds", median(fingerprint_runs)}}),
+       bench::BenchRow("entry_read", {{"seconds", median(read_runs)}})},
       {"warm_speedup"});
 
   if (repopulate.built != 0) {

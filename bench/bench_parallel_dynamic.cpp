@@ -4,10 +4,12 @@
 // and measures it: dynamic-analysis wall time for the largest evaluation
 // library as a function of worker threads. Beside it, the stage-1 (DL)
 // wall time of the same detect call, which scores the library in chunks
-// across the same workers (the paper's data-parallel inference, §V-B).
+// across the same workers (the paper's data-parallel inference, §V-B), and
+// the model pairs it scored: one per distinct feature vector.
 #include <cstdio>
 
 #include "harness.h"
+#include "obs/metrics.h"
 #include "util/parallel.h"
 #include "util/table.h"
 
@@ -24,8 +26,11 @@ int main() {
       "=== Future-work extension: parallel candidate execution "
       "(CVE-2018-9498, %zu functions) ===\n",
       target.features.size());
-  TextTable table({"threads", "DL seconds", "DL speedup", "DA seconds",
-                   "DA speedup", "executed", "rank"});
+  TextTable table({"threads", "DL seconds", "DL pairs", "DL speedup",
+                   "DA seconds", "DA speedup", "executed", "rank"});
+  const obs::EnabledScope metrics_on(true);
+  const obs::Counter& pairs_scored =
+      obs::Registry::global().counter("pipeline.stage1_pairs_scored");
 
   double dl_baseline = 0.0;
   double baseline = 0.0;
@@ -35,14 +40,16 @@ int main() {
     PipelineConfig config;
     config.worker_threads = threads;
     const Patchecko pipeline(&ctx.model, config);
+    const std::uint64_t pairs_before = pairs_scored.value();
     const DetectionOutcome outcome =
         pipeline.detect(entry, target, /*query_is_patched=*/false);
+    const std::uint64_t pairs = pairs_scored.value() - pairs_before;
     if (threads == 1) {
       dl_baseline = outcome.dl_seconds;
       baseline = outcome.da_seconds;
     }
     table.add_row({std::to_string(threads),
-                   fmt_double(outcome.dl_seconds, 3),
+                   fmt_double(outcome.dl_seconds, 3), std::to_string(pairs),
                    fmt_double(dl_baseline / outcome.dl_seconds, 2) + "x",
                    fmt_double(outcome.da_seconds, 3),
                    fmt_double(baseline / outcome.da_seconds, 2) + "x",
@@ -51,6 +58,7 @@ int main() {
     json_rows.emplace_back("threads_" + std::to_string(threads),
                            std::vector<std::pair<std::string, double>>{
                                {"dl_seconds", outcome.dl_seconds},
+                               {"dl_pairs", static_cast<double>(pairs)},
                                {"da_seconds", outcome.da_seconds}});
   }
   std::printf("%s\n", table.render().c_str());

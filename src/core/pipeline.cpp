@@ -22,6 +22,12 @@ namespace {
 struct PipelineMetrics {
   obs::Counter& functions_analyzed =
       obs::Registry::global().counter("pipeline.functions_analyzed");
+  /// Model pairs stage 1 actually ran: one per feature class on an exact
+  /// scan, one per shortlisted function under prefilter `on`.
+  obs::Counter& stage1_pairs_scored =
+      obs::Registry::global().counter("pipeline.stage1_pairs_scored");
+  obs::Counter& feature_class_builds =
+      obs::Registry::global().counter("pipeline.feature_class_builds");
   obs::Counter& candidates_stage1 =
       obs::Registry::global().counter("pipeline.candidates_stage1");
   obs::Counter& candidates_executed =
@@ -59,6 +65,8 @@ struct PipelineMetrics {
       obs::Registry::global().counter("retrieval.index_builds");
   obs::Counter& index_vectors =
       obs::Registry::global().counter("retrieval.index_vectors");
+  obs::Counter& index_distinct_codes =
+      obs::Registry::global().counter("retrieval.index_distinct_codes");
   obs::Histogram& index_build_seconds =
       obs::Registry::global().histogram("retrieval.index_build_seconds");
 
@@ -71,22 +79,6 @@ struct PipelineMetrics {
 inline bool is_cancelled(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
 }
-
-/// One stage-1 chunk's share of a detect outcome: confusion counts, the
-/// accepted candidates (ascending) with their scores, and verify mode's
-/// prefilter bookkeeping.
-struct Stage1Chunk {
-  int true_positives = 0;
-  int true_negatives = 0;
-  int false_positives = 0;
-  int false_negatives = 0;
-  std::vector<std::size_t> candidates;
-  std::vector<float> scores;
-  std::size_t exact_candidates = 0;
-  std::size_t recalled = 0;
-  std::vector<std::pair<std::size_t, float>> verify_pruned;
-  bool cancelled = false;
-};
 
 }  // namespace
 
@@ -114,7 +106,17 @@ void ensure_retrieval_index(AnalyzedLibrary& analyzed) {
   PipelineMetrics& metrics = PipelineMetrics::get();
   metrics.index_builds.add(1);
   metrics.index_vectors.add(analyzed.features.size());
+  metrics.index_distinct_codes.add(analyzed.index->stats().distinct_codes);
   metrics.index_build_seconds.record(analyzed.index->stats().build_seconds);
+}
+
+const FeatureClasses& LazyFeatureClasses::get(
+    const std::vector<StaticFeatureVector>& features) const {
+  std::call_once(state_->once, [&] {
+    state_->classes = classify_by_bytes(features);
+    PipelineMetrics::get().feature_class_builds.add(1);
+  });
+  return state_->classes;
 }
 
 Patchecko::Patchecko(const SimilarityModel* model, PipelineConfig config)
@@ -167,87 +169,75 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
 
   // --- Stage 1: deep-learning classification --------------------------------
   // `on` scores only shortlisted functions; everything else is classified
-  // negative unscored. `verify` scores every function (measuring what the
-  // exact scan would have accepted) but classifies through the shortlist
-  // exactly like `on`, so both modes produce identical outcomes. The target
-  // splits into index ranges holding about stage1_chunk_pairs scored pairs
-  // each; chunks score independently and merge in index order, so the
-  // outcome does not depend on the worker count.
+  // negative unscored. `off` and `verify` score every function, each
+  // distinct feature vector once: a function's score is its class
+  // representative's (DESIGN.md §22). `verify` measures what the exact scan
+  // would have accepted but classifies through the shortlist exactly like
+  // `on`, so both modes produce identical outcomes. The scored functions
+  // split into chunks of stage1_chunk_pairs that score independently into
+  // one array; a serial pass in index order then classifies every function,
+  // so the outcome does not depend on the worker count.
   Stopwatch dl_watch;
   const std::size_t total = outcome.total;
-  const std::size_t scored =
-      prefilter == retrieval::PrefilterMode::on ? shortlist.size() : total;
-  const std::size_t span =
-      scored <= stage1_chunk_pairs
-          ? std::max<std::size_t>(total, 1)
-          : (stage1_chunk_pairs * total + scored - 1) / scored;
-  std::vector<Stage1Chunk> chunks(std::max<std::size_t>(
-      (total + span - 1) / span, 1));
+  const FeatureClasses* classes =
+      prefilter == retrieval::PrefilterMode::on ? nullptr
+                                                : &target.feature_classes();
+  const std::vector<std::uint32_t>& scored =
+      classes != nullptr ? classes->representatives : shortlist;
+  std::vector<float> scores(scored.size());
+  std::atomic<bool> stage1_cancelled{false};
   {
     const obs::ScopedSpan dl_span("pipeline.detect.dl");
-    parallel_for(chunks.size(), config_.worker_threads, [&](std::size_t c) {
-      Stage1Chunk& chunk = chunks[c];
-      const std::size_t begin = c * span;
-      const std::size_t end = std::min(total, begin + span);
+    const std::size_t chunks =
+        (scored.size() + stage1_chunk_pairs - 1) / stage1_chunk_pairs;
+    parallel_for(chunks, config_.worker_threads, [&](std::size_t c) {
+      const std::size_t begin = c * stage1_chunk_pairs;
+      const std::size_t end =
+          std::min(scored.size(), begin + stage1_chunk_pairs);
       QueryScorer scorer(*model_, query_features);
-      std::size_t shortlist_pos = static_cast<std::size_t>(
-          std::lower_bound(shortlist.begin(), shortlist.end(), begin) -
-          shortlist.begin());
-      for (std::size_t i = begin; i < end; ++i) {
-        if (is_cancelled(cancel)) {
-          chunk.cancelled = true;
-          break;
-        }
-        bool shortlisted = true;
-        if (prefilter != retrieval::PrefilterMode::off) {
-          shortlisted = shortlist_pos < shortlist.size() &&
-                        shortlist[shortlist_pos] == i;
-          if (shortlisted) ++shortlist_pos;
-        }
-        const bool is_target =
-            target.binary->functions[i].source_uid == entry.target_uid;
-        if (prefilter == retrieval::PrefilterMode::on && !shortlisted) {
-          // Pruned before the model ran; a true match here is the
-          // prefilter's recall loss and lands in false_negatives like any
-          // stage-1 miss.
-          ++(is_target ? chunk.false_negatives : chunk.true_negatives);
-          continue;
-        }
-        const float score = scorer.score(target.features[i]);
-        const bool accepted = score >= config_.detection_threshold;
-        if (prefilter == retrieval::PrefilterMode::verify && accepted) {
-          ++chunk.exact_candidates;
-          if (shortlisted)
-            ++chunk.recalled;
-          else
-            chunk.verify_pruned.emplace_back(i, score);
-        }
-        if (accepted && shortlisted) {
-          chunk.candidates.push_back(i);
-          chunk.scores.push_back(score);
-          ++(is_target ? chunk.true_positives : chunk.false_positives);
-        } else {
-          ++(is_target ? chunk.false_negatives : chunk.true_negatives);
-        }
-      }
+      std::size_t j = begin;
+      for (; j < end && !is_cancelled(cancel); ++j)
+        scores[j] = scorer.score(target.features[scored[j]]);
+      PipelineMetrics::get().stage1_pairs_scored.add(j - begin);
+      if (j < end) stage1_cancelled.store(true, std::memory_order_relaxed);
     });
   }
+  // A cancelled stage 1 classifies nothing: its scores are incomplete.
+  outcome.cancelled = stage1_cancelled.load(std::memory_order_relaxed);
   std::vector<float> candidate_scores;
   std::vector<std::pair<std::size_t, float>> verify_pruned;  // exact-only hits
-  for (const Stage1Chunk& chunk : chunks) {
-    outcome.true_positives += chunk.true_positives;
-    outcome.true_negatives += chunk.true_negatives;
-    outcome.false_positives += chunk.false_positives;
-    outcome.false_negatives += chunk.false_negatives;
-    outcome.candidates.insert(outcome.candidates.end(),
-                              chunk.candidates.begin(), chunk.candidates.end());
-    candidate_scores.insert(candidate_scores.end(), chunk.scores.begin(),
-                            chunk.scores.end());
-    verify_pruned.insert(verify_pruned.end(), chunk.verify_pruned.begin(),
-                         chunk.verify_pruned.end());
-    outcome.prefilter_exact_candidates += chunk.exact_candidates;
-    outcome.prefilter_recalled += chunk.recalled;
-    outcome.cancelled = outcome.cancelled || chunk.cancelled;
+  std::size_t shortlist_pos = 0;
+  for (std::size_t i = 0; i < total && !outcome.cancelled; ++i) {
+    const bool shortlisted =
+        prefilter == retrieval::PrefilterMode::off ||
+        (shortlist_pos < shortlist.size() && shortlist[shortlist_pos] == i);
+    const bool is_target =
+        target.binary->functions[i].source_uid == entry.target_uid;
+    if (classes == nullptr && !shortlisted) {
+      // Pruned before the model ran; a true match here is the prefilter's
+      // recall loss and lands in false_negatives like any stage-1 miss.
+      ++(is_target ? outcome.false_negatives : outcome.true_negatives);
+      continue;
+    }
+    const float score = classes != nullptr ? scores[classes->class_of[i]]
+                                           : scores[shortlist_pos];
+    if (prefilter != retrieval::PrefilterMode::off && shortlisted)
+      ++shortlist_pos;
+    const bool accepted = score >= config_.detection_threshold;
+    if (prefilter == retrieval::PrefilterMode::verify && accepted) {
+      ++outcome.prefilter_exact_candidates;
+      if (shortlisted)
+        ++outcome.prefilter_recalled;
+      else
+        verify_pruned.emplace_back(i, score);
+    }
+    if (accepted && shortlisted) {
+      outcome.candidates.push_back(i);
+      candidate_scores.push_back(score);
+      ++(is_target ? outcome.true_positives : outcome.false_positives);
+    } else {
+      ++(is_target ? outcome.false_negatives : outcome.true_negatives);
+    }
   }
   outcome.dl_seconds = dl_watch.elapsed_seconds();
 

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 #include "dl/similarity_model.h"
 #include "obs/decision.h"
 #include "retrieval/index.h"
+#include "util/byte_classes.h"
 
 namespace patchecko {
 
@@ -45,10 +47,40 @@ struct PipelineConfig {
   std::size_t prefilter_min_total = 96;
 };
 
-/// Stage 1 scores a target in chunks of about this many model pairs, fanned
-/// out over `PipelineConfig::worker_threads`. A detect call that scores
-/// fewer pairs (a prefiltered shortlist) runs as one inline chunk.
+/// Stage 1 scores a target in chunks of this many model pairs, fanned out
+/// over `PipelineConfig::worker_threads`. A detect call that scores fewer
+/// pairs (a prefiltered shortlist) runs as one inline chunk.
 inline constexpr std::size_t stage1_chunk_pairs = 512;
+
+/// A library's functions grouped by the raw bits of their 48 static
+/// features (classify_by_bytes: -0.0 and 0.0 are different classes, and a
+/// NaN shares a class only with the same NaN bits). QueryScorer::score is a
+/// pure function of the query and target bits, so stage 1 scores one
+/// representative per class and every member takes its score (DESIGN.md
+/// §22).
+using FeatureClasses = ByteClasses;
+
+/// FeatureClasses built on first use, once, by whichever thread gets there
+/// first. A copy starts unbuilt: it may be given other features.
+class LazyFeatureClasses {
+ public:
+  LazyFeatureClasses() = default;
+  LazyFeatureClasses(const LazyFeatureClasses&) {}
+  LazyFeatureClasses& operator=(const LazyFeatureClasses&) {
+    state_ = std::make_unique<State>();
+    return *this;
+  }
+
+  const FeatureClasses& get(
+      const std::vector<StaticFeatureVector>& features) const;
+
+ private:
+  struct State {
+    std::once_flag once;
+    FeatureClasses classes;
+  };
+  std::unique_ptr<State> state_ = std::make_unique<State>();
+};
 
 /// A target library with its static features precomputed (shared across all
 /// CVE queries against the same library).
@@ -59,6 +91,17 @@ struct AnalyzedLibrary {
   /// (see ensure_retrieval_index). Shared so cached analyses and in-flight
   /// scans can hold the same immutable index.
   std::shared_ptr<const retrieval::FunctionIndex> index;
+
+  /// Classes of `features`, built by the first detect that scores every
+  /// function and never cached: an outcome-cache hit needs none, so a warm
+  /// scan pays nothing for them. Safe to call from concurrent detects;
+  /// `features` must not change after the first call.
+  const FeatureClasses& feature_classes() const {
+    return classes_.get(features);
+  }
+
+ private:
+  LazyFeatureClasses classes_;
 };
 
 /// Extracts the 48 static features of every function, optionally across

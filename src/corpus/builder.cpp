@@ -252,7 +252,10 @@ CveDatabase load_database(PrebuiltStore& store, const EvalCorpus& corpus,
   // Cold-build fallbacks compile their reference library at most once per
   // host library.
   std::map<std::size_t, LibraryBinary> references;
+  Stopwatch watch;
   const std::vector<std::uint64_t> fingerprints = library_fingerprints(corpus);
+  if (stats != nullptr) stats->fingerprint_seconds = watch.elapsed_seconds();
+  watch.restart();
   const std::vector<const HostedCve*> ordered = entries_in_build_order(corpus);
   entries.reserve(ordered.size());
   for (std::size_t index = 0; index < ordered.size(); ++index) {
@@ -285,6 +288,7 @@ CveDatabase load_database(PrebuiltStore& store, const EvalCorpus& corpus,
     entries.push_back(std::move(entry));
   }
   store.flush();
+  if (stats != nullptr) stats->entry_read_seconds = watch.elapsed_seconds();
   return CveDatabase(std::move(entries));
 }
 
@@ -293,6 +297,7 @@ std::shared_ptr<const CorpusSnapshot> load_snapshot(
     const DatabaseConfig& config, SnapshotLoadStats* stats) {
   const Stopwatch watch;
   EvalCorpus corpus(eval);
+  if (stats != nullptr) stats->corpus_seconds = watch.elapsed_seconds();
   CveDatabase database = load_database(store, corpus, config, stats);
   build_seconds_histogram().record(watch.elapsed_seconds());
   return std::make_shared<const CorpusSnapshot>(

@@ -57,6 +57,10 @@ BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix);
 struct SnapshotLoadStats {
   std::uint64_t entries_loaded = 0;  ///< deserialized from the store
   std::uint64_t entries_built = 0;   ///< cold-built fallbacks
+  // Wall seconds of the warm path's three parts.
+  double corpus_seconds = 0.0;       ///< EvalCorpus generation (load_snapshot)
+  double fingerprint_seconds = 0.0;  ///< per-library source fingerprints
+  double entry_read_seconds = 0.0;   ///< entry loads and cold fallbacks
 };
 
 /// The warm database path on its own: assembles a CveDatabase for `corpus`

@@ -129,10 +129,12 @@ std::string summary_line(const Registry& registry, const Tracer* tracer,
   char line[512];
   std::snprintf(
       line, sizeof(line),
-      "metrics: analyze %.2fs, dl %.2fs, exec %.2fs, patch %.2fs | cache "
-      "%llu/%llu hits (%.1f%%) | candidates %llu -> %llu (%llu pruned) | "
-      "steals %llu/%llu tasks | vm %llu runs, %llu reused, %llu traps",
+      "metrics: analyze %.2fs, dl %.2fs (%llu pairs), exec %.2fs, patch "
+      "%.2fs | cache %llu/%llu hits (%.1f%%) | candidates %llu -> %llu "
+      "(%llu pruned) | steals %llu/%llu tasks | vm %llu runs, %llu reused, "
+      "%llu traps",
       sum("pipeline.analyze_seconds"), sum("pipeline.dl_seconds"),
+      static_cast<unsigned long long>(counter("pipeline.stage1_pairs_scored")),
       sum("pipeline.da_seconds"), sum("pipeline.patch_seconds"),
       static_cast<unsigned long long>(hits),
       static_cast<unsigned long long>(lookups),

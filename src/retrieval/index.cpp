@@ -1,30 +1,15 @@
 #include "retrieval/index.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
+#include "util/byte_classes.h"
 #include "util/timer.h"
 
 namespace patchecko::retrieval {
 namespace {
-
-// Accumulates member codes per dimension and emits the rounded mean code —
-// the quantized-space analogue of a k-means centroid update. Ties round
-// half-up via the +denominator/2 trick on non-negative sums, so the result
-// is pure integer arithmetic and identical everywhere.
-QuantizedVector mean_code(const std::vector<QuantizedVector>& codes,
-                          const std::vector<std::uint32_t>& members) {
-  QuantizedVector out;
-  if (members.empty()) return out;
-  const std::uint64_t n = members.size();
-  for (std::size_t d = 0; d < static_feature_count; ++d) {
-    std::uint64_t sum = 0;
-    for (const std::uint32_t m : members) sum += codes[m].codes[d];
-    out.codes[d] = static_cast<std::uint8_t>((sum + n / 2) / n);
-  }
-  return out;
-}
 
 std::uint32_t nearest_centroid(const QuantizedVector& code,
                                const std::vector<QuantizedVector>& centroids) {
@@ -88,7 +73,23 @@ FunctionIndex FunctionIndex::build(
   for (const StaticFeatureVector& vec : features)
     index.codes_.push_back(quantize(vec));
 
+  // Clustering runs over the distinct codes ("points") in first-occurrence
+  // order, each with its multiplicity. Every step below sees a function
+  // only through its code, so all copies of a code take the path of their
+  // first occurrence, and a first-occurrence walk keeps "lowest function
+  // index" tie-breaks intact.
+  const ByteClasses distinct = classify_by_bytes(index.codes_);
+  const std::size_t u = distinct.representatives.size();
+  std::vector<QuantizedVector> points;
+  points.reserve(u);
+  for (const std::uint32_t first : distinct.representatives)
+    points.push_back(index.codes_[first]);
+  std::vector<std::uint32_t> multiplicity(u, 0);
+  for (const std::uint32_t point : distinct.class_of) ++multiplicity[point];
+  index.stats_.distinct_codes = u;
+
   if (n > 0) {
+    // The cluster count is a function of N, not of the distinct count.
     std::size_t clusters = config.clusters;
     if (clusters == 0)
       clusters = static_cast<std::size_t>(
@@ -96,65 +97,85 @@ FunctionIndex FunctionIndex::build(
     clusters = std::clamp<std::size_t>(clusters, 1, n);
 
     // Farthest-point seeding from function 0: maximally spread, no RNG.
-    // Ties (equal max-min distance) go to the lowest function index.
+    // Ties (equal max-min distance) go to the lowest function index, which
+    // is the lowest point: points are in first-occurrence order.
     //
     // Both loops below skip distances the triangle inequality settles
     // exactly. With d = sqrt(D), d(x,c) >= d(g,c) - d(x,g), so
     // D(g,c) >= 4 D(x,g) gives D(x,c) >= D(x,g): c cannot come strictly
     // closer to x than g. The test stays in integers.
     std::vector<QuantizedVector>& centroids = index.centroids_;
-    centroids.push_back(index.codes_[0]);
-    std::vector<std::uint32_t> min_dist(n);
-    // nearest[i]: a centroid at distance min_dist[i] from function i.
-    std::vector<std::uint32_t> nearest(n, 0);
+    centroids.push_back(points[0]);
+    std::vector<std::uint32_t> min_dist(u);
+    // nearest[p]: a centroid at distance min_dist[p] from point p.
+    std::vector<std::uint32_t> nearest(u, 0);
     std::vector<std::uint32_t> to_added;
-    for (std::size_t i = 0; i < n; ++i)
-      min_dist[i] = quantized_distance_sq(index.codes_[i], centroids[0]);
+    for (std::size_t p = 0; p < u; ++p)
+      min_dist[p] = quantized_distance_sq(points[p], centroids[0]);
     while (centroids.size() < clusters) {
       std::size_t far = 0;
-      for (std::size_t i = 1; i < n; ++i)
-        if (min_dist[i] > min_dist[far]) far = i;
-      centroids.push_back(index.codes_[far]);
+      for (std::size_t p = 1; p < u; ++p)
+        if (min_dist[p] > min_dist[far]) far = p;
+      centroids.push_back(points[far]);
       const auto added = static_cast<std::uint32_t>(centroids.size() - 1);
       to_added.resize(centroids.size());
       for (std::size_t c = 0; c < centroids.size(); ++c)
         to_added[c] = quantized_distance_sq(centroids[c], centroids[added]);
-      for (std::size_t i = 0; i < n; ++i) {
-        // The added centroid cannot lower min_dist[i].
-        if (to_added[nearest[i]] >= 4 * min_dist[i]) continue;
+      for (std::size_t p = 0; p < u; ++p) {
+        // The added centroid cannot lower min_dist[p].
+        if (to_added[nearest[p]] >= 4 * min_dist[p]) continue;
         const std::uint32_t dist =
-            quantized_distance_sq(index.codes_[i], centroids[added]);
-        if (dist < min_dist[i]) {
-          min_dist[i] = dist;
-          nearest[i] = added;
+            quantized_distance_sq(points[p], centroids[added]);
+        if (dist < min_dist[p]) {
+          min_dist[p] = dist;
+          nearest[p] = added;
         }
       }
     }
 
     // A few Lloyd rounds sharpen the seeds; assignment and the rounded-mean
     // update are both deterministic, and empty clusters keep their previous
-    // centroid so the cluster count never shrinks.
-    std::vector<std::vector<std::uint32_t>>& lists = index.lists_;
-    lists.assign(centroids.size(), {});
+    // centroid so the cluster count never shrinks. The update is the
+    // member mean in integers: per dimension sum(mult * code) over
+    // sum(mult), rounded half-up via +denominator/2 on non-negative sums,
+    // so it equals the mean over every member function exactly.
+    std::vector<std::array<std::uint64_t, static_feature_count>> sums;
+    std::vector<std::uint64_t> weights;
     std::vector<std::uint32_t> separation;
     for (std::size_t round = 0; round <= config.lloyd_iterations; ++round) {
-      for (auto& list : lists) list.clear();
       centroid_separation(centroids, separation);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        // nearest[i] is the last assignment (the seeding's at first). When
+      for (std::uint32_t p = 0; p < u; ++p) {
+        // nearest[p] is the last assignment (the seeding's at first). When
         // 4 D(x,g) < separation[g], the bound above holds strictly for
         // every other centroid, so g is the unique nearest: the centroid
         // the full scan returns.
-        const std::uint32_t guess = nearest[i];
-        if (4 * quantized_distance_sq(index.codes_[i], centroids[guess]) >=
+        const std::uint32_t guess = nearest[p];
+        if (4 * quantized_distance_sq(points[p], centroids[guess]) >=
             separation[guess])
-          nearest[i] = nearest_centroid(index.codes_[i], centroids);
-        lists[nearest[i]].push_back(i);
+          nearest[p] = nearest_centroid(points[p], centroids);
       }
       if (round == config.lloyd_iterations) break;  // final assignment stands
-      for (std::size_t c = 0; c < centroids.size(); ++c)
-        if (!lists[c].empty()) centroids[c] = mean_code(index.codes_, lists[c]);
+      sums.assign(centroids.size(), {});
+      weights.assign(centroids.size(), 0);
+      for (std::size_t p = 0; p < u; ++p) {
+        auto& sum = sums[nearest[p]];
+        for (std::size_t d = 0; d < static_feature_count; ++d)
+          sum[d] += std::uint64_t{multiplicity[p]} * points[p].codes[d];
+        weights[nearest[p]] += multiplicity[p];
+      }
+      for (std::size_t c = 0; c < centroids.size(); ++c) {
+        const std::uint64_t w = weights[c];
+        if (w == 0) continue;
+        for (std::size_t d = 0; d < static_feature_count; ++d)
+          centroids[c].codes[d] =
+              static_cast<std::uint8_t>((sums[c][d] + w / 2) / w);
+      }
     }
+
+    // Inverted lists hold functions, ascending.
+    index.lists_.assign(centroids.size(), {});
+    for (std::uint32_t i = 0; i < n; ++i)
+      index.lists_[nearest[distinct.class_of[i]]].push_back(i);
   }
 
   index.stats_.vectors = n;

@@ -13,8 +13,11 @@
 //   build:  quantize every function (quantizer.h), pick C ~ sqrt(N)
 //           centroids by deterministic farthest-point seeding, refine with
 //           a few Lloyd rounds, store one ascending inverted list per
-//           centroid. No RNG anywhere: the same features produce the
-//           bit-identical index at any --jobs value.
+//           centroid. Seeding and Lloyd run over the distinct codes, each
+//           weighted by how many functions share it; the result is the
+//           one a per-function build gives (DESIGN.md §22). No RNG
+//           anywhere: the same features produce the bit-identical index
+//           at any --jobs value.
 //   query:  rank centroids by distance to the quantized query, scan the
 //           nearest lists until the probe budget is met, and return the K
 //           closest scanned functions — ties broken toward the lower
@@ -62,6 +65,7 @@ struct IndexConfig {
 
 struct IndexStats {
   std::size_t vectors = 0;
+  std::size_t distinct_codes = 0;  ///< points the clustering ran over
   std::size_t clusters = 0;
   std::size_t memory_bytes = 0;
   double build_seconds = 0.0;
@@ -91,6 +95,13 @@ class FunctionIndex {
   const IndexStats& stats() const { return stats_; }
   /// Stored code of function `i` (tests and round-trip checks).
   const QuantizedVector& code(std::size_t i) const { return codes_[i]; }
+  /// Centroid and ascending member functions of inverted list `c` (tests).
+  const QuantizedVector& centroid(std::size_t c) const {
+    return centroids_[c];
+  }
+  const std::vector<std::uint32_t>& list(std::size_t c) const {
+    return lists_[c];
+  }
 
  private:
   IndexConfig config_;

@@ -47,10 +47,12 @@ struct Ctx {
   const GeneratorConfig& cfg;
   SourceFunction& fn;
   int function_index = 0;
-  std::vector<CallableFn> callables;  // earlier all-i64 functions
-  int data_param = -1;                // ptr parameter, if any
-  std::vector<int> int_params;        // i64 parameters
-  int fp_param = -1;                  // f64 parameter, if any
+  /// Earlier all-i64 functions. A reference: a library's list grows with
+  /// every function, so a copy per function would be quadratic.
+  const std::vector<CallableFn>& callables;
+  int data_param = -1;          // ptr parameter, if any
+  std::vector<int> int_params;  // i64 parameters
+  int fp_param = -1;            // f64 parameter, if any
 };
 
 std::int64_t pick_mask(Rng& rng) {

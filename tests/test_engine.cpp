@@ -1190,6 +1190,34 @@ TEST(Engine, RetainedIndexIsReusedUntilClearMemory) {
     EXPECT_EQ(report->canonical_text(), cold.canonical_text());
 }
 
+TEST(Engine, WarmOutcomeHitBuildsNoClasses) {
+  // Feature classes are built inside a detect that scores every function,
+  // never in analyze and never cached: a run whose outcomes all hit the
+  // cache builds none, and a prefilter-`on` run (which scores only its
+  // shortlist) builds none either.
+  const EngineUniverse& u = universe();
+  const obs::EnabledScope obs_on(true);
+  const obs::Counter& builds =
+      obs::Registry::global().counter("pipeline.feature_class_builds");
+  EngineConfig config;
+  config.jobs = 4;
+  ScanEngine engine(config);
+  std::uint64_t before = builds.value();
+  const ScanReport cold = engine.run(u.request());
+  EXPECT_EQ(builds.value() - before, cold.analyzed_libraries);
+  before = builds.value();
+  const ScanReport warm = engine.run(u.request());
+  EXPECT_EQ(warm.cache.outcome_hits, 2 * warm.results.size());
+  EXPECT_EQ(builds.value() - before, 0u);
+  EXPECT_EQ(warm.canonical_text(), cold.canonical_text());
+
+  config.pipeline.prefilter_mode = retrieval::PrefilterMode::on;
+  config.pipeline.prefilter_min_total = 0;
+  before = builds.value();
+  ScanEngine(config).run(u.request());
+  EXPECT_EQ(builds.value() - before, 0u);
+}
+
 TEST(Engine, ConcurrentRunsOnOneEngineStayDeterministic) {
   // The scan service dispatches many requests through one resident engine;
   // concurrent run() calls share the result cache and the global pool but

@@ -421,5 +421,179 @@ TEST(Pipeline, ProfileMemoIsBitIdentical) {
   EXPECT_LT(memo_runs, plain_runs);
 }
 
+// Stage 1 scores one representative per feature class. Scoring every
+// function with its own QueryScorer call instead must give the same counts,
+// candidates, candidate scores and stage-1 provenance, in every prefilter
+// mode and at any worker count.
+TEST(Pipeline, Stage1ClassesMatchDirectScoring) {
+  const Universe& u = universe();
+  const obs::EnabledScope on(true);
+  const obs::Counter& pairs =
+      obs::Registry::global().counter("pipeline.stage1_pairs_scored");
+  std::size_t functions = 0, representatives = 0;
+  for (const double scale : {0.05, 0.1}) {
+    EvalConfig eval;
+    eval.scale = scale;
+    const EvalCorpus corpus(eval);
+    const CveDatabase database(corpus, DatabaseConfig{});
+    // The first CVE of each of the first four host libraries, plus the
+    // largest library's.
+    std::vector<const CveEntry*> entries{&database.by_id("CVE-2018-9498")};
+    for (const CveEntry& entry : database.entries())
+      if (entries.size() < 5 &&
+          std::none_of(entries.begin(), entries.end(),
+                       [&](const CveEntry* e) {
+                         return e->library_index == entry.library_index;
+                       }))
+        entries.push_back(&entry);
+    for (const CveEntry* entry : entries) {
+      const LibraryBinary library = corpus.compile_for_device(
+          entry->library_index, android_things_device());
+      const AnalyzedLibrary analyzed = analyze_library(library, 1, true);
+      const std::size_t total = analyzed.features.size();
+      const FeatureClasses& classes = analyzed.feature_classes();
+      functions += total;
+      representatives += classes.representatives.size();
+      for (const retrieval::PrefilterMode mode :
+           {retrieval::PrefilterMode::off, retrieval::PrefilterMode::verify,
+            retrieval::PrefilterMode::on}) {
+        for (const bool query_is_patched : {false, true}) {
+          const StaticFeatureVector& query = query_is_patched
+                                                 ? entry->patched_features
+                                                 : entry->vulnerable_features;
+          std::vector<bool> shortlisted(total,
+                                        mode == retrieval::PrefilterMode::off);
+          std::size_t shortlist_size = 0;
+          if (mode != retrieval::PrefilterMode::off)
+            for (const std::uint32_t i : analyzed.index->top_k(query, 32)) {
+              shortlisted[i] = true;
+              ++shortlist_size;
+            }
+
+          // Direct: every function scored on its own, classified in order.
+          DetectionOutcome direct;
+          std::ostringstream records;
+          for (std::size_t i = 0; i < total; ++i) {
+            const bool is_target =
+                library.functions[i].source_uid == entry->target_uid;
+            if (mode == retrieval::PrefilterMode::on && !shortlisted[i]) {
+              ++(is_target ? direct.false_negatives : direct.true_negatives);
+              continue;
+            }
+            const float score =
+                QueryScorer(u.model, query).score(analyzed.features[i]);
+            const bool accepted =
+                score >= PipelineConfig{}.detection_threshold;
+            if (mode == retrieval::PrefilterMode::verify && accepted) {
+              ++direct.prefilter_exact_candidates;
+              if (shortlisted[i]) ++direct.prefilter_recalled;
+            }
+            std::uint32_t bits = 0;
+            std::memcpy(&bits, &score, sizeof(bits));
+            if (accepted)
+              records << i << ':' << bits << ':' << !shortlisted[i] << ' ';
+            if (accepted && shortlisted[i]) {
+              direct.candidates.push_back(i);
+              ++(is_target ? direct.true_positives : direct.false_positives);
+            } else {
+              ++(is_target ? direct.false_negatives : direct.true_negatives);
+            }
+          }
+
+          for (const unsigned threads : {1u, 4u}) {
+            PipelineConfig config;
+            config.worker_threads = threads;
+            config.prefilter_mode = mode;
+            config.prefilter_min_total = 0;
+            const Patchecko pipeline(&u.model, config);
+            const std::uint64_t pairs_before = pairs.value();
+            const DetectionOutcome outcome =
+                pipeline.detect(*entry, analyzed, query_is_patched);
+            const std::string where =
+                library.name + " scale " + std::to_string(scale) + " mode " +
+                std::to_string(static_cast<int>(mode)) + " patched " +
+                std::to_string(query_is_patched) + " threads " +
+                std::to_string(threads);
+            EXPECT_EQ(pairs.value() - pairs_before,
+                      mode == retrieval::PrefilterMode::on
+                          ? shortlist_size
+                          : classes.representatives.size())
+                << where;
+            EXPECT_EQ(outcome.true_positives, direct.true_positives) << where;
+            EXPECT_EQ(outcome.true_negatives, direct.true_negatives) << where;
+            EXPECT_EQ(outcome.false_positives, direct.false_positives)
+                << where;
+            EXPECT_EQ(outcome.false_negatives, direct.false_negatives)
+                << where;
+            EXPECT_EQ(outcome.candidates, direct.candidates) << where;
+            EXPECT_EQ(outcome.prefilter_exact_candidates,
+                      direct.prefilter_exact_candidates)
+                << where;
+            EXPECT_EQ(outcome.prefilter_recalled, direct.prefilter_recalled)
+                << where;
+            std::ostringstream detected;
+            for (const obs::CandidateRecord& record :
+                 outcome.provenance.candidates) {
+              const float score = static_cast<float>(record.dl_score);
+              std::uint32_t bits = 0;
+              std::memcpy(&bits, &score, sizeof(bits));
+              detected << record.function_index << ':' << bits << ':'
+                       << record.prefiltered << ' ';
+            }
+            EXPECT_EQ(detected.str(), records.str()) << where;
+          }
+        }
+      }
+    }
+  }
+  // The libraries repeat feature vectors, so the classes did save pairs.
+  EXPECT_LT(representatives, functions);
+}
+
+// Classes compare raw bits: operator== would merge -0.0 with 0.0 and never
+// match a NaN, even with itself.
+TEST(Pipeline, FeatureClassesCompareRawBits) {
+  const auto from_bits = [](std::uint64_t bits) {
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+  };
+  const StaticFeatureVector zero{};
+  StaticFeatureVector negative_zero = zero;
+  negative_zero[5] = -0.0;
+  StaticFeatureVector nan_a = zero;
+  nan_a[7] = from_bits(0x7ff8000000000001ULL);
+  StaticFeatureVector nan_b = zero;
+  nan_b[7] = from_bits(0x7ff8000000000002ULL);
+  ASSERT_TRUE(zero == negative_zero);
+  ASSERT_FALSE(nan_a == nan_a);
+
+  const std::vector<StaticFeatureVector> features{
+      zero, negative_zero, nan_a, zero, nan_a, nan_b, negative_zero};
+  const FeatureClasses classes = classify_by_bytes(features);
+  EXPECT_EQ(classes.class_of,
+            (std::vector<std::uint32_t>{0, 1, 2, 0, 2, 3, 1}));
+  EXPECT_EQ(classes.representatives,
+            (std::vector<std::uint32_t>{0, 1, 2, 5}));
+
+  // An AnalyzedLibrary builds its classes once, on first use; a copy starts
+  // unbuilt and classifies its own features.
+  const obs::EnabledScope on(true);
+  const obs::Counter& builds =
+      obs::Registry::global().counter("pipeline.feature_class_builds");
+  AnalyzedLibrary analyzed;
+  analyzed.features = features;
+  const std::uint64_t before = builds.value();
+  const FeatureClasses& built = analyzed.feature_classes();
+  EXPECT_EQ(&built, &analyzed.feature_classes());
+  EXPECT_EQ(builds.value() - before, 1u);
+  EXPECT_EQ(built.class_of, classes.class_of);
+  AnalyzedLibrary copy = analyzed;
+  copy.features.push_back(negative_zero);
+  EXPECT_EQ(copy.feature_classes().class_of.size(), features.size() + 1);
+  EXPECT_EQ(copy.feature_classes().class_of.back(), 1u);
+  EXPECT_EQ(builds.value() - before, 2u);
+}
+
 }  // namespace
 }  // namespace patchecko

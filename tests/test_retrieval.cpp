@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -374,6 +375,170 @@ TEST(Index, AdversarialVectorsNeverCrashOrEscapeRange) {
                                corpus.size(), k);
       }
     }
+  }
+}
+
+// --- distinct-code build vs per-function reference --------------------------
+
+/// The index as a per-function build produces it: farthest-point seeding,
+/// Lloyd rounds and the final lists over every function's code, each
+/// distance computed in full, centroids the rounded member mean. The
+/// distinct-code build must equal it exactly.
+struct ReferenceIndex {
+  std::vector<QuantizedVector> codes;
+  std::vector<QuantizedVector> centroids;
+  std::vector<std::vector<std::uint32_t>> lists;
+
+  ReferenceIndex(const std::vector<StaticFeatureVector>& features,
+                 const IndexConfig& config) {
+    for (const StaticFeatureVector& vec : features)
+      codes.push_back(retrieval::quantize(vec));
+    const std::size_t n = codes.size();
+    if (n == 0) return;
+    std::size_t clusters = config.clusters;
+    if (clusters == 0)
+      clusters = static_cast<std::size_t>(
+          std::ceil(std::sqrt(static_cast<double>(n))));
+    clusters = std::clamp<std::size_t>(clusters, 1, n);
+    centroids.push_back(codes[0]);
+    std::vector<std::uint32_t> min_dist(n);
+    for (std::size_t i = 0; i < n; ++i)
+      min_dist[i] = retrieval::quantized_distance_sq(codes[i], centroids[0]);
+    while (centroids.size() < clusters) {
+      std::size_t far = 0;
+      for (std::size_t i = 1; i < n; ++i)
+        if (min_dist[i] > min_dist[far]) far = i;
+      centroids.push_back(codes[far]);
+      for (std::size_t i = 0; i < n; ++i)
+        min_dist[i] = std::min(min_dist[i], retrieval::quantized_distance_sq(
+                                                codes[i], centroids.back()));
+    }
+    for (std::size_t round = 0; round <= config.lloyd_iterations; ++round) {
+      lists.assign(centroids.size(), {});
+      for (std::uint32_t i = 0; i < n; ++i) {
+        std::uint32_t best = 0;
+        std::uint32_t best_dist =
+            retrieval::quantized_distance_sq(codes[i], centroids[0]);
+        for (std::uint32_t c = 1; c < centroids.size(); ++c) {
+          const std::uint32_t dist =
+              retrieval::quantized_distance_sq(codes[i], centroids[c]);
+          if (dist < best_dist) {
+            best = c;
+            best_dist = dist;
+          }
+        }
+        lists[best].push_back(i);
+      }
+      if (round == config.lloyd_iterations) break;
+      for (std::size_t c = 0; c < centroids.size(); ++c) {
+        const std::uint64_t members = lists[c].size();
+        if (members == 0) continue;
+        for (std::size_t d = 0; d < static_feature_count; ++d) {
+          std::uint64_t sum = 0;
+          for (const std::uint32_t m : lists[c]) sum += codes[m].codes[d];
+          centroids[c].codes[d] =
+              static_cast<std::uint8_t>((sum + members / 2) / members);
+        }
+      }
+    }
+  }
+
+  /// FunctionIndex::top_k's probe and selection over this index.
+  std::vector<std::uint32_t> top_k(const QuantizedVector& query,
+                                   std::size_t k,
+                                   const IndexConfig& config) const {
+    if (k == 0 || codes.empty()) return {};
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> order;
+    for (std::uint32_t c = 0; c < centroids.size(); ++c)
+      order.emplace_back(retrieval::quantized_distance_sq(query, centroids[c]),
+                         c);
+    std::sort(order.begin(), order.end());
+    const std::size_t budget = k * config.probe_budget_factor;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> scanned;
+    std::size_t probed = 0;
+    for (const auto& [unused_dist, c] : order) {
+      if (probed >= config.min_probe_clusters && scanned.size() >= budget)
+        break;
+      for (const std::uint32_t i : lists[c])
+        scanned.emplace_back(retrieval::quantized_distance_sq(query, codes[i]),
+                             i);
+      ++probed;
+    }
+    std::sort(scanned.begin(), scanned.end());
+    if (scanned.size() > k) scanned.resize(k);
+    std::vector<std::uint32_t> out;
+    for (const auto& [unused_dist, i] : scanned) out.push_back(i);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+};
+
+/// Centroids, lists and shortlists of `features` equal the reference's.
+void expect_matches_reference(const std::vector<StaticFeatureVector>& features,
+                              const IndexConfig& config,
+                              const std::vector<StaticFeatureVector>& queries,
+                              const std::string& where) {
+  const FunctionIndex index = FunctionIndex::build(features, config);
+  const ReferenceIndex reference(features, config);
+  ASSERT_EQ(index.cluster_count(), reference.centroids.size()) << where;
+  for (std::size_t c = 0; c < index.cluster_count(); ++c) {
+    EXPECT_EQ(index.centroid(c), reference.centroids[c]) << where << " c=" << c;
+    EXPECT_EQ(index.list(c), reference.lists[c]) << where << " c=" << c;
+  }
+  for (const StaticFeatureVector& query : queries) {
+    const QuantizedVector code = retrieval::quantize(query);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{16},
+                                std::size_t{32}})
+      EXPECT_EQ(index.top_k(code, k), reference.top_k(code, k, config))
+          << where << " k=" << k;
+  }
+}
+
+TEST(Retrieval, DistinctCodeBuildMatchesPerFunctionBuild) {
+  // Real features: every library of a Things image, each function a query.
+  EvalConfig eval;
+  eval.scale = 0.05;
+  eval.seed = 2;
+  const FirmwareImage image =
+      EvalCorpus(eval).build_firmware(android_things_device());
+  std::size_t functions = 0, distinct = 0;
+  for (const LibraryBinary& library : image.libraries) {
+    const AnalyzedLibrary analyzed = analyze_library(library);
+    const FunctionIndex index = FunctionIndex::build(analyzed.features);
+    functions += index.stats().vectors;
+    distinct += index.stats().distinct_codes;
+    expect_matches_reference(analyzed.features, IndexConfig{},
+                             analyzed.features, library.name);
+  }
+  EXPECT_LT(distinct, functions);  // real libraries repeat codes
+
+  // Heavily duplicated: 2400 functions over 60 prototypes, each copied
+  // exactly or with one feature nudged by far less than a code step, so
+  // about 60 codes cover 2400 functions (and many distinct vectors share
+  // a code). Cluster counts below, at and above the distinct count.
+  Rng rng(53);
+  std::vector<StaticFeatureVector> prototypes;
+  for (int p = 0; p < 60; ++p) prototypes.push_back(random_feature_vector(rng));
+  std::vector<StaticFeatureVector> duplicated;
+  for (int i = 0; i < 2400; ++i) {
+    StaticFeatureVector vec = rng.pick(prototypes);
+    if (i % 3 == 0) vec[i % static_feature_count] *= 1.0001;
+    duplicated.push_back(vec);
+  }
+  const FunctionIndex heavy = FunctionIndex::build(duplicated);
+  EXPECT_GE(heavy.stats().distinct_codes, 60u);
+  EXPECT_LT(heavy.stats().distinct_codes, 120u);
+  std::vector<StaticFeatureVector> queries;
+  for (int q = 0; q < 40; ++q) {
+    queries.push_back(random_feature_vector(rng));
+    queries.push_back(noisy_copy(rng.pick(prototypes), rng));
+  }
+  for (const std::size_t clusters :
+       {std::size_t{0}, std::size_t{7}, std::size_t{60}, std::size_t{200}}) {
+    IndexConfig config;
+    config.clusters = clusters;
+    expect_matches_reference(duplicated, config, queries,
+                             "duplicated clusters=" + std::to_string(clusters));
   }
 }
 
