@@ -83,8 +83,7 @@ inline bool is_cancelled(const std::atomic<bool>* cancel) {
 }  // namespace
 
 AnalyzedLibrary analyze_library(const LibraryBinary& library,
-                                unsigned worker_threads,
-                                bool build_retrieval_index) {
+                                unsigned worker_threads) {
   const obs::ScopedSpan span("pipeline.analyze");
   const Stopwatch watch;
   AnalyzedLibrary analyzed;
@@ -95,7 +94,6 @@ AnalyzedLibrary analyze_library(const LibraryBinary& library,
   });
   PipelineMetrics::get().functions_analyzed.add(library.functions.size());
   PipelineMetrics::get().analyze_seconds.record(watch.elapsed_seconds());
-  if (build_retrieval_index) ensure_retrieval_index(analyzed);
   return analyzed;
 }
 
@@ -411,15 +409,6 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
     }
   }
   return outcome;
-}
-
-PatchDecision Patchecko::analyze_patch(const CveEntry& entry,
-                                       const AnalyzedLibrary& target,
-                                       std::size_t target_function) const {
-  const Machine machine(*target.binary, config_.machine);
-  return decide_patch(
-      entry, target, target_function,
-      profile_function(machine, target_function, entry.environments));
 }
 
 PatchDecision Patchecko::decide_patch(

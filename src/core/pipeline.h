@@ -105,11 +105,9 @@ struct AnalyzedLibrary {
 };
 
 /// Extracts the 48 static features of every function, optionally across
-/// worker threads. `build_retrieval_index` also builds the prefilter index
-/// over the extracted features.
+/// worker threads.
 AnalyzedLibrary analyze_library(const LibraryBinary& library,
-                                unsigned worker_threads = 1,
-                                bool build_retrieval_index = false);
+                                unsigned worker_threads = 1);
 
 /// Builds `analyzed.index` if absent (no-op otherwise). Deterministic for a
 /// given feature set; records retrieval.* build metrics.
@@ -222,11 +220,6 @@ class Patchecko {
                               nullptr,
                           ProfileMemo* memo = nullptr) const;
 
-  /// Differential stage on one matched target function.
-  PatchDecision analyze_patch(const CveEntry& entry,
-                              const AnalyzedLibrary& target,
-                              std::size_t target_function) const;
-
   /// Full workflow: detect with the vulnerable query, take the top-ranked
   /// candidate, and decide patch presence.
   PatchReport full_report(const CveEntry& entry,
@@ -245,7 +238,8 @@ class Patchecko {
   const PipelineConfig& config() const { return config_; }
 
  private:
-  /// analyze_patch on a target whose profile is already known.
+  /// Differential stage on one matched target function whose profile is
+  /// already known.
   PatchDecision decide_patch(const CveEntry& entry,
                              const AnalyzedLibrary& target,
                              std::size_t target_function,

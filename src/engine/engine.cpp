@@ -561,78 +561,62 @@ ScanReport ScanEngine::run(const ScanRequest& request,
       ready_depth.add(1);
     }
 
-  if (config_.jobs <= 1) {
-    while (!ready.empty()) {
-      if (interrupted()) {
-        // Queued jobs are dropped, not run: the interrupt is the run-wide
-        // cancel signal and the partial report must return promptly.
-        ready_depth.add(-static_cast<std::int64_t>(ready.size()));
-        ready.clear();
-        break;
-      }
+  // Event-driven: every job is one *finite* pool task that, when done,
+  // releases its dependents and submits newly ready jobs (at most
+  // `max_running` in flight; jobs = 0 runs one at a time like jobs = 1).
+  // Finite tasks are essential — a pool waiter helping via try_run_one may
+  // execute another job task nested on its own stack, which is harmless
+  // exactly because job tasks always run to completion instead of looping
+  // until the whole graph is done.
+  const unsigned max_running = std::max(1u, config_.jobs);
+  std::size_t running = 0;
+  bool aborted = false;
+  std::exception_ptr first_error;
+  TaskGroup group(ThreadPool::shared());
+  std::function<void(std::size_t)> run_job;
+  const auto pump = [&] {
+    // Caller holds sched_mutex (this also serializes group.run calls).
+    // Once interrupted, queued jobs are dropped, not run: the interrupt is
+    // the run-wide cancel signal and the partial report must return
+    // promptly.
+    if (interrupted()) {
+      ready_depth.add(-static_cast<std::int64_t>(ready.size()));
+      ready.clear();
+      return;
+    }
+    while (running < max_running && !ready.empty()) {
       const std::size_t id = ready.front();
       ready.pop_front();
       ready_depth.add(-1);
+      ++running;
+      group.run([&run_job, id] { run_job(id); });
+    }
+  };
+  run_job = [&](std::size_t id) {
+    try {
       execute(id);
-      for (const std::size_t dependent : jobs[id].dependents)
-        if (--jobs[dependent].unmet == 0) {
-          ready.push_back(dependent);
-          ready_depth.add(1);
-        }
-    }
-  } else {
-    // Event-driven: every job is one *finite* pool task that, when done,
-    // releases its dependents and submits newly ready jobs (at most
-    // config_.jobs in flight). Finite tasks are essential — a pool waiter
-    // helping via try_run_one may execute another job task nested on its
-    // own stack, which is harmless exactly because job tasks always run to
-    // completion instead of looping until the whole graph is done.
-    std::size_t running = 0;
-    bool aborted = false;
-    std::exception_ptr first_error;
-    TaskGroup group(ThreadPool::shared());
-    std::function<void(std::size_t)> run_job;
-    const auto pump = [&] {
-      // Caller holds sched_mutex (this also serializes group.run calls).
-      if (interrupted()) {
-        ready_depth.add(-static_cast<std::int64_t>(ready.size()));
-        ready.clear();
-        return;
-      }
-      while (running < config_.jobs && !ready.empty()) {
-        const std::size_t id = ready.front();
-        ready.pop_front();
-        ready_depth.add(-1);
-        ++running;
-        group.run([&run_job, id] { run_job(id); });
-      }
-    };
-    run_job = [&](std::size_t id) {
-      try {
-        execute(id);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(sched_mutex);
-        if (!first_error) first_error = std::current_exception();
-        aborted = true;
-        --running;
-        return;
-      }
+    } catch (...) {
       std::lock_guard<std::mutex> lock(sched_mutex);
+      if (!first_error) first_error = std::current_exception();
+      aborted = true;
       --running;
-      for (const std::size_t dependent : jobs[id].dependents)
-        if (--jobs[dependent].unmet == 0) {
-          ready.push_back(dependent);
-          ready_depth.add(1);
-        }
-      if (!aborted) pump();
-    };
-    {
-      std::lock_guard<std::mutex> lock(sched_mutex);
-      pump();
+      return;
     }
-    group.wait();
-    if (first_error) std::rethrow_exception(first_error);
+    std::lock_guard<std::mutex> lock(sched_mutex);
+    --running;
+    for (const std::size_t dependent : jobs[id].dependents)
+      if (--jobs[dependent].unmet == 0) {
+        ready.push_back(dependent);
+        ready_depth.add(1);
+      }
+    if (!aborted) pump();
+  };
+  {
+    std::lock_guard<std::mutex> lock(sched_mutex);
+    pump();
   }
+  group.wait();
+  if (first_error) std::rethrow_exception(first_error);
 
   if (interrupted()) {
     report.interrupted = true;

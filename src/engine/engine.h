@@ -28,8 +28,10 @@
 namespace patchecko {
 
 struct EngineConfig {
-  /// Maximum concurrently executing jobs; also the worker count of the
-  /// data-parallel loops inside each job. 1 = fully sequential.
+  /// Maximum concurrently executing jobs (0 counts as 1); also the worker
+  /// count of the data-parallel loops inside each job. Every value runs on
+  /// the one pool scheduler: 1 runs one job at a time, in graph order, with
+  /// its loops inline.
   unsigned jobs = 1;
   bool use_cache = true;
   /// Directory for persisted cache entries; empty = in-memory only.

@@ -721,19 +721,33 @@ ServiceHealth ScanService::health() const {
   return health;
 }
 
+namespace {
+
+// The `corpus` and `queue` objects that `health` and `stats` both carry.
+std::string corpus_json(std::uint64_t version, std::size_t cves) {
+  return "{\"version\":" + std::to_string(version) +
+         ",\"cves\":" + std::to_string(cves) + "}";
+}
+
+std::string queue_json(const AdmissionStats& queue) {
+  return "{\"depth\":" + std::to_string(queue.depth) +
+         ",\"active\":" + std::to_string(queue.active) +
+         ",\"capacity\":" + std::to_string(queue.capacity) +
+         ",\"admitted\":" + std::to_string(queue.admitted) +
+         ",\"rejected\":" + std::to_string(queue.rejected) +
+         ",\"completed\":" + std::to_string(queue.completed) + "}";
+}
+
+}  // namespace
+
 std::string ScanService::health_json() const {
   const ServiceHealth health = this->health();
   std::string out = "{\"type\":\"health\",\"uptime_s\":";
   obs_json::append_double(out, health.uptime_seconds);
-  out += ",\"corpus\":{\"version\":" + std::to_string(health.corpus_version) +
-         ",\"cves\":" + std::to_string(health.corpus_cves) + "}";
+  out += ",\"corpus\":" +
+         corpus_json(health.corpus_version, health.corpus_cves);
   out += std::string(",\"draining\":") + (health.draining ? "true" : "false");
-  out += ",\"queue\":{\"depth\":" + std::to_string(health.queue.depth) +
-         ",\"active\":" + std::to_string(health.queue.active) +
-         ",\"capacity\":" + std::to_string(health.queue.capacity) +
-         ",\"admitted\":" + std::to_string(health.queue.admitted) +
-         ",\"rejected\":" + std::to_string(health.queue.rejected) +
-         ",\"completed\":" + std::to_string(health.queue.completed) + "}";
+  out += ",\"queue\":" + queue_json(health.queue);
   const std::uint64_t hits = health.cache.hits();
   const std::uint64_t misses = health.cache.misses();
   const std::uint64_t lookups = hits + misses;
@@ -797,15 +811,9 @@ std::string ScanService::stats_json() const {
   const AdmissionStats queue = queue_.stats();
   std::string out = "{\"type\":\"stats\",\"schema_version\":1,\"uptime_s\":";
   obs_json::append_double(out, uptime_.elapsed_seconds());
-  out += ",\"corpus\":{\"version\":" + std::to_string(snapshot->version) +
-         ",\"cves\":" + std::to_string(snapshot->database.entries().size()) +
-         "}";
-  out += ",\"queue\":{\"depth\":" + std::to_string(queue.depth) +
-         ",\"active\":" + std::to_string(queue.active) +
-         ",\"capacity\":" + std::to_string(queue.capacity) +
-         ",\"admitted\":" + std::to_string(queue.admitted) +
-         ",\"rejected\":" + std::to_string(queue.rejected) +
-         ",\"completed\":" + std::to_string(queue.completed) + "}";
+  out += ",\"corpus\":" + corpus_json(snapshot->version,
+                                       snapshot->database.entries().size());
+  out += ",\"queue\":" + queue_json(queue);
   out += ",\"rollup\":" + obs::rollup_snapshot_json(rollup_.snapshot());
   // The profiler block feeds `patchecko top`'s hot-leaf row: capture count,
   // whether one is running right now, and the hottest leaf of the last

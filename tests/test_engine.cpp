@@ -696,6 +696,24 @@ TEST(Engine, SequentialAndParallelRunsAgreeExactly) {
   EXPECT_EQ(a.canonical_text(), b.canonical_text());
 }
 
+TEST(Engine, JobsZeroRunsLikeJobsOne) {
+  // jobs = 0 must run one job at a time, not start nothing and return a
+  // report of empty outcomes.
+  const EngineUniverse& u = universe();
+  EngineConfig zero;
+  zero.jobs = 0;
+  zero.use_cache = false;
+  EngineConfig one;
+  one.jobs = 1;
+  one.use_cache = false;
+
+  const ScanReport a = ScanEngine(zero).run(u.request());
+  const ScanReport b = ScanEngine(one).run(u.request());
+  ASSERT_FALSE(b.timings.empty());
+  EXPECT_EQ(a.timings.size(), b.timings.size());
+  EXPECT_EQ(a.canonical_text(), b.canonical_text());
+}
+
 TEST(Engine, WarmRunHitsCacheAndReproducesReport) {
   const EngineUniverse& u = universe();
   EngineConfig config;

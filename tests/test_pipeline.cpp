@@ -69,7 +69,8 @@ struct LargeTarget {
     const CveEntry& entry = database->by_id("CVE-2018-9498");
     library =
         corpus->compile_for_device(entry.library_index, android_things_device());
-    analyzed = analyze_library(library, 1, /*build_retrieval_index=*/true);
+    analyzed = analyze_library(library, 1);
+    ensure_retrieval_index(analyzed);
   }
 };
 
@@ -449,7 +450,8 @@ TEST(Pipeline, Stage1ClassesMatchDirectScoring) {
     for (const CveEntry* entry : entries) {
       const LibraryBinary library = corpus.compile_for_device(
           entry->library_index, android_things_device());
-      const AnalyzedLibrary analyzed = analyze_library(library, 1, true);
+      AnalyzedLibrary analyzed = analyze_library(library, 1);
+      ensure_retrieval_index(analyzed);
       const std::size_t total = analyzed.features.size();
       const FeatureClasses& classes = analyzed.feature_classes();
       functions += total;

@@ -196,10 +196,10 @@ TEST(Index, BuildIsIndependentOfAnalyzeWorkerCount) {
   const EvalCorpus corpus(eval);
   const LibraryBinary library =
       corpus.compile_for_device(0, android_things_device());
-  AnalyzedLibrary sequential = analyze_library(library, /*worker_threads=*/1,
-                                               /*build_retrieval_index=*/true);
-  AnalyzedLibrary parallel = analyze_library(library, /*worker_threads=*/4,
-                                             /*build_retrieval_index=*/true);
+  AnalyzedLibrary sequential = analyze_library(library, /*worker_threads=*/1);
+  AnalyzedLibrary parallel = analyze_library(library, /*worker_threads=*/4);
+  ensure_retrieval_index(sequential);
+  ensure_retrieval_index(parallel);
   ASSERT_NE(sequential.index, nullptr);
   ASSERT_NE(parallel.index, nullptr);
   ASSERT_EQ(sequential.index->size(), parallel.index->size());
@@ -253,7 +253,8 @@ TEST(Index, ShortlistsMatchRecordedDigest) {
   const FirmwareImage image =
       EvalCorpus(eval).build_firmware(android_things_device());
   for (const LibraryBinary& library : image.libraries) {
-    const AnalyzedLibrary analyzed = analyze_library(library, 1, true);
+    AnalyzedLibrary analyzed = analyze_library(library, 1);
+    ensure_retrieval_index(analyzed);
     absorb_shortlists(*analyzed.index, analyzed.features);
   }
   EXPECT_EQ(digest.hex(), "390fc7a2a05fb982cf99863ea117f48c");

@@ -47,9 +47,10 @@
 // `scan` rebuilds the vulnerability database deterministically from the
 // corpus seed, loads the stripped firmware image from disk, and runs the
 // two-stage pipeline plus the differential engine for each CVE, exactly as
-// the paper's evaluation does. `batch-scan` runs the same workload through
-// the batch engine: a dependency-aware job graph on the shared thread pool,
-// with analyze/detect results served from a content-addressed cache.
+// the paper's evaluation does. It runs on the batch engine, a
+// dependency-aware job graph on the shared thread pool, without a cache
+// (`--threads` is the job count). `batch-scan` runs the same engine with
+// analyze/detect results served from a content-addressed cache.
 // `--metrics` turns on the observability layer (src/obs): a one-line stage/
 // cache/pruning summary on stderr plus the full JSON metrics document on
 // stdout (or written to FILE). `--events` records decision provenance and
@@ -89,7 +90,6 @@
 #include <cstdio>
 #include <thread>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -115,7 +115,6 @@
 #include "tools/bench_diff_cmd.h"
 #include "util/cli_args.h"
 #include "util/parallel.h"
-#include "util/timer.h"
 
 using namespace patchecko;
 using cli::Args;
@@ -164,6 +163,39 @@ int emit_events(const cli::OutputSpec& spec, const ScanReport& report) {
     return 0;
   }
   return write_text_file(spec.file, out, "events");
+}
+
+/// Verdict tally of one listing; `unresolved` counts CVEs whose library is
+/// missing from the image or that matched no function.
+struct VerdictCounts {
+  int vulnerable = 0;
+  int patched = 0;
+  int unresolved = 0;
+};
+
+/// Prints the per-CVE verdict listing of `scan` and `batch-scan`: one line
+/// per result in database order, then its evidence lines.
+VerdictCounts print_results(const ScanReport& report) {
+  VerdictCounts counts;
+  for (const CveScanResult& result : report.results) {
+    if (result.library_missing || !result.report.decision) {
+      std::printf("%-16s %-18s %s\n", result.cve_id.c_str(),
+                  result.library.c_str(),
+                  result.library_missing ? "library not in image"
+                                         : "no match");
+      ++counts.unresolved;
+      continue;
+    }
+    const bool is_patched =
+        result.report.decision->verdict == PatchVerdict::patched;
+    std::printf("%-16s %-18s %s (function #%zu)\n", result.cve_id.c_str(),
+                result.library.c_str(), is_patched ? "patched" : "VULNERABLE",
+                *result.report.matched_function);
+    for (const std::string& note : result.report.decision->evidence)
+      std::printf("                   evidence: %s\n", note.c_str());
+    ++(is_patched ? counts.patched : counts.vulnerable);
+  }
+  return counts;
 }
 
 /// Starts the in-process --profile capture. Returns whether a capture was
@@ -551,7 +583,6 @@ int cmd_scan(const Args& args) {
     std::fprintf(stderr, "error: cannot load firmware image\n");
     return 1;
   }
-  const std::string only_cve = args.get("cve", "");
 
   const EvalConfig config = eval_config_from(args);
   std::printf("building vulnerability database (scale %.2f)...\n",
@@ -559,75 +590,28 @@ int cmd_scan(const Args& args) {
   const EvalCorpus corpus(config);
   const CveDatabase database(corpus, DatabaseConfig{});
 
-  PipelineConfig pipeline_config;
-  pipeline_config.worker_threads = static_cast<unsigned>(args.get_count(
+  EngineConfig engine_config;
+  engine_config.jobs = static_cast<unsigned>(args.get_count(
       "threads", static_cast<long>(default_worker_threads())));
-  apply_prefilter_options(args, pipeline_config);
-  const Patchecko pipeline(&*model, pipeline_config);
+  engine_config.use_cache = false;
+  apply_prefilter_options(args, engine_config.pipeline);
 
-  std::map<std::string, const LibraryBinary*> by_name;
-  for (const LibraryBinary& lib : image->libraries) by_name[lib.name] = &lib;
+  ScanRequest request;
+  request.model = &*model;
+  request.firmware = &*image;
+  request.database = &database;
+  if (const std::string cve = args.get("cve", ""); !cve.empty())
+    request.cve_ids.push_back(cve);
 
-  Stopwatch total;
-  int vulnerable = 0, patched = 0, missing = 0;
-  ScanReport provenance;  ///< results only; feeds --events rendering
-  std::map<std::size_t, AnalyzedLibrary> analyzed_cache;
-  for (const CveEntry& entry : database.entries()) {
-    if (!only_cve.empty() && entry.spec.cve_id != only_cve) continue;
-    CveScanResult result;
-    result.cve_id = entry.spec.cve_id;
-    result.library = entry.spec.library;
-    const auto lib_it = by_name.find(entry.spec.library);
-    if (lib_it == by_name.end()) {
-      std::printf("%-16s %-18s library not in image\n",
-                  entry.spec.cve_id.c_str(), entry.spec.library.c_str());
-      ++missing;
-      result.library_missing = true;
-      provenance.results.push_back(std::move(result));
-      continue;
-    }
-    auto [cached, inserted] = analyzed_cache.try_emplace(entry.library_index);
-    if (inserted)
-      cached->second = analyze_library(
-          *lib_it->second, pipeline_config.worker_threads,
-          pipeline_config.prefilter_mode != retrieval::PrefilterMode::off);
-    // Both query directions run explicitly (full_report's exact workflow)
-    // so the outcomes — and their decision provenance — are in hand.
-    ProfileMemo memo;
-    result.from_vulnerable =
-        pipeline.detect(entry, cached->second, /*query_is_patched=*/false,
-                        nullptr, nullptr, &memo);
-    result.from_patched =
-        pipeline.detect(entry, cached->second, /*query_is_patched=*/true,
-                        nullptr, nullptr, &memo);
-    result.report =
-        pipeline.report_from(entry, cached->second, result.from_vulnerable,
-                             result.from_patched, nullptr, &memo);
-    const PatchReport& report = result.report;
-    if (!report.decision) {
-      std::printf("%-16s %-18s no match\n", entry.spec.cve_id.c_str(),
-                  entry.spec.library.c_str());
-      ++missing;
-      provenance.results.push_back(std::move(result));
-      continue;
-    }
-    const bool is_patched =
-        report.decision->verdict == PatchVerdict::patched;
-    std::printf("%-16s %-18s %s (function #%zu)\n",
-                entry.spec.cve_id.c_str(), entry.spec.library.c_str(),
-                is_patched ? "patched" : "VULNERABLE",
-                *report.matched_function);
-    for (const std::string& note : report.decision->evidence)
-      std::printf("                   evidence: %s\n", note.c_str());
-    (is_patched ? patched : vulnerable) += 1;
-    provenance.results.push_back(std::move(result));
-  }
+  const ScanReport report = ScanEngine(engine_config).run(request);
+  const VerdictCounts counts = print_results(report);
   std::printf("\nscan finished in %.1fs: %d vulnerable, %d patched, %d "
               "unresolved\n",
-              total.elapsed_seconds(), vulnerable, patched, missing);
+              report.total_seconds, counts.vulnerable, counts.patched,
+              counts.unresolved);
   int status = emit_metrics(metrics);
   if (const int rc = emit_profile(profile, profiling); rc != 0) status = rc;
-  if (const int rc = emit_events(events, provenance); rc != 0) status = rc;
+  if (const int rc = emit_events(events, report); rc != 0) status = rc;
   if (const int rc = emit_trace(trace_out); rc != 0) status = rc;
   return status;
 }
@@ -745,26 +729,7 @@ int cmd_batch_scan(const Args& args) {
   if (canonical_stdout) {
     std::fputs(report.canonical_text().c_str(), stdout);
   } else {
-    for (const CveScanResult& result : report.results) {
-      if (result.library_missing) {
-        std::printf("%-16s %-18s library not in image\n",
-                    result.cve_id.c_str(), result.library.c_str());
-        continue;
-      }
-      if (!result.report.decision) {
-        std::printf("%-16s %-18s no match\n", result.cve_id.c_str(),
-                    result.library.c_str());
-        continue;
-      }
-      const bool is_patched =
-          result.report.decision->verdict == PatchVerdict::patched;
-      std::printf("%-16s %-18s %s (function #%zu)\n", result.cve_id.c_str(),
-                  result.library.c_str(),
-                  is_patched ? "patched" : "VULNERABLE",
-                  *result.report.matched_function);
-      for (const std::string& note : result.report.decision->evidence)
-        std::printf("                   evidence: %s\n", note.c_str());
-    }
+    print_results(report);
     std::printf("\n%s", report.summary_text().c_str());
   }
   int status = emit_metrics(metrics);
