@@ -3,8 +3,8 @@
 // replaces, bit-identical to it, and a second `build` over the unchanged
 // matrix must recompile nothing. Cold build, warm load (and its corpus,
 // fingerprint and entry-read parts) and the reference compiles are each
-// the median of three runs. BENCH_corpus.json feeds the
-// bench-diff perf gate.
+// the median of three runs; entry_bytes sums the CVE entry payloads.
+// BENCH_corpus.json feeds the bench-diff perf gate.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -98,6 +98,12 @@ int main() {
   const double warm_seconds = median(warm_runs);
   const double speedup = cold_seconds / warm_seconds;
 
+  // Payload bytes of every CVE entry, as the store files them.
+  double entry_bytes = 0.0;
+  for (const CveEntry& entry : cold_database.entries())
+    entry_bytes +=
+        static_cast<double>(corpus::serialize_cve_entry(entry).size());
+
   std::printf("=== Prebuilt-corpus store (%zu CVEs, scale %.2f) ===\n",
               cold_database.entries().size(), config.eval.scale);
   TextTable table({"phase", "seconds", "built", "reused"});
@@ -120,7 +126,8 @@ int main() {
                  fmt_double(median(fingerprint_runs), 3), "-", "-"});
   table.add_row({"  entry reads", fmt_double(median(read_runs), 3), "-",
                  std::to_string(load_stats.entries_loaded)});
-  std::printf("%s\nwarm speedup: %.1fx\n", table.render().c_str(), speedup);
+  std::printf("%s\nwarm speedup: %.1fx; entry payloads %.0f bytes\n",
+              table.render().c_str(), speedup, entry_bytes);
 
   bool ok = bench::write_bench_json(
       "corpus",
@@ -141,7 +148,8 @@ int main() {
                                      {"warm_speedup", speedup}}),
        bench::BenchRow("corpus", {{"seconds", median(corpus_runs)}}),
        bench::BenchRow("fingerprint", {{"seconds", median(fingerprint_runs)}}),
-       bench::BenchRow("entry_read", {{"seconds", median(read_runs)}})},
+       bench::BenchRow("entry_read", {{"seconds", median(read_runs)}}),
+       bench::BenchRow("entry_bytes", {{"bytes", entry_bytes}})},
       {"warm_speedup"});
 
   if (repopulate.built != 0) {

@@ -1,7 +1,6 @@
 #include "binary/binary.h"
 
 #include <cstring>
-#include <stdexcept>
 
 namespace patchecko {
 
@@ -16,154 +15,130 @@ void LibraryBinary::strip() {
   stripped = true;
 }
 
+using namespace blob;
+
 namespace {
 
-class Writer {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
-  }
-  void i64(std::int64_t v) {
-    const auto u = static_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i) bytes_.push_back((u >> (8 * i)) & 0xff);
-  }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-  }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
+constexpr std::uint32_t kLibraryMagic = 0x504b4c42;  // "PKLB"
 
- private:
-  std::vector<std::uint8_t> bytes_;
-};
+// Each count is checked against the smallest encoding of what it counts:
+// a u32-prefixed string or jump table, a function, an instruction.
+constexpr std::size_t kPrefixBytes = 4;
+constexpr std::size_t kMinFunctionBytes = 36;
+constexpr std::size_t kInstructionBytes = 16;
 
-class Reader {
- public:
-  explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
+static_assert(sizeof(ValueType) == 1 && sizeof(std::int32_t) == 4,
+              "param types and jump-table entries are copied as raw bytes");
 
-  std::uint8_t u8() {
-    need(1);
-    return bytes_[pos_++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * i);
-    return v;
-  }
-  std::int64_t i64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
-    return static_cast<std::int64_t>(v);
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
+/// A u32 count, or 0 (with the reader failed) when `count * element_bytes`
+/// exceeds what is left.
+std::uint32_t read_count(Reader& reader, std::size_t element_bytes) {
+  const std::uint32_t count = reader.read_u32();
+  return reader.fits(count, element_bytes) ? count : 0;
+}
 
- private:
-  void need(std::size_t n) {
-    if (pos_ + n > bytes_.size())
-      throw std::runtime_error("deserialize_library: truncated input");
-  }
-  const std::vector<std::uint8_t>& bytes_;
-  std::size_t pos_ = 0;
-};
+void append_name(Bytes& out, const std::string& text) {
+  append_u32(out, static_cast<std::uint32_t>(text.size()));
+  append_bytes(out, text.data(), text.size());
+}
 
-constexpr std::uint32_t format_magic = 0x504b4c42;  // "PKLB"
+std::string read_name(Reader& reader) {
+  std::string text(read_count(reader, 1), '\0');
+  reader.read(text.data(), text.size());
+  return text;
+}
 
 }  // namespace
 
-std::vector<std::uint8_t> serialize_library(const LibraryBinary& library) {
-  Writer w;
-  w.u32(format_magic);
-  w.str(library.name);
-  w.u8(static_cast<std::uint8_t>(library.arch));
-  w.u8(static_cast<std::uint8_t>(library.opt));
-  w.u8(library.stripped ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(library.strings.size()));
-  for (const std::string& s : library.strings) w.str(s);
-  w.u32(static_cast<std::uint32_t>(library.functions.size()));
-  for (const FunctionBinary& fn : library.functions) {
-    w.str(fn.name);
-    w.u32(fn.id);
-    w.i64(fn.frame_size);
-    w.i64(static_cast<std::int64_t>(fn.source_uid));
-    w.u32(static_cast<std::uint32_t>(fn.param_types.size()));
-    for (ValueType t : fn.param_types) w.u8(static_cast<std::uint8_t>(t));
-    w.u32(static_cast<std::uint32_t>(fn.jump_tables.size()));
-    for (const auto& table : fn.jump_tables) {
-      w.u32(static_cast<std::uint32_t>(table.size()));
-      for (std::int32_t entry : table)
-        w.u32(static_cast<std::uint32_t>(entry));
-    }
-    w.u32(static_cast<std::uint32_t>(fn.code.size()));
-    for (const Instruction& inst : fn.code) {
-      w.u8(static_cast<std::uint8_t>(inst.op));
-      w.u8(inst.dst);
-      w.u8(inst.src1);
-      w.u8(inst.src2);
-      w.i64(inst.imm);
-      w.u32(static_cast<std::uint32_t>(inst.target));
-    }
+void append_function(Bytes& out, const FunctionBinary& fn) {
+  append_name(out, fn.name);
+  append_u32(out, fn.id);
+  append_i64(out, fn.frame_size);
+  append_u64(out, fn.source_uid);
+  append_u32(out, static_cast<std::uint32_t>(fn.param_types.size()));
+  append_bytes(out, fn.param_types.data(), fn.param_types.size());
+  append_u32(out, static_cast<std::uint32_t>(fn.jump_tables.size()));
+  for (const std::vector<std::int32_t>& table : fn.jump_tables) {
+    append_u32(out, static_cast<std::uint32_t>(table.size()));
+    append_bytes(out, table.data(), table.size() * sizeof(table[0]));
   }
-  return w.take();
+  append_u32(out, static_cast<std::uint32_t>(fn.code.size()));
+  for (const Instruction& inst : fn.code) {
+    std::uint8_t record[kInstructionBytes] = {
+        static_cast<std::uint8_t>(inst.op), inst.dst, inst.src1, inst.src2};
+    std::memcpy(record + 4, &inst.imm, sizeof(inst.imm));
+    std::memcpy(record + 12, &inst.target, sizeof(inst.target));
+    append_bytes(out, record, sizeof(record));
+  }
 }
 
-LibraryBinary deserialize_library(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  if (r.u32() != format_magic)
-    throw std::runtime_error("deserialize_library: bad magic");
-  LibraryBinary library;
-  library.name = r.str();
-  library.arch = static_cast<Arch>(r.u8());
-  library.opt = static_cast<OptLevel>(r.u8());
-  library.stripped = r.u8() != 0;
-  const std::uint32_t string_count = r.u32();
-  library.strings.reserve(string_count);
-  for (std::uint32_t i = 0; i < string_count; ++i)
-    library.strings.push_back(r.str());
-  const std::uint32_t fn_count = r.u32();
-  library.functions.reserve(fn_count);
-  for (std::uint32_t i = 0; i < fn_count; ++i) {
-    FunctionBinary fn;
+bool read_function(Reader& reader, FunctionBinary& fn) {
+  fn.name = read_name(reader);
+  fn.id = reader.read_u32();
+  fn.frame_size = reader.read_i64();
+  fn.source_uid = reader.read_u64();
+  fn.param_types.resize(read_count(reader, 1));
+  reader.read(fn.param_types.data(), fn.param_types.size());
+  fn.jump_tables.resize(read_count(reader, kPrefixBytes));
+  for (std::vector<std::int32_t>& table : fn.jump_tables) {
+    table.resize(read_count(reader, sizeof(table[0])));
+    reader.read(table.data(), table.size() * sizeof(table[0]));
+  }
+  fn.code.resize(read_count(reader, kInstructionBytes));
+  for (Instruction& inst : fn.code) {
+    std::uint8_t record[kInstructionBytes];
+    if (!reader.read(record, sizeof(record))) return false;
+    inst.op = static_cast<Opcode>(record[0]);
+    inst.dst = record[1];
+    inst.src1 = record[2];
+    inst.src2 = record[3];
+    std::memcpy(&inst.imm, record + 4, sizeof(inst.imm));
+    std::memcpy(&inst.target, record + 12, sizeof(inst.target));
+  }
+  return reader.ok;
+}
+
+void append_library(Bytes& out, const LibraryBinary& library) {
+  append_u32(out, kLibraryMagic);
+  append_name(out, library.name);
+  append_u8(out, static_cast<std::uint8_t>(library.arch));
+  append_u8(out, static_cast<std::uint8_t>(library.opt));
+  append_u8(out, library.stripped ? 1 : 0);
+  append_u32(out, static_cast<std::uint32_t>(library.strings.size()));
+  for (const std::string& text : library.strings) append_name(out, text);
+  append_u32(out, static_cast<std::uint32_t>(library.functions.size()));
+  for (const FunctionBinary& fn : library.functions) append_function(out, fn);
+}
+
+bool read_library(Reader& reader, LibraryBinary& library) {
+  if (reader.read_u32() != kLibraryMagic) reader.ok = false;
+  library.name = read_name(reader);
+  library.arch = static_cast<Arch>(reader.read_u8());
+  library.opt = static_cast<OptLevel>(reader.read_u8());
+  library.stripped = reader.read_u8() != 0;
+  library.strings.resize(read_count(reader, kPrefixBytes));
+  for (std::string& text : library.strings) text = read_name(reader);
+  library.functions.resize(read_count(reader, kMinFunctionBytes));
+  for (FunctionBinary& fn : library.functions) {
     fn.arch = library.arch;
     fn.opt = library.opt;
-    fn.name = r.str();
-    fn.id = r.u32();
-    fn.frame_size = r.i64();
-    fn.source_uid = static_cast<std::uint64_t>(r.i64());
-    const std::uint32_t param_count = r.u32();
-    for (std::uint32_t p = 0; p < param_count; ++p)
-      fn.param_types.push_back(static_cast<ValueType>(r.u8()));
-    const std::uint32_t table_count = r.u32();
-    for (std::uint32_t t = 0; t < table_count; ++t) {
-      std::vector<std::int32_t> table(r.u32());
-      for (auto& entry : table)
-        entry = static_cast<std::int32_t>(r.u32());
-      fn.jump_tables.push_back(std::move(table));
-    }
-    const std::uint32_t code_count = r.u32();
-    fn.code.reserve(code_count);
-    for (std::uint32_t c = 0; c < code_count; ++c) {
-      Instruction inst;
-      inst.op = static_cast<Opcode>(r.u8());
-      inst.dst = r.u8();
-      inst.src1 = r.u8();
-      inst.src2 = r.u8();
-      inst.imm = r.i64();
-      inst.target = static_cast<std::int32_t>(r.u32());
-      fn.code.push_back(inst);
-    }
-    library.functions.push_back(std::move(fn));
+    if (!read_function(reader, fn)) return false;
   }
+  return reader.ok;
+}
+
+std::vector<std::uint8_t> serialize_library(const LibraryBinary& library) {
+  Bytes out;
+  append_library(out, library);
+  return out;
+}
+
+std::optional<LibraryBinary> deserialize_library(
+    const std::vector<std::uint8_t>& bytes) {
+  Reader reader{bytes};
+  LibraryBinary library;
+  if (!read_library(reader, library) || reader.remaining() != 0)
+    return std::nullopt;
   return library;
 }
 

@@ -4,13 +4,16 @@
 // ground truth PATCHECKO may use at *analysis* time is the machine code
 // itself. FunctionBinary therefore carries a `source_uid` that identifies the
 // originating source function for *evaluation bookkeeping only* (computing
-// TP/FP columns of Tables VI/VII) — no analysis stage reads it.
+// TP/FP columns of Tables VI/VII) — no analysis stage reads it. This module
+// also owns the one byte layout of compiled code ("PKLB", below).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "blob/blob_store.h"
 #include "isa/isa.h"
 #include "source/ast.h"
 
@@ -55,9 +58,23 @@ struct LibraryBinary {
   std::size_t function_count() const { return functions.size(); }
 };
 
-/// Serialization: a simple tagged little-endian container format, so
-/// firmware images can round-trip through files like real update payloads.
+// --- the one byte layout of compiled code ("PKLB") -------------------------
+// Firmware images and prebuilt-corpus payloads encode compiled code only
+// through these functions, on the blob codec. Strings and counts are
+// u32-prefixed; an instruction is 16 bytes (op, dst, src1, src2, i64 imm,
+// i32 target); a function record has no arch/opt (its library holds them).
+// Readers check each count against the bytes left before sizing anything
+// and latch failure into the reader: hostile input reads as false.
+
+void append_function(blob::Bytes& out, const FunctionBinary& fn);
+/// Leaves fn.arch and fn.opt as they are.
+bool read_function(blob::Reader& reader, FunctionBinary& fn);
+void append_library(blob::Bytes& out, const LibraryBinary& library);
+bool read_library(blob::Reader& reader, LibraryBinary& library);
+
+/// One standalone PKLB buffer; nullopt on malformed or trailing bytes.
 std::vector<std::uint8_t> serialize_library(const LibraryBinary& library);
-LibraryBinary deserialize_library(const std::vector<std::uint8_t>& bytes);
+std::optional<LibraryBinary> deserialize_library(
+    const std::vector<std::uint8_t>& bytes);
 
 }  // namespace patchecko

@@ -12,7 +12,9 @@
 //
 // Payloads are host-local native-endian artifacts, not an interchange format;
 // every platform this repo targets (x86, amd64, arm64 hosts) is
-// little-endian.
+// little-endian. The same codec writes the one layout of compiled code
+// (binary/binary.h, "PKLB"), which firmware images and corpus payloads
+// share; its u8/u32 fields are why append_u8/append_u32 exist here.
 #pragma once
 
 #include <bit>
@@ -93,6 +95,10 @@ inline void append_bytes(Bytes& out, const void* data, std::size_t size) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   out.insert(out.end(), bytes, bytes + size);
 }
+inline void append_u8(Bytes& out, std::uint8_t value) { out.push_back(value); }
+inline void append_u32(Bytes& out, std::uint32_t value) {
+  append_bytes(out, &value, sizeof(value));
+}
 inline void append_u64(Bytes& out, std::uint64_t value) {
   append_bytes(out, &value, sizeof(value));
 }
@@ -121,25 +127,22 @@ struct Reader {
       ok = false;
       return false;
     }
-    std::memcpy(out, bytes.data() + pos, size);
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (size != 0) std::memcpy(out, bytes.data() + pos, size);
     pos += size;
     return true;
   }
-  std::uint64_t read_u64() {
-    std::uint64_t value = 0;
+  template <typename T>
+  T read_value() {
+    T value{};
     read(&value, sizeof(value));
     return value;
   }
-  std::int64_t read_i64() {
-    std::int64_t value = 0;
-    read(&value, sizeof(value));
-    return value;
-  }
-  double read_double() {
-    double value = 0.0;
-    read(&value, sizeof(value));
-    return value;
-  }
+  std::uint8_t read_u8() { return read_value<std::uint8_t>(); }
+  std::uint32_t read_u32() { return read_value<std::uint32_t>(); }
+  std::uint64_t read_u64() { return read_value<std::uint64_t>(); }
+  std::int64_t read_i64() { return read_value<std::int64_t>(); }
+  double read_double() { return read_value<double>(); }
   std::string read_string() {
     const std::uint64_t size = read_u64();
     if (!fits(size, 1)) return {};

@@ -103,7 +103,8 @@ ArtifactKey entry_key(const EvalCorpus& corpus, const HostedCve& cve,
   key.params = "cve=" + cve.spec.cve_id + " entry=" +
                std::to_string(entry_index) + " slot=" +
                std::to_string(cve.slot) + " " +
-               eval_params(corpus.config()) + " " + database_params(config);
+               eval_params(corpus.config()) + " " + database_params(config) +
+               " payload=" + std::to_string(kEntryPayloadVersion);
   return key;
 }
 

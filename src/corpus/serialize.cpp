@@ -15,76 +15,30 @@ namespace {
 // representation has no padding and round-trips bit-exactly.
 static_assert(std::is_trivially_copyable_v<DynamicFeatures> &&
                   sizeof(DynamicFeatures) == DynamicFeatures::count * 8,
-              "DynamicFeatures layout changed; bump kPayloadVersion and "
+              "DynamicFeatures layout changed; bump kEntryPayloadVersion and "
               "serialize field-by-field");
 
-constexpr std::uint64_t kPayloadVersion = 1;
+// Library artifacts are at payload version 1, CVE entries at
+// kEntryPayloadVersion (serialize.h).
+constexpr std::uint64_t kLibraryPayloadVersion = 1;
 constexpr std::uint64_t kLibraryTag = 0x4c4cu;  // 'LL'
 constexpr std::uint64_t kEntryTag = 0x4545u;    // 'EE'
 
 // --- field-group helpers ---------------------------------------------------
 
-void append_function(std::vector<std::uint8_t>& out,
-                     const FunctionBinary& fn) {
-  append_string(out, fn.name);
-  append_u64(out, static_cast<std::uint64_t>(fn.arch));
-  append_u64(out, static_cast<std::uint64_t>(fn.opt));
-  append_u64(out, fn.id);
-  append_i64(out, fn.frame_size);
-  append_u64(out, fn.source_uid);
-  append_u64(out, fn.param_types.size());
-  for (const ValueType type : fn.param_types)
-    append_u64(out, static_cast<std::uint64_t>(type));
-  append_u64(out, fn.jump_tables.size());
-  for (const auto& table : fn.jump_tables) {
-    append_u64(out, table.size());
-    for (const std::int32_t target : table) append_i64(out, target);
-  }
-  append_u64(out, fn.code.size());
-  for (const Instruction& inst : fn.code) {
-    append_u64(out, static_cast<std::uint64_t>(inst.op));
-    append_u64(out, inst.dst);
-    append_u64(out, inst.src1);
-    append_u64(out, inst.src2);
-    append_i64(out, inst.imm);
-    append_i64(out, inst.target);
-  }
+/// A reference function outside any library: its arch and opt, then the
+/// shared per-function layout (binary/binary.h).
+void append_reference(std::vector<std::uint8_t>& out,
+                      const FunctionBinary& fn) {
+  append_u8(out, static_cast<std::uint8_t>(fn.arch));
+  append_u8(out, static_cast<std::uint8_t>(fn.opt));
+  append_function(out, fn);
 }
 
-bool read_function(Reader& reader, FunctionBinary& fn) {
-  fn.name = reader.read_string();
-  fn.arch = static_cast<Arch>(reader.read_u64());
-  fn.opt = static_cast<OptLevel>(reader.read_u64());
-  fn.id = static_cast<std::uint32_t>(reader.read_u64());
-  fn.frame_size = reader.read_i64();
-  fn.source_uid = reader.read_u64();
-  const std::uint64_t param_count = reader.read_u64();
-  if (!reader.fits(param_count, 8)) return false;
-  fn.param_types.resize(static_cast<std::size_t>(param_count));
-  for (ValueType& type : fn.param_types)
-    type = static_cast<ValueType>(reader.read_u64());
-  const std::uint64_t table_count = reader.read_u64();
-  if (!reader.fits(table_count, 8)) return false;
-  fn.jump_tables.resize(static_cast<std::size_t>(table_count));
-  for (auto& table : fn.jump_tables) {
-    const std::uint64_t size = reader.read_u64();
-    if (!reader.fits(size, 8)) return false;
-    table.resize(static_cast<std::size_t>(size));
-    for (std::int32_t& target : table)
-      target = static_cast<std::int32_t>(reader.read_i64());
-  }
-  const std::uint64_t code_count = reader.read_u64();
-  if (!reader.fits(code_count, 48)) return false;
-  fn.code.resize(static_cast<std::size_t>(code_count));
-  for (Instruction& inst : fn.code) {
-    inst.op = static_cast<Opcode>(reader.read_u64());
-    inst.dst = static_cast<std::uint8_t>(reader.read_u64());
-    inst.src1 = static_cast<std::uint8_t>(reader.read_u64());
-    inst.src2 = static_cast<std::uint8_t>(reader.read_u64());
-    inst.imm = reader.read_i64();
-    inst.target = static_cast<std::int32_t>(reader.read_i64());
-  }
-  return reader.ok;
+bool read_reference(Reader& reader, FunctionBinary& fn) {
+  fn.arch = static_cast<Arch>(reader.read_u8());
+  fn.opt = static_cast<OptLevel>(reader.read_u8());
+  return read_function(reader, fn);
 }
 
 void append_features(std::vector<std::uint8_t>& out,
@@ -176,7 +130,7 @@ std::vector<std::uint8_t> serialize_library_artifact(
     const LibraryArtifact& artifact) {
   std::vector<std::uint8_t> out;
   append_u64(out, kLibraryTag);
-  append_u64(out, kPayloadVersion);
+  append_u64(out, kLibraryPayloadVersion);
   const std::vector<std::uint8_t> library =
       serialize_library(artifact.library);
   append_u64(out, library.size());
@@ -194,20 +148,15 @@ std::optional<LibraryArtifact> deserialize_library_artifact(
     const std::vector<std::uint8_t>& bytes) {
   Reader reader{bytes};
   if (reader.read_u64() != kLibraryTag ||
-      reader.read_u64() != kPayloadVersion)
+      reader.read_u64() != kLibraryPayloadVersion)
     return std::nullopt;
   const std::uint64_t library_size = reader.read_u64();
   if (!reader.fits(library_size, 1)) return std::nullopt;
-  std::vector<std::uint8_t> library_bytes(
-      static_cast<std::size_t>(library_size));
-  if (!reader.read(library_bytes.data(), library_bytes.size()))
-    return std::nullopt;
+  const std::size_t library_end =
+      reader.pos + static_cast<std::size_t>(library_size);
   LibraryArtifact artifact;
-  try {
-    artifact.library = deserialize_library(library_bytes);
-  } catch (const std::exception&) {
-    return std::nullopt;  // corrupt nested container degrades to a miss
-  }
+  if (!read_library(reader, artifact.library) || reader.pos != library_end)
+    return std::nullopt;
   const std::uint64_t feature_count = reader.read_u64();
   if (!reader.fits(feature_count, static_feature_count * sizeof(double)))
     return std::nullopt;
@@ -232,15 +181,15 @@ std::optional<LibraryArtifact> deserialize_library_artifact(
 std::vector<std::uint8_t> serialize_cve_entry(const CveEntry& entry) {
   std::vector<std::uint8_t> out;
   append_u64(out, kEntryTag);
-  append_u64(out, kPayloadVersion);
+  append_u64(out, kEntryPayloadVersion);
   append_string(out, entry.spec.cve_id);
   append_string(out, entry.spec.library);
   append_u64(out, static_cast<std::uint64_t>(entry.spec.kind));
   append_u64(out, entry.library_index);
   append_u64(out, entry.slot);
   append_u64(out, entry.target_uid);
-  append_function(out, entry.vulnerable_binary);
-  append_function(out, entry.patched_binary);
+  append_reference(out, entry.vulnerable_binary);
+  append_reference(out, entry.patched_binary);
   append_features(out, entry.vulnerable_features);
   append_features(out, entry.patched_features);
   append_signature(out, entry.vulnerable_signature);
@@ -279,7 +228,8 @@ std::vector<std::uint8_t> serialize_cve_entry(const CveEntry& entry) {
 std::optional<CveEntry> deserialize_cve_entry(
     const std::vector<std::uint8_t>& bytes) {
   Reader reader{bytes};
-  if (reader.read_u64() != kEntryTag || reader.read_u64() != kPayloadVersion)
+  if (reader.read_u64() != kEntryTag ||
+      reader.read_u64() != kEntryPayloadVersion)
     return std::nullopt;
   CveEntry entry;
   entry.spec.cve_id = reader.read_string();
@@ -288,8 +238,8 @@ std::optional<CveEntry> deserialize_cve_entry(
   entry.library_index = static_cast<std::size_t>(reader.read_u64());
   entry.slot = static_cast<std::size_t>(reader.read_u64());
   entry.target_uid = reader.read_u64();
-  if (!read_function(reader, entry.vulnerable_binary)) return std::nullopt;
-  if (!read_function(reader, entry.patched_binary)) return std::nullopt;
+  if (!read_reference(reader, entry.vulnerable_binary)) return std::nullopt;
+  if (!read_reference(reader, entry.patched_binary)) return std::nullopt;
   if (!read_features(reader, entry.vulnerable_features)) return std::nullopt;
   if (!read_features(reader, entry.patched_features)) return std::nullopt;
   if (!read_signature(reader, entry.vulnerable_signature))

@@ -11,7 +11,11 @@
 // Deserializers return nullopt on any malformed or truncated input: a
 // corrupt store object degrades to a cache miss and a rebuild, never UB.
 // Payloads use the shared blob codec (blob/blob_store.h): host-local
-// native-endian artifacts, not an interchange format.
+// native-endian artifacts, not an interchange format. Compiled code inside
+// them is written in its one layout (binary/binary.h): a library artifact
+// embeds a length-prefixed PKLB record, read in place; a CveEntry writes
+// each reference function as its arch, its opt, then the PKLB function
+// record.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,11 @@ std::optional<LibraryArtifact> deserialize_library_artifact(
 /// Builds the artifact for a compiled library (features + quantizer codes
 /// extracted here so every store producer agrees on the derivation).
 LibraryArtifact make_library_artifact(LibraryBinary library);
+
+/// Version of the CveEntry payload layout. It is also part of every entry's
+/// ArtifactKey (builder.cpp), so a layout change files entries under new
+/// keys and `corpus build` rebuilds them instead of reusing unreadable ones.
+inline constexpr std::uint64_t kEntryPayloadVersion = 2;
 
 std::vector<std::uint8_t> serialize_cve_entry(const CveEntry& entry);
 std::optional<CveEntry> deserialize_cve_entry(

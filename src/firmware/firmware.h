@@ -81,7 +81,16 @@ struct FirmwareImage {
 };
 
 /// On-disk firmware format ("PKFW"): the unit a vendor would ship and a
-/// pentester would load. Round-trips through serialize_library per library.
+/// pentester would load. u32 magic, u32 device-name length + name, u32
+/// library count, then per library a u32 byte length and its PKLB record
+/// (binary/binary.h, the one layout of compiled code).
+///
+/// save_firmware writes the file atomically (temp + rename). load_firmware
+/// streams it one library at a time (a library's bytes live only until it
+/// is decoded), checks every length prefix against the bytes left in the
+/// file before allocating for it, and reads a wrong magic, a malformed
+/// library or trailing bytes as nullopt. The daemon loads whatever path a
+/// client names, so a hostile file costs at most its own size.
 bool save_firmware(const FirmwareImage& image, const std::string& path);
 std::optional<FirmwareImage> load_firmware(const std::string& path);
 

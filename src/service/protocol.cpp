@@ -140,13 +140,15 @@ std::optional<Request> parse_request(std::string_view payload,
     const obs_json::Value& cves = doc->get("cves");
     if (!cves.is_null()) {
       if (cves.kind() != obs_json::Value::Kind::array) {
-        if (error != nullptr) *error = "\"cves\" must be an array of strings";
+        if (error != nullptr)
+          *error = "\"cves\" must be an array of non-empty strings";
         return std::nullopt;
       }
       for (const obs_json::Value& id : cves.as_array()) {
-        if (id.kind() != obs_json::Value::Kind::string) {
+        if (id.kind() != obs_json::Value::Kind::string ||
+            id.as_string().empty()) {
           if (error != nullptr)
-            *error = "\"cves\" must be an array of strings";
+            *error = "\"cves\" must be an array of non-empty strings";
           return std::nullopt;
         }
         request.cve_ids.push_back(id.as_string());

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
 #include "binary/binary.h"
 #include "binary/cfg.h"
 #include "compiler/compiler.h"
+#include "obs/metrics.h"
+#include "obs/resource.h"
 #include "source/generator.h"
 
 namespace patchecko {
@@ -20,7 +24,9 @@ LibraryBinary compiled_fixture() {
 TEST(Binary, SerializeRoundTrip) {
   const LibraryBinary original = compiled_fixture();
   const std::vector<std::uint8_t> bytes = serialize_library(original);
-  const LibraryBinary restored = deserialize_library(bytes);
+  const std::optional<LibraryBinary> decoded = deserialize_library(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  const LibraryBinary& restored = *decoded;
 
   EXPECT_EQ(restored.name, original.name);
   EXPECT_EQ(restored.arch, original.arch);
@@ -43,14 +49,128 @@ TEST(Binary, SerializeRoundTrip) {
 
 TEST(Binary, DeserializeRejectsGarbage) {
   std::vector<std::uint8_t> garbage{1, 2, 3, 4, 5};
-  EXPECT_THROW(deserialize_library(garbage), std::runtime_error);
+  EXPECT_FALSE(deserialize_library(garbage).has_value());
 }
 
 TEST(Binary, DeserializeRejectsTruncation) {
   const LibraryBinary original = compiled_fixture();
   std::vector<std::uint8_t> bytes = serialize_library(original);
   bytes.resize(bytes.size() / 2);
-  EXPECT_THROW(deserialize_library(bytes), std::runtime_error);
+  EXPECT_FALSE(deserialize_library(bytes).has_value());
+}
+
+/// The PKLB layout spelled out byte by byte in explicit little-endian: the
+/// reference the blob-codec writer must match, so every image stays readable.
+std::vector<std::uint8_t> reference_layout(const LibraryBinary& library) {
+  std::vector<std::uint8_t> out;
+  const auto le = [&](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) out.push_back((value >> (8 * i)) & 0xff);
+  };
+  const auto str = [&](const std::string& text) {
+    le(text.size(), 4);
+    out.insert(out.end(), text.begin(), text.end());
+  };
+  le(0x504b4c42, 4);
+  str(library.name);
+  le(static_cast<std::uint8_t>(library.arch), 1);
+  le(static_cast<std::uint8_t>(library.opt), 1);
+  le(library.stripped ? 1 : 0, 1);
+  le(library.strings.size(), 4);
+  for (const std::string& text : library.strings) str(text);
+  le(library.functions.size(), 4);
+  for (const FunctionBinary& fn : library.functions) {
+    str(fn.name);
+    le(fn.id, 4);
+    le(static_cast<std::uint64_t>(fn.frame_size), 8);
+    le(fn.source_uid, 8);
+    le(fn.param_types.size(), 4);
+    for (const ValueType type : fn.param_types)
+      le(static_cast<std::uint8_t>(type), 1);
+    le(fn.jump_tables.size(), 4);
+    for (const auto& table : fn.jump_tables) {
+      le(table.size(), 4);
+      for (const std::int32_t entry : table)
+        le(static_cast<std::uint32_t>(entry), 4);
+    }
+    le(fn.code.size(), 4);
+    for (const Instruction& inst : fn.code) {
+      le(static_cast<std::uint8_t>(inst.op), 1);
+      le(inst.dst, 1);
+      le(inst.src1, 1);
+      le(inst.src2, 1);
+      le(static_cast<std::uint64_t>(inst.imm), 8);
+      le(static_cast<std::uint32_t>(inst.target), 4);
+    }
+  }
+  return out;
+}
+
+TEST(Binary, SerializeKeepsThePklbLayout) {
+  LibraryBinary library = compiled_fixture();
+  library.strings = {"", "fmt %d", std::string(300, 'x')};
+  library.functions[0].jump_tables = {{}, {-1, 7, 1 << 30}};
+  library.functions[0].frame_size = -24;
+  EXPECT_EQ(serialize_library(library), reference_layout(library));
+}
+
+// Hand-built PKLB buffers whose counts claim more than the buffer holds.
+blob::Bytes library_header(std::uint32_t string_count) {
+  blob::Bytes out;
+  blob::append_u32(out, 0x504b4c42);  // "PKLB"
+  blob::append_u32(out, 0);           // empty name
+  blob::append_u8(out, static_cast<std::uint8_t>(Arch::arm32));
+  blob::append_u8(out, static_cast<std::uint8_t>(OptLevel::O2));
+  blob::append_u8(out, 1);
+  blob::append_u32(out, string_count);
+  return out;
+}
+
+/// One function, valid up to and including its (empty) param list.
+blob::Bytes function_prefix() {
+  blob::Bytes out = library_header(0);
+  blob::append_u32(out, 1);  // one function
+  blob::append_u32(out, 0);  // empty name
+  blob::append_u32(out, 0);  // id
+  blob::append_i64(out, 0);  // frame_size
+  blob::append_u64(out, 0);  // source_uid
+  blob::append_u32(out, 0);  // no params
+  return out;
+}
+
+blob::Bytes with(blob::Bytes out, std::initializer_list<std::uint32_t> words,
+                 std::size_t padding = 32) {
+  for (const std::uint32_t word : words) blob::append_u32(out, word);
+  out.resize(out.size() + padding);
+  return out;
+}
+
+TEST(Binary, DeserializeRejectsHostileInputWithoutAllocatingForIt) {
+  blob::Bytes trailing = serialize_library(compiled_fixture());
+  trailing.push_back(0);
+  const struct {
+    const char* name;
+    blob::Bytes bytes;
+  } cases[] = {
+      {"jump-table entry count 2^30", with(function_prefix(), {1, 1u << 30})},
+      {"jump-table count 2^30", with(function_prefix(), {1u << 30})},
+      {"code count 2^32-1", with(function_prefix(), {0, 0xffffffffu})},
+      {"function count 2^32-1", with(library_header(0), {0xffffffffu})},
+      {"string count past EOF", with(library_header(1000), {}, 0)},
+      {"string length past EOF", with(library_header(1), {1u << 31})},
+      {"function name length past EOF", with(library_header(0), {1, 1u << 20})},
+      {"one trailing byte", trailing},
+  };
+  const bool counting = obs::allocation_counting_available();
+  const obs::EnabledScope on(true);
+  for (const auto& [name, bytes] : cases) {
+    const std::uint64_t before = obs::thread_allocation_bytes();
+    EXPECT_FALSE(deserialize_library(bytes).has_value()) << name;
+    if (counting) {
+      EXPECT_LE(obs::thread_allocation_bytes() - before,
+                std::max<std::uint64_t>(16 * bytes.size(), 4096))
+          << name;
+    }
+  }
 }
 
 TEST(Binary, StripRemovesEveryName) {

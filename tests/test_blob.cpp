@@ -194,7 +194,8 @@ TEST(DigestLibrary, EverySerializedFieldChangesTheDigest) {
 
 TEST(DigestLibrary, SerializeRoundTripKeepsTheDigest) {
   const LibraryBinary library = sample_library();
-  const LibraryBinary copy = deserialize_library(serialize_library(library));
+  const LibraryBinary copy =
+      deserialize_library(serialize_library(library)).value();
   EXPECT_EQ(digest_library(copy).hex(), digest_library(library).hex());
 }
 

@@ -33,12 +33,12 @@ TEST(CveDatabase, GoldenDigestOnScaleSeedCorpora) {
     const char* digest;
   };
   const Golden goldens[] = {
-      {0.05, 1, "2133eb02e340ed36eed605224d614828"},
-      {0.05, 2, "242b8f03e6c7915c5343d7ea63ffadcf"},
-      {0.05, 3, "fc13c1d81162992398d8c1a632ef8a07"},
-      {0.1, 1, "01325ec2c23898666d58538fd0a11cc0"},
-      {0.1, 2, "44cc7c6fa7242e335a9bb55984b96d4e"},
-      {0.1, 3, "5eb202a530e6cbf3e173780fd8bcc31f"},
+      {0.05, 1, "5138e0aa68044e6b32e354b1580fd94a"},
+      {0.05, 2, "bf07ed816581383286508c5325cd98cb"},
+      {0.05, 3, "53e31c7850d9ff65ddebc777c96716c3"},
+      {0.1, 1, "ae040a7bb012645586eae649e7b67750"},
+      {0.1, 2, "92ba61585b31add2e58dcf5ddfa4c60e"},
+      {0.1, 3, "afa361d4beeb758bc79208ff21105d3d"},
   };
   for (const Golden& golden : goldens) {
     EvalConfig eval;

@@ -3,11 +3,15 @@
 // stability, and stripping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
 
+#include "blob/blob_store.h"
 #include "firmware/firmware.h"
+#include "obs/metrics.h"
+#include "obs/resource.h"
 
 namespace patchecko {
 namespace {
@@ -199,6 +203,73 @@ TEST(FirmwareFile, LoadRejectsMissingAndGarbage) {
   std::fputs("garbage bytes", f);
   std::fclose(f);
   EXPECT_FALSE(load_firmware(path).has_value());
+  std::remove(path.c_str());
+}
+
+/// A small valid image: two copies of a one-function library.
+FirmwareImage tiny_image() {
+  FunctionBinary fn;
+  fn.code.resize(3);
+  fn.jump_tables = {{1, 2}};
+  fn.param_types = {ValueType::ptr};
+  LibraryBinary library;
+  library.name = "libtiny";
+  library.strings = {"s"};
+  library.functions = {fn};
+  FirmwareImage image;
+  image.device = "tiny";
+  image.libraries = {library, library};
+  return image;
+}
+
+/// A PKFW header: magic, a device-name length, `device_bytes` bytes of
+/// name, then `words`, then `padding` zero bytes.
+blob::Bytes pkfw(std::uint32_t name_length, std::size_t device_bytes,
+                 std::initializer_list<std::uint32_t> words,
+                 std::size_t padding = 64) {
+  blob::Bytes out;
+  blob::append_u32(out, 0x504b4657);  // "PKFW"
+  blob::append_u32(out, name_length);
+  out.resize(out.size() + device_bytes, 'x');
+  for (const std::uint32_t word : words) blob::append_u32(out, word);
+  out.resize(out.size() + padding);
+  return out;
+}
+
+TEST(FirmwareFile, LoadRejectsHostileImages) {
+  const std::string path = testing::TempDir() + "pk_hostile_firmware.img";
+  ASSERT_TRUE(save_firmware(tiny_image(), path));
+  const blob::Bytes valid = blob::read_file(path).value();
+  blob::Bytes trailing = valid;
+  trailing.push_back(0);
+  blob::Bytes truncated = valid;
+  truncated.pop_back();
+
+  const struct {
+    const char* name;
+    blob::Bytes bytes;
+  } cases[] = {
+      {"library length prefix past EOF", pkfw(1, 1, {1, 1u << 30})},
+      {"library count 2^32-1", pkfw(0, 0, {0xffffffffu})},
+      {"device name length past EOF", pkfw(1u << 31, 0, {})},
+      {"one trailing byte after the last library", trailing},
+      {"last library cut short", truncated},
+      {"library that is not PKLB", pkfw(1, 1, {1, 8}, 8)},
+      {"non-PKFW file", serialize_library(tiny_image().libraries[0])},
+  };
+  const bool counting = obs::allocation_counting_available();
+  const obs::EnabledScope on(true);
+  ASSERT_TRUE(load_firmware(path).has_value());  // warms lazy metric setup
+  for (const auto& [name, bytes] : cases) {
+    ASSERT_TRUE(blob::write_file(path, bytes)) << name;
+    const std::uint64_t before = obs::thread_allocation_bytes();
+    EXPECT_FALSE(load_firmware(path).has_value()) << name;
+    if (counting) {
+      EXPECT_LE(obs::thread_allocation_bytes() - before,
+                std::max<std::uint64_t>(16 * bytes.size(), 4096))
+          << name;
+    }
+  }
   std::remove(path.c_str());
 }
 

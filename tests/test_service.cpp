@@ -156,6 +156,16 @@ TEST(Service, ParseRequestRejectsStructurallyInvalidPayloads) {
       svc::parse_request("{\"type\":\"reload\",\"scale\":0}", &error));
 }
 
+TEST(Service, ParseRequestRejectsAnEmptyCveId) {
+  // An empty id selects no CVE: a bad request, not "scan nothing".
+  std::string error;
+  EXPECT_FALSE(svc::parse_request(
+      svc::scan_request_json("fw.img", {"CVE-A", ""}, false), &error));
+  EXPECT_NE(error.find("cves"), std::string::npos);
+  EXPECT_TRUE(svc::parse_request(
+      svc::scan_request_json("fw.img", {}, false), &error));
+}
+
 TEST(Service, ParseRequestKeepsUnknownTypesForStructuredErrors) {
   std::string error;
   const auto request = svc::parse_request("{\"type\":\"frobnicate\"}", &error);

@@ -352,6 +352,15 @@ EvalConfig eval_config_from(const Args& args) {
   return config;
 }
 
+/// The CVE ids a scan is limited to: none without --cve (every CVE), else
+/// the one named. An empty --cve= names nothing and is a usage error.
+std::vector<std::string> cve_selection(const Args& args) {
+  if (!args.has("cve")) return {};
+  const std::string cve = args.get("cve", "");
+  if (cve.empty()) throw UsageError("--cve needs a CVE id");
+  return {cve};
+}
+
 // --- corpus lifecycle ------------------------------------------------------
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -564,6 +573,7 @@ int cmd_scan(const Args& args) {
       args, {"model", "firmware", "cve", "scale", "seed", "threads",
              "metrics", "events", "trace-out", "profile", "prefilter",
              "prefilter-top-k", "prefilter-min-total"});
+  const std::vector<std::string> cve_ids = cve_selection(args);
   const cli::MetricsSpec metrics = metrics_spec_from(args);
   const cli::OutputSpec events = output_spec_from(args, "events");
   const cli::OutputSpec trace_out =
@@ -600,8 +610,7 @@ int cmd_scan(const Args& args) {
   request.model = &*model;
   request.firmware = &*image;
   request.database = &database;
-  if (const std::string cve = args.get("cve", ""); !cve.empty())
-    request.cve_ids.push_back(cve);
+  request.cve_ids = cve_ids;
 
   const ScanReport report = ScanEngine(engine_config).run(request);
   const VerdictCounts counts = print_results(report);
@@ -624,6 +633,7 @@ int cmd_batch_scan(const Args& args) {
                                "heartbeat", "watchdog-soft", "watchdog-hard",
                                "stall-inject", "canonical", "prefilter",
                                "prefilter-top-k", "prefilter-min-total"});
+  const std::vector<std::string> cve_ids = cve_selection(args);
   const cli::MetricsSpec metrics = metrics_spec_from(args);
   const cli::OutputSpec events = output_spec_from(args, "events");
   const cli::OutputSpec canonical = output_spec_from(args, "canonical");
@@ -709,7 +719,7 @@ int cmd_batch_scan(const Args& args) {
   request.model = &*model;
   request.firmware = &*image;
   request.database = &database;
-  if (args.has("cve")) request.cve_ids.push_back(args.get("cve", ""));
+  request.cve_ids = cve_ids;
 
   const bool verbose = args.has("verbose");
   const ProgressFn progress = [verbose](const JobEvent& event) {
@@ -937,6 +947,7 @@ int cmd_client(const Args& args) {
     throw UsageError(
         "--op expects submit|status|health|reload|drain|ping|stats|profile, "
         "got '" + op + "'");
+  const std::vector<std::string> cve_ids = cve_selection(args);
   const cli::OutputSpec provenance = output_spec_from(args, "provenance");
   service::ServiceClient client = client_connect(args);
   if (!client.connected()) {
@@ -1013,8 +1024,6 @@ int cmd_client(const Args& args) {
   // report bytes so `cmp` against a one-shot --canonical run is meaningful.
   const std::string firmware = args.get("firmware", "");
   if (firmware.empty()) throw UsageError("--op submit needs --firmware PATH");
-  std::vector<std::string> cve_ids;
-  if (args.has("cve")) cve_ids.push_back(args.get("cve", ""));
   // Optional client-named request: the daemon honors the id (rejecting
   // duplicates), so scripted storms can pre-assign ids they later grep for
   // in the access log / event files.
