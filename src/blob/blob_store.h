@@ -45,6 +45,8 @@ struct Digest {
   struct Value {
     std::uint64_t hi = 0;
     std::uint64_t lo = 0;
+
+    bool operator==(const Value&) const = default;
   };
 
   std::uint64_t lane[4] = {kSeed + kPrime1 + kPrime2, kSeed + kPrime2, kSeed,

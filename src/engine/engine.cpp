@@ -270,6 +270,9 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     if (only.empty() || only.count(entry.spec.cve_id) != 0)
       entries.push_back(&entry);
 
+  const bool digests_supplied =
+      request.library_digests != nullptr &&
+      request.library_digests->size() == request.firmware->libraries.size();
   std::map<std::string, const LibraryBinary*> by_name;
   for (const LibraryBinary& library : request.firmware->libraries)
     by_name[library.name] = &library;
@@ -440,7 +443,13 @@ ScanReport ScanEngine::run(const ScanRequest& request,
       LibSlot& slot = libs[job.target];
       std::string key;
       if (caching) {
-        slot.digest = digest_library(*slot.binary);
+        if (digests_supplied) {
+          slot.digest = (*request.library_digests)[static_cast<std::size_t>(
+              slot.binary - request.firmware->libraries.data())];
+        } else {
+          const obs::ScopedSpan digest_span("cache.digest");
+          slot.digest = digest_library(*slot.binary);
+        }
         key = features_cache_key(slot.digest);
         if (auto features = cache_.find_features(key);
             features && features->size() == slot.binary->functions.size()) {

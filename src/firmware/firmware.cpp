@@ -30,14 +30,26 @@ namespace {
 
 constexpr std::uint32_t kFirmwareMagic = 0x504b4657;  // "PKFW"
 
-/// Parses a PKFW file from `fd` one library at a time. Every length prefix
-/// is checked against the bytes left in the file (fstat) before anything is
-/// allocated for it. Each library's bytes are freed once it is decoded: one
-/// buffer reused across libraries would keep the largest alive beside the
-/// decoded image, the load's peak (+6.6 MB on the scale-1.0 Things image).
-std::optional<FirmwareImage> read_image(int fd) {
+/// A digest-only walk streams library records through a buffer this size;
+/// a multiple of 8, so every chunk but a record's last is whole words.
+constexpr std::size_t kDigestChunkBytes = std::size_t{1} << 20;
+
+/// Walks a PKFW file from `fd`, decoding it into `image` and/or digesting
+/// it into `digest` (at least one is non-null). Every length prefix is
+/// checked against the bytes left in the file (fstat) before anything is
+/// allocated for it. The digest takes every byte as one field stream:
+/// magic, device name, library count, then per library its length and
+/// record bytes.
+///
+/// With `image` set, each library record is read whole and decoded, and its
+/// bytes are freed once decoded: one buffer reused across libraries would
+/// keep the largest alive beside the decoded image, the load's peak (+6.6 MB
+/// on the scale-1.0 Things image). Without it, records stream through one
+/// kDigestChunkBytes buffer. A run of whole-word absorbs digests exactly
+/// like one absorb of the record, so both walks give the same key.
+bool walk_image(int fd, FirmwareImage* image, FirmwareDigest* digest) {
   struct stat info {};
-  if (::fstat(fd, &info) != 0 || !S_ISREG(info.st_mode)) return std::nullopt;
+  if (::fstat(fd, &info) != 0 || !S_ISREG(info.st_mode)) return false;
   auto left = static_cast<std::uint64_t>(info.st_size);
   const auto take = [&](void* out, std::uint64_t size) {
     if (size > left) return false;
@@ -50,29 +62,61 @@ std::optional<FirmwareImage> read_image(int fd) {
     left -= size;
     return true;
   };
-  // A u32 length, then that many bytes into `out`.
-  const auto take_sized = [&](auto& out) {
-    std::uint32_t size = 0;
-    if (!take(&size, sizeof(size)) || size > left) return false;
-    out.resize(size);
-    return take(out.data(), size);
+  // A u32 length, checked against the bytes left.
+  const auto take_size = [&](std::uint32_t& size) {
+    return take(&size, sizeof(size)) && size <= left;
   };
-  FirmwareImage image;
-  std::uint32_t magic = 0, library_count = 0;
+  Digest stream;
+  std::uint32_t magic = 0, size = 0, library_count = 0;
+  std::string device;
   if (!take(&magic, sizeof(magic)) || magic != kFirmwareMagic ||
-      !take_sized(image.device) ||
+      !take_size(size))
+    return false;
+  device.resize(size);
+  if (!take(device.data(), size) ||
       !take(&library_count, sizeof(library_count)) ||
       library_count > left / sizeof(std::uint32_t))
-    return std::nullopt;
+    return false;
+  stream.absorb_u64(magic);
+  stream.absorb_string(device);
+  stream.absorb_u64(library_count);
+  if (image != nullptr) image->device = std::move(device);
+  blob::Bytes chunk(image == nullptr ? kDigestChunkBytes : 0);
   for (std::uint32_t i = 0; i < library_count; ++i) {
-    blob::Bytes bytes;
-    if (!take_sized(bytes)) return std::nullopt;
+    if (!take_size(size)) return false;
+    stream.absorb_u64(size);
+    if (image == nullptr) {
+      for (std::uint64_t done = 0; done < size;) {
+        const auto step = static_cast<std::size_t>(
+            std::min<std::uint64_t>(size - done, chunk.size()));
+        if (!take(chunk.data(), step)) return false;
+        stream.absorb(chunk.data(), step);
+        done += step;
+      }
+      continue;
+    }
+    blob::Bytes bytes(size);
+    if (!take(bytes.data(), size)) return false;
+    if (digest != nullptr) stream.absorb(bytes.data(), bytes.size());
     std::optional<LibraryBinary> library = deserialize_library(bytes);
-    if (!library) return std::nullopt;
-    image.libraries.push_back(std::move(*library));
+    if (!library) return false;
+    image->libraries.push_back(std::move(*library));
   }
-  if (left != 0) return std::nullopt;  // trailing bytes
-  return image;
+  if (left != 0) return false;  // trailing bytes
+  if (digest != nullptr)
+    *digest = FirmwareDigest{stream.value(),
+                             static_cast<std::uint64_t>(info.st_size)};
+  return true;
+}
+
+/// walk_image over the file at `path`.
+bool walk_file(const std::string& path, FirmwareImage* image,
+               FirmwareDigest* digest) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = walk_image(fd, image, digest);
+  ::close(fd);
+  return ok;
 }
 
 }  // namespace
@@ -91,13 +135,18 @@ bool save_firmware(const FirmwareImage& image, const std::string& path) {
   return blob::write_file(path, bytes);
 }
 
-std::optional<FirmwareImage> load_firmware(const std::string& path) {
+std::optional<FirmwareImage> load_firmware(const std::string& path,
+                                           FirmwareDigest* digest) {
   const obs::ScopedSpan span("setup.firmware");
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return std::nullopt;
-  std::optional<FirmwareImage> image = read_image(fd);
-  ::close(fd);
+  FirmwareImage image;
+  if (!walk_file(path, &image, digest)) return std::nullopt;
   return image;
+}
+
+std::optional<FirmwareDigest> digest_firmware(const std::string& path) {
+  FirmwareDigest digest;
+  if (!walk_file(path, nullptr, &digest)) return std::nullopt;
+  return digest;
 }
 
 std::vector<EvalLibrarySpec> standard_libraries() {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "binary/binary.h"
+#include "blob/blob_store.h"
 #include "source/ast.h"
 #include "source/mutate.h"
 
@@ -92,7 +93,29 @@ struct FirmwareImage {
 /// library or trailing bytes as nullopt. The daemon loads whatever path a
 /// client names, so a hostile file costs at most its own size.
 bool save_firmware(const FirmwareImage& image, const std::string& path);
-std::optional<FirmwareImage> load_firmware(const std::string& path);
+
+/// The identity of a PKFW file's exact bytes: a Digest of its field stream
+/// (magic, device name, library count, then each library's length and
+/// record bytes), which covers every byte of the file, and the file size.
+struct FirmwareDigest {
+  Digest::Value value;
+  std::uint64_t bytes = 0;
+
+  bool operator==(const FirmwareDigest&) const = default;
+};
+
+/// Decodes a PKFW file. When `digest` is non-null it receives the
+/// FirmwareDigest of the very bytes decoded, so a cache keyed on it never
+/// files an image under bytes it was not decoded from.
+std::optional<FirmwareImage> load_firmware(const std::string& path,
+                                           FirmwareDigest* digest = nullptr);
+
+/// The FirmwareDigest load_firmware would report, without decoding: the
+/// same framing walk and length checks, with each library record streamed
+/// through a fixed 1 MiB buffer. nullopt wherever load_firmware fails on
+/// the framing (missing file, wrong magic, bad length, trailing bytes); a
+/// library record is not decoded, so a malformed one still digests.
+std::optional<FirmwareDigest> digest_firmware(const std::string& path);
 
 /// Generates and owns the whole evaluation universe.
 class EvalCorpus {

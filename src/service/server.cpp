@@ -14,12 +14,12 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "firmware/firmware.h"
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/resource.h"
+#include "obs/trace.h"
 
 namespace patchecko::service {
 
@@ -598,7 +598,12 @@ void ScanService::run_scan(const PendingScan& scan) {
     finish_scan(scan, entry, response);
   };
 
-  const auto image = load_firmware(scan.request.firmware);
+  // The digest pass, and the decode on a miss, carry the request's id.
+  std::shared_ptr<const ResidentImage> image;
+  {
+    const obs::TaskScope task(scan.id);
+    image = images_.load(scan.request.firmware);
+  }
   if (!image) {
     set_state(scan.id, "failed");
     finish(400, "error",
@@ -628,7 +633,8 @@ void ScanService::run_scan(const PendingScan& scan) {
 
   ScanRequest request;
   request.model = config_.model;
-  request.firmware = &*image;
+  request.firmware = &image->image;
+  request.library_digests = &image->library_digests;
   request.database = &snapshot->database;
   request.cve_ids = scan.request.cve_ids;
   request.heartbeat = heartbeat.get();
@@ -707,6 +713,7 @@ ServiceHealth ScanService::health() const {
   health.draining = draining_.load(std::memory_order_acquire);
   health.queue = queue_.stats();
   health.cache = engine_.cache().stats();
+  health.images = images_.stats();
   health.retrieval_query_codes = snapshot->queries.entries.size();
   health.retrieval_query_build_seconds = snapshot->queries.build_seconds;
   // Index builds happen inside engine analyze jobs; the registry counters
@@ -723,7 +730,8 @@ ServiceHealth ScanService::health() const {
 
 namespace {
 
-// The `corpus` and `queue` objects that `health` and `stats` both carry.
+// The `corpus`, `queue` and `images` objects that `health` and `stats` both
+// carry.
 std::string corpus_json(std::uint64_t version, std::size_t cves) {
   return "{\"version\":" + std::to_string(version) +
          ",\"cves\":" + std::to_string(cves) + "}";
@@ -738,6 +746,15 @@ std::string queue_json(const AdmissionStats& queue) {
          ",\"completed\":" + std::to_string(queue.completed) + "}";
 }
 
+std::string images_json(const ImageTierStats& images) {
+  return "{\"entries\":" + std::to_string(images.entries) +
+         ",\"capacity\":" + std::to_string(images.capacity) +
+         ",\"bytes\":" + std::to_string(images.bytes) +
+         ",\"hits\":" + std::to_string(images.hits) +
+         ",\"misses\":" + std::to_string(images.misses) +
+         ",\"evictions\":" + std::to_string(images.evictions) + "}";
+}
+
 }  // namespace
 
 std::string ScanService::health_json() const {
@@ -748,6 +765,7 @@ std::string ScanService::health_json() const {
          corpus_json(health.corpus_version, health.corpus_cves);
   out += std::string(",\"draining\":") + (health.draining ? "true" : "false");
   out += ",\"queue\":" + queue_json(health.queue);
+  out += ",\"images\":" + images_json(health.images);
   const std::uint64_t hits = health.cache.hits();
   const std::uint64_t misses = health.cache.misses();
   const std::uint64_t lookups = hits + misses;
@@ -814,6 +832,7 @@ std::string ScanService::stats_json() const {
   out += ",\"corpus\":" + corpus_json(snapshot->version,
                                        snapshot->database.entries().size());
   out += ",\"queue\":" + queue_json(queue);
+  out += ",\"images\":" + images_json(images_.stats());
   out += ",\"rollup\":" + obs::rollup_snapshot_json(rollup_.snapshot());
   // The profiler block feeds `patchecko top`'s hot-leaf row: capture count,
   // whether one is running right now, and the hottest leaf of the last

@@ -12,8 +12,9 @@
 // Life of a request:
 //   session thread: read frames -> parse -> validate -> try_admit
 //     (full queue => 429-style reject; draining => 503) -> "accepted"
-//   dispatcher thread: capture corpus snapshot -> load firmware ->
-//     engine.run on the shared pool -> "result" frame (report + summary +
+//   dispatcher thread: capture corpus snapshot -> digest the firmware file
+//     and take its decoded image from the image tier (decode it on a miss)
+//     -> engine.run on the shared pool -> "result" frame (report + summary +
 //     optional decision provenance) streamed back on the same connection.
 //
 // Corpus hot reload (SIGHUP or a `reload` request) builds the next
@@ -38,6 +39,7 @@
 #include "obs/rollup.h"
 #include "service/access_log.h"
 #include "service/admission.h"
+#include "service/image_tier.h"
 #include "service/protocol.h"
 #include "util/cli_args.h"
 #include "util/timer.h"
@@ -112,6 +114,7 @@ struct ServiceHealth {
   bool draining = false;
   AdmissionStats queue;
   CacheStats cache;  ///< engine lifetime totals
+  ImageTierStats images;
 
   // Retrieval prefilter state: the current snapshot's query catalog plus
   // process-lifetime target-index build totals (obs registry counters).
@@ -195,6 +198,7 @@ class ScanService {
   ServiceConfig config_;
   CorpusStore store_;
   ScanEngine engine_;
+  ImageTier images_;
   AdmissionQueue queue_;
   Stopwatch uptime_;
 

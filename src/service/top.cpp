@@ -180,6 +180,23 @@ std::string render_top(const obs::json::Value& stats) {
     out += '\n';
   }
 
+  // Image-tier row; absent on daemons that predate the tier.
+  const Value& images = stats.get("images");
+  if (images.kind() == Value::Kind::object) {
+    const std::uint64_t lookups =
+        as_u64(images.get("hits")) + as_u64(images.get("misses"));
+    std::snprintf(buf, sizeof(buf),
+                  "images  entries %" PRIu64 "/%" PRIu64 "  %" PRIu64
+                  " kB  hits %" PRIu64 "/%" PRIu64 "  evictions %" PRIu64
+                  "\n",
+                  as_u64(images.get("entries")),
+                  as_u64(images.get("capacity")),
+                  as_u64(images.get("bytes")) / 1024,
+                  as_u64(images.get("hits")), lookups,
+                  as_u64(images.get("evictions")));
+    out += buf;
+  }
+
   // Prebuilt-store row; present only on store-backed daemons
   // (serve --corpus-dir), so its absence is not an error.
   const Value& store = stats.get("corpus_store");

@@ -742,6 +742,48 @@ TEST(Engine, WarmRunHitsCacheAndReproducesReport) {
   EXPECT_TRUE(detect_hit);
 }
 
+TEST(Engine, SuppliedLibraryDigestsKeyTheCacheLikeComputedOnes) {
+  const EngineUniverse& u = universe();
+  std::vector<Digest> digests;
+  for (const LibraryBinary& library : u.firmware.libraries)
+    digests.push_back(digest_library(library));
+  ScanRequest supplied = u.request();
+  supplied.library_digests = &digests;
+  EngineConfig config;
+  config.jobs = 2;
+  ScanEngine computing(config);
+  ScanEngine supplying(config);
+  for (const char* round : {"cold", "warm"}) {
+    const ScanReport expected = computing.run(u.request());
+    const ScanReport got = supplying.run(supplied);
+    EXPECT_EQ(got.canonical_text(), expected.canonical_text()) << round;
+    EXPECT_EQ(got.cache.feature_hits, expected.cache.feature_hits) << round;
+    EXPECT_EQ(got.cache.feature_misses, expected.cache.feature_misses)
+        << round;
+    EXPECT_EQ(got.cache.outcome_hits, expected.cache.outcome_hits) << round;
+    EXPECT_EQ(got.cache.outcome_misses, expected.cache.outcome_misses)
+        << round;
+  }
+  // Supplied digests name the entries computed ones filed.
+  EXPECT_EQ(computing.run(supplied).cache.misses(), 0u);
+
+  // The engine keys with what it is given: other digests miss every entry.
+  std::vector<Digest> other(digests.size());
+  for (std::size_t i = 0; i < other.size(); ++i) other[i].absorb_u64(i);
+  ScanRequest misfiled = u.request();
+  misfiled.library_digests = &other;
+  const ScanReport missed = computing.run(misfiled);
+  EXPECT_EQ(missed.cache.feature_misses, missed.analyzed_libraries);
+  EXPECT_EQ(missed.canonical_text(), computing.run(u.request()).canonical_text());
+
+  // A vector that does not match firmware->libraries is ignored: the
+  // engine digests each library itself and hits the computed entries.
+  other.pop_back();
+  const ScanReport fallback = computing.run(misfiled);
+  EXPECT_EQ(fallback.cache.misses(), 0u);
+  EXPECT_EQ(fallback.cache.feature_hits, fallback.analyzed_libraries);
+}
+
 TEST(Engine, DiskCacheServesAFreshEngine) {
   const EngineUniverse& u = universe();
   const std::string dir = scratch_dir("engine_disk");

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "blob/blob_store.h"
@@ -269,6 +270,44 @@ TEST(FirmwareFile, LoadRejectsHostileImages) {
                 std::max<std::uint64_t>(16 * bytes.size(), 4096))
           << name;
     }
+  }
+  // The digest pass walks the same framing: it fails wherever the framing
+  // does, and digests (without decoding) the one malformed library record.
+  for (const auto& [name, bytes] : cases) {
+    ASSERT_TRUE(blob::write_file(path, bytes)) << name;
+    EXPECT_EQ(digest_firmware(path).has_value(),
+              std::string(name) == "library that is not PKLB")
+        << name;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FirmwareFile, DigestPassKeysTheBytesTheDecodeRead) {
+  // One library record spans several 1 MiB digest chunks and ends off a
+  // word boundary; the chunked pass must equal the decode's one absorb.
+  FirmwareImage image = tiny_image();
+  image.libraries[1].strings.push_back(std::string((5u << 19) + 3, 'k'));
+  const std::string path = testing::TempDir() + "pk_digest_firmware.img";
+  ASSERT_TRUE(save_firmware(image, path));
+  FirmwareDigest decoded;
+  ASSERT_TRUE(load_firmware(path, &decoded).has_value());
+  const std::optional<FirmwareDigest> streamed = digest_firmware(path);
+  ASSERT_TRUE(streamed.has_value());
+  EXPECT_EQ(*streamed, decoded);
+  EXPECT_EQ(decoded.bytes, blob::read_file(path).value().size());
+
+  // One changed byte anywhere (device name, record tail) changes the key.
+  const FirmwareDigest original = decoded;
+  for (const auto& mutate : {+[](FirmwareImage& i) { i.device[0] = 'T'; },
+                             +[](FirmwareImage& i) {
+                               i.libraries[1].strings.back().back() = 'j';
+                             }}) {
+    FirmwareImage changed = image;
+    mutate(changed);
+    ASSERT_TRUE(save_firmware(changed, path));
+    ASSERT_TRUE(load_firmware(path, &decoded).has_value());
+    EXPECT_EQ(digest_firmware(path).value(), decoded);
+    EXPECT_FALSE(decoded == original);
   }
   std::remove(path.c_str());
 }

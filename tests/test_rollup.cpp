@@ -267,6 +267,8 @@ TEST(Rollup, RenderTopIsDeterministicAndDegradesGracefully) {
       "\"corpus\":{\"version\":2,\"cves\":40},"
       "\"queue\":{\"depth\":1,\"active\":1,\"capacity\":64,\"admitted\":9,"
       "\"rejected\":1,\"completed\":7},"
+      "\"images\":{\"entries\":2,\"capacity\":4,\"bytes\":2048,"
+      "\"hits\":5,\"misses\":2,\"evictions\":0},"
       "\"rollup\":{\"window_s\":60,\"uptime_s\":12.5,\"corpus_version\":2,"
       "\"queue\":{\"depth_hwm\":3,\"wait_hwm_s\":0.5},\"rss_kb\":-1,"
       "\"le\":[0.1,1.0],"
@@ -280,6 +282,9 @@ TEST(Rollup, RenderTopIsDeterministicAndDegradesGracefully) {
   EXPECT_NE(first.find("patchecko daemon"), std::string::npos) << first;
   EXPECT_NE(first.find("corpus v2 (40 cves)"), std::string::npos) << first;
   EXPECT_NE(first.find("depth_hwm 3"), std::string::npos) << first;
+  EXPECT_NE(first.find("images  entries 2/4  2 kB  hits 5/7  evictions 0\n"),
+            std::string::npos)
+      << first;
   EXPECT_NE(first.find("scan"), std::string::npos);
   EXPECT_NE(first.find("endpoint"), std::string::npos);  // header row
   EXPECT_EQ(first.back(), '\n');
@@ -290,6 +295,7 @@ TEST(Rollup, RenderTopIsDeterministicAndDegradesGracefully) {
   const std::string degraded = service::render_top(*empty);
   EXPECT_FALSE(degraded.empty());
   EXPECT_NE(degraded.find("patchecko daemon"), std::string::npos);
+  EXPECT_EQ(degraded.find("images"), std::string::npos);  // older daemon
 }
 
 }  // namespace

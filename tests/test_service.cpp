@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -21,6 +22,7 @@
 
 #include <unistd.h>
 
+#include "blob/blob_store.h"
 #include "dl/trainer.h"
 #include "engine/corpus_store.h"
 #include "engine/engine.h"
@@ -28,8 +30,10 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 #include "service/admission.h"
 #include "service/client.h"
+#include "service/image_tier.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/signals.h"
@@ -362,6 +366,8 @@ TEST(Service, SignalHandlersFlipFlagsWithoutKillingTheProcess) {
 struct ServiceUniverse {
   SimilarityModel model;
   EvalConfig eval;
+  std::unique_ptr<EvalCorpus> corpus;
+  std::unique_ptr<CveDatabase> database;
   std::filesystem::path image_dir;
   std::string firmware_path;
   std::vector<std::string> some_cves;
@@ -375,10 +381,11 @@ struct ServiceUniverse {
     model = train_similarity_model(trainer).model;
 
     eval.scale = 0.03;
-    const EvalCorpus corpus(eval);
-    const CveDatabase database(corpus, DatabaseConfig{});
-    const FirmwareImage firmware = corpus.build_firmware(android_things_device());
-    for (const CveEntry& entry : database.entries()) {
+    corpus = std::make_unique<EvalCorpus>(eval);
+    database = std::make_unique<CveDatabase>(*corpus, DatabaseConfig{});
+    const FirmwareImage firmware =
+        corpus->build_firmware(android_things_device());
+    for (const CveEntry& entry : database->entries()) {
       if (some_cves.size() == 4) break;
       some_cves.push_back(entry.spec.cve_id);
     }
@@ -392,14 +399,18 @@ struct ServiceUniverse {
     firmware_path = (image_dir / "fw.img").string();
     if (!save_firmware(firmware, firmware_path))
       throw std::runtime_error("cannot save test firmware");
+    expected_report = one_shot_report(firmware);
+  }
 
+  /// The one-shot engine's canonical report of `firmware` for some_cves.
+  std::string one_shot_report(const FirmwareImage& firmware) const {
     ScanEngine engine(EngineConfig{});
     ScanRequest request;
     request.model = &model;
     request.firmware = &firmware;
-    request.database = &database;
+    request.database = database.get();
     request.cve_ids = some_cves;
-    expected_report = engine.run(request).canonical_text();
+    return engine.run(request).canonical_text();
   }
 
   ~ServiceUniverse() {
@@ -432,17 +443,33 @@ json::Value parsed(const std::string& payload) {
   return doc.value_or(json::Value());
 }
 
-/// Submits one scan and returns the result payload (expects accepted first).
-std::optional<std::string> submit_scan(svc::ServiceClient& client,
-                                       const std::vector<std::string>& cves,
-                                       bool want_provenance = false) {
-  if (!client.send(svc::scan_request_json(universe().firmware_path, cves,
-                                          want_provenance)))
+/// Submits one scan of `firmware` and returns the result payload (expects
+/// accepted first).
+std::optional<std::string> submit_image(svc::ServiceClient& client,
+                                        const std::string& firmware,
+                                        const std::vector<std::string>& cves,
+                                        bool want_provenance = false) {
+  if (!client.send(svc::scan_request_json(firmware, cves, want_provenance)))
     return std::nullopt;
   const auto first = client.receive();
   if (!first) return std::nullopt;
   if (parsed(*first).get("type").as_string() != "accepted") return first;
   return client.receive();
+}
+
+/// submit_image of the universe's firmware.
+std::optional<std::string> submit_scan(svc::ServiceClient& client,
+                                       const std::vector<std::string>& cves,
+                                       bool want_provenance = false) {
+  return submit_image(client, universe().firmware_path, cves,
+                      want_provenance);
+}
+
+/// The `images` block of a `health` response.
+json::Value image_tier_health(svc::ServiceClient& client) {
+  const auto health = client.call(svc::health_request_json());
+  EXPECT_TRUE(health.has_value());
+  return parsed(health.value_or("{}")).get("images");
 }
 
 TEST(Service, ScanOverUnixSocketMatchesOneShotReportByteForByte) {
@@ -535,6 +562,14 @@ TEST(Service, FourConcurrentClientsGetIdenticalReports) {
   for (std::thread& thread : threads) thread.join();
   for (int i = 0; i < kClients; ++i)
     EXPECT_EQ(reports[i], env.expected_report) << "client " << i;
+  // Both dispatchers race to file the one image: whichever decoded it, one
+  // copy is resident and every request counts once.
+  auto client =
+      svc::ServiceClient::connect_unix(service.config().socket_path);
+  const json::Value images = image_tier_health(client);
+  EXPECT_EQ(images.get("entries").as_number(), 1.0);
+  EXPECT_EQ(images.get("hits").as_number() + images.get("misses").as_number(),
+            static_cast<double>(kClients));
   service.stop();
 }
 
@@ -687,6 +722,240 @@ TEST(Service, PrefilteredReloadMidScanDropsNoJobsAndReportsIndexHealth) {
   // The reload rebuilt the catalog for the new generation.
   EXPECT_GT(service.health().retrieval_query_codes, 0u);
   service.stop();
+}
+
+// --- image tier ------------------------------------------------------------
+
+/// A per-test directory for image files the test rewrites.
+std::filesystem::path image_test_dir(const std::string& name) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("pk_service_images_" + name + "_" +
+                    std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// The decision lines of a provenance capture (the meta line names the
+/// request, so it differs per request by design).
+std::string decision_lines(const std::string& provenance) {
+  return provenance.substr(provenance.find('\n') + 1);
+}
+
+TEST(Service, ImageTierServesARepeatedImageWithoutDecoding) {
+  // The digest pass runs on every request; the decode and the library
+  // digests run only on the miss, and the engine digests nothing.
+  const ServiceUniverse& env = universe();
+  const obs::EnabledScope obs_on(true);
+  obs::Registry& registry = obs::Registry::global();
+  const std::uint64_t hits0 = registry.counter("service.image_hits").value();
+  const std::uint64_t misses0 =
+      registry.counter("service.image_misses").value();
+  obs::Tracer::global().clear();
+  svc::ScanService service(env.service_config("image_hit"));
+  service.start();
+  auto client =
+      svc::ServiceClient::connect_unix(service.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  const double image_bytes =
+      static_cast<double>(std::filesystem::file_size(env.firmware_path));
+
+  const auto miss = submit_scan(client, env.some_cves, true);
+  ASSERT_TRUE(miss.has_value());
+  json::Value images = image_tier_health(client);
+  EXPECT_EQ(images.get("misses").as_number(), 1.0);
+  EXPECT_EQ(images.get("hits").as_number(), 0.0);
+  EXPECT_EQ(images.get("entries").as_number(), 1.0);
+  EXPECT_EQ(images.get("capacity").as_number(),
+            static_cast<double>(svc::ImageTier::kCapacity));
+  EXPECT_EQ(images.get("bytes").as_number(), image_bytes);
+
+  const auto hit = submit_scan(client, env.some_cves, true);
+  ASSERT_TRUE(hit.has_value());
+  images = image_tier_health(client);
+  EXPECT_EQ(images.get("hits").as_number(), 1.0);
+  EXPECT_EQ(images.get("misses").as_number(), 1.0);
+  EXPECT_EQ(images.get("entries").as_number(), 1.0);
+  service.stop();
+  EXPECT_EQ(registry.counter("service.image_hits").value() - hits0, 1u);
+  EXPECT_EQ(registry.counter("service.image_misses").value() - misses0, 1u);
+  EXPECT_EQ(static_cast<double>(registry.gauge("service.image_bytes").value()),
+            image_bytes);
+
+  // Both served reports are the one-shot engine's, byte for byte, and the
+  // hit's decision provenance is the miss's.
+  const json::Value miss_doc = parsed(*miss);
+  const json::Value hit_doc = parsed(*hit);
+  EXPECT_EQ(miss_doc.get("report").as_string(), env.expected_report);
+  EXPECT_EQ(hit_doc.get("report").as_string(), env.expected_report);
+  EXPECT_EQ(decision_lines(hit_doc.get("provenance").as_string()),
+            decision_lines(miss_doc.get("provenance").as_string()));
+  // The supplied library digests key the same result-cache entries.
+  EXPECT_EQ(hit_doc.get("cache").get("misses").as_number(), 0.0);
+
+  const auto id = [](const json::Value& doc) {
+    return static_cast<std::uint64_t>(doc.get("request_id").as_number());
+  };
+  std::map<std::string, std::multiset<std::uint64_t>> requests_of;
+  for (const obs::Span& span : obs::Tracer::global().spans())
+    requests_of[span.name].insert(span.request);
+  const std::multiset<std::uint64_t> both = {id(miss_doc), id(hit_doc)};
+  const std::multiset<std::uint64_t> miss_only = {id(miss_doc)};
+  EXPECT_EQ(requests_of["service.image_digest"], both);
+  EXPECT_EQ(requests_of["setup.firmware"], miss_only);
+  EXPECT_EQ(requests_of["cache.digest"], miss_only);
+}
+
+TEST(Service, ImageTierMissesOnARewrittenImageWithOneChangedByte) {
+  const ServiceUniverse& env = universe();
+  const std::string path =
+      (image_test_dir("rewrite") / "fw.img").string();
+  std::filesystem::copy_file(env.firmware_path, path);
+  svc::ScanService service(env.service_config("image_rewrite"));
+  service.start();
+  auto client =
+      svc::ServiceClient::connect_unix(service.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(submit_image(client, path, env.some_cves).has_value());
+  ASSERT_TRUE(submit_image(client, path, env.some_cves).has_value());
+  EXPECT_EQ(image_tier_health(client).get("hits").as_number(), 1.0);
+
+  // Flip one byte of a string-table entry: same path, same size, still a
+  // valid image.
+  FirmwareImage image = load_firmware(path).value();
+  bool flipped = false;
+  for (LibraryBinary& library : image.libraries)
+    for (std::string& text : library.strings)
+      if (!flipped && !text.empty()) {
+        text[0] = static_cast<char>(text[0] ^ 0x01);
+        flipped = true;
+      }
+  ASSERT_TRUE(flipped);
+  const blob::Bytes before = blob::read_file(path).value();
+  ASSERT_TRUE(save_firmware(image, path));
+  const blob::Bytes after = blob::read_file(path).value();
+  ASSERT_EQ(before.size(), after.size());
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < before.size(); ++i)
+    changed += before[i] != after[i] ? 1 : 0;
+  ASSERT_EQ(changed, 1u);
+
+  const auto result = submit_image(client, path, env.some_cves);
+  ASSERT_TRUE(result.has_value());
+  const json::Value images = image_tier_health(client);
+  EXPECT_EQ(images.get("hits").as_number(), 1.0);
+  EXPECT_EQ(images.get("misses").as_number(), 2.0);
+  EXPECT_EQ(images.get("entries").as_number(), 2.0);
+  EXPECT_EQ(parsed(*result).get("report").as_string(),
+            env.one_shot_report(load_firmware(path).value()));
+  service.stop();
+}
+
+TEST(Service, ImageTierRejectsUnloadableImagesWithoutFilingThem) {
+  const ServiceUniverse& env = universe();
+  const auto dir = image_test_dir("unloadable");
+  const blob::Bytes valid = blob::read_file(env.firmware_path).value();
+  const std::string truncated = (dir / "truncated.img").string();
+  ASSERT_TRUE(blob::write_file(
+      truncated, blob::Bytes(valid.begin(), valid.begin() + valid.size() / 2)));
+  const std::string text = (dir / "text.img").string();
+  const std::string words = "this is not a firmware image\n";
+  ASSERT_TRUE(blob::write_file(text, blob::Bytes(words.begin(), words.end())));
+
+  svc::ScanService service(env.service_config("image_unloadable"));
+  service.start();
+  auto client =
+      svc::ServiceClient::connect_unix(service.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  for (const std::string& path : {truncated, text}) {
+    const auto result = submit_image(client, path, env.some_cves);
+    ASSERT_TRUE(result.has_value()) << path;
+    const json::Value doc = parsed(*result);
+    EXPECT_EQ(doc.get("type").as_string(), "error") << path;
+    EXPECT_EQ(doc.get("code").as_number(), 400.0) << path;
+    EXPECT_NE(doc.get("message").as_string().find(
+                  "cannot load firmware image"),
+              std::string::npos)
+        << path;
+  }
+  const json::Value images = image_tier_health(client);
+  EXPECT_EQ(images.get("entries").as_number(), 0.0);
+  EXPECT_EQ(images.get("bytes").as_number(), 0.0);
+  EXPECT_EQ(images.get("hits").as_number(), 0.0);
+  EXPECT_EQ(images.get("misses").as_number(), 0.0);
+  service.stop();
+}
+
+TEST(Service, ImageTierEvictsTheLeastRecentlyUsedImage) {
+  const ServiceUniverse& env = universe();
+  constexpr std::size_t kImages = svc::ImageTier::kCapacity + 1;
+  const auto dir = image_test_dir("evict");
+  // Distinct images: the same libraries under another device name.
+  FirmwareImage image = load_firmware(env.firmware_path).value();
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < kImages; ++i) {
+    image.device = "device-" + std::to_string(i);
+    paths.push_back((dir / ("fw" + std::to_string(i) + ".img")).string());
+    ASSERT_TRUE(save_firmware(image, paths.back()));
+  }
+
+  svc::ScanService service(env.service_config("image_evict"));
+  service.start();
+  auto client =
+      svc::ServiceClient::connect_unix(service.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  const auto scan = [&](std::size_t i, bool expect_hit) {
+    const double hits = image_tier_health(client).get("hits").as_number();
+    const auto result = submit_image(client, paths[i], env.some_cves);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(parsed(*result).get("report").as_string(), env.expected_report)
+        << "image " << i;
+    EXPECT_EQ(image_tier_health(client).get("hits").as_number(),
+              hits + (expect_hit ? 1.0 : 0.0))
+        << "image " << i;
+  };
+  for (std::size_t i = 0; i + 1 < kImages; ++i) scan(i, false);
+  scan(0, true);            // image 1 is now the least recently used
+  scan(kImages - 1, false); // ...and is the one evicted
+  json::Value images = image_tier_health(client);
+  EXPECT_EQ(images.get("entries").as_number(),
+            static_cast<double>(svc::ImageTier::kCapacity));
+  EXPECT_EQ(images.get("evictions").as_number(), 1.0);
+  scan(0, true);
+  scan(2, true);
+  scan(1, false);  // evicted above; evicts image 3 in turn
+  scan(3, false);
+  images = image_tier_health(client);
+  EXPECT_EQ(images.get("entries").as_number(),
+            static_cast<double>(svc::ImageTier::kCapacity));
+  EXPECT_EQ(images.get("evictions").as_number(), 3.0);
+  EXPECT_EQ(images.get("bytes").as_number(),
+            static_cast<double>(svc::ImageTier::kCapacity *
+                                std::filesystem::file_size(paths[0])));
+  service.stop();
+}
+
+TEST(Service, ImageTierRacingLoadsShareOneEntry) {
+  // Concurrent first loads of one image may each decode it, but the second
+  // insert hands back the first's entry: one resident copy, one pointer.
+  const ServiceUniverse& env = universe();
+  svc::ImageTier tier;
+  constexpr int kThreads = 6;
+  std::vector<std::shared_ptr<const svc::ResidentImage>> loaded(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back(
+        [&, i] { loaded[i] = tier.load(env.firmware_path); });
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_NE(loaded[0], nullptr);
+  for (int i = 1; i < kThreads; ++i) EXPECT_EQ(loaded[i], loaded[0]) << i;
+  const svc::ImageTierStats stats = tier.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(kThreads));
+  EXPECT_GE(stats.misses, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(loaded[0]->library_digests.size(),
+            loaded[0]->image.libraries.size());
 }
 
 TEST(Service, ProtocolErrorsKeepTheConnectionAlive) {
