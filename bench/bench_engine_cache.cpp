@@ -4,8 +4,10 @@
 // fresh single-job engine served from the same cache directory must agree
 // byte-for-byte with the multi-job cold run (determinism across both job
 // count and cache temperature). Two unit-cost rows price the content digest
-// under every cache key: bulk bytes (the verified blob read) and
-// digest_library over the Things image (every analyze job's key).
+// under every cache key: bulk bytes (the verified blob read and the library
+// key load_firmware takes from each record it decodes) and digest_library
+// over the Things image (the same key for a library built in memory, which
+// build_firmware and a scan of a hand-assembled image pay).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>

@@ -48,6 +48,18 @@ std::string read_name(Reader& reader) {
   return text;
 }
 
+/// A PKLB record up to its functions.
+void append_library_header(Bytes& out, const LibraryBinary& library) {
+  append_u32(out, kLibraryMagic);
+  append_name(out, library.name);
+  append_u8(out, static_cast<std::uint8_t>(library.arch));
+  append_u8(out, static_cast<std::uint8_t>(library.opt));
+  append_u8(out, library.stripped ? 1 : 0);
+  append_u32(out, static_cast<std::uint32_t>(library.strings.size()));
+  for (const std::string& text : library.strings) append_name(out, text);
+  append_u32(out, static_cast<std::uint32_t>(library.functions.size()));
+}
+
 }  // namespace
 
 void append_function(Bytes& out, const FunctionBinary& fn) {
@@ -63,12 +75,17 @@ void append_function(Bytes& out, const FunctionBinary& fn) {
     append_bytes(out, table.data(), table.size() * sizeof(table[0]));
   }
   append_u32(out, static_cast<std::uint32_t>(fn.code.size()));
+  // Sized once: a per-instruction insert costs more than its 16 bytes.
+  const std::size_t start = out.size();
+  out.resize(start + fn.code.size() * kInstructionBytes);
+  std::uint8_t* at = out.data() + start;
   for (const Instruction& inst : fn.code) {
     std::uint8_t record[kInstructionBytes] = {
         static_cast<std::uint8_t>(inst.op), inst.dst, inst.src1, inst.src2};
     std::memcpy(record + 4, &inst.imm, sizeof(inst.imm));
     std::memcpy(record + 12, &inst.target, sizeof(inst.target));
-    append_bytes(out, record, sizeof(record));
+    std::memcpy(at, record, sizeof(record));
+    at += sizeof(record);
   }
 }
 
@@ -99,14 +116,7 @@ bool read_function(Reader& reader, FunctionBinary& fn) {
 }
 
 void append_library(Bytes& out, const LibraryBinary& library) {
-  append_u32(out, kLibraryMagic);
-  append_name(out, library.name);
-  append_u8(out, static_cast<std::uint8_t>(library.arch));
-  append_u8(out, static_cast<std::uint8_t>(library.opt));
-  append_u8(out, library.stripped ? 1 : 0);
-  append_u32(out, static_cast<std::uint32_t>(library.strings.size()));
-  for (const std::string& text : library.strings) append_name(out, text);
-  append_u32(out, static_cast<std::uint32_t>(library.functions.size()));
+  append_library_header(out, library);
   for (const FunctionBinary& fn : library.functions) append_function(out, fn);
 }
 
@@ -140,6 +150,23 @@ std::optional<LibraryBinary> deserialize_library(
   if (!read_library(reader, library) || reader.remaining() != 0)
     return std::nullopt;
   return library;
+}
+
+Digest digest_library(const LibraryBinary& library) {
+  // Whole words are absorbed after each function and the tail carries over:
+  // a run of whole-word absorbs digests like one absorb of the record.
+  Digest digest;
+  Bytes buffer;
+  append_library_header(buffer, library);
+  for (const FunctionBinary& fn : library.functions) {
+    append_function(buffer, fn);
+    const std::size_t whole = buffer.size() & ~std::size_t{7};
+    digest.absorb(buffer.data(), whole);
+    buffer.erase(buffer.begin(),
+                 buffer.begin() + static_cast<std::ptrdiff_t>(whole));
+  }
+  digest.absorb(buffer.data(), buffer.size());
+  return digest;
 }
 
 }  // namespace patchecko

@@ -77,4 +77,9 @@ std::vector<std::uint8_t> serialize_library(const LibraryBinary& library);
 std::optional<LibraryBinary> deserialize_library(
     const std::vector<std::uint8_t>& bytes);
 
+/// A library's content key: one Digest::absorb of its PKLB record, as
+/// load_firmware takes it from the bytes it decodes. Streams the record a
+/// function at a time through one reused buffer.
+Digest digest_library(const LibraryBinary& library);
+
 }  // namespace patchecko

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 
+#include "blob/blob_store.h"
 #include "obs/trace.h"
 
 namespace patchecko {
@@ -146,74 +146,71 @@ constexpr std::uint32_t model_magic = 0x504b4d4c;  // "PKML"
 }
 
 bool SimilarityModel::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  auto put_u32 = [&](std::uint32_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto put_f64 = [&](double v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_u32(model_magic);
-  for (double v : normalizer_.means()) put_f64(v);
-  for (double v : normalizer_.stddevs()) put_f64(v);
-  put_u32(static_cast<std::uint32_t>(network_.layers().size()));
+  blob::Bytes out;
+  blob::append_u32(out, model_magic);
+  for (double v : normalizer_.means()) blob::append_double(out, v);
+  for (double v : normalizer_.stddevs()) blob::append_double(out, v);
+  blob::append_u32(out, static_cast<std::uint32_t>(network_.layers().size()));
   for (const DenseLayer& layer : network_.layers()) {
-    put_u32(static_cast<std::uint32_t>(layer.in_dim()));
-    put_u32(static_cast<std::uint32_t>(layer.out_dim()));
-    out.write(reinterpret_cast<const char*>(layer.weights().data()),
-              static_cast<std::streamsize>(layer.weights().size() *
-                                           sizeof(float)));
-    out.write(reinterpret_cast<const char*>(layer.biases().data()),
-              static_cast<std::streamsize>(layer.biases().size() *
-                                           sizeof(float)));
+    blob::append_u32(out, static_cast<std::uint32_t>(layer.in_dim()));
+    blob::append_u32(out, static_cast<std::uint32_t>(layer.out_dim()));
+    blob::append_bytes(out, layer.weights().data(),
+                       layer.weights().size() * sizeof(float));
+    blob::append_bytes(out, layer.biases().data(),
+                       layer.biases().size() * sizeof(float));
   }
-  return static_cast<bool>(out);
+  return blob::write_file(path, out);
 }
 
-std::optional<SimilarityModel> SimilarityModel::load(const std::string& path) {
+std::optional<SimilarityModel> SimilarityModel::load(const std::string& path,
+                                                     std::string* error) {
   const obs::ScopedSpan span("setup.model");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  auto get_u32 = [&]() {
-    std::uint32_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    return v;
+  const auto fail = [&](const char* why) -> std::optional<SimilarityModel> {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
   };
-  auto get_f64 = [&]() {
-    double v = 0;
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    return v;
+  const auto all_finite = [](const auto& values) {
+    return std::all_of(values.begin(), values.end(),
+                       [](auto value) { return std::isfinite(value); });
   };
-  if (get_u32() != model_magic) return std::nullopt;
+  const std::optional<blob::Bytes> bytes = blob::read_file(path);
+  if (!bytes) return fail("cannot read the file");
+  blob::Reader reader{*bytes};
+  if (reader.read_u32() != model_magic) return fail("not a PKML model file");
   StaticFeatureVector mean{}, stddev{};
-  for (double& v : mean) v = get_f64();
-  for (double& v : stddev) v = get_f64();
-  FeatureNormalizer normalizer;
-  normalizer.set_parameters(mean, stddev);
-
-  const std::uint32_t layer_count = get_u32();
-  if (!in || layer_count == 0 || layer_count > 64) return std::nullopt;
+  reader.read(mean.data(), sizeof(mean));
+  reader.read(stddev.data(), sizeof(stddev));
+  const std::uint32_t layer_count = reader.read_u32();
+  if (!reader.ok) return fail("truncated");
+  if (!all_finite(mean) || !all_finite(stddev))
+    return fail("non-finite normalizer value");
+  if (layer_count == 0 || layer_count > 64)
+    return fail("layer count out of range");
   std::vector<std::size_t> dims;
   std::vector<std::pair<std::vector<float>, std::vector<float>>> params;
   for (std::uint32_t l = 0; l < layer_count; ++l) {
-    const std::uint32_t in_dim = get_u32();
-    const std::uint32_t out_dim = get_u32();
-    if (!in || in_dim == 0 || out_dim == 0 || in_dim > 4096 ||
-        out_dim > 4096)
-      return std::nullopt;
+    const std::uint32_t in_dim = reader.read_u32(), out_dim = reader.read_u32();
+    if (!reader.ok) return fail("truncated");
+    if (in_dim == 0 || out_dim == 0 || in_dim > 4096 || out_dim > 4096)
+      return fail("layer dimension out of range");
+    if (l != 0 && in_dim != dims.back())
+      return fail("a layer's input width is not the previous output width");
     if (l == 0) dims.push_back(in_dim);
     dims.push_back(out_dim);
-    std::vector<float> weights(static_cast<std::size_t>(in_dim) * out_dim);
-    std::vector<float> biases(out_dim);
-    in.read(reinterpret_cast<char*>(weights.data()),
-            static_cast<std::streamsize>(weights.size() * sizeof(float)));
-    in.read(reinterpret_cast<char*>(biases.data()),
-            static_cast<std::streamsize>(biases.size() * sizeof(float)));
+    if (!reader.fits(std::uint64_t{in_dim} * out_dim + out_dim, sizeof(float)))
+      return fail("truncated");
+    std::vector<float> weights(std::size_t{in_dim} * out_dim), biases(out_dim);
+    reader.read(weights.data(), weights.size() * sizeof(float));
+    reader.read(biases.data(), biases.size() * sizeof(float));
+    if (!all_finite(weights) || !all_finite(biases))
+      return fail("non-finite weight or bias");
     params.emplace_back(std::move(weights), std::move(biases));
   }
-  if (!in) return std::nullopt;
+  if (dims.back() != 1) return fail("the last layer has more than one output");
+  if (reader.remaining() != 0) return fail("bytes trail the last layer");
 
+  FeatureNormalizer normalizer;
+  normalizer.set_parameters(mean, stddev);
   Network network(dims, /*seed=*/0);
   for (std::size_t l = 0; l < params.size(); ++l) {
     network.layers()[l].weights() = std::move(params[l].first);

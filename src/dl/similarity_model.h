@@ -34,7 +34,10 @@ class SimilarityModel {
 
   /// Binary serialization (weights + normalizer). Returns false on I/O error.
   bool save(const std::string& path) const;
-  static std::optional<SimilarityModel> load(const std::string& path);
+  /// nullopt, with the reason in `error`, unless the file is a consistent
+  /// model (DESIGN.md §8, "The model file").
+  static std::optional<SimilarityModel> load(const std::string& path,
+                                             std::string* error = nullptr);
 
  private:
   Network network_;

@@ -66,48 +66,6 @@ void absorb_features(Digest& digest, const StaticFeatureVector& features) {
 
 // --- input digests ---------------------------------------------------------
 
-void absorb_function(Digest& digest, const FunctionBinary& function) {
-  digest.absorb_string(function.name);
-  digest.absorb_u64(function.id);
-  digest.absorb_i64(function.frame_size);
-  digest.absorb_u64(function.source_uid);
-  digest.absorb_u64(function.param_types.size());
-  digest.absorb(function.param_types.data(),
-                function.param_types.size() * sizeof(ValueType));
-  digest.absorb_u64(function.jump_tables.size());
-  for (const std::vector<std::int32_t>& table : function.jump_tables) {
-    digest.absorb_u64(table.size());
-    digest.absorb(table.data(), table.size() * sizeof(std::int32_t));
-  }
-  digest.absorb_u64(function.code.size());
-  // Two words per instruction: {op, dst, src1, src2, target}, then imm.
-  for (const Instruction& inst : function.code) {
-    digest.absorb_u64(
-        static_cast<std::uint64_t>(inst.op) |
-        static_cast<std::uint64_t>(inst.dst) << 8 |
-        static_cast<std::uint64_t>(inst.src1) << 16 |
-        static_cast<std::uint64_t>(inst.src2) << 24 |
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(inst.target))
-            << 32);
-    digest.absorb_i64(inst.imm);
-  }
-}
-
-Digest digest_library(const LibraryBinary& library) {
-  Digest digest;
-  digest.absorb_string(library.name);
-  digest.absorb_u64(static_cast<std::uint64_t>(library.arch) |
-                    static_cast<std::uint64_t>(library.opt) << 8 |
-                    static_cast<std::uint64_t>(library.stripped ? 1 : 0)
-                        << 16);
-  digest.absorb_u64(library.strings.size());
-  for (const std::string& text : library.strings) digest.absorb_string(text);
-  digest.absorb_u64(library.functions.size());
-  for (const FunctionBinary& function : library.functions)
-    absorb_function(digest, function);
-  return digest;
-}
-
 Digest digest_model(const SimilarityModel& model) {
   Digest digest;
   const Network& network = model.network();

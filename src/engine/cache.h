@@ -8,9 +8,13 @@
 // cache and skips Stage 1 entirely. Two result kinds are cached, in memory
 // and optionally as files in a cache directory:
 //   * the per-function StaticFeatureVector set of an analyzed library,
-//     keyed by a digest of the library's content, and
+//     keyed by the library's content key, and
 //   * a DetectionOutcome, keyed by (library, model, config, CVE entry,
 //     query direction).
+// A library has one content key: the Digest of its PKLB record
+// (digest_library, binary/binary.h). load_firmware takes it from the bytes
+// it decodes (FirmwareImage::library_keys), so a scan of a loaded image
+// digests nothing; the same value is the key in every process.
 // The config digest deliberately excludes worker_threads: parallelism never
 // changes results, so a cache populated at --jobs 8 serves --jobs 1 runs.
 //
@@ -39,14 +43,6 @@
 
 namespace patchecko {
 
-/// Digest of the identity of a scan target: exactly the fields
-/// serialize_library writes, streamed field by field with no serialized
-/// copy (name, arch, opt, stripped, strings, then absorb_function per
-/// function).
-Digest digest_library(const LibraryBinary& library);
-/// The per-function part of digest_library: name, id, frame_size,
-/// source_uid, param_types, jump_tables and code.
-void absorb_function(Digest& digest, const FunctionBinary& function);
 /// Digest of model weights, biases, and the fitted normalizer.
 Digest digest_model(const SimilarityModel& model);
 /// Digest of every config field that influences results. Excludes

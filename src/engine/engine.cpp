@@ -270,9 +270,10 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     if (only.empty() || only.count(entry.spec.cve_id) != 0)
       entries.push_back(&entry);
 
-  const bool digests_supplied =
-      request.library_digests != nullptr &&
-      request.library_digests->size() == request.firmware->libraries.size();
+  // An image keyed as decoded names each library's cache entries; only a
+  // hand-assembled image leaves the analyze jobs to digest their libraries.
+  const bool keyed = request.firmware->library_keys.size() ==
+                     request.firmware->libraries.size();
   std::map<std::string, const LibraryBinary*> by_name;
   for (const LibraryBinary& library : request.firmware->libraries)
     by_name[library.name] = &library;
@@ -443,9 +444,10 @@ ScanReport ScanEngine::run(const ScanRequest& request,
       LibSlot& slot = libs[job.target];
       std::string key;
       if (caching) {
-        if (digests_supplied) {
-          slot.digest = (*request.library_digests)[static_cast<std::size_t>(
-              slot.binary - request.firmware->libraries.data())];
+        if (keyed) {
+          slot.digest =
+              request.firmware->library_keys[static_cast<std::size_t>(
+                  slot.binary - request.firmware->libraries.data())];
         } else {
           const obs::ScopedSpan digest_span("cache.digest");
           slot.digest = digest_library(*slot.binary);

@@ -102,12 +102,6 @@ struct ScanRequest {
   /// typically the corpus snapshot's catalog. Optional: detect() quantizes
   /// per call when absent (or when an entry is missing from the catalog).
   const retrieval::QueryCatalog* query_codes = nullptr;
-  /// Precomputed digest_library values, parallel to firmware->libraries;
-  /// the daemon's image tier keeps them beside each decoded image. When
-  /// set and sized to match, the analyze jobs key the cache with them
-  /// instead of digesting their libraries; otherwise (the one-shot CLI)
-  /// each analyze job digests its own library.
-  const std::vector<Digest>* library_digests = nullptr;
   /// Service request id (0 = one-shot run). Each job body runs inside an
   /// obs::TaskScope with this id: the job's span is a trace root on
   /// whichever thread runs it, and spans, events, and the provenance meta

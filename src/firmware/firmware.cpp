@@ -37,16 +37,16 @@ constexpr std::size_t kDigestChunkBytes = std::size_t{1} << 20;
 /// Walks a PKFW file from `fd`, decoding it into `image` and/or digesting
 /// it into `digest` (at least one is non-null). Every length prefix is
 /// checked against the bytes left in the file (fstat) before anything is
-/// allocated for it. The digest takes every byte as one field stream:
-/// magic, device name, library count, then per library its length and
-/// record bytes.
+/// allocated for it. Each library record is digested once, into its key
+/// (digest_library); the file digest takes the magic, device name and
+/// library count, then per library its length and key.
 ///
 /// With `image` set, each library record is read whole and decoded, and its
 /// bytes are freed once decoded: one buffer reused across libraries would
 /// keep the largest alive beside the decoded image, the load's peak (+6.6 MB
 /// on the scale-1.0 Things image). Without it, records stream through one
 /// kDigestChunkBytes buffer. A run of whole-word absorbs digests exactly
-/// like one absorb of the record, so both walks give the same key.
+/// like one absorb of the record, so both walks give the same keys.
 bool walk_image(int fd, FirmwareImage* image, FirmwareDigest* digest) {
   struct stat info {};
   if (::fstat(fd, &info) != 0 || !S_ISREG(info.st_mode)) return false;
@@ -84,23 +84,28 @@ bool walk_image(int fd, FirmwareImage* image, FirmwareDigest* digest) {
   blob::Bytes chunk(image == nullptr ? kDigestChunkBytes : 0);
   for (std::uint32_t i = 0; i < library_count; ++i) {
     if (!take_size(size)) return false;
-    stream.absorb_u64(size);
+    Digest key;
     if (image == nullptr) {
       for (std::uint64_t done = 0; done < size;) {
         const auto step = static_cast<std::size_t>(
             std::min<std::uint64_t>(size - done, chunk.size()));
         if (!take(chunk.data(), step)) return false;
-        stream.absorb(chunk.data(), step);
+        key.absorb(chunk.data(), step);
         done += step;
       }
-      continue;
+    } else {
+      blob::Bytes bytes(size);
+      if (!take(bytes.data(), size)) return false;
+      key.absorb(bytes.data(), bytes.size());
+      std::optional<LibraryBinary> library = deserialize_library(bytes);
+      if (!library) return false;
+      image->libraries.push_back(std::move(*library));
+      image->library_keys.push_back(key);
     }
-    blob::Bytes bytes(size);
-    if (!take(bytes.data(), size)) return false;
-    if (digest != nullptr) stream.absorb(bytes.data(), bytes.size());
-    std::optional<LibraryBinary> library = deserialize_library(bytes);
-    if (!library) return false;
-    image->libraries.push_back(std::move(*library));
+    const Digest::Value value = key.value();
+    stream.absorb_u64(size);
+    stream.absorb_u64(value.hi);
+    stream.absorb_u64(value.lo);
   }
   if (left != 0) return false;  // trailing bytes
   if (digest != nullptr)
@@ -347,8 +352,10 @@ FirmwareImage EvalCorpus::build_firmware(const DeviceSpec& device) const {
   FirmwareImage image;
   image.device = device.name;
   image.libraries.reserve(sources_.size());
-  for (std::size_t i = 0; i < sources_.size(); ++i)
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
     image.libraries.push_back(compile_for_device(i, device));
+    image.library_keys.push_back(digest_library(image.libraries.back()));
+  }
   return image;
 }
 

@@ -77,6 +77,9 @@ struct HostedCve {
 struct FirmwareImage {
   std::string device;
   std::vector<LibraryBinary> libraries;  ///< stripped
+  /// digest_library of each library, parallel to `libraries`, as decoded:
+  /// code that edits `libraries` clears it. The engine's cache keys.
+  std::vector<Digest> library_keys;
 
   std::size_t total_functions() const;
 };
@@ -96,7 +99,7 @@ bool save_firmware(const FirmwareImage& image, const std::string& path);
 
 /// The identity of a PKFW file's exact bytes: a Digest of its field stream
 /// (magic, device name, library count, then each library's length and
-/// record bytes), which covers every byte of the file, and the file size.
+/// library key), which covers every byte of the file, and the file size.
 struct FirmwareDigest {
   Digest::Value value;
   std::uint64_t bytes = 0;
@@ -104,17 +107,19 @@ struct FirmwareDigest {
   bool operator==(const FirmwareDigest&) const = default;
 };
 
-/// Decodes a PKFW file. When `digest` is non-null it receives the
-/// FirmwareDigest of the very bytes decoded, so a cache keyed on it never
-/// files an image under bytes it was not decoded from.
+/// Decodes a PKFW file, keying each library from the bytes it decodes.
+/// When `digest` is non-null it receives the FirmwareDigest of the very
+/// bytes decoded, so a cache keyed on it never files an image under bytes
+/// it was not decoded from.
 std::optional<FirmwareImage> load_firmware(const std::string& path,
                                            FirmwareDigest* digest = nullptr);
 
 /// The FirmwareDigest load_firmware would report, without decoding: the
 /// same framing walk and length checks, with each library record streamed
-/// through a fixed 1 MiB buffer. nullopt wherever load_firmware fails on
-/// the framing (missing file, wrong magic, bad length, trailing bytes); a
-/// library record is not decoded, so a malformed one still digests.
+/// through a fixed 1 MiB buffer into its key. nullopt wherever load_firmware
+/// fails on the framing (missing file, wrong magic, bad length, trailing
+/// bytes); a library record is not decoded, so a malformed one still
+/// digests.
 std::optional<FirmwareDigest> digest_firmware(const std::string& path);
 
 /// Generates and owns the whole evaluation universe.

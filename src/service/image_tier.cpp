@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "engine/cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -43,12 +42,6 @@ std::shared_ptr<const ResidentImage> ImageTier::load(const std::string& path) {
   std::optional<FirmwareImage> image = load_firmware(path, &decoded->key);
   if (!image) return nullptr;
   decoded->image = std::move(*image);
-  {
-    const obs::ScopedSpan span("cache.digest");
-    decoded->library_digests.reserve(decoded->image.libraries.size());
-    for (const LibraryBinary& library : decoded->image.libraries)
-      decoded->library_digests.push_back(digest_library(library));
-  }
   return insert(std::move(decoded));
 }
 

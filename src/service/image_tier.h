@@ -3,11 +3,12 @@
 //
 // A fleet re-sends the same shipped images over and over. Without the tier
 // every request decodes the whole image (31,436 functions for the scale-1.0
-// Things image) and every analyze job re-digests its library to find the
-// result-cache entries the daemon already holds. With it, a request reads
-// and digests the file (digest_firmware: every byte, every request; no
-// path, inode, mtime or size shortcut) and, on a hit, takes the decoded
-// image and its per-library digests from memory.
+// Things image). With it, a request reads and digests the file
+// (digest_firmware: every byte, every request; no path, inode, mtime or
+// size shortcut) and, on a hit, takes the decoded image from memory. The
+// image carries the library keys its decode took from the record bytes
+// (FirmwareImage::library_keys), and the file digest is built from those
+// same keys: the decode digests each record once, and a scan none.
 //
 // On a miss the image is decoded with load_firmware and filed under the
 // digest of the bytes that decode read, not the first pass's: a file
@@ -21,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "blob/blob_store.h"
 #include "firmware/firmware.h"
 
 namespace patchecko::service {
@@ -30,9 +30,6 @@ namespace patchecko::service {
 struct ResidentImage {
   FirmwareDigest key;
   FirmwareImage image;
-  /// digest_library of each library, parallel to image.libraries
-  /// (ScanRequest::library_digests).
-  std::vector<Digest> library_digests;
 };
 
 /// Process-lifetime totals for the `images` block of `health` and `stats`.

@@ -634,7 +634,6 @@ void ScanService::run_scan(const PendingScan& scan) {
   ScanRequest request;
   request.model = config_.model;
   request.firmware = &image->image;
-  request.library_digests = &image->library_digests;
   request.database = &snapshot->database;
   request.cve_ids = scan.request.cve_ids;
   request.heartbeat = heartbeat.get();

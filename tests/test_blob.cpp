@@ -1,18 +1,22 @@
 // Tests for the content digest under every cache key and store address
-// (blob::Digest), for digest_library's field coverage, and for the blob
-// container's version gate.
+// (blob::Digest), for the library key (digest_library: the Digest of a
+// PKLB record), and for the blob container's version gate.
 //
-// The golden values below pin the digest. Changing the digest silently
-// re-keys every result cache and every prebuilt corpus store, so a change
-// has to edit these on purpose (and bump the container version).
+// The golden values below pin the digest and the library key. Changing
+// either silently re-keys every result cache (and a digest change every
+// prebuilt corpus store), so a change has to edit these on purpose (and a
+// digest change bumps the container version).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -192,6 +196,46 @@ TEST(DigestLibrary, EverySerializedFieldChangesTheDigest) {
   }
 }
 
+TEST(DigestLibrary, GoldenValues) {
+  // digest_library is one absorb of the PKLB record. A hand-built library
+  // whose header (27 bytes) and function records (87 bytes each) end off a
+  // word boundary, so the streamed key carries a tail across functions,
+  // pins two values; a real library's prefixes check every other length.
+  FunctionBinary fn;
+  fn.name = "f";
+  fn.id = 3;
+  fn.frame_size = 16;
+  fn.source_uid = 0x1234;
+  fn.param_types = {ValueType::ptr, ValueType::i64};
+  fn.jump_tables = {{1, 2, 3}};
+  fn.code.resize(2);
+  fn.code[0].op = Opcode::ldi;
+  fn.code[0].imm = -5;
+  LibraryBinary library;
+  library.name = "lib";
+  library.arch = Arch::arm32;
+  library.stripped = true;
+  library.strings = {"s"};
+  const auto key = [](const LibraryBinary& library) {
+    const blob::Bytes record = serialize_library(library);
+    EXPECT_EQ(digest_library(library).hex(),
+              digest_hex(record.data(), record.size()));
+    return digest_library(library).hex();
+  };
+  EXPECT_EQ(key(library), "8c6d8cdc2572ca9c66bffa4f9225afb6");
+  library.functions = {fn, fn};
+  EXPECT_EQ(key(library), "a11fff74039ea51b602a053e35afee4b");
+  LibraryBinary real = sample_library();
+  const std::vector<FunctionBinary> functions = real.functions;
+  const std::size_t most = std::min<std::size_t>(40, functions.size());
+  for (std::size_t count = 0; count <= most; ++count) {
+    real.functions.assign(functions.begin(),
+                          functions.begin() +
+                              static_cast<std::ptrdiff_t>(count));
+    key(real);
+  }
+}
+
 TEST(DigestLibrary, SerializeRoundTripKeepsTheDigest) {
   const LibraryBinary library = sample_library();
   const LibraryBinary copy =
@@ -199,18 +243,23 @@ TEST(DigestLibrary, SerializeRoundTripKeepsTheDigest) {
   EXPECT_EQ(digest_library(copy).hex(), digest_library(library).hex());
 }
 
-/// Function content as serialize_library writes it (the arch and opt of a
-/// function are its library's).
-std::vector<std::uint8_t> function_bytes(const FunctionBinary& function) {
-  LibraryBinary holder;
-  holder.functions.push_back(function);
-  return serialize_library(holder);
+/// A function record as serialize_library writes it (the arch and opt of
+/// a function are its library's).
+blob::Bytes function_bytes(const FunctionBinary& function) {
+  blob::Bytes out;
+  append_function(out, function);
+  return out;
 }
 
 TEST(DigestLibrary, DistinctAcrossTheScaleSeedCorpora) {
-  // Over the 3 scales x 3 corpus seeds x {Things, Pixel} images, two
-  // libraries (or two functions) share a digest exactly when their
-  // serialized content is equal: no collision among distinct content.
+  // Over the 3 scales x 3 corpus seeds x {Things, Pixel} images:
+  //   * every library has one key: the one build_firmware computes, the
+  //     one load_firmware takes from the saved record, and digest_library
+  //     of the loaded library are equal;
+  //   * two libraries (or two function records) share a digest exactly
+  //     when their serialized content is equal: no collision among
+  //     distinct content.
+  const std::string path = testing::TempDir() + "pk_blob_corpora.img";
   std::map<std::string, std::vector<std::uint8_t>> libraries;
   std::map<std::string, std::vector<std::uint8_t>> functions;
   std::size_t library_count = 0, function_count = 0;
@@ -223,20 +272,32 @@ TEST(DigestLibrary, DistinctAcrossTheScaleSeedCorpora) {
       for (const DeviceSpec& device :
            {android_things_device(), pixel2xl_device()}) {
         const FirmwareImage image = corpus.build_firmware(device);
-        for (const LibraryBinary& library : image.libraries) {
+        ASSERT_TRUE(save_firmware(image, path));
+        const std::optional<FirmwareImage> loaded = load_firmware(path);
+        ASSERT_TRUE(loaded.has_value());
+        ASSERT_EQ(image.library_keys.size(), image.libraries.size());
+        ASSERT_EQ(loaded->library_keys.size(), image.libraries.size());
+        for (std::size_t i = 0; i < image.libraries.size(); ++i) {
+          const LibraryBinary& library = image.libraries[i];
           ++library_count;
-          const auto [it, fresh] = libraries.try_emplace(
-              digest_library(library).hex(), serialize_library(library));
+          const std::string key = digest_library(library).hex();
+          EXPECT_EQ(image.library_keys[i].hex(), key) << library.name;
+          EXPECT_EQ(loaded->library_keys[i].hex(), key) << library.name;
+          EXPECT_EQ(digest_library(loaded->libraries[i]).hex(), key)
+              << library.name;
+          const auto [it, fresh] =
+              libraries.try_emplace(key, serialize_library(library));
           if (!fresh) {
             ASSERT_EQ(it->second, serialize_library(library))
                 << "library digest collision: " << library.name;
           }
           for (const FunctionBinary& function : library.functions) {
             ++function_count;
-            Digest digest;
-            absorb_function(digest, function);
-            const auto [fit, ffresh] = functions.try_emplace(
-                digest.hex(), function_bytes(function));
+            blob::Bytes bytes = function_bytes(function);
+            const std::string function_key =
+                digest_hex(bytes.data(), bytes.size());
+            const auto [fit, ffresh] =
+                functions.try_emplace(function_key, std::move(bytes));
             if (!ffresh) {
               ASSERT_EQ(fit->second, function_bytes(function))
                   << "function digest collision in " << library.name;
@@ -245,6 +306,7 @@ TEST(DigestLibrary, DistinctAcrossTheScaleSeedCorpora) {
         }
       }
     }
+  std::remove(path.c_str());
   EXPECT_GT(library_count, 100u);
   EXPECT_GT(function_count, 10000u);
 }

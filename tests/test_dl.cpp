@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <limits>
 
+#include "blob/blob_store.h"
 #include "core/cve_database.h"
 #include "core/pipeline.h"
 #include "dl/network.h"
@@ -16,6 +17,7 @@
 #include "dl/trainer.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
+#include "obs/trace.h"
 
 namespace patchecko {
 namespace {
@@ -195,13 +197,19 @@ TEST(SimilarityModel, SaveLoadRoundTrip) {
 
   const std::string path = "/tmp/pk_test_model.bin";
   ASSERT_TRUE(model.save(path));
+  const blob::Bytes saved = blob::read_file(path).value();
   const auto loaded = SimilarityModel::load(path);
   ASSERT_TRUE(loaded.has_value());
-
-  StaticFeatureVector a{}, b{};
-  a.fill(2.0);
-  b.fill(11.0);
-  EXPECT_FLOAT_EQ(model.score(a, b), loaded->score(a, b));
+  // The loaded model saves the same bytes and scores every pair bit for
+  // bit like the original.
+  ASSERT_TRUE(loaded->save(path));
+  EXPECT_EQ(blob::read_file(path).value(), saved);
+  for (const StaticFeatureVector& a : corpus)
+    for (const StaticFeatureVector& b : corpus) {
+      const float want = model.score(a, b);
+      const float got = loaded->score(a, b);
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof(want)), 0);
+    }
   std::filesystem::remove(path);
 }
 
@@ -213,6 +221,125 @@ TEST(SimilarityModel, LoadRejectsMissingAndCorrupt) {
   std::fputs("not a model", f);
   std::fclose(f);
   EXPECT_FALSE(SimilarityModel::load(path).has_value());
+  std::filesystem::remove(path);
+}
+
+/// The shape of one PKML layer record: its header and how many weights and
+/// biases follow it.
+struct LayerRecord {
+  std::uint32_t in_dim, out_dim;
+  std::size_t weights, biases;
+};
+
+/// A PKML file in the layout SimilarityModel::save writes, with unit
+/// normalizer parameters and every weight and bias 0.01.
+blob::Bytes pkml(const std::vector<LayerRecord>& layers) {
+  blob::Bytes out;
+  blob::append_u32(out, 0x504b4d4c);  // "PKML"
+  for (std::size_t i = 0; i < 2 * static_feature_count; ++i)
+    blob::append_double(out, i < static_feature_count ? 0.0 : 1.0);
+  blob::append_u32(out, static_cast<std::uint32_t>(layers.size()));
+  for (const LayerRecord& layer : layers) {
+    blob::append_u32(out, layer.in_dim);
+    blob::append_u32(out, layer.out_dim);
+    for (std::size_t i = 0; i < layer.weights + layer.biases; ++i) {
+      const float value = 0.01f;
+      blob::append_bytes(out, &value, sizeof(value));
+    }
+  }
+  return out;
+}
+
+/// `bytes` with the value at `offset` replaced by `value`.
+template <typename T>
+blob::Bytes with_value(blob::Bytes bytes, std::size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return bytes;
+}
+
+TEST(SimilarityModel, LoadRejectsHostileInputWithoutAllocatingForIt) {
+  // A consistent 96 -> 4 -> 1 model: the normalizer's means end at 388 and
+  // its stddevs at 772; layer 1's weights start at 784 and its biases at
+  // 2320; layer 2's header is at 2336.
+  const blob::Bytes valid = pkml({{96, 4, 384, 4}, {4, 1, 4, 1}});
+  // The probe that read past a layer's weights: the paper-shaped model
+  // with layer 2's header changed from (96, 64) to (1, 64) and its weights
+  // cut to 64 floats.
+  const blob::Bytes probe = pkml({{96, 96, 96 * 96, 96},
+                                  {1, 64, 64, 64},
+                                  {64, 48, 64 * 48, 48},
+                                  {48, 32, 48 * 32, 32},
+                                  {32, 16, 32 * 16, 16},
+                                  {16, 1, 16, 1}});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  blob::Bytes trailing = valid;
+  trailing.push_back(0);
+  struct Case {
+    std::string name;
+    blob::Bytes bytes;
+    const char* reason;
+  };
+  std::vector<Case> cases = {
+      {"layer 2 header (1, 64)", probe, "input width"},
+      {"input width 5 after output 4", pkml({{96, 4, 384, 4}, {5, 1, 5, 1}}),
+       "input width"},
+      {"last out_dim 2", pkml({{96, 4, 384, 4}, {4, 2, 8, 2}}),
+       "more than one output"},
+      {"NaN weight", with_value(valid, 784, nan), "non-finite weight"},
+      {"NaN bias", with_value(valid, 2320, nan), "non-finite weight"},
+      {"infinite mean", with_value(valid, 4, inf), "non-finite normalizer"},
+      {"infinite stddev", with_value(valid, 764, -inf),
+       "non-finite normalizer"},
+      {"one trailing byte", trailing, "trail"},
+      {"wrong magic", with_value(valid, 0, std::uint32_t{0x504b4d4d}),
+       "not a PKML"},
+      {"no layers", with_value(blob::Bytes(valid.begin(), valid.begin() + 776),
+                               772, std::uint32_t{0}),
+       "layer count"},
+      {"65 layers", with_value(valid, 772, std::uint32_t{65}), "layer count"},
+      {"in_dim 0", with_value(valid, 776, std::uint32_t{0}), "dimension"},
+      {"out_dim 4097", with_value(valid, 780, std::uint32_t{4097}),
+       "dimension"},
+      {"4096 x 4096 weights past EOF", pkml({{4096, 4096, 0, 0}}),
+       "truncated"},
+  };
+  // Truncation at every field end of the valid file, and one byte short of
+  // it: inside the magic, each normalizer value, the layer count, each
+  // header word, the weights and the biases.
+  std::vector<std::size_t> field_ends = {4, 772, 776, 780, 784, 2320,
+                                         2336, 2340, 2344, 2360};
+  for (std::size_t v = 1; v <= 2 * static_feature_count; ++v)
+    field_ends.push_back(4 + 8 * v);
+  ASSERT_EQ(valid.size(), 2364u);
+  for (const std::size_t end : field_ends)
+    for (const std::size_t cut : {end - 1, end})
+      cases.push_back({"truncated to " + std::to_string(cut),
+                       blob::Bytes(valid.begin(), valid.begin() + cut),
+                       cut < 4 ? "not a PKML" : "truncated"});
+
+  const std::string path = testing::TempDir() + "pk_hostile_model.bin";
+  ASSERT_TRUE(blob::write_file(path, valid));
+  ASSERT_TRUE(SimilarityModel::load(path).has_value());
+  const bool counting = obs::allocation_counting_available();
+  const obs::EnabledScope on(true);
+  for (const Case& c : cases) {
+    ASSERT_TRUE(blob::write_file(path, c.bytes)) << c.name;
+    std::string error;
+    // A cleared tracer keeps its capacity: the setup.model span allocates
+    // nothing, and what is counted is the loader's.
+    obs::Tracer::global().clear();
+    const std::uint64_t before = obs::thread_allocation_bytes();
+    EXPECT_FALSE(SimilarityModel::load(path, &error).has_value()) << c.name;
+    if (counting) {
+      // The file's bytes, and weights only once the file holds them.
+      EXPECT_LE(obs::thread_allocation_bytes() - before,
+                3 * c.bytes.size() + 4096)
+          << c.name;
+    }
+    EXPECT_NE(error.find(c.reason), std::string::npos)
+        << c.name << ": " << error;
+  }
   std::filesystem::remove(path);
 }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -25,6 +26,7 @@
 #include "engine/cache.h"
 #include "engine/engine.h"
 #include "engine/thread_pool.h"
+#include "firmware/firmware.h"
 #include "obs/decision.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -743,19 +745,22 @@ TEST(Engine, WarmRunHitsCacheAndReproducesReport) {
 }
 
 TEST(Engine, SuppliedLibraryDigestsKeyTheCacheLikeComputedOnes) {
+  // The keys an image carries (FirmwareImage::library_keys) name the
+  // entries the engine's own digest_library calls file: a keyed image and
+  // the same image with its keys cleared share every entry.
   const EngineUniverse& u = universe();
-  std::vector<Digest> digests;
-  for (const LibraryBinary& library : u.firmware.libraries)
-    digests.push_back(digest_library(library));
-  ScanRequest supplied = u.request();
-  supplied.library_digests = &digests;
+  ASSERT_EQ(u.firmware.library_keys.size(), u.firmware.libraries.size());
+  FirmwareImage unkeyed = u.firmware;
+  unkeyed.library_keys.clear();
+  ScanRequest computed = u.request();
+  computed.firmware = &unkeyed;
   EngineConfig config;
   config.jobs = 2;
   ScanEngine computing(config);
   ScanEngine supplying(config);
   for (const char* round : {"cold", "warm"}) {
-    const ScanReport expected = computing.run(u.request());
-    const ScanReport got = supplying.run(supplied);
+    const ScanReport expected = computing.run(computed);
+    const ScanReport got = supplying.run(u.request());
     EXPECT_EQ(got.canonical_text(), expected.canonical_text()) << round;
     EXPECT_EQ(got.cache.feature_hits, expected.cache.feature_hits) << round;
     EXPECT_EQ(got.cache.feature_misses, expected.cache.feature_misses)
@@ -764,24 +769,67 @@ TEST(Engine, SuppliedLibraryDigestsKeyTheCacheLikeComputedOnes) {
     EXPECT_EQ(got.cache.outcome_misses, expected.cache.outcome_misses)
         << round;
   }
-  // Supplied digests name the entries computed ones filed.
-  EXPECT_EQ(computing.run(supplied).cache.misses(), 0u);
+  // The image's keys name the entries computed digests filed.
+  EXPECT_EQ(computing.run(u.request()).cache.misses(), 0u);
 
-  // The engine keys with what it is given: other digests miss every entry.
-  std::vector<Digest> other(digests.size());
-  for (std::size_t i = 0; i < other.size(); ++i) other[i].absorb_u64(i);
-  ScanRequest misfiled = u.request();
-  misfiled.library_digests = &other;
-  const ScanReport missed = computing.run(misfiled);
+  // The engine keys with what the image carries: other keys miss every
+  // entry.
+  FirmwareImage misfiled = u.firmware;
+  for (std::size_t i = 0; i < misfiled.library_keys.size(); ++i) {
+    misfiled.library_keys[i] = Digest{};
+    misfiled.library_keys[i].absorb_u64(i);
+  }
+  ScanRequest misfiled_request = u.request();
+  misfiled_request.firmware = &misfiled;
+  const ScanReport missed = computing.run(misfiled_request);
   EXPECT_EQ(missed.cache.feature_misses, missed.analyzed_libraries);
-  EXPECT_EQ(missed.canonical_text(), computing.run(u.request()).canonical_text());
+  EXPECT_EQ(missed.canonical_text(), computing.run(computed).canonical_text());
 
-  // A vector that does not match firmware->libraries is ignored: the
-  // engine digests each library itself and hits the computed entries.
-  other.pop_back();
-  const ScanReport fallback = computing.run(misfiled);
+  // Keys that do not match `libraries` are ignored: the engine digests each
+  // library itself and hits the computed entries.
+  misfiled.library_keys.pop_back();
+  const ScanReport fallback = computing.run(misfiled_request);
   EXPECT_EQ(fallback.cache.misses(), 0u);
   EXPECT_EQ(fallback.cache.feature_hits, fallback.analyzed_libraries);
+}
+
+TEST(Engine, ScanOfALoadedImageDigestsNoLibrary) {
+  // load_firmware keys each library from the bytes it decodes, with the
+  // values build_firmware computes, so a scan of a loaded image records no
+  // cache.digest span; an unkeyed image records one per analyzed library.
+  const EngineUniverse& u = universe();
+  const std::string dir = scratch_dir("engine_loaded");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/fw.img";
+  ASSERT_TRUE(save_firmware(u.firmware, path));
+  const std::optional<FirmwareImage> loaded = load_firmware(path);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->library_keys.size(), u.firmware.library_keys.size());
+  for (std::size_t i = 0; i < loaded->library_keys.size(); ++i)
+    EXPECT_EQ(loaded->library_keys[i].value(),
+              u.firmware.library_keys[i].value())
+        << i;
+  FirmwareImage unkeyed = *loaded;
+  unkeyed.library_keys.clear();
+
+  const obs::EnabledScope on(true);
+  const auto digest_spans = [&](const FirmwareImage& image,
+                                std::size_t& analyzed) {
+    ScanRequest request = u.request();
+    request.firmware = &image;
+    obs::Tracer::global().clear();
+    const ScanReport report = ScanEngine(EngineConfig{}).run(request);
+    analyzed = report.analyzed_libraries;
+    std::size_t count = 0;
+    for (const obs::Span& span : obs::Tracer::global().spans())
+      count += span.name == "cache.digest" ? 1 : 0;
+    return count;
+  };
+  std::size_t analyzed = 0;
+  EXPECT_EQ(digest_spans(*loaded, analyzed), 0u);
+  EXPECT_GT(analyzed, 0u);
+  EXPECT_EQ(digest_spans(unkeyed, analyzed), analyzed);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Engine, DiskCacheServesAFreshEngine) {

@@ -743,8 +743,8 @@ std::string decision_lines(const std::string& provenance) {
 }
 
 TEST(Service, ImageTierServesARepeatedImageWithoutDecoding) {
-  // The digest pass runs on every request; the decode and the library
-  // digests run only on the miss, and the engine digests nothing.
+  // The digest pass runs on every request and the decode only on the miss;
+  // the decode keys every library, so nothing runs digest_library.
   const ServiceUniverse& env = universe();
   const obs::EnabledScope obs_on(true);
   obs::Registry& registry = obs::Registry::global();
@@ -790,7 +790,7 @@ TEST(Service, ImageTierServesARepeatedImageWithoutDecoding) {
   EXPECT_EQ(hit_doc.get("report").as_string(), env.expected_report);
   EXPECT_EQ(decision_lines(hit_doc.get("provenance").as_string()),
             decision_lines(miss_doc.get("provenance").as_string()));
-  // The supplied library digests key the same result-cache entries.
+  // The decoded image's library keys name the same result-cache entries.
   EXPECT_EQ(hit_doc.get("cache").get("misses").as_number(), 0.0);
 
   const auto id = [](const json::Value& doc) {
@@ -803,7 +803,7 @@ TEST(Service, ImageTierServesARepeatedImageWithoutDecoding) {
   const std::multiset<std::uint64_t> miss_only = {id(miss_doc)};
   EXPECT_EQ(requests_of["service.image_digest"], both);
   EXPECT_EQ(requests_of["setup.firmware"], miss_only);
-  EXPECT_EQ(requests_of["cache.digest"], miss_only);
+  EXPECT_TRUE(requests_of["cache.digest"].empty());
 }
 
 TEST(Service, ImageTierMissesOnARewrittenImageWithOneChangedByte) {
@@ -954,7 +954,7 @@ TEST(Service, ImageTierRacingLoadsShareOneEntry) {
   EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(kThreads));
   EXPECT_GE(stats.misses, 1u);
   EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(loaded[0]->library_digests.size(),
+  EXPECT_EQ(loaded[0]->image.library_keys.size(),
             loaded[0]->image.libraries.size());
 }
 

@@ -198,6 +198,17 @@ VerdictCounts print_results(const ScanReport& report) {
   return counts;
 }
 
+/// The --model file, or nullopt after printing why it does not load.
+std::optional<SimilarityModel> load_model(const Args& args) {
+  std::string why;
+  auto model = SimilarityModel::load(args.get("model", ""), &why);
+  if (!model)
+    std::fprintf(stderr,
+                 "error: cannot load model: %s (run `patchecko train`)\n",
+                 why.c_str());
+  return model;
+}
+
 /// Starts the in-process --profile capture. Returns whether a capture was
 /// actually started (the caller passes that to emit_profile, so a pop
 /// without a push is impossible even if something else owns the profiler).
@@ -583,11 +594,8 @@ int cmd_scan(const Args& args) {
   obs::set_enabled(metrics.enabled || trace_out.enabled || profile.enabled);
   obs::set_events_enabled(events.enabled || trace_out.enabled);
   const bool profiling = start_profile(profile);
-  const auto model = SimilarityModel::load(args.get("model", ""));
-  if (!model) {
-    std::fprintf(stderr, "error: cannot load model (run `patchecko train`)\n");
-    return 1;
-  }
+  const auto model = load_model(args);
+  if (!model) return 1;
   const auto image = load_firmware(args.get("firmware", ""));
   if (!image) {
     std::fprintf(stderr, "error: cannot load firmware image\n");
@@ -691,11 +699,8 @@ int cmd_batch_scan(const Args& args) {
     engine_config.heartbeat = &*heartbeat_publisher;
   }
 
-  const auto model = SimilarityModel::load(args.get("model", ""));
-  if (!model) {
-    std::fprintf(stderr, "error: cannot load model (run `patchecko train`)\n");
-    return 1;
-  }
+  const auto model = load_model(args);
+  if (!model) return 1;
   const auto image = load_firmware(args.get("firmware", ""));
   if (!image) {
     std::fprintf(stderr, "error: cannot load firmware image\n");
@@ -878,11 +883,8 @@ int cmd_serve(const Args& args) {
   obs::set_enabled(true);
   obs::set_events_enabled(true);
 
-  const auto model = SimilarityModel::load(args.get("model", ""));
-  if (!model) {
-    std::fprintf(stderr, "error: cannot load model (run `patchecko train`)\n");
-    return 1;
-  }
+  const auto model = load_model(args);
+  if (!model) return 1;
   config.model = &*model;
   if (prebuilt != nullptr)
     std::printf("loading vulnerability database from corpus store %s "
