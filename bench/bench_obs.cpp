@@ -186,17 +186,14 @@ int main() {
   row(rows, "rollup.snapshot", on, off);
 
   // A ScopedSpan while a capture runs: the enabled column adds the trie
-  // entry and the allocation-delta flush to the traced span; the disabled
-  // column is the same traced span with no capture running. hz = 0 keeps
-  // the sampler thread out of the measurement (its cadence cost is the
-  // sample_once row).
+  // entry and the boundary charge (clock read and allocation-delta flush)
+  // to the traced span; the disabled column is the same traced span with no
+  // capture running.
   obs::Profiler& profiler = obs::Profiler::global();
-  obs::Profiler::Config profiler_config;
-  profiler_config.hz = 0.0;
   {
     obs::EnabledScope scope(true);
     tracer.clear();
-    profiler.start(profiler_config);
+    profiler.start(obs::Profiler::Config{});
     on = ns_per_op(span_iters, [&](std::size_t) {
       const obs::ScopedSpan span("bench.pscope", tracer);
     });
@@ -207,22 +204,6 @@ int main() {
     });
   }
   row(rows, "scoped_span.profiled", on, off);
-
-  // One sampler sweep over the registry while this thread is inside a
-  // two-deep span stack; the disabled column is a sweep attempt with no
-  // capture running (sampler fully off — the overhead a daemon pays
-  // between captures).
-  constexpr std::size_t sweep_iters = 200'000;
-  {
-    obs::EnabledScope scope(true);
-    profiler.start(profiler_config);
-    const obs::ScopedSpan sweep("bench.sweep", tracer);
-    const obs::ScopedSpan leaf("bench.sweep.leaf", tracer);
-    on = ns_per_op(sweep_iters, [&](std::size_t) { profiler.sample_once(); });
-    profiler.stop();
-  }
-  off = ns_per_op(sweep_iters, [&](std::size_t) { profiler.sample_once(); });
-  row(rows, "profiler.sample_once", on, off);
 
   g_sink = counter.value() + static_cast<std::uint64_t>(gauge.max()) +
            histogram.count() + tracer.spans().size() + events.emitted();

@@ -84,7 +84,8 @@ ArtifactKey library_key(const EvalCorpus& corpus, std::size_t lib,
   key.opt = opt;
   key.compiler_version = kCompilerVersion;
   key.params = "lib=" + std::to_string(lib) + " " +
-               eval_params(corpus.config());
+               eval_params(corpus.config()) +
+               " payload=" + std::to_string(kLibraryPayloadVersion);
   return key;
 }
 
@@ -126,13 +127,12 @@ LibraryBinary reference_for(PrebuiltStore& store, const EvalCorpus& corpus,
                                       corpus.config().db_arch,
                                       corpus.config().db_opt);
   if (const auto bytes = store.load(key)) {
-    if (auto artifact = deserialize_library_artifact(*bytes))
-      return std::move(artifact->library);
+    if (auto library = deserialize_library_artifact(*bytes))
+      return std::move(*library);
   }
-  LibraryArtifact artifact =
-      make_library_artifact(corpus.compile_reference(lib));
-  store.put(key, serialize_library_artifact(artifact));
-  return std::move(artifact.library);
+  LibraryBinary library = corpus.compile_reference(lib);
+  store.put(key, serialize_library_artifact(library));
+  return library;
 }
 
 }  // namespace
@@ -188,9 +188,8 @@ BuildReport build_store(PrebuiltStore& store, const BuildMatrix& matrix) {
   }
   parallel_for(missing_libraries.size(), matrix.jobs, [&](std::size_t i) {
     const LibraryJob& job = missing_libraries[i];
-    const LibraryArtifact artifact = make_library_artifact(
-        compile_variant(corpus, job.lib, job.arch, job.opt));
-    store.put(job.key, serialize_library_artifact(artifact));
+    store.put(job.key, serialize_library_artifact(compile_variant(
+                           corpus, job.lib, job.arch, job.opt)));
   });
   report.built += missing_libraries.size();
 

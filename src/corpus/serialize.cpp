@@ -18,9 +18,6 @@ static_assert(std::is_trivially_copyable_v<DynamicFeatures> &&
               "DynamicFeatures layout changed; bump kEntryPayloadVersion and "
               "serialize field-by-field");
 
-// Library artifacts are at payload version 1, CVE entries at
-// kEntryPayloadVersion (serialize.h).
-constexpr std::uint64_t kLibraryPayloadVersion = 1;
 constexpr std::uint64_t kLibraryTag = 0x4c4cu;  // 'LL'
 constexpr std::uint64_t kEntryTag = 0x4545u;    // 'EE'
 
@@ -112,68 +109,32 @@ bool read_profile(Reader& reader, DynamicProfile& profile) {
 
 }  // namespace
 
-// --- LibraryArtifact -------------------------------------------------------
-
-LibraryArtifact make_library_artifact(LibraryBinary library) {
-  LibraryArtifact artifact;
-  artifact.features.reserve(library.functions.size());
-  artifact.codes.reserve(library.functions.size());
-  for (const FunctionBinary& fn : library.functions) {
-    artifact.features.push_back(extract_static_features(fn));
-    artifact.codes.push_back(retrieval::quantize(artifact.features.back()));
-  }
-  artifact.library = std::move(library);
-  return artifact;
-}
+// --- library artifact ------------------------------------------------------
 
 std::vector<std::uint8_t> serialize_library_artifact(
-    const LibraryArtifact& artifact) {
+    const LibraryBinary& library) {
   std::vector<std::uint8_t> out;
   append_u64(out, kLibraryTag);
   append_u64(out, kLibraryPayloadVersion);
-  const std::vector<std::uint8_t> library =
-      serialize_library(artifact.library);
-  append_u64(out, library.size());
-  append_bytes(out, library.data(), library.size());
-  append_u64(out, artifact.features.size());
-  for (const StaticFeatureVector& features : artifact.features)
-    append_features(out, features);
-  append_u64(out, artifact.codes.size());
-  for (const retrieval::QuantizedVector& code : artifact.codes)
-    append_bytes(out, code.codes.data(), code.codes.size());
+  const std::vector<std::uint8_t> record = serialize_library(library);
+  append_u64(out, record.size());
+  append_bytes(out, record.data(), record.size());
   return out;
 }
 
-std::optional<LibraryArtifact> deserialize_library_artifact(
+std::optional<LibraryBinary> deserialize_library_artifact(
     const std::vector<std::uint8_t>& bytes) {
   Reader reader{bytes};
   if (reader.read_u64() != kLibraryTag ||
       reader.read_u64() != kLibraryPayloadVersion)
     return std::nullopt;
-  const std::uint64_t library_size = reader.read_u64();
-  if (!reader.fits(library_size, 1)) return std::nullopt;
-  const std::size_t library_end =
-      reader.pos + static_cast<std::size_t>(library_size);
-  LibraryArtifact artifact;
-  if (!read_library(reader, artifact.library) || reader.pos != library_end)
+  // The PKLB record is the rest of the payload.
+  const std::uint64_t record_size = reader.read_u64();
+  if (record_size != reader.remaining()) return std::nullopt;
+  LibraryBinary library;
+  if (!read_library(reader, library) || reader.pos != bytes.size())
     return std::nullopt;
-  const std::uint64_t feature_count = reader.read_u64();
-  if (!reader.fits(feature_count, static_feature_count * sizeof(double)))
-    return std::nullopt;
-  artifact.features.resize(static_cast<std::size_t>(feature_count));
-  for (StaticFeatureVector& features : artifact.features)
-    if (!read_features(reader, features)) return std::nullopt;
-  const std::uint64_t code_count = reader.read_u64();
-  if (!reader.fits(code_count, static_feature_count)) return std::nullopt;
-  artifact.codes.resize(static_cast<std::size_t>(code_count));
-  for (retrieval::QuantizedVector& code : artifact.codes)
-    if (!reader.read(code.codes.data(), code.codes.size()))
-      return std::nullopt;
-  if (!reader.ok || reader.pos != bytes.size() ||
-      artifact.features.size() != artifact.library.functions.size() ||
-      artifact.codes.size() != artifact.library.functions.size())
-    return std::nullopt;
-  return artifact;
+  return library;
 }
 
 // --- CveEntry --------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -73,17 +72,18 @@ std::uint32_t intern(std::string_view name) {
 // Per-thread state: the one stack of open-span frames every ScopedSpan
 // pushes and pops, the task base and request a TaskScope sets, and the trie
 // of the capture the thread last took part in. Once the thread is
-// registered with the sampler, what the sampler reads (frames, base, trie)
-// changes only under `lock` (a spinlock: critical sections are a handful of
-// loads/stores, and the sampler must not block on a mutex the owner could
-// hold across a malloc); before that, the owner is its only reader.
+// registered with the profiler, what report()/stop() read and write
+// (frames, base, trie, clock) changes only under `lock` (a spinlock:
+// critical sections are a handful of loads/stores, and a reader must not
+// block on a mutex the owner could hold across a malloc); before that, the
+// owner is its only reader.
 
 struct TrieNode {
   std::uint32_t name = 0;
   std::uint32_t parent = 0;
   std::uint32_t first_child = 0;   // node index; 0 = none
   std::uint32_t next_sibling = 0;  // node index; 0 = none
-  std::uint64_t samples = 0;
+  double self_seconds = 0.0;
   std::uint64_t entries = 0;
   std::uint64_t alloc_count = 0;
   std::uint64_t alloc_bytes = 0;
@@ -109,9 +109,15 @@ struct ThreadState {
   std::vector<TrieNode> nodes;  // [0] = root, once registered
   std::uint64_t capture = 0;    // the capture `nodes` belongs to
   std::uint64_t truncated = 0;  // trie entries refused past the caps
+  // The running capture's clock; null once it stopped, so a boundary that
+  // still saw profiling_enabled() never reads a clock that is gone.
+  const Clock* clock = nullptr;
+  double last_seconds = 0.0;  // clock value at the last boundary
   // Allocation-counter values at the last boundary. Unsynced after a
   // capture reset: the first boundary re-reads the counters instead of
-  // flushing a delta that spans the reset.
+  // flushing a delta that spans the reset. (Time needs no such flag: the
+  // first interval after a reset is spent at the root, which is not
+  // charged.)
   bool alloc_synced = false;
   std::uint64_t last_alloc_count = 0;
   std::uint64_t last_alloc_bytes = 0;
@@ -142,6 +148,7 @@ struct ProfRegistry {
   std::vector<std::vector<TrieNode>> retired;
   std::uint64_t retired_truncated = 0;
   std::uint64_t capture = 0;  // the latest capture; 0 = none yet
+  const Clock* clock = nullptr;  // the running capture's; null = none
 };
 
 ProfRegistry& prof_registry() {
@@ -149,11 +156,13 @@ ProfRegistry& prof_registry() {
   return *registry;
 }
 
-void reset_state_locked(ThreadState& state, std::uint64_t capture) {
+void reset_state_locked(ThreadState& state, std::uint64_t capture,
+                        const Clock* clock) {
   const SpinGuard guard(state);
   state.nodes.assign(1, TrieNode{});
   state.capture = capture;
   state.truncated = 0;
+  state.clock = clock;
   state.alloc_synced = false;
 }
 
@@ -166,9 +175,20 @@ std::uint32_t top_node(const ThreadState& state) {
   return top.capture == state.capture ? top.node : 0;
 }
 
-// Flush the allocation delta since the last boundary into the node that was
-// active over that interval. Caller holds the spinlock.
-void flush_alloc(ThreadState& state) {
+// Charge the wall time since the thread's last boundary to the node it has
+// been inside, and restart the interval at `now`. Time outside the
+// capture's spans (the root) is not charged. Caller holds the spinlock.
+void charge_time(ThreadState& state, double now) {
+  const std::uint32_t node = top_node(state) & ~kTruncated;
+  if (node != 0) state.nodes[node].self_seconds += now - state.last_seconds;
+  state.last_seconds = now;
+}
+
+// Charge the interval since the last boundary — its allocation delta and,
+// while the capture runs, its wall time — to the node that was active over
+// it. Allocation counters are per thread, so only the owner can call this.
+// Caller holds the spinlock.
+void flush_interval(ThreadState& state) {
   std::uint64_t count = 0;
   std::uint64_t bytes = 0;
   thread_allocation_totals(&count, &bytes);
@@ -181,6 +201,7 @@ void flush_alloc(ThreadState& state) {
   }
   state.last_alloc_count = count;
   state.last_alloc_bytes = bytes;
+  if (state.clock != nullptr) charge_time(state, state.clock->now());
 }
 
 // The node a frame labelled `label` enters: the matching child of the node
@@ -226,7 +247,7 @@ struct ThreadSlot {
         std::remove(registry.threads.begin(), registry.threads.end(), &state),
         registry.threads.end());
     const SpinGuard guard(state);
-    flush_alloc(state);  // attribute the tail since the last boundary
+    flush_interval(state);  // charge the tail since the last boundary
     if (state.nodes.size() > 1 || state.nodes[0].alloc_count > 0)
       registry.retired.push_back(std::move(state.nodes));
     registry.retired_truncated += state.truncated;
@@ -238,29 +259,30 @@ ThreadState& local_state() {
   return slot.state;
 }
 
-// Makes the thread visible to the sampler; from here on its owner changes
-// sampled state only under the spinlock.
+// Makes the thread visible to report()/stop(); from here on its owner
+// changes shared state only under the spinlock.
 void register_thread(ThreadState& state) {
   if (state.registered) return;
   ProfRegistry& registry = prof_registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   state.nodes.assign(1, TrieNode{});
   state.capture = registry.capture;
+  state.clock = registry.clock;
   registry.threads.push_back(&state);
   state.registered = true;
 }
 
 // Applies `change` to the calling thread's state at a span or task
-// boundary. While a capture runs, the thread registers with the sampler and
-// the allocation delta since its previous boundary is flushed into the node
-// it was inside.
+// boundary. While a capture runs, the thread registers with the profiler
+// and the interval since its previous boundary is charged to the node it
+// was inside.
 template <typename Change>
 void at_boundary(const Change& change) {
   ThreadState& state = local_state();
   const bool profiling = profiling_enabled();
   if (profiling) register_thread(state);
   const SpinGuard guard(state, state.registered);
-  if (profiling) flush_alloc(state);
+  if (profiling) flush_interval(state);
   change(state, profiling);
 }
 
@@ -269,7 +291,7 @@ void at_boundary(const Change& change) {
 
 struct MergeNode {
   std::uint32_t name = 0;
-  std::uint64_t samples = 0;
+  double self_seconds = 0.0;
   std::uint64_t entries = 0;
   std::uint64_t alloc_count = 0;
   std::uint64_t alloc_bytes = 0;
@@ -285,7 +307,7 @@ void merge_trie(std::vector<MergeNode>& merged,
     const auto [t_index, m_index] = stack.back();
     stack.pop_back();
     const TrieNode& from = trie[t_index];
-    merged[m_index].samples += from.samples;
+    merged[m_index].self_seconds += from.self_seconds;
     merged[m_index].entries += from.entries;
     merged[m_index].alloc_count += from.alloc_count;
     merged[m_index].alloc_bytes += from.alloc_bytes;
@@ -296,7 +318,7 @@ void merge_trie(std::vector<MergeNode>& merged,
       if (inserted) {
         // NOTE: `merged` may reallocate; merged[m_index] is re-fetched via
         // index on the next loop iteration, never held across this.
-        merged.push_back(MergeNode{trie[c].name, 0, 0, 0, 0, {}});
+        merged.push_back(MergeNode{trie[c].name, 0.0, 0, 0, 0, {}});
       }
       stack.push_back({c, it->second});
     }
@@ -309,7 +331,7 @@ ProfileNode to_profile_node(const std::vector<MergeNode>& merged,
   const MergeNode& from = merged[index];
   ProfileNode node;
   node.name = names[from.name];
-  node.samples = from.samples;
+  node.self_seconds = from.self_seconds;
   node.entries = from.entries;
   node.alloc_count = from.alloc_count;
   node.alloc_bytes = from.alloc_bytes;
@@ -323,17 +345,17 @@ ProfileNode to_profile_node(const std::vector<MergeNode>& merged,
   return node;
 }
 
-std::uint64_t inclusive_samples(const ProfileNode& node) {
-  std::uint64_t total = node.samples;
+double inclusive_seconds(const ProfileNode& node) {
+  double total = node.self_seconds;
   for (const ProfileNode& child : node.children)
-    total += inclusive_samples(child);
+    total += inclusive_seconds(child);
   return total;
 }
 
 struct TableRow {
   std::string path;
-  std::uint64_t self = 0;
-  std::uint64_t inclusive = 0;
+  double self = 0.0;
+  double inclusive = 0.0;
   std::uint64_t entries = 0;
   std::uint64_t alloc_count = 0;
   std::uint64_t alloc_bytes = 0;
@@ -344,7 +366,7 @@ void collect_rows(const ProfileNode& node, const std::string& prefix,
   for (const ProfileNode& child : node.children) {
     const std::string path =
         prefix.empty() ? child.name : prefix + ";" + child.name;
-    rows.push_back(TableRow{path, child.samples, inclusive_samples(child),
+    rows.push_back(TableRow{path, child.self_seconds, inclusive_seconds(child),
                             child.entries, child.alloc_count,
                             child.alloc_bytes});
     collect_rows(child, path, rows);
@@ -428,16 +450,9 @@ struct ProfilerImpl {
   bool running = false;
   Profiler::Config config;
   double start_seconds = 0.0;
-  std::uint64_t sweeps = 0;
-  std::uint64_t samples = 0;
   ProfileReport last_report;
   std::optional<CaptureSummary> last_summary;
   std::uint64_t finished_captures = 0;
-
-  std::thread sampler;
-  std::mutex sampler_mutex;
-  std::condition_variable sampler_cv;
-  bool sampler_stop = false;
 };
 
 namespace {
@@ -451,34 +466,18 @@ const Clock& profiler_clock(const Profiler::Config& config) {
   return config.clock != nullptr ? *config.clock : Clock::real();
 }
 
-// Sweep the registry; returns samples credited. Caller decides locking of
-// the impl counters.
-std::uint64_t sweep_threads() {
-  ProfRegistry& registry = prof_registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  std::uint64_t credited = 0;
-  for (ThreadState* state : registry.threads) {
-    const SpinGuard guard(*state);
-    const std::uint32_t node = top_node(*state) & ~kTruncated;
-    if (node == 0) continue;  // inside no span of this capture
-    ++state->nodes[node].samples;
-    ++credited;
-  }
-  return credited;
-}
-
-ProfileReport build_report(std::uint64_t sweeps, std::uint64_t samples,
-                           double duration_seconds, double hz) {
+// Merges every trie of the running capture, first charging each live
+// thread's open interval up to now. `finish` also detaches the capture's
+// clock from every thread, so no boundary charges time after this report.
+ProfileReport build_report(const Clock& clock, double start_seconds,
+                           bool finish) {
   ProfileReport report;
-  report.sweeps = sweeps;
-  report.samples = samples;
-  report.duration_seconds = duration_seconds;
-  report.hz = hz;
   report.alloc_available = allocation_counting_available();
 
   std::vector<MergeNode> merged{MergeNode{}};
   ProfRegistry& registry = prof_registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
+  if (finish) registry.clock = nullptr;
   report.truncated = registry.retired_truncated;
   for (const std::vector<TrieNode>& trie : registry.retired)
     merge_trie(merged, trie);
@@ -487,6 +486,8 @@ ProfileReport build_report(std::uint64_t sweeps, std::uint64_t samples,
     std::uint64_t truncated = 0;
     {
       const SpinGuard guard(*state);
+      charge_time(*state, clock.now());
+      if (finish) state->clock = nullptr;
       copy = state->nodes;
       truncated = state->truncated;
     }
@@ -494,7 +495,18 @@ ProfileReport build_report(std::uint64_t sweeps, std::uint64_t samples,
     report.truncated += truncated;
   }
   report.root = to_profile_node(merged, detail::label_names(), 0);
+  report.duration_seconds = clock.now() - start_seconds;
   return report;
+}
+
+std::uint64_t fold_value(const ProfileNode& node, FoldMetric metric) {
+  switch (metric) {
+    case FoldMetric::self_micros:
+      return static_cast<std::uint64_t>(std::llround(node.self_seconds * 1e6));
+    case FoldMetric::entries: return node.entries;
+    case FoldMetric::alloc_bytes: return node.alloc_bytes;
+  }
+  return 0;
 }
 
 void folded_walk(const ProfileNode& node, const std::string& prefix,
@@ -502,13 +514,7 @@ void folded_walk(const ProfileNode& node, const std::string& prefix,
   for (const ProfileNode& child : node.children) {
     const std::string path =
         prefix.empty() ? child.name : prefix + ";" + child.name;
-    std::uint64_t value = 0;
-    switch (metric) {
-      case FoldMetric::samples: value = child.samples; break;
-      case FoldMetric::entries: value = child.entries; break;
-      case FoldMetric::alloc_bytes: value = child.alloc_bytes; break;
-    }
-    if (value > 0) {
+    if (const std::uint64_t value = fold_value(child, metric); value > 0) {
       out += path;
       out += ' ';
       out += std::to_string(value);
@@ -530,54 +536,23 @@ bool Profiler::start(const Config& config) {
   std::lock_guard<std::mutex> control(profiler.control);
   if (profiler.running) return false;
 
+  const Clock* clock = &profiler_clock(config);
   {
     ProfRegistry& registry = prof_registry();
     std::lock_guard<std::mutex> lock(registry.mutex);
     registry.retired.clear();
     registry.retired_truncated = 0;
     ++registry.capture;
+    registry.clock = clock;
     for (ThreadState* state : registry.threads)
-      reset_state_locked(*state, registry.capture);
+      reset_state_locked(*state, registry.capture, clock);
   }
 
   profiler.config = config;
-  profiler.sweeps = 0;
-  profiler.samples = 0;
-  profiler.start_seconds = profiler_clock(config).now();
+  profiler.start_seconds = clock->now();
   profiler.running = true;
   g_profiling.store(true, std::memory_order_relaxed);
-
-  if (config.hz > 0) {
-    profiler.sampler_stop = false;
-    const double interval_seconds = 1.0 / config.hz;
-    profiler.sampler = std::thread([&profiler, interval_seconds] {
-      std::unique_lock<std::mutex> lock(profiler.sampler_mutex);
-      while (!profiler.sampler_stop) {
-        profiler.sampler_cv.wait_for(
-            lock, std::chrono::duration<double>(interval_seconds),
-            [&profiler] { return profiler.sampler_stop; });
-        if (profiler.sampler_stop) break;
-        lock.unlock();
-        const std::uint64_t credited = sweep_threads();
-        lock.lock();
-        // control is not held here: sweeps/samples are only read under
-        // control after the sampler has been joined, or not at all.
-        ++profiler.sweeps;
-        profiler.samples += credited;
-      }
-    });
-  }
   return true;
-}
-
-void Profiler::sample_once() {
-  ProfilerImpl& profiler = impl();
-  std::lock_guard<std::mutex> control(profiler.control);
-  if (!profiler.running) return;
-  const std::uint64_t credited = sweep_threads();
-  std::lock_guard<std::mutex> lock(profiler.sampler_mutex);
-  ++profiler.sweeps;
-  profiler.samples += credited;
 }
 
 ProfileReport Profiler::stop() {
@@ -585,21 +560,12 @@ ProfileReport Profiler::stop() {
   std::lock_guard<std::mutex> control(profiler.control);
   if (!profiler.running) return profiler.last_report;
 
-  if (profiler.sampler.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(profiler.sampler_mutex);
-      profiler.sampler_stop = true;
-    }
-    profiler.sampler_cv.notify_all();
-    profiler.sampler.join();
-  }
+  // The report detaches the clock before the flag drops: a boundary between
+  // the two still updates its trie but charges no time.
+  profiler.last_report = build_report(profiler_clock(profiler.config),
+                                      profiler.start_seconds, true);
   g_profiling.store(false, std::memory_order_relaxed);
   profiler.running = false;
-
-  const double duration =
-      profiler_clock(profiler.config).now() - profiler.start_seconds;
-  profiler.last_report = build_report(profiler.sweeps, profiler.samples,
-                                      duration, profiler.config.hz);
   profiler.last_summary = summarize_profile(profiler.last_report);
   ++profiler.finished_captures;
   return profiler.last_report;
@@ -615,17 +581,8 @@ ProfileReport Profiler::report() const {
   ProfilerImpl& profiler = impl();
   std::lock_guard<std::mutex> control(profiler.control);
   if (!profiler.running) return profiler.last_report;
-  std::uint64_t sweeps = 0;
-  std::uint64_t samples = 0;
-  {
-    // The sampler thread mutates the counters under sampler_mutex.
-    std::lock_guard<std::mutex> lock(profiler.sampler_mutex);
-    sweeps = profiler.sweeps;
-    samples = profiler.samples;
-  }
-  const double duration =
-      profiler_clock(profiler.config).now() - profiler.start_seconds;
-  return build_report(sweeps, samples, duration, profiler.config.hz);
+  return build_report(profiler_clock(profiler.config), profiler.start_seconds,
+                      false);
 }
 
 std::optional<CaptureSummary> Profiler::last_capture() const {
@@ -656,14 +613,13 @@ std::string profile_top_table(const ProfileReport& report, std::size_t limit) {
 
   std::string out = "=== profile: top scopes (self) ===\n";
   char line[256];
-  std::snprintf(line, sizeof(line), "%8s %8s %10s %10s %14s  %s\n", "self",
-                "incl", "entries", "allocs", "alloc_bytes", "scope");
+  std::snprintf(line, sizeof(line), "%10s %10s %10s %10s %14s  %s\n",
+                "self_s", "incl_s", "entries", "allocs", "alloc_bytes",
+                "scope");
   out += line;
   for (const TableRow& row : rows) {
-    std::snprintf(line, sizeof(line),
-                  "%8llu %8llu %10llu %10llu %14llu  ",
-                  static_cast<unsigned long long>(row.self),
-                  static_cast<unsigned long long>(row.inclusive),
+    std::snprintf(line, sizeof(line), "%10.6f %10.6f %10llu %10llu %14llu  ",
+                  row.self, row.inclusive,
                   static_cast<unsigned long long>(row.entries),
                   static_cast<unsigned long long>(row.alloc_count),
                   static_cast<unsigned long long>(row.alloc_bytes));
@@ -671,11 +627,8 @@ std::string profile_top_table(const ProfileReport& report, std::size_t limit) {
     out += row.path;
     out += '\n';
   }
-  std::snprintf(line, sizeof(line),
-                "(sweeps %llu, samples %llu, %.3fs @ %.0fHz",
-                static_cast<unsigned long long>(report.sweeps),
-                static_cast<unsigned long long>(report.samples),
-                report.duration_seconds, report.hz);
+  std::snprintf(line, sizeof(line), "(%.6fs charged over a %.3fs capture",
+                inclusive_seconds(report.root), report.duration_seconds);
   out += line;
   if (report.truncated > 0) {
     std::snprintf(line, sizeof(line), ", %llu truncated",
@@ -689,17 +642,15 @@ std::string profile_top_table(const ProfileReport& report, std::size_t limit) {
 
 CaptureSummary summarize_profile(const ProfileReport& report) {
   CaptureSummary summary;
-  summary.sweeps = report.sweeps;
-  summary.samples = report.samples;
   summary.duration_seconds = report.duration_seconds;
-  summary.hz = report.hz;
+  summary.self_seconds = inclusive_seconds(report.root);
   std::vector<TableRow> rows;
   collect_rows(report.root, "", rows);
   const auto hottest =
       std::min_element(rows.begin(), rows.end(), hot_rank_before);
   if (hottest != rows.end()) {
     summary.hot_path = hottest->path;
-    summary.hot_samples = hottest->self;
+    summary.hot_self_seconds = hottest->self;
     summary.hot_alloc_bytes = hottest->alloc_bytes;
   }
   return summary;

@@ -3,8 +3,8 @@
 // A ScopedSpan marks one pipeline/engine stage execution: construction
 // stamps the start, destruction stamps the end and records the finished
 // span. Each thread keeps one stack of open-span frames; the tracer takes
-// a span's parent from it and the sampling profiler reads the same frames
-// (both live in obs/profiler.cpp, beside the sampler), so trace trees and
+// a span's parent from it and the profiler charges time and allocations to
+// the same frames (both live in obs/profiler.cpp), so trace trees and
 // profile paths cannot disagree. A TaskScope marks a job boundary: spans
 // opened inside it are roots whatever the thread already has open, and
 // carry the scope's request id.

@@ -207,17 +207,6 @@ std::optional<Request> parse_request(std::string_view payload,
       }
       request.profile_seconds = seconds.as_number();
     }
-    const obs_json::Value& hz = doc->get("hz");
-    if (!hz.is_null()) {
-      if (hz.kind() != obs_json::Value::Kind::number ||
-          !is_u64(hz.as_number()) || hz.as_number() < 1.0 ||
-          hz.as_number() > 10000.0) {
-        if (error != nullptr)
-          *error = "profile \"hz\" must be an integer in [1, 10000]";
-        return std::nullopt;
-      }
-      request.profile_hz = static_cast<long>(hz.as_number());
-    }
   }
   return request;
 }
@@ -268,10 +257,10 @@ std::string ping_request_json() { return "{\"type\":\"ping\"}"; }
 
 std::string stats_request_json() { return "{\"type\":\"stats\"}"; }
 
-std::string profile_request_json(double seconds, long hz) {
+std::string profile_request_json(double seconds) {
   std::string out = "{\"type\":\"profile\",\"seconds\":";
   obs_json::append_double(out, seconds);
-  out += ",\"hz\":" + std::to_string(hz) + "}";
+  out += '}';
   return out;
 }
 
@@ -316,28 +305,32 @@ std::string result_response(const ResultInfo& info) {
   return out;
 }
 
-std::string profile_response(const ProfileInfo& info) {
+std::string capture_summary_json(const obs::CaptureSummary& summary) {
+  std::string out = "{\"duration_s\":";
+  obs_json::append_double(out, summary.duration_seconds);
+  out += ",\"self_s\":";
+  obs_json::append_double(out, summary.self_seconds);
+  out += ",\"hot_path\":";
+  obs_json::append_string(out, summary.hot_path);
+  out += ",\"hot_self_s\":";
+  obs_json::append_double(out, summary.hot_self_seconds);
+  out += ",\"hot_alloc_bytes\":" + std::to_string(summary.hot_alloc_bytes) +
+         "}";
+  return out;
+}
+
+std::string profile_response(double seconds,
+                             const obs::ProfileReport& report) {
   std::string out = "{\"type\":\"profile\",\"seconds\":";
-  obs_json::append_double(out, info.seconds);
-  out += ",\"hz\":";
-  obs_json::append_double(out, info.hz);
-  out += ",\"sweeps\":" + std::to_string(info.sweeps) +
-         ",\"samples\":" + std::to_string(info.samples) +
-         ",\"truncated\":" + std::to_string(info.truncated) +
-         std::string(",\"alloc_available\":") +
-         (info.alloc_available ? "true" : "false") + ",\"hot\":";
-  if (info.hot_path.empty()) {
-    out += "null";
-  } else {
-    out += "{\"path\":";
-    obs_json::append_string(out, info.hot_path);
-    out += ",\"samples\":" + std::to_string(info.hot_samples) +
-           ",\"alloc_bytes\":" + std::to_string(info.hot_alloc_bytes) + "}";
-  }
-  out += ",\"folded\":";
-  obs_json::append_string(out, info.folded);
+  obs_json::append_double(out, seconds);
+  out += ",\"truncated\":" + std::to_string(report.truncated) +
+         ",\"alloc_available\":" +
+         (report.alloc_available ? "true" : "false") + ",\"summary\":" +
+         capture_summary_json(obs::summarize_profile(report)) +
+         ",\"folded\":";
+  obs_json::append_string(out, obs::folded_stacks(report));
   out += ",\"top\":";
-  obs_json::append_string(out, info.top);
+  obs_json::append_string(out, obs::profile_top_table(report));
   out += '}';
   return out;
 }

@@ -23,6 +23,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/profiler.h"
+
 namespace patchecko::service {
 
 /// Default --max-frame-bytes: large enough for a full canonical report of a
@@ -102,11 +104,9 @@ struct Request {
   std::optional<double> scale;
   std::optional<std::uint64_t> seed;
 
-  // profile: capture duration and sampler cadence. Bounded at parse time
-  // (duration (0, 300] s, hz [1, 10000]) so a typo cannot park a session
-  // thread for an hour.
+  // profile: capture duration. Bounded at parse time to (0, 300] s so a
+  // typo cannot park a session thread for an hour.
   double profile_seconds = 1.0;
-  long profile_hz = 97;
 };
 
 /// Parses one request payload. Returns nullopt (with *error filled) only on
@@ -129,7 +129,7 @@ std::string reload_request_json(std::optional<double> scale,
 std::string drain_request_json();
 std::string ping_request_json();
 std::string stats_request_json();
-std::string profile_request_json(double seconds, long hz);
+std::string profile_request_json(double seconds);
 
 // --- responses -------------------------------------------------------------
 
@@ -156,24 +156,16 @@ struct ResultInfo {
 
 std::string result_response(const ResultInfo& info);
 
-/// One completed daemon profile capture. `folded` is the flamegraph.pl/
-/// speedscope-compatible folded-stack text; `top` is the rendered self-time
-/// table (human-facing, goes to the client's stderr).
-struct ProfileInfo {
-  double seconds = 0.0;        ///< requested capture duration
-  double hz = 0.0;             ///< sampler cadence
-  std::uint64_t sweeps = 0;    ///< sampler passes over the thread registry
-  std::uint64_t samples = 0;   ///< samples credited to some span
-  std::uint64_t truncated = 0; ///< pushes refused by depth/node caps
-  bool alloc_available = false;
-  std::string folded;
-  std::string top;
-  std::string hot_path;        ///< hottest leaf ("a;b;c"); empty = idle
-  std::uint64_t hot_samples = 0;
-  std::uint64_t hot_alloc_bytes = 0;
-};
+/// A capture digest as JSON: {"duration_s", "self_s", "hot_path",
+/// "hot_self_s", "hot_alloc_bytes"}. Shared by the `profile` response and
+/// `stats.profile.last`.
+std::string capture_summary_json(const obs::CaptureSummary& summary);
 
-std::string profile_response(const ProfileInfo& info);
+/// One completed daemon profile capture of `seconds` requested seconds:
+/// its summary, the flamegraph.pl/speedscope-compatible folded stacks and
+/// the rendered self-time table (human-facing, goes to the client's
+/// stderr).
+std::string profile_response(double seconds, const obs::ProfileReport& report);
 std::string status_response(std::uint64_t request_id, std::string_view state);
 std::string reloaded_response(std::uint64_t corpus_version, std::size_t cves,
                               double build_seconds);

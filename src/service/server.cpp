@@ -387,9 +387,7 @@ void ScanService::handle_payload(
       // Start/stop is guarded by the profiler itself: a second capture
       // while one runs — from this or any other connection — answers 409
       // instead of silently sharing (and then truncating) the first.
-      obs::Profiler::Config profiler_config;
-      profiler_config.hz = static_cast<double>(request->profile_hz);
-      if (!obs::Profiler::global().start(profiler_config)) {
+      if (!obs::Profiler::global().start(obs::Profiler::Config{})) {
         done("profile", 409, "error",
              error_response(409, "a profile capture is already running"));
         return;
@@ -403,21 +401,9 @@ void ScanService::handle_payload(
         std::this_thread::sleep_for(std::chrono::duration<double>(slice));
         remaining -= slice;
       }
-      const obs::ProfileReport report = obs::Profiler::global().stop();
-      ProfileInfo info;
-      info.seconds = request->profile_seconds;
-      info.hz = report.hz;
-      info.sweeps = report.sweeps;
-      info.samples = report.samples;
-      info.truncated = report.truncated;
-      info.alloc_available = report.alloc_available;
-      info.folded = obs::folded_stacks(report);
-      info.top = obs::profile_top_table(report);
-      const obs::CaptureSummary summary = obs::summarize_profile(report);
-      info.hot_path = summary.hot_path;
-      info.hot_samples = summary.hot_samples;
-      info.hot_alloc_bytes = summary.hot_alloc_bytes;
-      done("profile", 200, "ok", profile_response(info));
+      done("profile", 200, "ok",
+           profile_response(request->profile_seconds,
+                            obs::Profiler::global().stop()));
       return;
     }
     case RequestType::unknown:
@@ -826,7 +812,7 @@ std::string ScanService::health_json() const {
 std::string ScanService::stats_json() const {
   const auto snapshot = store_.current();
   const AdmissionStats queue = queue_.stats();
-  std::string out = "{\"type\":\"stats\",\"schema_version\":1,\"uptime_s\":";
+  std::string out = "{\"type\":\"stats\",\"schema_version\":2,\"uptime_s\":";
   obs_json::append_double(out, uptime_.elapsed_seconds());
   out += ",\"corpus\":" + corpus_json(snapshot->version,
                                        snapshot->database.entries().size());
@@ -840,22 +826,8 @@ std::string ScanService::stats_json() const {
   out += ",\"profile\":{\"captures\":" + std::to_string(profiler.captures()) +
          std::string(",\"running\":") +
          (profiler.running() ? "true" : "false") + ",\"last\":";
-  if (const auto summary = profiler.last_capture()) {
-    out += "{\"hot_path\":";
-    obs_json::append_string(out, summary->hot_path);
-    out += ",\"hot_samples\":" + std::to_string(summary->hot_samples) +
-           ",\"hot_alloc_bytes\":" +
-           std::to_string(summary->hot_alloc_bytes) +
-           ",\"samples\":" + std::to_string(summary->samples) +
-           ",\"sweeps\":" + std::to_string(summary->sweeps) +
-           ",\"duration_s\":";
-    obs_json::append_double(out, summary->duration_seconds);
-    out += ",\"hz\":";
-    obs_json::append_double(out, summary->hz);
-    out += "}";
-  } else {
-    out += "null";
-  }
+  const auto summary = profiler.last_capture();
+  out += summary ? capture_summary_json(*summary) : "null";
   out += "}";
   if (config_.corpus_store_stats_json)
     out += ",\"corpus_store\":" + config_.corpus_store_stats_json();

@@ -167,11 +167,10 @@ std::string render_top(const obs::json::Value& stats) {
     if (last.kind() == Value::Kind::object) {
       const std::string hot_path = last.get("hot_path").as_string();
       std::snprintf(buf, sizeof(buf),
-                    "  hot %s  self %" PRIu64 "/%" PRIu64
-                    "  alloc %" PRIu64 " kB",
+                    "  hot %s  self %.3fs/%.3fs  alloc %" PRIu64 " kB",
                     hot_path.empty() ? "-" : hot_path.c_str(),
-                    as_u64(last.get("hot_samples")),
-                    as_u64(last.get("samples")),
+                    last.get("hot_self_s").as_number(),
+                    last.get("self_s").as_number(),
                     as_u64(last.get("hot_alloc_bytes")) / 1024);
       out += buf;
     } else {

@@ -132,30 +132,11 @@ HeartbeatSpec heartbeat_spec_from(const Args& args, const std::string& key) {
   return spec;
 }
 
-long checked_hz(const std::string& what, const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const long hz = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE)
-    throw UsageError(what + " expects an integer Hz rate, got '" + text +
-                     "'");
-  if (hz < 1 || hz > 10000)
-    throw UsageError(what + " must be in [1, 10000] Hz, got " +
-                     std::to_string(hz));
-  return hz;
-}
-
 ProfileSpec profile_spec_from(const Args& args, const std::string& key) {
   ProfileSpec spec;
   if (!args.has(key)) return spec;
   spec.enabled = true;
-  std::string value = args.get(key, "");
-  if (const auto colon = value.rfind(':'); colon != std::string::npos) {
-    spec.hz = static_cast<double>(
-        checked_hz("--" + key + " rate", value.substr(colon + 1)));
-    value = value.substr(0, colon);
-  }
-  spec.file = value;
+  spec.file = args.get(key, "");
   if (!spec.file.empty() && spec.file.front() == '-')
     throw UsageError("--" + key + " expects an output file path, got '" +
                      spec.file + "' (use bare --" + key +

@@ -93,22 +93,16 @@ struct HeartbeatSpec {
 HeartbeatSpec heartbeat_spec_from(const Args& args,
                                   const std::string& key = "heartbeat");
 
-/// Parsed `--profile[=FILE][:hz]` option. Accepted value forms mirror
-/// HeartbeatSpec: bare `--profile` (top table only), `FILE` (folded stacks
-/// to FILE), `FILE:HZ`, and `:HZ`. The rate splits at the *last* ':'; once
-/// a ':' is present the suffix must be an integer in [1, 10000] Hz.
+/// Parsed `--profile[=FILE]` option: bare `--profile` prints the top table
+/// only; `FILE` (its whole value, colons included) also receives the folded
+/// stacks.
 struct ProfileSpec {
   bool enabled = false;
-  std::string file;   ///< folded-stack output path; empty = not written
-  double hz = 97.0;   ///< sampler cadence (prime, avoids lockstep aliasing)
+  std::string file;  ///< folded-stack output path; empty = not written
 };
 
 ProfileSpec profile_spec_from(const Args& args,
                               const std::string& key = "profile");
-
-/// Shared bound check for sampling/polling rates given in Hz (profiler
-/// captures, daemon `profile` requests): integers in [1, 10000] only.
-long checked_hz(const std::string& what, const std::string& text);
 
 /// Derives a per-request output path from an OutputSpec/HeartbeatSpec file:
 /// ".req<index>" is inserted before the extension ("ev.jsonl", 7 ->

@@ -167,50 +167,30 @@ TEST(CliArgs, ProfileSpecParsesEveryForm) {
   const cli::ProfileSpec absent = cli::profile_spec_from(parse_args({"scan"}));
   EXPECT_FALSE(absent.enabled);
 
-  // Bare flag: top table only, default prime cadence, no folded file.
+  // Bare flag: top table only, no folded file.
   const cli::ProfileSpec bare =
       cli::profile_spec_from(parse_args({"scan", "--profile"}));
   EXPECT_TRUE(bare.enabled);
   EXPECT_TRUE(bare.file.empty());
-  EXPECT_DOUBLE_EQ(bare.hz, 97.0);
 
   const cli::ProfileSpec to_file =
       cli::profile_spec_from(parse_args({"scan", "--profile=prof.folded"}));
+  EXPECT_TRUE(to_file.enabled);
   EXPECT_EQ(to_file.file, "prof.folded");
-  EXPECT_DOUBLE_EQ(to_file.hz, 97.0);
 
-  const cli::ProfileSpec with_hz = cli::profile_spec_from(
-      parse_args({"scan", "--profile=prof.folded:250"}));
-  EXPECT_EQ(with_hz.file, "prof.folded");
-  EXPECT_DOUBLE_EQ(with_hz.hz, 250.0);
-
-  // Rate only, and the last-colon split keeps colon-bearing paths working.
-  const cli::ProfileSpec hz_only =
-      cli::profile_spec_from(parse_args({"scan", "--profile=:500"}));
-  EXPECT_TRUE(hz_only.file.empty());
-  EXPECT_DOUBLE_EQ(hz_only.hz, 500.0);
-
-  const cli::ProfileSpec colon_path = cli::profile_spec_from(
-      parse_args({"scan", "--profile=dir:1/prof.folded:100"}));
-  EXPECT_EQ(colon_path.file, "dir:1/prof.folded");
-  EXPECT_DOUBLE_EQ(colon_path.hz, 100.0);
+  // The whole value is the path, colons included.
+  const cli::ProfileSpec colon_path =
+      cli::profile_spec_from(parse_args({"scan", "--profile=prof:v2.folded"}));
+  EXPECT_EQ(colon_path.file, "prof:v2.folded");
+  const cli::ProfileSpec colon_suffix =
+      cli::profile_spec_from(parse_args({"scan", "--profile=prof.folded:500"}));
+  EXPECT_EQ(colon_suffix.file, "prof.folded:500");
 }
 
-TEST(CliArgs, ProfileSpecRejectsBadRatesAndFiles) {
-  for (const char* bad :
-       {"--profile=p.folded:0", "--profile=p.folded:-5",
-        "--profile=p.folded:abc", "--profile=p.folded:97.5",
-        "--profile=p.folded:10001", "--profile=:0", "--profile=-p.folded"}) {
+TEST(CliArgs, ProfileSpecRejectsFlagLikeFiles) {
+  for (const char* bad : {"--profile=-p.folded", "--profile=--jobs"}) {
     EXPECT_THROW(cli::profile_spec_from(parse_args({"scan", bad})), UsageError)
         << bad;
-  }
-}
-
-TEST(CliArgs, CheckedHzEnforcesSharedBounds) {
-  EXPECT_EQ(cli::checked_hz("--hz", "1"), 1);
-  EXPECT_EQ(cli::checked_hz("--hz", "10000"), 10000);
-  for (const char* bad : {"0", "-1", "10001", "2.5", "fast", ""}) {
-    EXPECT_THROW(cli::checked_hz("--hz", bad), UsageError) << bad;
   }
 }
 

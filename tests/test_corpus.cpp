@@ -5,6 +5,7 @@
 // a cold build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "binary/binary.h"
 #include "core/cve_database.h"
 #include "corpus/builder.h"
 #include "corpus/serialize.h"
@@ -67,17 +69,28 @@ corpus::ArtifactKey first_library_key(const corpus::PrebuiltStore&,
 
 TEST(CorpusSerialize, LibraryArtifactRoundTrips) {
   const EvalCorpus& corpus = shared_corpus();
-  const corpus::LibraryArtifact artifact =
-      corpus::make_library_artifact(corpus.compile_reference(0));
+  const LibraryBinary library = corpus.compile_reference(0);
   const std::vector<std::uint8_t> bytes =
-      corpus::serialize_library_artifact(artifact);
+      corpus::serialize_library_artifact(library);
+  // A 24-byte header (tag, payload version, record length), then the PKLB
+  // record itself and nothing else.
+  const std::vector<std::uint8_t> record = serialize_library(library);
+  ASSERT_EQ(bytes.size(), 24 + record.size());
+  EXPECT_TRUE(std::equal(record.begin(), record.end(), bytes.begin() + 24));
   const auto back = corpus::deserialize_library_artifact(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(corpus::serialize_library_artifact(*back), bytes);
-  EXPECT_EQ(back->library.functions.size(),
-            artifact.library.functions.size());
-  EXPECT_EQ(back->features.size(), artifact.features.size());
-  EXPECT_EQ(back->codes.size(), artifact.codes.size());
+  EXPECT_EQ(back->functions.size(), library.functions.size());
+  // Every proper prefix and a trailing byte are rejected.
+  for (std::size_t cut : {std::size_t{0}, std::size_t{16}, std::size_t{24},
+                          bytes.size() - 1}) {
+    const std::vector<std::uint8_t> truncated(bytes.begin(),
+                                              bytes.begin() + cut);
+    EXPECT_FALSE(corpus::deserialize_library_artifact(truncated)) << cut;
+  }
+  std::vector<std::uint8_t> trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_FALSE(corpus::deserialize_library_artifact(trailing));
 }
 
 TEST(CorpusSerialize, CveEntryRoundTripsAndRejectsTruncation) {

@@ -1,14 +1,15 @@
-// Tests for the sampling span profiler (src/obs/profiler): trie
-// aggregation of scope entries and manual samples, allocation attribution
-// to the innermost scope, capture lifecycle (start/stop guard, reset,
-// pre-existing-scope absorption), deterministic folded/top renderings, and
-// the acceptance contract — an engine scan's entries-folded export is
-// byte-identical across --jobs, and canonical report output is unchanged
-// by profiling.
+// Tests for the span profiler (src/obs/profiler): trie aggregation of scope
+// entries, exact self time charged at span boundaries against a ManualClock
+// (nested spans, parked threads, open intervals at report/stop, exiting
+// threads), allocation attribution to the innermost scope, capture
+// lifecycle (start/stop guard, reset, pre-existing-scope absorption),
+// deterministic folded/top renderings, and the acceptance contract — an
+// engine scan's entries-folded export is byte-identical across --jobs,
+// canonical report output is unchanged by profiling, and a real-clock
+// capture's job roots fit inside the scan's wall time.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -36,10 +37,8 @@ using obs::ProfileReport;
 using obs::ScopedSpan;
 using obs::Tracer;
 
-/// Manual-clock, sampler-thread-free config: tests drive sample_once().
 Profiler::Config manual_config(const ManualClock& clock) {
   Profiler::Config config;
-  config.hz = 0;
   config.clock = &clock;
   return config;
 }
@@ -49,6 +48,13 @@ const ProfileNode* find_child(const ProfileNode& node,
   for (const ProfileNode& child : node.children)
     if (child.name == name) return &child;
   return nullptr;
+}
+
+double inclusive_seconds(const ProfileNode& node) {
+  double total = node.self_seconds;
+  for (const ProfileNode& child : node.children)
+    total += inclusive_seconds(child);
+  return total;
 }
 
 TEST(Profiler, StartWhileRunningIsRefused) {
@@ -80,7 +86,6 @@ TEST(Profiler, EntriesAggregateIntoTrie) {
   const ProfileReport report = profiler.stop();
 
   EXPECT_DOUBLE_EQ(report.duration_seconds, 2.5);
-  EXPECT_EQ(report.hz, 0.0);
   EXPECT_EQ(report.truncated, 0u);
   const ProfileNode* outer = find_child(report.root, "p.outer");
   ASSERT_NE(outer, nullptr);
@@ -92,33 +97,45 @@ TEST(Profiler, EntriesAggregateIntoTrie) {
             "p.outer 3\np.outer;p.inner 6\n");
 }
 
-TEST(Profiler, ManualSamplesLandOnInnermostScope) {
+TEST(Profiler, NestedSpansGetExactSelfAndInclusiveTime) {
   EnabledScope on(true);
   Tracer tracer;
-  ManualClock clock;
+  ManualClock clock(100.0);
   Profiler& profiler = Profiler::global();
   ASSERT_TRUE(profiler.start(manual_config(clock)));
+  clock.advance(4.0);  // inside no span: not charged
   {
     ScopedSpan outer("s.outer", tracer);
+    clock.advance(0.5);
     {
       ScopedSpan inner("s.inner", tracer);
-      for (int i = 0; i < 3; ++i) profiler.sample_once();
+      clock.advance(2.0);
     }
-    for (int i = 0; i < 2; ++i) profiler.sample_once();
+    clock.advance(0.25);
   }
-  profiler.sample_once();  // no scope open on any thread: sweep, no sample
+  clock.advance(1.0);  // inside no span again
   const ProfileReport report = profiler.stop();
 
-  EXPECT_EQ(report.sweeps, 6u);
-  EXPECT_EQ(report.samples, 5u);
-  EXPECT_EQ(obs::folded_stacks(report, FoldMetric::samples),
-            "s.outer 2\ns.outer;s.inner 3\n");
+  EXPECT_EQ(report.duration_seconds, 7.75);
+  const ProfileNode* outer = find_child(report.root, "s.outer");
+  ASSERT_NE(outer, nullptr);
+  EXPECT_EQ(outer->self_seconds, 0.75);
+  const ProfileNode* inner = find_child(*outer, "s.inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->self_seconds, 2.0);
+  EXPECT_EQ(report.root.self_seconds, 0.0);
+  EXPECT_EQ(obs::folded_stacks(report),
+            "s.outer 750000\ns.outer;s.inner 2000000\n");
+  EXPECT_EQ(inclusive_seconds(*outer), 2.75);
+  EXPECT_EQ(obs::summarize_profile(report).self_seconds, 2.75);
+  const std::string table = obs::profile_top_table(report);
+  EXPECT_NE(table.find("  0.750000   2.750000 "), std::string::npos) << table;
 }
 
 // The determinism acceptance at the primitive level: K threads parked
-// inside the same scope path, swept a fixed number of times, yield exactly
-// K samples per sweep on the leaf — for any K, run after run.
-void parked_thread_capture(int threads, int sweeps, std::string* folded) {
+// inside the same scope path while the clock advances T read exactly K·T on
+// the leaf — for any K, run after run.
+void parked_thread_capture(int threads, double seconds, std::string* folded) {
   Tracer tracer;
   ManualClock clock;
   Profiler& profiler = Profiler::global();
@@ -134,21 +151,50 @@ void parked_thread_capture(int threads, int sweeps, std::string* folded) {
       while (!release.load()) std::this_thread::yield();
     });
   while (parked.load() < threads) std::this_thread::yield();
-  for (int i = 0; i < sweeps; ++i) profiler.sample_once();
+  clock.advance(seconds);
   release.store(true);
   for (std::thread& worker : workers) worker.join();
-  *folded = obs::folded_stacks(profiler.stop(), FoldMetric::samples);
+  const ProfileReport report = profiler.stop();
+  const ProfileNode* work = find_child(report.root, "park.work");
+  ASSERT_NE(work, nullptr);
+  EXPECT_EQ(work->self_seconds, 0.0);
+  const ProfileNode* leaf = find_child(*work, "park.leaf");
+  ASSERT_NE(leaf, nullptr);
+  EXPECT_EQ(leaf->self_seconds, threads * seconds);
+  *folded = obs::folded_stacks(report);
 }
 
-TEST(Profiler, ParkedThreadSamplingIsDeterministic) {
+TEST(Profiler, ParkedThreadTimeIsExact) {
   EnabledScope on(true);
   std::string one, four, four_again;
-  parked_thread_capture(1, 4, &one);
-  parked_thread_capture(4, 4, &four);
-  parked_thread_capture(4, 4, &four_again);
-  EXPECT_EQ(one, "park.work;park.leaf 4\n");
-  EXPECT_EQ(four, "park.work;park.leaf 16\n");
+  parked_thread_capture(1, 0.25, &one);
+  parked_thread_capture(4, 0.25, &four);
+  parked_thread_capture(4, 0.25, &four_again);
+  EXPECT_EQ(one, "park.work;park.leaf 250000\n");
+  EXPECT_EQ(four, "park.work;park.leaf 1000000\n");
   EXPECT_EQ(four, four_again);  // byte-identical run to run
+}
+
+TEST(Profiler, ExitingThreadTailIsCharged) {
+  EnabledScope on(true);
+  Tracer tracer;
+  ManualClock clock;
+  Profiler& profiler = Profiler::global();
+  ASSERT_TRUE(profiler.start(manual_config(clock)));
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  std::thread worker([&] {
+    ScopedSpan tail("exit.tail", tracer);
+    parked.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!parked.load()) std::this_thread::yield();
+  clock.advance(0.75);
+  release.store(true);
+  worker.join();  // the thread's trie retires with its last interval
+  clock.advance(1.0);
+  const ProfileReport report = profiler.stop();
+  EXPECT_EQ(obs::folded_stacks(report), "exit.tail 750000\n");
 }
 
 TEST(Profiler, AllocationsAttributeToInnermostScope) {
@@ -190,7 +236,12 @@ TEST(Profiler, ScopesOpenAtStartAreInvisibleAndAbsorbed) {
   Profiler& profiler = Profiler::global();
   auto pre = std::make_unique<ScopedSpan>("pre.open", tracer);
   ASSERT_TRUE(profiler.start(manual_config(clock)));
-  { ScopedSpan inner("pre.inner", tracer); }
+  clock.advance(1.0);  // inside pre.open only: charged to nothing
+  {
+    ScopedSpan inner("pre.inner", tracer);
+    clock.advance(0.5);
+  }
+  clock.advance(1.0);
   pre.reset();  // pop of a pre-capture scope: absorbed, trie stays balanced
   { ScopedSpan after("pre.after", tracer); }
   const ProfileReport report = profiler.stop();
@@ -199,6 +250,7 @@ TEST(Profiler, ScopesOpenAtStartAreInvisibleAndAbsorbed) {
   // Both capture-era scopes are roots: pre.open contributed no path prefix.
   EXPECT_EQ(obs::folded_stacks(report, FoldMetric::entries),
             "pre.after 1\npre.inner 1\n");
+  EXPECT_EQ(obs::folded_stacks(report), "pre.inner 500000\n");
 }
 
 TEST(Profiler, ScopesSpanningStopThenRestartStayBalanced) {
@@ -242,6 +294,8 @@ TEST(Profiler, DepthCapTruncatesButStaysBalanced) {
   EXPECT_EQ(depth, Profiler::max_depth);
 }
 
+// report() and stop() charge each live thread's open interval up to the
+// moment they read; a span that outlives the capture charges nothing more.
 TEST(Profiler, ReportIsReadableMidCapture) {
   EnabledScope on(true);
   Tracer tracer;
@@ -249,13 +303,23 @@ TEST(Profiler, ReportIsReadableMidCapture) {
   Profiler& profiler = Profiler::global();
   ASSERT_TRUE(profiler.start(manual_config(clock)));
   { ScopedSpan live("mid.live", tracer); }
+  auto open = std::make_unique<ScopedSpan>("mid.open", tracer);
   clock.advance(1.0);
   const ProfileReport mid = profiler.report();
   EXPECT_DOUBLE_EQ(mid.duration_seconds, 1.0);
   const ProfileNode* live = find_child(mid.root, "mid.live");
   ASSERT_NE(live, nullptr);
   EXPECT_EQ(live->entries, 1u);
-  profiler.stop();
+  EXPECT_EQ(obs::folded_stacks(mid), "mid.open 1000000\n");
+
+  clock.advance(0.5);
+  EXPECT_EQ(obs::folded_stacks(profiler.report()), "mid.open 1500000\n");
+  clock.advance(0.5);
+  const ProfileReport last = profiler.stop();
+  EXPECT_EQ(obs::folded_stacks(last), "mid.open 2000000\n");
+  clock.advance(3.0);
+  open.reset();  // closes after the capture: charges nothing
+  EXPECT_EQ(obs::folded_stacks(profiler.report()), "mid.open 2000000\n");
 }
 
 TEST(Profiler, SummaryPicksHottestLeafAndCountsCaptures) {
@@ -267,11 +331,11 @@ TEST(Profiler, SummaryPicksHottestLeafAndCountsCaptures) {
   ASSERT_TRUE(profiler.start(manual_config(clock)));
   {
     ScopedSpan cold("sum.cold", tracer);
+    clock.advance(0.25);
   }
   {
     ScopedSpan hot("sum.hot", tracer);
-    profiler.sample_once();
-    profiler.sample_once();
+    clock.advance(1.0);
   }
   clock.advance(0.5);
   profiler.stop();
@@ -280,10 +344,9 @@ TEST(Profiler, SummaryPicksHottestLeafAndCountsCaptures) {
   const auto summary = profiler.last_capture();
   ASSERT_TRUE(summary.has_value());
   EXPECT_EQ(summary->hot_path, "sum.hot");
-  EXPECT_EQ(summary->hot_samples, 2u);
-  EXPECT_EQ(summary->sweeps, 2u);
-  EXPECT_EQ(summary->samples, 2u);
-  EXPECT_DOUBLE_EQ(summary->duration_seconds, 0.5);
+  EXPECT_EQ(summary->hot_self_seconds, 1.0);
+  EXPECT_EQ(summary->self_seconds, 1.25);
+  EXPECT_EQ(summary->duration_seconds, 1.75);
 }
 
 TEST(Profiler, TopTableIsDeterministicAndRanksBySelf) {
@@ -294,45 +357,26 @@ TEST(Profiler, TopTableIsDeterministicAndRanksBySelf) {
   ASSERT_TRUE(profiler.start(manual_config(clock)));
   {
     ScopedSpan a("tbl.a", tracer);
-    profiler.sample_once();
+    clock.advance(1.0);
     {
       ScopedSpan b("tbl.b", tracer);
-      profiler.sample_once();
-      profiler.sample_once();
+      clock.advance(2.0);
     }
   }
-  clock.advance(1.0);
   const ProfileReport report = profiler.stop();
 
   const std::string table = obs::profile_top_table(report);
   EXPECT_EQ(table, obs::profile_top_table(report));  // stable rendering
-  // tbl.b (self 2) ranks above tbl.a (self 1); inclusive of tbl.a is 3.
+  // tbl.b (self 2 s) ranks above tbl.a (self 1 s); inclusive of tbl.a is 3.
   const auto b_pos = table.find("tbl.a;tbl.b");
   const auto a_pos = table.find("tbl.a\n");
   ASSERT_NE(b_pos, std::string::npos) << table;
   ASSERT_NE(a_pos, std::string::npos) << table;
   EXPECT_LT(b_pos, a_pos);
-  EXPECT_NE(table.find("sweeps 3, samples 3"), std::string::npos) << table;
-}
-
-TEST(Profiler, SamplerThreadCollectsAgainstRealClock) {
-  EnabledScope on(true);
-  Tracer tracer;
-  Profiler& profiler = Profiler::global();
-  Profiler::Config config;
-  config.hz = 500;  // real sampler thread
-  ASSERT_TRUE(profiler.start(config));
-  {
-    ScopedSpan busy("real.busy", tracer);
-    // Park long enough for several sweep intervals at 500 Hz.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  const ProfileReport report = profiler.stop();
-  EXPECT_GT(report.sweeps, 0u);
-  EXPECT_GT(report.duration_seconds, 0.0);
-  const ProfileNode* busy = find_child(report.root, "real.busy");
-  ASSERT_NE(busy, nullptr);
-  EXPECT_GT(busy->samples, 0u);
+  EXPECT_NE(table.find("  1.000000   3.000000 "), std::string::npos) << table;
+  EXPECT_NE(table.find("(3.000000s charged over a 3.000s capture"),
+            std::string::npos)
+      << table;
 }
 
 // ---------------------------------------------------------------------------
@@ -403,13 +447,33 @@ TEST(Profiler, EngineEntriesFoldedIsByteIdenticalAcrossJobs) {
   EXPECT_EQ(canonical[0], canonical[1]);
   EXPECT_NE(folded[0].find("pipeline."), std::string::npos) << folded[0];
 
-  // Sampler-off bit-identity: the same scan without a capture produces the
+  // Profiler-off bit-identity: the same scan without a capture produces the
   // same canonical report bytes.
   EngineConfig config;
   config.jobs = 4;
   config.use_cache = false;
   const ScanReport unprofiled = ScanEngine(config).run(u.request());
   EXPECT_EQ(unprofiled.canonical_text(), canonical[1]);
+}
+
+// Against the real clock, a jobs-1 scan runs its jobs one after another, so
+// the job.* roots' inclusive time is covered by the scan's own wall time.
+TEST(Profiler, RealClockJobRootsFitInScanWallTime) {
+  EnabledScope on(true);
+  const ProfilerUniverse& u = profiler_universe();
+  Profiler& profiler = Profiler::global();
+  EngineConfig config;
+  config.jobs = 1;
+  config.use_cache = false;
+  ASSERT_TRUE(profiler.start(Profiler::Config{}));
+  const ScanReport report = ScanEngine(config).run(u.request());
+  const ProfileReport profile = profiler.stop();
+
+  double job_seconds = 0.0;
+  for (const ProfileNode& root : profile.root.children)
+    if (root.name.rfind("job.", 0) == 0) job_seconds += inclusive_seconds(root);
+  EXPECT_GT(job_seconds, 0.0);
+  EXPECT_LE(job_seconds, report.total_seconds);
 }
 
 }  // namespace

@@ -206,22 +206,20 @@ TEST(Service, ParseRequestRoundTripsBuilders) {
   EXPECT_EQ(stats->type, svc::RequestType::stats);
 
   const auto profile =
-      svc::parse_request(svc::profile_request_json(2.5, 250), &error);
+      svc::parse_request(svc::profile_request_json(2.5), &error);
   ASSERT_TRUE(profile.has_value()) << error;
   EXPECT_EQ(profile->type, svc::RequestType::profile);
   EXPECT_DOUBLE_EQ(profile->profile_seconds, 2.5);
-  EXPECT_EQ(profile->profile_hz, 250);
 
   // Bare profile request: defaults apply.
   const auto bare = svc::parse_request("{\"type\":\"profile\"}", &error);
   ASSERT_TRUE(bare.has_value());
   EXPECT_DOUBLE_EQ(bare->profile_seconds, 1.0);
-  EXPECT_EQ(bare->profile_hz, 97);
 }
 
 TEST(Service, ParseRequestBoundsProfileCaptures) {
-  // Duration and cadence are clamped at parse time: a typo must never park
-  // a daemon session thread for an hour or spin a 1 MHz sampler.
+  // Duration is clamped at parse time: a typo must never park a daemon
+  // session thread for an hour.
   std::string error;
   EXPECT_FALSE(
       svc::parse_request("{\"type\":\"profile\",\"seconds\":0}", &error));
@@ -230,14 +228,11 @@ TEST(Service, ParseRequestBoundsProfileCaptures) {
       svc::parse_request("{\"type\":\"profile\",\"seconds\":301}", &error));
   EXPECT_FALSE(
       svc::parse_request("{\"type\":\"profile\",\"seconds\":-1}", &error));
-  EXPECT_FALSE(svc::parse_request("{\"type\":\"profile\",\"hz\":0}", &error));
-  EXPECT_NE(error.find("hz"), std::string::npos);
-  EXPECT_FALSE(
-      svc::parse_request("{\"type\":\"profile\",\"hz\":20000}", &error));
-  EXPECT_FALSE(
-      svc::parse_request("{\"type\":\"profile\",\"hz\":1.5}", &error));
-  EXPECT_FALSE(
-      svc::parse_request("{\"type\":\"profile\",\"hz\":\"fast\"}", &error));
+  // An older client's sampler rate is ignored like any unknown key.
+  const auto old_client = svc::parse_request(
+      "{\"type\":\"profile\",\"seconds\":2,\"hz\":0}", &error);
+  ASSERT_TRUE(old_client.has_value()) << error;
+  EXPECT_DOUBLE_EQ(old_client->profile_seconds, 2.0);
 }
 
 TEST(Service, ParseRequestHandlesClientSuppliedScanIds) {
@@ -1187,7 +1182,7 @@ TEST(Service, AccessLogAndStatsReconcileAcrossEndpoints) {
   ASSERT_TRUE(stats_response.has_value());
   const json::Value stats = parsed(*stats_response);
   EXPECT_EQ(stats.get("type").as_string(), "stats");
-  EXPECT_EQ(stats.get("schema_version").as_number(), 1.0);
+  EXPECT_EQ(stats.get("schema_version").as_number(), 2.0);
   EXPECT_EQ(stats.get("corpus").get("version").as_number(), 1.0);
   EXPECT_EQ(stats.get("queue").get("completed").as_number(), 1.0);
   const json::Value endpoints = stats.get("rollup").get("endpoints");
@@ -1387,6 +1382,8 @@ TEST(Service, ClientSuppliedRequestIdsHonoredAndDuplicatesRejected) {
 // --- profiler capture / durable shutdown -----------------------------------
 
 TEST(Service, ProfileCaptureOverSocketWith409DoubleStartGuard) {
+  // Spans on, as `serve` runs them, so the capture has spans to charge.
+  const obs::EnabledScope obs_on(true);
   const ServiceUniverse& env = universe();
   svc::ServiceConfig config = env.service_config("profile");
   const std::string log_path =
@@ -1414,19 +1411,19 @@ TEST(Service, ProfileCaptureOverSocketWith409DoubleStartGuard) {
   // Kick off a capture, then wait until the (process-global) profiler is
   // provably live so the second request races against a running capture,
   // not against session-thread scheduling.
-  ASSERT_TRUE(capturer.send(svc::profile_request_json(0.6, 200)));
+  ASSERT_TRUE(capturer.send(svc::profile_request_json(0.6)));
   for (int i = 0; i < 400 && !obs::Profiler::global().running(); ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ASSERT_TRUE(obs::Profiler::global().running());
 
   // A concurrent start is a structured conflict, not a queue or a crash.
-  const auto conflict = intruder.call(svc::profile_request_json(0.2, 97));
+  const auto conflict = intruder.call(svc::profile_request_json(0.2));
   ASSERT_TRUE(conflict.has_value());
   const json::Value conflict_doc = parsed(*conflict);
   EXPECT_EQ(conflict_doc.get("type").as_string(), "error");
   EXPECT_EQ(conflict_doc.get("code").as_number(), 409.0);
 
-  // Give the sampler real spans to catch while the window is open.
+  // Give the capture real spans to charge while the window is open.
   const auto scanned = submit_scan(scanner, env.some_cves);
   ASSERT_TRUE(scanned.has_value());
 
@@ -1435,11 +1432,14 @@ TEST(Service, ProfileCaptureOverSocketWith409DoubleStartGuard) {
   const json::Value doc = parsed(*response);
   EXPECT_EQ(doc.get("type").as_string(), "profile");
   EXPECT_DOUBLE_EQ(doc.get("seconds").as_number(), 0.6);
-  EXPECT_DOUBLE_EQ(doc.get("hz").as_number(), 200.0);
-  EXPECT_GT(doc.get("sweeps").as_number(), 0.0);
+  // The scan ran inside the window, so its spans were charged time.
+  const json::Value summary = doc.get("summary");
+  EXPECT_GT(summary.get("duration_s").as_number(), 0.0);
+  EXPECT_GT(summary.get("self_s").as_number(), 0.0);
+  EXPECT_GT(summary.get("hot_self_s").as_number(), 0.0);
+  EXPECT_FALSE(summary.get("hot_path").as_string().empty());
   EXPECT_EQ(doc.get("folded").kind(), json::Value::Kind::string);
-  // The top table always carries its header, samples or not.
-  EXPECT_NE(doc.get("top").as_string().find("self"), std::string::npos);
+  EXPECT_NE(doc.get("top").as_string().find("self_s"), std::string::npos);
   EXPECT_FALSE(obs::Profiler::global().running());
 
   // The stats surface reflects the finished capture, survives the hard
@@ -1453,7 +1453,7 @@ TEST(Service, ProfileCaptureOverSocketWith409DoubleStartGuard) {
             static_cast<double>(captures_before + 1));
   EXPECT_FALSE(profile.get("running").as_bool(true));
   EXPECT_EQ(profile.get("last").kind(), json::Value::Kind::object);
-  EXPECT_GT(profile.get("last").get("sweeps").as_number(), 0.0);
+  EXPECT_GT(profile.get("last").get("self_s").as_number(), 0.0);
   std::string error;
   EXPECT_TRUE(svc::validate_stats(stats, &error)) << error;
   EXPECT_NE(svc::render_top(stats).find("profiler"), std::string::npos);

@@ -40,7 +40,7 @@
 //   patchecko client --socket PATH | --tcp PORT [--op submit|status|health|
 //                    reload|drain|ping|stats|profile] [--firmware fw.img]
 //                    [--cve ID] [--provenance[=FILE]] [--request-id N]
-//                    [--scale S] [--seed N] [--seconds S] [--hz N]
+//                    [--scale S] [--seed N] [--seconds S]
 //                    [--profile-out=FILE]
 //   patchecko top    --socket PATH | --tcp PORT [--once] [--interval MS]
 //
@@ -80,12 +80,12 @@
 // rollup; `top` polls `stats` and renders a deterministic text dashboard
 // (`--once` for a single scriptable frame).
 //
-// Profiling: `--profile[=FILE][:hz]` on scan/batch-scan samples the live
-// span stacks for the run's duration, prints a self-time/allocation top
+// Profiling: `--profile[=FILE]` on scan/batch-scan charges the run's time
+// and allocations to its span paths, prints a self-time/allocation top
 // table on stderr, and writes flamegraph.pl/speedscope-compatible folded
-// stacks to FILE. `client --op profile [--seconds S] [--hz N]` captures the
-// same thing from a running daemon (409 while another capture is active);
-// `top` shows the last capture's hottest leaf.
+// stacks to FILE. `client --op profile [--seconds S]` captures the same
+// thing from a running daemon (409 while another capture is active); `top`
+// shows the last capture's hottest leaf.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -214,9 +214,7 @@ std::optional<SimilarityModel> load_model(const Args& args) {
 /// without a push is impossible even if something else owns the profiler).
 bool start_profile(const cli::ProfileSpec& spec) {
   if (!spec.enabled) return false;
-  obs::Profiler::Config config;
-  config.hz = spec.hz;
-  if (!obs::Profiler::global().start(config)) {
+  if (!obs::Profiler::global().start(obs::Profiler::Config{})) {
     std::fprintf(stderr,
                  "warning: a profiler capture is already running; "
                  "--profile ignored\n");
@@ -283,7 +281,7 @@ int usage() {
                "  patchecko scan --model model.bin --firmware fw.img "
                "[--cve ID] [--scale S] [--seed N] [--threads N]\n"
                "                 [--metrics[=FILE]] [--events[=FILE]] "
-               "[--trace-out=FILE] [--profile[=FILE][:hz]]\n"
+               "[--trace-out=FILE] [--profile[=FILE]]\n"
                "                 [--prefilter on|off|verify] "
                "[--prefilter-top-k N] [--prefilter-min-total N]\n"
                "  patchecko batch-scan --model model.bin --firmware fw.img "
@@ -293,7 +291,7 @@ int usage() {
                "                 [--heartbeat[=FILE][:interval_ms]] "
                "[--watchdog-soft S] [--watchdog-hard S]\n"
                "                 [--stall-inject LABEL:SECONDS] "
-               "[--canonical[=FILE]] [--profile[=FILE][:hz]]\n"
+               "[--canonical[=FILE]] [--profile[=FILE]]\n"
                "                 [--prefilter on|off|verify] "
                "[--prefilter-top-k N] [--prefilter-min-total N]\n"
                "  patchecko explain --provenance FILE [--cve ID] "
@@ -319,7 +317,7 @@ int usage() {
                "                 [--firmware fw.img] [--cve ID] "
                "[--provenance[=FILE]] [--request-id N]\n"
                "                 [--scale S] [--seed N] [--seconds S] "
-               "[--hz N] [--profile-out=FILE]\n"
+               "[--profile-out=FILE]\n"
                "  patchecko top --socket PATH | --tcp PORT [--once] "
                "[--interval MS]\n");
   return 2;
@@ -942,7 +940,7 @@ service::ServiceClient client_connect(const Args& args) {
 int cmd_client(const Args& args) {
   require_known_options(args, {"socket", "tcp", "op", "firmware", "cve",
                                "provenance", "request-id", "scale", "seed",
-                               "seconds", "hz", "profile-out"});
+                               "seconds", "profile-out"});
   const std::string op = args.get("op", "submit");
   if (op != "submit" && op != "status" && op != "health" && op != "reload" &&
       op != "drain" && op != "ping" && op != "stats" && op != "profile")
@@ -989,10 +987,7 @@ int cmd_client(const Args& args) {
       const double seconds = args.get_double("seconds", 1.0);
       if (seconds <= 0.0 || seconds > 300.0)
         throw UsageError("--seconds must be in (0, 300]");
-      const long hz = args.has("hz") ? cli::checked_hz("--hz",
-                                                       args.get("hz", ""))
-                                     : 97;
-      payload = service::profile_request_json(seconds, hz);
+      payload = service::profile_request_json(seconds);
     } else {
       payload = service::ping_request_json();
     }
