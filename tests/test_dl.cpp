@@ -8,6 +8,8 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "blob/blob_store.h"
 #include "core/cve_database.h"
@@ -477,6 +479,135 @@ TEST(QueryScorer, ScoringTargetsMakesNoHeapAllocations) {
   for (const StaticFeatureVector& target : targets) sum += scorer.score(target);
   EXPECT_EQ(obs::thread_allocation_count() - before, 0u);
   EXPECT_GT(sum, 0.f);
+}
+
+/// Scores `targets` against `query` through one score_batch call and
+/// counts results whose bits differ from the reference.
+std::size_t batch_mismatches(QueryScorer& scorer, const SimilarityModel& model,
+                             const StaticFeatureVector& query,
+                             const std::vector<StaticFeatureVector>& targets) {
+  std::vector<const StaticFeatureVector*> pointers;
+  for (const StaticFeatureVector& target : targets) pointers.push_back(&target);
+  std::vector<float> out(targets.size());
+  scorer.score_batch(pointers, out);
+  std::size_t bad = 0;
+  for (std::size_t k = 0; k < targets.size(); ++k)
+    if (!same_bits(out[k], reference_score(model, query, targets[k]))) ++bad;
+  return bad;
+}
+
+std::vector<StaticFeatureVector> random_vectors(std::size_t n,
+                                                std::uint64_t seed) {
+  std::vector<StaticFeatureVector> out(n);
+  Rng rng(seed);
+  for (auto& v : out)
+    for (double& x : v) x = rng.uniform_real(-50, 400);
+  return out;
+}
+
+TEST(QueryScorer, BatchesOfEveryTileRemainderAreBitIdentical) {
+  constexpr std::size_t tile = QueryScorer::kTile;
+  const std::vector<StaticFeatureVector> corpus = random_vectors(64, 47);
+  FeatureNormalizer normalizer;
+  normalizer.fit(corpus);
+  // The paper's widths, and widths that leave column remainders.
+  for (const std::vector<std::size_t>& dims :
+       {std::vector<std::size_t>{96, 96, 64, 48, 32, 16, 1},
+        std::vector<std::size_t>{96, 20, 7, 1}}) {
+    const SimilarityModel model(Network(dims, 53), normalizer);
+    // One scorer across every batch: scratch reused by ragged tiles.
+    QueryScorer scorer(model, corpus[0]);
+    std::size_t begin = 1;
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, tile - 1, tile, tile + 1,
+          2 * tile + 3}) {
+      const std::vector<StaticFeatureVector> batch(
+          corpus.begin() + begin, corpus.begin() + begin + n);
+      EXPECT_EQ(batch_mismatches(scorer, model, corpus[0], batch), 0u)
+          << "batch of " << n << ", " << dims.size() << " layers";
+      begin += n;
+    }
+  }
+}
+
+TEST(QueryScorer, BatchRejectsMismatchedSpans) {
+  const SimilarityModel model(Network::make_patchecko_model(3),
+                              identity_normalizer());
+  const StaticFeatureVector target{};
+  const StaticFeatureVector* targets[] = {&target, &target};
+  float out[1];
+  QueryScorer scorer(model, target);
+  EXPECT_THROW(scorer.score_batch(targets, out), std::invalid_argument);
+}
+
+TEST(QueryScorer, SkippedHiddenInputsMeetInfiniteWeights) {
+  // Layer-1 units 0, 1 and 2 have zero weights, so their pre-activations
+  // are exactly +0, -0 and -1 for every pair; ReLU zeroes all three, so
+  // DenseLayer::forward skips them. Their layer-2 rows hold +-inf: adding
+  // 0 * inf would turn every score into NaN.
+  Network net = Network::make_patchecko_model(59);
+  DenseLayer& first = net.layers()[0];
+  DenseLayer& second = net.layers()[1];
+  const float biases[] = {0.f, -0.f, -1.f};
+  for (std::size_t unit = 0; unit < 3; ++unit) {
+    for (std::size_t i = 0; i < first.in_dim(); ++i)
+      first.weights()[i * first.out_dim() + unit] = 0.f;
+    first.biases()[unit] = biases[unit];
+    for (std::size_t o = 0; o < second.out_dim(); ++o)
+      second.weights()[unit * second.out_dim() + o] =
+          (o % 2 == 0 ? 1 : -1) * std::numeric_limits<float>::infinity();
+  }
+  const std::vector<StaticFeatureVector> corpus = random_vectors(11, 61);
+  FeatureNormalizer normalizer;
+  normalizer.fit(corpus);
+  const SimilarityModel model(std::move(net), normalizer);
+  for (std::size_t q = 0; q < corpus.size(); q += 5) {
+    QueryScorer scorer(model, corpus[q]);
+    EXPECT_EQ(batch_mismatches(scorer, model, corpus[q], corpus), 0u) << q;
+    EXPECT_FALSE(std::isnan(scorer.score(corpus[(q + 1) % corpus.size()])));
+  }
+}
+
+TEST(QueryScorer, NonFiniteTargetFeaturesAreBitIdentical) {
+  const std::vector<StaticFeatureVector> corpus = random_vectors(8, 67);
+  FeatureNormalizer normalizer;
+  normalizer.fit(corpus);
+  const SimilarityModel model(Network::make_patchecko_model(71), normalizer);
+  std::vector<StaticFeatureVector> targets(corpus.begin(), corpus.begin() + 6);
+  targets[1][3] = std::numeric_limits<double>::quiet_NaN();
+  targets[2][5] = std::numeric_limits<double>::infinity();
+  targets[3][7] = -std::numeric_limits<double>::infinity();
+  targets[4][0] = std::numeric_limits<double>::quiet_NaN();
+  targets[4][47] = std::numeric_limits<double>::infinity();
+  for (const StaticFeatureVector& query : {corpus[6], targets[4]}) {
+    QueryScorer scorer(model, query);
+    EXPECT_EQ(batch_mismatches(scorer, model, query, targets), 0u);
+    EXPECT_EQ(mismatches(model, query, targets), 0u);
+  }
+}
+
+TEST(QueryScorer, ScoringBatchesMakesNoHeapAllocations) {
+  if (!obs::allocation_counting_available())
+    GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+  const obs::EnabledScope on(true);
+  const SimilarityModel model(Network::make_patchecko_model(73),
+                              identity_normalizer());
+  std::vector<StaticFeatureVector> targets(1000);
+  Rng rng(79);
+  for (auto& v : targets)
+    for (double& x : v) x = rng.uniform_real(-10, 1000);
+  std::vector<const StaticFeatureVector*> pointers;
+  for (const StaticFeatureVector& target : targets) pointers.push_back(&target);
+  std::vector<float> out(targets.size());
+  QueryScorer scorer(model, targets.front());
+  const std::uint64_t before = obs::thread_allocation_count();
+  // Whole, ragged and single-target batches.
+  scorer.score_batch(pointers, out);
+  scorer.score_batch(std::span(pointers).first(QueryScorer::kTile + 3),
+                     std::span(out).first(QueryScorer::kTile + 3));
+  scorer.score_batch(std::span(pointers).first(1), std::span(out).first(1));
+  EXPECT_EQ(obs::thread_allocation_count() - before, 0u);
+  EXPECT_GT(out[1], 0.f);
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/pipeline.h"
 #include "dl/trainer.h"
@@ -369,6 +371,65 @@ TEST(Pipeline, ChunkedStage1MatchesSerial) {
                                             &cancel));
   EXPECT_TRUE(outcome.cancelled);
   EXPECT_TRUE(outcome.candidates.empty());
+}
+
+// A cancel stops stage 1 at a tile boundary, and
+// pipeline.stage1_pairs_scored counts the pairs scored before it: the
+// finished chunks plus the finished tiles of the chunk it interrupted, not
+// that whole chunk.
+TEST(Pipeline, Stage1CancelledMidChunkCountsScoredPairs) {
+  const Universe& u = universe();
+  const LargeTarget& large = large_target();
+  const obs::EnabledScope on(true);
+  const obs::Counter& pairs =
+      obs::Registry::global().counter("pipeline.stage1_pairs_scored");
+  const CveEntry& entry = large.database->by_id("CVE-2018-9498");
+  const std::size_t representatives =
+      large.analyzed.feature_classes().representatives.size();
+  ASSERT_GT(representatives, stage1_chunk_pairs + QueryScorer::kTile);
+  // Wide hidden layers make a chunk take long enough (about 0.1 s here)
+  // for a cancel from another thread to land inside it.
+  const SimilarityModel slow(Network({96, 1024, 1024, 1}, 7),
+                             u.model.normalizer());
+  PipelineConfig config;
+  config.worker_threads = 1;
+  const Patchecko pipeline(&slow, config);
+
+  {  // Set before detect: nothing is scored or counted.
+    const std::atomic<bool> cancel{true};
+    const std::uint64_t before = pairs.value();
+    EXPECT_TRUE(
+        pipeline.detect(entry, large.analyzed, false, &cancel).cancelled);
+    EXPECT_EQ(pairs.value(), before);
+  }
+
+  // A watcher sets the flag a growing delay after the first chunk is
+  // counted, while the second is scoring; try until one lands inside it.
+  bool mid_chunk = false;
+  for (int attempt = 0; attempt < 20 && !mid_chunk; ++attempt) {
+    std::atomic<bool> cancel{false};
+    const std::uint64_t before = pairs.value();
+    std::jthread watcher([&](std::stop_token stop) {
+      while (pairs.value() < before + stage1_chunk_pairs) {
+        if (stop.stop_requested()) return;
+        std::this_thread::yield();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2 * attempt));
+      cancel.store(true);
+    });
+    const DetectionOutcome outcome =
+        pipeline.detect(entry, large.analyzed, false, &cancel);
+    watcher.request_stop();
+    watcher.join();
+    const std::uint64_t scored = pairs.value() - before;
+    EXPECT_GE(scored, stage1_chunk_pairs);
+    EXPECT_LE(scored, representatives);
+    if (scored == representatives) continue;  // the cancel came after
+    EXPECT_TRUE(outcome.cancelled) << scored << " of " << representatives;
+    EXPECT_EQ(scored % QueryScorer::kTile, 0u) << scored;
+    mid_chunk = scored % stage1_chunk_pairs != 0;
+  }
+  EXPECT_TRUE(mid_chunk);
 }
 
 // full_report shares one memo between its detect directions and the

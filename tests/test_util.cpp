@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -189,6 +191,29 @@ TEST(SignedLog1p, SignAndMonotonicity) {
   EXPECT_DOUBLE_EQ(signed_log1p(0.0), 0.0);
   EXPECT_GT(signed_log1p(10.0), signed_log1p(5.0));
   EXPECT_DOUBLE_EQ(signed_log1p(-3.0), -signed_log1p(3.0));
+}
+
+TEST(SignedLog1p, SmallCountsMatchLog1pBitForBit) {
+  // Small integers come from a table; every value must equal the formula's
+  // bits, across the table's edges, for signed zeros and for non-integers.
+  const auto formula = [](double v) {
+    return v >= 0.0 ? std::log1p(v) : -std::log1p(-v);
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  std::vector<double> values{0.0, -0.0, 0.5, 1.5, 1023.5, 1e300, -1e300,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  for (int k = 1; k <= 1100; ++k) {
+    values.push_back(k);
+    values.push_back(-k);
+    values.push_back(std::nextafter(static_cast<double>(k), 0.0));
+  }
+  for (const double v : values)
+    EXPECT_TRUE(same_bits(signed_log1p(v), formula(v))) << v;
+  EXPECT_TRUE(std::signbit(signed_log1p(-0.0)));
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
