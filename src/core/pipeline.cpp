@@ -47,21 +47,13 @@ struct PipelineMetrics {
   obs::Counter& profile_reuses =
       obs::Registry::global().counter("vm.profile_reuses");
 
-  // Stage-1 retrieval prefilter (src/retrieval). `prefilter_recall` is only
-  // recorded in verify mode: its mean (sum/count) is the measured
-  // shortlist-vs-exact recall across detect calls.
+  // Stage-1 retrieval prefilter (src/retrieval).
   obs::Counter& prefilter_shortlisted =
       obs::Registry::global().counter("pipeline.prefilter_shortlisted");
   obs::Counter& prefilter_pruned =
       obs::Registry::global().counter("pipeline.prefilter_pruned");
   obs::Counter& prefilter_exact_fallbacks =
       obs::Registry::global().counter("pipeline.prefilter_exact_fallbacks");
-  obs::Counter& prefilter_exact_candidates =
-      obs::Registry::global().counter("pipeline.prefilter_exact_candidates");
-  obs::Counter& prefilter_recalled =
-      obs::Registry::global().counter("pipeline.prefilter_recalled");
-  obs::Histogram& prefilter_recall =
-      obs::Registry::global().histogram("pipeline.prefilter_recall");
   obs::Counter& index_builds =
       obs::Registry::global().counter("retrieval.index_builds");
   obs::Counter& index_vectors =
@@ -168,16 +160,13 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
 
   // --- Stage 1: deep-learning classification --------------------------------
   // `on` scores only shortlisted functions; everything else is classified
-  // negative unscored. `off` and `verify` score every function, each
-  // distinct feature vector once: a function's score is its class
-  // representative's (DESIGN.md §22). `verify` measures what the exact scan
-  // would have accepted but classifies through the shortlist exactly like
-  // `on`, so both modes produce identical outcomes. The scored functions
-  // split into chunks of stage1_chunk_pairs that score independently into
-  // one array, a tile of QueryScorer::kTile targets per score_batch call
-  // with the cancel flag checked between tiles; a serial pass in index
-  // order then classifies every function, so the outcome does not depend
-  // on the worker count.
+  // negative unscored. `off` scores every function, each distinct feature
+  // vector once: a function's score is its class representative's
+  // (DESIGN.md §22). The scored functions split into chunks of
+  // stage1_chunk_pairs that score independently into one array, a tile of
+  // QueryScorer::kTile targets per score_batch call with the cancel flag
+  // checked between tiles; a serial pass in index order then classifies
+  // every function, so the outcome does not depend on the worker count.
   Stopwatch dl_watch;
   const std::size_t total = outcome.total;
   const FeatureClasses* classes =
@@ -212,39 +201,27 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   // A cancelled stage 1 classifies nothing: its scores are incomplete.
   outcome.cancelled = stage1_cancelled.load(std::memory_order_relaxed);
   std::vector<float> candidate_scores;
-  std::vector<std::pair<std::size_t, float>> verify_pruned;  // exact-only hits
   std::size_t shortlist_pos = 0;
   for (std::size_t i = 0; i < total && !outcome.cancelled; ++i) {
-    const bool shortlisted =
-        prefilter == retrieval::PrefilterMode::off ||
-        (shortlist_pos < shortlist.size() && shortlist[shortlist_pos] == i);
     const bool is_target =
         target.binary->functions[i].source_uid == entry.target_uid;
-    if (classes == nullptr && !shortlisted) {
-      // Pruned before the model ran; a true match here is the prefilter's
-      // recall loss and lands in false_negatives like any stage-1 miss.
-      ++(is_target ? outcome.false_negatives : outcome.true_negatives);
-      continue;
+    const bool was_scored =
+        classes != nullptr ||
+        (shortlist_pos < shortlist.size() && shortlist[shortlist_pos] == i);
+    if (was_scored) {
+      const float score = classes != nullptr ? scores[classes->class_of[i]]
+                                             : scores[shortlist_pos++];
+      if (score >= config_.detection_threshold) {
+        outcome.candidates.push_back(i);
+        candidate_scores.push_back(score);
+        ++(is_target ? outcome.true_positives : outcome.false_positives);
+        continue;
+      }
     }
-    const float score = classes != nullptr ? scores[classes->class_of[i]]
-                                           : scores[shortlist_pos];
-    if (prefilter != retrieval::PrefilterMode::off && shortlisted)
-      ++shortlist_pos;
-    const bool accepted = score >= config_.detection_threshold;
-    if (prefilter == retrieval::PrefilterMode::verify && accepted) {
-      ++outcome.prefilter_exact_candidates;
-      if (shortlisted)
-        ++outcome.prefilter_recalled;
-      else
-        verify_pruned.emplace_back(i, score);
-    }
-    if (accepted && shortlisted) {
-      outcome.candidates.push_back(i);
-      candidate_scores.push_back(score);
-      ++(is_target ? outcome.true_positives : outcome.false_positives);
-    } else {
-      ++(is_target ? outcome.false_negatives : outcome.true_negatives);
-    }
+    // Rejected by the model, or pruned before it ran: a true match pruned
+    // by the shortlist is the prefilter's recall loss and lands in
+    // false_negatives like any stage-1 miss.
+    ++(is_target ? outcome.false_negatives : outcome.true_negatives);
   }
   outcome.dl_seconds = dl_watch.elapsed_seconds();
 
@@ -318,24 +295,9 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   outcome.provenance.executed = outcome.executed;
   outcome.provenance.prefilter = static_cast<std::uint8_t>(prefilter);
   outcome.provenance.prefilter_shortlist = outcome.prefilter_shortlist;
-  outcome.provenance.prefilter_exact = outcome.prefilter_exact_candidates;
-  outcome.provenance.prefilter_recalled = outcome.prefilter_recalled;
-  outcome.provenance.candidates.reserve(outcome.candidates.size() +
-                                        verify_pruned.size());
-  // Merge scored candidates with verify-mode prefilter-pruned hits, ascending
-  // by function index (both inputs are already ascending).
-  std::size_t pruned_pos = 0;
+  outcome.provenance.candidates.reserve(outcome.candidates.size());
   std::size_t survivor = 0;
   for (std::size_t c = 0; c < outcome.candidates.size(); ++c) {
-    while (pruned_pos < verify_pruned.size() &&
-           verify_pruned[pruned_pos].first < outcome.candidates[c]) {
-      obs::CandidateRecord pruned;
-      pruned.function_index = verify_pruned[pruned_pos].first;
-      pruned.dl_score = verify_pruned[pruned_pos].second;
-      pruned.prefiltered = true;
-      outcome.provenance.candidates.push_back(std::move(pruned));
-      ++pruned_pos;
-    }
     obs::CandidateRecord record;
     record.function_index = outcome.candidates[c];
     record.dl_score = candidate_scores[c];
@@ -353,13 +315,6 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
       }
     }
     outcome.provenance.candidates.push_back(std::move(record));
-  }
-  for (; pruned_pos < verify_pruned.size(); ++pruned_pos) {
-    obs::CandidateRecord pruned;
-    pruned.function_index = verify_pruned[pruned_pos].first;
-    pruned.dl_score = verify_pruned[pruned_pos].second;
-    pruned.prefiltered = true;
-    outcome.provenance.candidates.push_back(std::move(pruned));
   }
   if (obs::events_enabled()) {
     obs::EventLog::global().emit(
@@ -407,15 +362,6 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   if (prefilter != retrieval::PrefilterMode::off) {
     metrics.prefilter_shortlisted.add(outcome.prefilter_shortlist);
     metrics.prefilter_pruned.add(outcome.total - outcome.prefilter_shortlist);
-    if (prefilter == retrieval::PrefilterMode::verify) {
-      metrics.prefilter_exact_candidates.add(outcome.prefilter_exact_candidates);
-      metrics.prefilter_recalled.add(outcome.prefilter_recalled);
-      metrics.prefilter_recall.record(
-          outcome.prefilter_exact_candidates == 0
-              ? 1.0
-              : static_cast<double>(outcome.prefilter_recalled) /
-                    static_cast<double>(outcome.prefilter_exact_candidates));
-    }
   }
   return outcome;
 }

@@ -35,10 +35,9 @@ struct PipelineConfig {
   unsigned worker_threads = 1;
   MachineConfig machine;
 
-  /// Stage-1 retrieval prefilter (src/retrieval): when not `off`, the DL
-  /// model scores only the index's top-K shortlist per query instead of
-  /// every target function. `verify` additionally scores everything and
-  /// records shortlist-vs-exact recall. Part of the result-cache key.
+  /// Stage-1 retrieval prefilter (src/retrieval): when `on`, the DL model
+  /// scores only the index's top-K shortlist per query instead of every
+  /// target function. Part of the result-cache key.
   retrieval::PrefilterMode prefilter_mode = retrieval::PrefilterMode::off;
   /// Shortlist size per (CVE, query-direction).
   std::size_t prefilter_top_k = 32;
@@ -130,14 +129,10 @@ struct DetectionOutcome {
   // Stage-1 prefilter (src/retrieval). `prefilter_mode` is the mode that was
   // *applied*: it reads `off` when the configured prefilter fell back to the
   // exact path (small target / missing index), with `prefilter_exact_fallback`
-  // recording that the fallback fired. The recall pair is only populated in
-  // verify mode: recall = recalled / exact_candidates (1.0 when the exact
-  // scan found no candidates).
+  // recording that the fallback fired.
   retrieval::PrefilterMode prefilter_mode = retrieval::PrefilterMode::off;
   bool prefilter_exact_fallback = false;
-  std::size_t prefilter_shortlist = 0;        ///< shortlist size scored
-  std::size_t prefilter_exact_candidates = 0; ///< verify: exact candidate count
-  std::size_t prefilter_recalled = 0;         ///< verify: of those, shortlisted
+  std::size_t prefilter_shortlist = 0;  ///< shortlist size scored
 
   // Stage 2: execution validation + dynamic similarity ranking.
   std::size_t executed = 0;  ///< candidates surviving input validation

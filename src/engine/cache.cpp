@@ -34,8 +34,10 @@ constexpr std::uint8_t kFeatureMagic[4] = {'P', 'K', 'F', 'E'};
 constexpr std::uint8_t kOutcomeMagic[4] = {'P', 'K', 'D', 'O'};
 // v2: outcome entries carry the decision-provenance StageRecord. v3 adds
 // the retrieval-prefilter fields (outcome + per-candidate + stage record).
-// Old entries fail the version check and are simply recomputed.
-constexpr std::uint64_t kFormatVersion = 3;
+// v4 drops the per-candidate and recall fields of the removed `verify`
+// prefilter mode. Old entries fail the version check and are simply
+// recomputed.
+constexpr std::uint64_t kFormatVersion = 4;
 
 bool check_magic(Reader& reader, const std::uint8_t (&magic)[4]) {
   std::uint8_t found[4] = {};
@@ -215,8 +217,6 @@ std::vector<std::uint8_t> serialize_outcome(const DetectionOutcome& outcome) {
   append_u64(out, static_cast<std::uint64_t>(outcome.prefilter_mode));
   append_u64(out, outcome.prefilter_exact_fallback ? 1 : 0);
   append_u64(out, outcome.prefilter_shortlist);
-  append_u64(out, outcome.prefilter_exact_candidates);
-  append_u64(out, outcome.prefilter_recalled);
   // Provenance doubles serialize as raw bits (append_double memcpys), so
   // NaN/inf sentinels and every finite value round-trip bitwise — a warm
   // scan reproduces byte-identical provenance.
@@ -227,15 +227,12 @@ std::vector<std::uint8_t> serialize_outcome(const DetectionOutcome& outcome) {
   append_u64(out, provenance.executed);
   append_u64(out, provenance.prefilter);
   append_u64(out, provenance.prefilter_shortlist);
-  append_u64(out, provenance.prefilter_exact);
-  append_u64(out, provenance.prefilter_recalled);
   append_u64(out, provenance.candidates.size());
   for (const obs::CandidateRecord& candidate : provenance.candidates) {
     append_u64(out, candidate.function_index);
     append_double(out, candidate.dl_score);
     append_u64(out, candidate.validated ? 1 : 0);
     append_i64(out, candidate.crash_env);
-    append_u64(out, candidate.prefiltered ? 1 : 0);
     append_u64(out, candidate.env_distances.size());
     for (double distance : candidate.env_distances)
       append_double(out, distance);
@@ -279,9 +276,6 @@ std::optional<DetectionOutcome> deserialize_outcome(
       static_cast<retrieval::PrefilterMode>(reader.read_u64());
   outcome.prefilter_exact_fallback = reader.read_u64() != 0;
   outcome.prefilter_shortlist = static_cast<std::size_t>(reader.read_u64());
-  outcome.prefilter_exact_candidates =
-      static_cast<std::size_t>(reader.read_u64());
-  outcome.prefilter_recalled = static_cast<std::size_t>(reader.read_u64());
   obs::StageRecord& provenance = outcome.provenance;
   provenance.threshold = reader.read_double();
   provenance.minkowski_p = reader.read_double();
@@ -289,8 +283,6 @@ std::optional<DetectionOutcome> deserialize_outcome(
   provenance.executed = reader.read_u64();
   provenance.prefilter = static_cast<std::uint8_t>(reader.read_u64());
   provenance.prefilter_shortlist = reader.read_u64();
-  provenance.prefilter_exact = reader.read_u64();
-  provenance.prefilter_recalled = reader.read_u64();
   const std::uint64_t record_count = reader.read_u64();
   if (!reader.fits(record_count, 8)) return std::nullopt;
   provenance.candidates.resize(static_cast<std::size_t>(record_count));
@@ -299,7 +291,6 @@ std::optional<DetectionOutcome> deserialize_outcome(
     candidate.dl_score = reader.read_double();
     candidate.validated = reader.read_u64() != 0;
     candidate.crash_env = reader.read_i64();
-    candidate.prefiltered = reader.read_u64() != 0;
     const std::uint64_t env_count = reader.read_u64();
     if (!reader.fits(env_count, sizeof(double))) return std::nullopt;
     candidate.env_distances.resize(static_cast<std::size_t>(env_count));

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "obs/json.h"
 
@@ -22,8 +23,6 @@ void append_stage(std::string& out, const StageRecord& stage) {
   out += ",\"executed\":" + std::to_string(stage.executed);
   out += ",\"prefilter\":" + std::to_string(stage.prefilter);
   out += ",\"prefilter_shortlist\":" + std::to_string(stage.prefilter_shortlist);
-  out += ",\"prefilter_exact\":" + std::to_string(stage.prefilter_exact);
-  out += ",\"prefilter_recalled\":" + std::to_string(stage.prefilter_recalled);
   out += ",\"candidates\":[";
   for (std::size_t i = 0; i < stage.candidates.size(); ++i) {
     const CandidateRecord& candidate = stage.candidates[i];
@@ -34,8 +33,6 @@ void append_stage(std::string& out, const StageRecord& stage) {
     out += ",\"validated\":";
     out += candidate.validated ? "true" : "false";
     out += ",\"crash_env\":" + std::to_string(candidate.crash_env);
-    out += ",\"prefiltered\":";
-    out += candidate.prefiltered ? "true" : "false";
     out += ",\"env_distances\":[";
     for (std::size_t e = 0; e < candidate.env_distances.size(); ++e) {
       if (e != 0) out += ',';
@@ -61,7 +58,6 @@ CandidateRecord parse_candidate(const json::Value& value) {
   candidate.validated = value.get("validated").as_bool();
   candidate.crash_env =
       static_cast<std::int64_t>(value.get("crash_env").as_number(-1.0));
-  candidate.prefiltered = value.get("prefiltered").as_bool();
   for (const json::Value& d : value.get("env_distances").as_array())
     candidate.env_distances.push_back(
         number_or(d, std::numeric_limits<double>::quiet_NaN()));
@@ -71,21 +67,18 @@ CandidateRecord parse_candidate(const json::Value& value) {
   return candidate;
 }
 
-StageRecord parse_stage(const json::Value& value) {
+std::optional<StageRecord> parse_stage(const json::Value& value) {
   StageRecord stage;
+  const double prefilter = value.get("prefilter").as_number(0.0);
+  if (prefilter != 0.0 && prefilter != 1.0) return std::nullopt;
   stage.threshold = value.get("threshold").as_number();
   stage.minkowski_p = value.get("minkowski_p").as_number();
   stage.total = static_cast<std::uint64_t>(value.get("total").as_number());
   stage.executed =
       static_cast<std::uint64_t>(value.get("executed").as_number());
-  stage.prefilter =
-      static_cast<std::uint8_t>(value.get("prefilter").as_number(0.0));
+  stage.prefilter = static_cast<std::uint8_t>(prefilter);
   stage.prefilter_shortlist = static_cast<std::uint64_t>(
       value.get("prefilter_shortlist").as_number(0.0));
-  stage.prefilter_exact =
-      static_cast<std::uint64_t>(value.get("prefilter_exact").as_number(0.0));
-  stage.prefilter_recalled = static_cast<std::uint64_t>(
-      value.get("prefilter_recalled").as_number(0.0));
   for (const json::Value& candidate : value.get("candidates").as_array())
     stage.candidates.push_back(parse_candidate(candidate));
   return stage;
@@ -110,24 +103,13 @@ void explain_stage(std::string& out, const char* query,
   out += "    stage 1 scanned " + std::to_string(stage.total) + " functions, " +
          std::to_string(stage.candidates.size()) + " candidates; stage 2 executed " +
          std::to_string(stage.executed) + "\n";
-  if (stage.prefilter != 0) {
-    out += "    prefilter ";
-    out += stage.prefilter == 2 ? "verify" : "on";
-    out += ": shortlist kept " + std::to_string(stage.prefilter_shortlist) +
-           " of " + std::to_string(stage.total) + " functions";
-    if (stage.prefilter == 2) {
-      out += "; recall " + std::to_string(stage.prefilter_recalled) + "/" +
-             std::to_string(stage.prefilter_exact) + " exact candidates";
-    }
-    out += '\n';
-  }
+  if (stage.prefilter != 0)
+    out += "    prefilter on: shortlist kept " +
+           std::to_string(stage.prefilter_shortlist) + " of " +
+           std::to_string(stage.total) + " functions\n";
   for (const CandidateRecord& candidate : stage.candidates) {
     out += "    function " + std::to_string(candidate.function_index) +
            ": dl_score=" + fmt_short(candidate.dl_score);
-    if (candidate.prefiltered) {
-      out += "  pruned: prefilter shortlist (never reached the NN)\n";
-      continue;
-    }
     if (!candidate.validated) {
       out += candidate.crash_env >= 0
                  ? "  pruned: crashed in environment " +
@@ -216,8 +198,13 @@ std::optional<DecisionRecord> parse_decision_line(std::string_view line) {
   record.library = parsed->get("library").as_string();
   record.library_missing = parsed->get("library_missing").as_bool();
   record.stalled = parsed->get("stalled").as_bool();
-  record.from_vulnerable = parse_stage(parsed->get("from_vulnerable"));
-  record.from_patched = parse_stage(parsed->get("from_patched"));
+  std::optional<StageRecord> from_vulnerable =
+      parse_stage(parsed->get("from_vulnerable"));
+  std::optional<StageRecord> from_patched =
+      parse_stage(parsed->get("from_patched"));
+  if (!from_vulnerable || !from_patched) return std::nullopt;
+  record.from_vulnerable = std::move(*from_vulnerable);
+  record.from_patched = std::move(*from_patched);
   for (const json::Value& member : parsed->get("pool").as_array()) {
     PatchCandidateRecord pool_member;
     pool_member.function_index =

@@ -32,11 +32,6 @@ struct CandidateRecord {
   double dl_score = 0.0;       ///< Stage-1 similarity vs the query
   bool validated = false;      ///< survived crash-based execution validation
   std::int64_t crash_env = -1; ///< first crashing environment; -1 = none
-  /// The retrieval prefilter pruned this function before Stage 2: its DL
-  /// score cleared the threshold but it missed the top-K shortlist. Only
-  /// observable in verify mode (in `on` mode such functions are never
-  /// scored, so there is no record to write).
-  bool prefiltered = false;
   /// Per-environment Minkowski distance to the reference profile; NaN where
   /// either side failed to terminate in that environment. Empty when the
   /// candidate was pruned before profiling.
@@ -53,11 +48,9 @@ struct StageRecord {
   std::uint64_t total = 0;   ///< functions scanned by Stage 1
   std::uint64_t executed = 0;  ///< candidates surviving validation
   /// Retrieval prefilter applied to this direction: 0 = off (exact scan),
-  /// 1 = on, 2 = verify (retrieval::PrefilterMode numeric values).
+  /// 1 = on (retrieval::PrefilterMode numeric values).
   std::uint8_t prefilter = 0;
   std::uint64_t prefilter_shortlist = 0;  ///< functions the shortlist kept
-  std::uint64_t prefilter_exact = 0;      ///< verify: exact candidate count
-  std::uint64_t prefilter_recalled = 0;   ///< verify: of those, shortlisted
   std::vector<CandidateRecord> candidates;
 };
 
@@ -102,9 +95,11 @@ struct DecisionRecord {
 std::string decision_jsonl_line(const DecisionRecord& record);
 
 /// Inverse of decision_jsonl_line. Lines whose "type" is not "decision"
-/// (meta or event lines of the same provenance file) and malformed input
-/// return nullopt. nulls parse back as NaN inside env_distances and as
-/// +inf for aggregate distances, so render(parse(render(r))) == render(r).
+/// (meta or event lines of the same provenance file), malformed input, and
+/// stages whose `prefilter` is neither 0 nor 1 (a mode this build does not
+/// know, whose records it would misexplain) return nullopt. nulls parse
+/// back as NaN inside env_distances and as +inf for aggregate distances, so
+/// render(parse(render(r))) == render(r).
 std::optional<DecisionRecord> parse_decision_line(std::string_view line);
 
 /// Renders the human-readable decision chain the `explain` subcommand

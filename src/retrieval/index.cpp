@@ -42,22 +42,9 @@ void centroid_separation(const std::vector<QuantizedVector>& centroids,
 
 }  // namespace
 
-std::string_view prefilter_mode_name(PrefilterMode mode) {
-  switch (mode) {
-    case PrefilterMode::on:
-      return "on";
-    case PrefilterMode::verify:
-      return "verify";
-    case PrefilterMode::off:
-      break;
-  }
-  return "off";
-}
-
 std::optional<PrefilterMode> parse_prefilter_mode(std::string_view text) {
   if (text == "off") return PrefilterMode::off;
   if (text == "on") return PrefilterMode::on;
-  if (text == "verify") return PrefilterMode::verify;
   return std::nullopt;
 }
 

@@ -25,9 +25,9 @@
 //           visits candidates in the same order the exact scan would.
 //
 // The index is approximate by construction (a true neighbour can hide in
-// an unprobed list); the pipeline's verify mode and bench_retrieval
-// measure recall against the exact all-pairs scan, and the defaults below
-// are sized to hold >= 99% on the synthetic corpora.
+// an unprobed list); bench_retrieval measures recall against the exact
+// all-pairs scan (as does an `on` scan read against an `off` one), and the
+// defaults below are sized to hold >= 99% on the synthetic corpora.
 #pragma once
 
 #include <cstdint>
@@ -41,14 +41,10 @@
 namespace patchecko::retrieval {
 
 /// Stage-1 prefilter switch, threaded from the CLI down to detect():
-///   off    — exact all-pairs scoring (the paper's behaviour),
-///   on     — score only the index's top-K shortlist,
-///   verify — score everything (exact results view) but *classify* through
-///            the shortlist exactly like `on`, recording shortlist-vs-exact
-///            recall so CI can gate on it. Produces the same report as `on`.
-enum class PrefilterMode : std::uint8_t { off = 0, on = 1, verify = 2 };
+///   off — exact all-pairs scoring (the paper's behaviour),
+///   on  — score only the index's top-K shortlist.
+enum class PrefilterMode : std::uint8_t { off = 0, on = 1 };
 
-std::string_view prefilter_mode_name(PrefilterMode mode);
 std::optional<PrefilterMode> parse_prefilter_mode(std::string_view text);
 
 struct IndexConfig {

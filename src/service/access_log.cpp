@@ -28,11 +28,6 @@ std::string access_jsonl_line(const AccessEntry& entry) {
                                      static_cast<double>(lookups));
   else
     out += "null";
-  out += ",\"prefilter_recall\":";
-  if (entry.has_prefilter_recall)
-    obs_json::append_double(out, entry.prefilter_recall);
-  else
-    out += "null";
   out += ",\"bytes_in\":" + std::to_string(entry.bytes_in) +
          ",\"bytes_out\":" + std::to_string(entry.bytes_out) + "}";
   return out;

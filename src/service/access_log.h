@@ -10,13 +10,10 @@
 //   {"type":"access","id":N,"op":"scan","status":200,"outcome":"ok",
 //    "queue_wait_s":F,"service_s":F,"corpus_version":N,
 //    "cache_hits":N,"cache_misses":N,"cache_hit_ratio":F|null,
-//    "prefilter_recall":F|null,"bytes_in":N,"bytes_out":N}
+//    "bytes_in":N,"bytes_out":N}
 //
 // `id` is 0 for request types that carry no request id (health, ping, …).
-// `cache_hit_ratio` is null when the request touched no cache at all;
-// `prefilter_recall` is null unless the scan ran the prefilter in verify
-// mode (it is then the exact-vs-recalled ratio aggregated over the scan's
-// detect stages).
+// `cache_hit_ratio` is null when the request touched no cache at all.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +35,6 @@ struct AccessEntry {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   bool has_cache = false;       ///< false renders cache_hit_ratio as null
-  double prefilter_recall = 0.0;
-  bool has_prefilter_recall = false;  ///< false renders the field as null
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
 };

@@ -663,22 +663,6 @@ void ScanService::run_scan(const PendingScan& scan) {
   entry.cache_hits = info.cache_hits;
   entry.cache_misses = info.cache_misses;
   entry.has_cache = true;
-  // Verify-mode prefilter recall, aggregated over both scan directions of
-  // every result: recalled / exact-candidate counts. Null (absent samples)
-  // when the prefilter never ran in verify mode.
-  std::uint64_t exact = 0;
-  std::uint64_t recalled = 0;
-  for (const CveScanResult& result : report.results) {
-    exact += result.from_vulnerable.prefilter_exact_candidates;
-    recalled += result.from_vulnerable.prefilter_recalled;
-    exact += result.from_patched.prefilter_exact_candidates;
-    recalled += result.from_patched.prefilter_recalled;
-  }
-  if (exact > 0) {
-    entry.prefilter_recall =
-        static_cast<double>(recalled) / static_cast<double>(exact);
-    entry.has_prefilter_recall = true;
-  }
 
   // State before response: a client that just read its result may query
   // status immediately and must not still see "running".

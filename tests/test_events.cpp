@@ -258,6 +258,55 @@ TEST(Decision, ParseRejectsNonDecisionAndMalformedLines) {
                    .has_value());
 }
 
+TEST(Decision, ParseRejectsAStageOfAnUnknownPrefilterMode) {
+  // A decision line as a scan in the removed `verify` prefilter mode wrote
+  // it (`"prefilter":2`). Its `prefiltered` candidates never reached stage
+  // 2; read as a known mode, `explain` would render them as "pruned: failed
+  // execution validation". It must not parse.
+  const std::string verify_line =
+      R"({"type":"decision","cve":"CVE-2017-13210","library":"libminijail",)"
+      R"("library_missing":false,"stalled":false,"from_vulnerable":)"
+      R"({"threshold":0.40000000596046448,"minkowski_p":3,"total":24,)"
+      R"("executed":1,"prefilter":2,"prefilter_shortlist":4,)"
+      R"("prefilter_exact":3,"prefilter_recalled":1,"candidates":[)"
+      R"({"function":2,"dl_score":0.45197141170501709,"validated":false,)"
+      R"("crash_env":-1,"prefiltered":true,"env_distances":[],"distance":0,)"
+      R"("rank":-1},{"function":10,"dl_score":0.47590339183807373,)"
+      R"("validated":false,"crash_env":-1,"prefiltered":true,)"
+      R"("env_distances":[],"distance":0,"rank":-1},{"function":19,)"
+      R"("dl_score":0.88886141777038574,"validated":true,"crash_env":-1,)"
+      R"("prefiltered":false,"env_distances":[3.8258623655447779,)"
+      R"(3.8258623655447779,3.8258623655447779,3.8258623655447779,)"
+      R"(3.8258623655447779,3.8258623655447779],)"
+      R"("distance":3.8258623655447779,"rank":1}]},"from_patched":)"
+      R"({"threshold":0.40000000596046448,"minkowski_p":3,"total":24,)"
+      R"("executed":1,"prefilter":2,"prefilter_shortlist":4,)"
+      R"("prefilter_exact":2,"prefilter_recalled":1,"candidates":[)"
+      R"({"function":10,"dl_score":0.61693471670150757,"validated":false,)"
+      R"("crash_env":-1,"prefiltered":true,"env_distances":[],"distance":0,)"
+      R"("rank":-1},{"function":19,"dl_score":0.86913245916366577,)"
+      R"("validated":true,"crash_env":-1,"prefiltered":false,)"
+      R"("env_distances":[0,0,0,0,0,0],"distance":0,"rank":1}]},"pool":[)"
+      R"({"function":19,"dist_vulnerable":3.8258623655447779,)"
+      R"("dist_patched":0,"effects_vulnerable":6,"effects_patched":6,)"
+      R"("chosen":true}],"matched_function":19,"verdict":{"patched":true,)"
+      R"("votes_vulnerable":0,"votes_patched":31.5,)"
+      R"("dyn_dist_vulnerable":3.8258623655447779,"dyn_dist_patched":0,)"
+      R"("evidence":["guard count 4 (vulnerable=3, patched=4) -> patched",)"
+      R"("dynamic distance 3.82586 vs 0 -> patched"]}})";
+  EXPECT_FALSE(obs::parse_decision_line(verify_line).has_value());
+
+  // The same line under a known mode parses: the mode alone rejects it.
+  std::string on_line = verify_line;
+  for (std::size_t at = on_line.find("\"prefilter\":2");
+       at != std::string::npos; at = on_line.find("\"prefilter\":2", at))
+    on_line.replace(at, 13, "\"prefilter\":1");
+  const auto parsed = obs::parse_decision_line(on_line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->from_vulnerable.prefilter, 1u);
+  EXPECT_EQ(parsed->from_patched.candidates.size(), 2u);
+}
+
 TEST(Decision, LibraryMissingRoundTrips) {
   obs::DecisionRecord record;
   record.cve_id = "CVE-2020-0002";

@@ -89,8 +89,7 @@ std::string outcome_text(const DetectionOutcome& outcome) {
       << outcome.true_negatives << ' ' << outcome.false_positives << ' '
       << outcome.false_negatives << ' ' << outcome.executed << ' '
       << outcome.rank_of_target << ' ' << outcome.prefilter_shortlist << ' '
-      << outcome.prefilter_exact_candidates << ' '
-      << outcome.prefilter_recalled << ' ' << outcome.cancelled << '\n';
+      << outcome.cancelled << '\n';
   for (std::size_t index : outcome.candidates) out << index << ',';
   out << '\n';
   for (const RankedCandidate& ranked : outcome.ranking) {
@@ -293,8 +292,7 @@ TEST(Pipeline, ChunkedStage1MatchesSerial) {
   };
   const Mode modes[] = {{retrieval::PrefilterMode::off, 32},
                         {retrieval::PrefilterMode::on, 32},
-                        {retrieval::PrefilterMode::on, 2 * stage1_chunk_pairs},
-                        {retrieval::PrefilterMode::verify, 32}};
+                        {retrieval::PrefilterMode::on, 2 * stage1_chunk_pairs}};
   for (const Mode& mode : modes) {
     for (const bool query_is_patched : {false, true}) {
       std::string texts[2];
@@ -323,8 +321,9 @@ TEST(Pipeline, ChunkedStage1MatchesSerial) {
                                 " patched " + std::to_string(query_is_patched);
       EXPECT_EQ(texts[0], texts[1]) << where;
 
-      // Serial reference: one scorer over the pairs stage 1 scores, in
-      // index order, classified through the shortlist.
+      // Serial reference: one scorer over every function in index order,
+      // classified through the shortlist; `exact` counts what the exact
+      // scan accepts.
       const StaticFeatureVector& query = query_is_patched
                                              ? entry.patched_features
                                              : entry.vulnerable_features;
@@ -339,8 +338,6 @@ TEST(Pipeline, ChunkedStage1MatchesSerial) {
       std::vector<float> scores;
       std::size_t exact = 0;
       for (std::size_t i = 0; i < total; ++i) {
-        if (mode.mode == retrieval::PrefilterMode::on && !shortlisted[i])
-          continue;
         const float score = scorer.score(large.analyzed.features[i]);
         if (score < PipelineConfig{}.detection_threshold) continue;
         ++exact;
@@ -352,11 +349,12 @@ TEST(Pipeline, ChunkedStage1MatchesSerial) {
       std::vector<float> chunked_scores;
       for (const obs::CandidateRecord& record :
            chunked.provenance.candidates)
-        if (!record.prefiltered)
-          chunked_scores.push_back(static_cast<float>(record.dl_score));
+        chunked_scores.push_back(static_cast<float>(record.dl_score));
       EXPECT_EQ(chunked_scores, scores) << where;
-      if (mode.mode == retrieval::PrefilterMode::verify) {
-        EXPECT_EQ(chunked.prefilter_exact_candidates, exact) << where;
+      if (mode.mode == retrieval::PrefilterMode::off) {
+        EXPECT_EQ(chunked.candidates.size(), exact) << where;
+      } else {
+        EXPECT_LE(chunked.candidates.size(), exact) << where;
       }
     }
   }
@@ -518,8 +516,7 @@ TEST(Pipeline, Stage1ClassesMatchDirectScoring) {
       functions += total;
       representatives += classes.representatives.size();
       for (const retrieval::PrefilterMode mode :
-           {retrieval::PrefilterMode::off, retrieval::PrefilterMode::verify,
-            retrieval::PrefilterMode::on}) {
+           {retrieval::PrefilterMode::off, retrieval::PrefilterMode::on}) {
         for (const bool query_is_patched : {false, true}) {
           const StaticFeatureVector& query = query_is_patched
                                                  ? entry->patched_features
@@ -534,8 +531,10 @@ TEST(Pipeline, Stage1ClassesMatchDirectScoring) {
             }
 
           // Direct: every function scored on its own, classified in order.
+          // `exact` counts what the exact scan accepts.
           DetectionOutcome direct;
           std::ostringstream records;
+          std::size_t exact = 0;
           for (std::size_t i = 0; i < total; ++i) {
             const bool is_target =
                 library.functions[i].source_uid == entry->target_uid;
@@ -547,15 +546,11 @@ TEST(Pipeline, Stage1ClassesMatchDirectScoring) {
                 QueryScorer(u.model, query).score(analyzed.features[i]);
             const bool accepted =
                 score >= PipelineConfig{}.detection_threshold;
-            if (mode == retrieval::PrefilterMode::verify && accepted) {
-              ++direct.prefilter_exact_candidates;
-              if (shortlisted[i]) ++direct.prefilter_recalled;
-            }
+            if (mode == retrieval::PrefilterMode::off && accepted) ++exact;
             std::uint32_t bits = 0;
             std::memcpy(&bits, &score, sizeof(bits));
-            if (accepted)
-              records << i << ':' << bits << ':' << !shortlisted[i] << ' ';
-            if (accepted && shortlisted[i]) {
+            if (accepted) {
+              records << i << ':' << bits << ' ';
               direct.candidates.push_back(i);
               ++(is_target ? direct.true_positives : direct.false_positives);
             } else {
@@ -589,19 +584,16 @@ TEST(Pipeline, Stage1ClassesMatchDirectScoring) {
             EXPECT_EQ(outcome.false_negatives, direct.false_negatives)
                 << where;
             EXPECT_EQ(outcome.candidates, direct.candidates) << where;
-            EXPECT_EQ(outcome.prefilter_exact_candidates,
-                      direct.prefilter_exact_candidates)
-                << where;
-            EXPECT_EQ(outcome.prefilter_recalled, direct.prefilter_recalled)
-                << where;
+            if (mode == retrieval::PrefilterMode::off) {
+              EXPECT_EQ(outcome.candidates.size(), exact) << where;
+            }
             std::ostringstream detected;
             for (const obs::CandidateRecord& record :
                  outcome.provenance.candidates) {
               const float score = static_cast<float>(record.dl_score);
               std::uint32_t bits = 0;
               std::memcpy(&bits, &score, sizeof(bits));
-              detected << record.function_index << ':' << bits << ':'
-                       << record.prefiltered << ' ';
+              detected << record.function_index << ':' << bits << ' ';
             }
             EXPECT_EQ(detected.str(), records.str()) << where;
           }

@@ -231,8 +231,6 @@ TEST(Rollup, AccessLineHasExactKeyOrderAndNullSemantics) {
   entry.cache_hits = 3;
   entry.cache_misses = 1;
   entry.has_cache = true;
-  entry.prefilter_recall = 0.75;
-  entry.has_prefilter_recall = true;
   entry.bytes_in = 100;
   entry.bytes_out = 200;
   const std::string line = service::access_jsonl_line(entry);
@@ -240,16 +238,14 @@ TEST(Rollup, AccessLineHasExactKeyOrderAndNullSemantics) {
             "{\"type\":\"access\",\"id\":12,\"op\":\"scan\",\"status\":200,"
             "\"outcome\":\"ok\",\"queue_wait_s\":0.25,\"service_s\":1.5,"
             "\"corpus_version\":2,\"cache_hits\":3,\"cache_misses\":1,"
-            "\"cache_hit_ratio\":0.75,\"prefilter_recall\":0.75,"
-            "\"bytes_in\":100,\"bytes_out\":200}");
+            "\"cache_hit_ratio\":0.75,\"bytes_in\":100,\"bytes_out\":200}");
 
-  // Requests that touched no cache and ran no verify-mode prefilter render
-  // explicit nulls, never omitted keys.
+  // Requests that touched no cache render an explicit null, never an
+  // omitted key.
   service::AccessEntry bare;
   bare.op = "ping";
   const std::string bare_line = service::access_jsonl_line(bare);
   EXPECT_NE(bare_line.find("\"cache_hit_ratio\":null"), std::string::npos);
-  EXPECT_NE(bare_line.find("\"prefilter_recall\":null"), std::string::npos);
   const auto parsed = json::parse(bare_line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->get("cache_hit_ratio").is_null());

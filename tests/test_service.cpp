@@ -666,14 +666,14 @@ TEST(Service, PrefilteredReloadMidScanDropsNoJobsAndReportsIndexHealth) {
   // Same hot-reload contract as above, but with the retrieval prefilter
   // live: the new snapshot swaps in a freshly built query catalog while
   // shortlist-scanning jobs are in flight, and every admitted scan still
-  // returns the byte-identical exact-scan report (full recall on this
-  // corpus — asserted at the engine layer).
+  // returns the byte-identical exact-scan report (the shortlist keeps every
+  // exact candidate on this corpus — asserted at the engine layer).
   const ServiceUniverse& env = universe();
   svc::ServiceConfig config = env.service_config("prefilter_reload");
   config.dispatchers = 2;
   config.queue_limit = 8;
   config.scan_delay_seconds = 0.1;  // guarantee scans are in flight
-  config.engine.pipeline.prefilter_mode = retrieval::PrefilterMode::verify;
+  config.engine.pipeline.prefilter_mode = retrieval::PrefilterMode::on;
   config.engine.pipeline.prefilter_min_total = 0;
   svc::ScanService service(config);
   service.start();
@@ -1140,8 +1140,8 @@ void expect_access_key_order(const std::string& line) {
       "\"type\"",        "\"id\"",          "\"op\"",
       "\"status\"",      "\"outcome\"",     "\"queue_wait_s\"",
       "\"service_s\"",   "\"corpus_version\"", "\"cache_hits\"",
-      "\"cache_misses\"", "\"cache_hit_ratio\"", "\"prefilter_recall\"",
-      "\"bytes_in\"",    "\"bytes_out\""};
+      "\"cache_misses\"", "\"cache_hit_ratio\"", "\"bytes_in\"",
+      "\"bytes_out\""};
   std::size_t cursor = 0;
   for (const char* key : kKeys) {
     const std::size_t at = line.find(key, cursor);
@@ -1222,8 +1222,6 @@ TEST(Service, AccessLogAndStatsReconcileAcrossEndpoints) {
       EXPECT_EQ(entry.get("cache_hit_ratio").kind(),
                 json::Value::Kind::number);
       EXPECT_GT(entry.get("cache_misses").as_number(), 0.0);
-      // No verify-mode prefilter in this run -> explicit null.
-      EXPECT_TRUE(entry.get("prefilter_recall").is_null());
     }
   }
   EXPECT_EQ(pings, 3u);

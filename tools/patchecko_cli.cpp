@@ -9,7 +9,7 @@
 //   patchecko scan   --model model.bin --firmware fw.img [--cve ID]
 //                    [--scale S] [--seed N] [--threads N] [--metrics[=FILE]]
 //                    [--events[=FILE]] [--trace-out=FILE]
-//                    [--prefilter on|off|verify] [--prefilter-top-k N]
+//                    [--prefilter on|off] [--prefilter-top-k N]
 //                    [--prefilter-min-total N]
 //   patchecko batch-scan --model model.bin --firmware fw.img [--cve ID]
 //                    [--jobs N] [--cache-dir DIR] [--no-cache]
@@ -18,7 +18,7 @@
 //                    [--heartbeat[=FILE][:interval_ms]]
 //                    [--watchdog-soft S] [--watchdog-hard S]
 //                    [--stall-inject LABEL:SECONDS]
-//                    [--prefilter on|off|verify] [--prefilter-top-k N]
+//                    [--prefilter on|off] [--prefilter-top-k N]
 //                    [--prefilter-min-total N]
 //   patchecko explain --provenance FILE [--cve ID] [--function INDEX]
 //   patchecko bench-diff --old PATH --new PATH [--rel-tol F] [--abs-tol F]
@@ -35,7 +35,7 @@
 //                    [--heartbeat=FILE[:interval_ms]]
 //                    [--access-log[=FILE]] [--stats-out=FILE[:interval_ms]]
 //                    [--stats-window S]
-//                    [--prefilter on|off|verify] [--prefilter-top-k N]
+//                    [--prefilter on|off] [--prefilter-top-k N]
 //                    [--prefilter-min-total N]
 //   patchecko client --socket PATH | --tcp PORT [--op submit|status|health|
 //                    reload|drain|ping|stats|profile] [--firmware fw.img]
@@ -56,11 +56,10 @@
 // stdout (or written to FILE). `--events` records decision provenance and
 // structured events as JSONL; `--trace-out` writes a Chrome trace_event
 // file loadable in Perfetto; `explain` renders the human-readable decision
-// chain from a prior scan's provenance file (including `prefiltered` prune
-// decisions — candidates the retrieval shortlist kept from the NN).
-// `--prefilter` enables the sub-linear stage-1 retrieval index
-// (src/retrieval): `on` scores only each query's top-K nearest functions,
-// `verify` additionally measures shortlist-vs-exact recall. `--heartbeat` appends live
+// chain from a prior scan's provenance file. `--prefilter` enables the
+// sub-linear stage-1 retrieval index (src/retrieval): `on` scores only each
+// query's top-K nearest functions; its recall is read by comparing an `on`
+// scan's decision records with an `off` scan's. `--heartbeat` appends live
 // JSONL run-health snapshots during batch-scan; `--watchdog-soft/-hard`
 // flag and cancel stalled jobs; `bench-diff` compares two BENCH_*.json
 // files (or baseline directories) and exits nonzero on a perf regression.
@@ -252,7 +251,7 @@ void apply_prefilter_options(const Args& args, PipelineConfig& config) {
   if (args.has("prefilter")) {
     const std::string value = args.get("prefilter", "");
     const auto mode = retrieval::parse_prefilter_mode(value);
-    if (!mode) throw UsageError("--prefilter expects on, off, or verify");
+    if (!mode) throw UsageError("--prefilter expects on or off");
     config.prefilter_mode = *mode;
   }
   if (args.has("prefilter-top-k")) {
@@ -282,7 +281,7 @@ int usage() {
                "[--cve ID] [--scale S] [--seed N] [--threads N]\n"
                "                 [--metrics[=FILE]] [--events[=FILE]] "
                "[--trace-out=FILE] [--profile[=FILE]]\n"
-               "                 [--prefilter on|off|verify] "
+               "                 [--prefilter on|off] "
                "[--prefilter-top-k N] [--prefilter-min-total N]\n"
                "  patchecko batch-scan --model model.bin --firmware fw.img "
                "[--cve ID] [--jobs N] [--cache-dir DIR] [--no-cache]\n"
@@ -292,7 +291,7 @@ int usage() {
                "[--watchdog-soft S] [--watchdog-hard S]\n"
                "                 [--stall-inject LABEL:SECONDS] "
                "[--canonical[=FILE]] [--profile[=FILE]]\n"
-               "                 [--prefilter on|off|verify] "
+               "                 [--prefilter on|off] "
                "[--prefilter-top-k N] [--prefilter-min-total N]\n"
                "  patchecko explain --provenance FILE [--cve ID] "
                "[--function INDEX]\n"
@@ -310,7 +309,7 @@ int usage() {
                "[--heartbeat=FILE[:interval_ms]]\n"
                "                 [--access-log[=FILE]] "
                "[--stats-out=FILE[:interval_ms]] [--stats-window S]\n"
-               "                 [--prefilter on|off|verify] "
+               "                 [--prefilter on|off] "
                "[--prefilter-top-k N] [--prefilter-min-total N]\n"
                "  patchecko client --socket PATH | --tcp PORT "
                "[--op submit|status|health|reload|drain|ping|stats|profile]\n"
