@@ -1,10 +1,13 @@
 // Table II companion + microbenchmarks: instrumented execution cost of the
-// dynamic-analysis engine (the GDB/gdbserver tracing analog): raw VM
-// throughput, feature-collection overhead, and end-to-end candidate
-// profiling.
+// dynamic-analysis engine (the GDB/gdbserver tracing analog): per-run
+// cost, per-instruction cost over a realistic sweep, and end-to-end
+// candidate profiling.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "compiler/compiler.h"
 #include "fuzz/fuzzer.h"
@@ -48,18 +51,52 @@ void BM_ExecuteInstrumented(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteInstrumented);
 
-void BM_ExecuteUninstrumented(benchmark::State& state) {
-  const Fixture& fx = fixture();
-  MachineConfig config;
-  config.collect_features = false;
-  const Machine machine(fx.library, config);
-  std::size_t f = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(machine.run(f, fx.environments.front()));
-    f = (f + 1) % fx.library.functions.size();
-  }
+// A realistic stage-2 sweep: 4 generated libraries (one per arch) x 200
+// functions x 6 fuzz environments. BM_ExecuteInstrumented runs tiny
+// functions, where per-run setup dominates; this row reports the cost of an
+// interpreted instruction, ns_per_instruction (wall time / VM steps).
+struct Sweep {
+  std::vector<LibraryBinary> libraries;
+  std::vector<std::vector<std::vector<CallEnv>>> environments;  ///< [lib][fn]
+};
+
+const Sweep& sweep() {
+  static const Sweep out = [] {
+    Sweep sw;
+    const Arch arches[] = {Arch::x86, Arch::amd64, Arch::arm32, Arch::arm64};
+    Rng rng(0x5EE9);
+    FuzzConfig config;
+    for (std::size_t i = 0; i < 4; ++i) {
+      const SourceLibrary source =
+          generate_library("sweep" + std::to_string(i), 0x5EE9 + i, 200);
+      sw.libraries.push_back(
+          compile_library(source, arches[i], OptLevel::O2, i + 1));
+      auto& envs = sw.environments.emplace_back();
+      for (std::size_t f = 0; f < sw.libraries.back().functions.size(); ++f)
+        envs.push_back(
+            generate_environments(sw.libraries.back(), f, rng, config));
+    }
+    return sw;
+  }();
+  return out;
 }
-BENCHMARK(BM_ExecuteUninstrumented);
+
+void BM_ExecuteSweep(benchmark::State& state) {
+  const Sweep& sw = sweep();
+  std::vector<Machine> machines(sw.libraries.begin(), sw.libraries.end());
+  std::uint64_t instructions = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state)
+    for (std::size_t l = 0; l < machines.size(); ++l)
+      for (std::size_t f = 0; f < sw.environments[l].size(); ++f)
+        for (const CallEnv& env : sw.environments[l][f])
+          instructions += machines[l].run(f, env).steps;
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_instruction"] =
+      elapsed.count() / static_cast<double>(instructions);
+}
+BENCHMARK(BM_ExecuteSweep);
 
 void BM_ProfileFunction(benchmark::State& state) {
   const Fixture& fx = fixture();

@@ -57,8 +57,10 @@ std::string database_params(const DatabaseConfig& config) {
          std::to_string(config.fuzz.max_buffer) + " vm=" +
          std::to_string(config.fuzz.machine.step_limit) + "," +
          std::to_string(config.fuzz.machine.stack_size) + "," +
-         std::to_string(config.fuzz.machine.max_call_depth) + "," +
-         (config.fuzz.machine.collect_features ? "1" : "0");
+         std::to_string(config.fuzz.machine.max_call_depth) +
+         // The value of the deleted collect_features switch, which was
+         // always on; writing it keeps every stored corpus key.
+         ",1";
 }
 
 /// fingerprint_library of every corpus library, one pool task each. Every

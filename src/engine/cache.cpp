@@ -95,7 +95,9 @@ Digest digest_pipeline_config(const PipelineConfig& config) {
   digest.absorb_u64(config.machine.step_limit);
   digest.absorb_i64(config.machine.stack_size);
   digest.absorb_i64(config.machine.max_call_depth);
-  digest.absorb_u64(config.machine.collect_features ? 1 : 0);
+  // The value of the deleted MachineConfig::collect_features, which was
+  // always on; absorbing it keeps every stored cache key.
+  digest.absorb_u64(1);
   // The prefilter changes which functions ever reach the model, so toggling
   // it must never serve an entry computed under the other configuration.
   digest.absorb_u64(static_cast<std::uint64_t>(config.prefilter_mode));

@@ -189,6 +189,11 @@ std::string decision_jsonl_line(const DecisionRecord& record) {
   return out;
 }
 
+bool is_decision_line(std::string_view line) {
+  const std::optional<json::Value> parsed = json::parse(line);
+  return parsed && parsed->get("type").as_string() == "decision";
+}
+
 std::optional<DecisionRecord> parse_decision_line(std::string_view line) {
   const std::optional<json::Value> parsed = json::parse(line);
   if (!parsed || parsed->get("type").as_string() != "decision")

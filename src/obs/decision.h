@@ -102,6 +102,11 @@ std::string decision_jsonl_line(const DecisionRecord& record);
 /// render(parse(render(r))) == render(r).
 std::optional<DecisionRecord> parse_decision_line(std::string_view line);
 
+/// True when `line` is a JSON object whose "type" is "decision", whether or
+/// not parse_decision_line can read the rest of it. `explain` counts the
+/// decision lines it could not read (another format version) with this.
+bool is_decision_line(std::string_view line);
+
 /// Renders the human-readable decision chain the `explain` subcommand
 /// prints: Stage 1 score vs threshold, per-environment distances and the
 /// Minkowski aggregate, prune/keep reason per candidate, the differential

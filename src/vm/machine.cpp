@@ -78,13 +78,15 @@ constexpr std::int64_t anon_base = 0x60000000;
 constexpr std::int64_t stack_base = 0x70000000;
 
 /// Table II instruction classes of each opcode, precomputed from the isa
-/// predicates so the per-instruction bookkeeping does one table load.
+/// predicates so finalize_features does one table load per executed site.
 enum OpClass : std::uint8_t {
   op_arith = 1,
   op_branch = 2,
   op_load = 4,
   op_store = 8,
   op_call = 16,  ///< call/callr: binary-defined calls
+  op_libcall = 32,
+  op_syscall = 64,
 };
 
 const std::array<std::uint8_t, 256> op_classes = [] {
@@ -94,7 +96,9 @@ const std::array<std::uint8_t, 256> op_classes = [] {
     classes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
         (is_arith(op) ? op_arith : 0) | (is_branch(op) ? op_branch : 0) |
         (is_load(op) ? op_load : 0) | (is_store(op) ? op_store : 0) |
-        (is_call(op) ? op_call : 0));
+        (is_call(op) ? op_call : 0) |
+        (op == Opcode::libcall ? op_libcall : 0) |
+        (op == Opcode::syscall ? op_syscall : 0));
   }
   return classes;
 }();
@@ -159,8 +163,7 @@ class Execution {
       result.status = trap.status;
     }
     result.steps = steps_;
-    finalize_features();
-    result.features = features_;
+    result.features = finalize_features();
     // Return mutated environment buffers (index-aligned with env.buffers).
     result.buffers_after.reserve(anon_.size());
     for (const MemObject& object : anon_)
@@ -205,6 +208,11 @@ class Execution {
       cursor &= ~std::int64_t{4095};
       if (size == 0) cursor += 4096;
     }
+    const auto reaches_stack = [](const std::vector<MemObject>& objects) {
+      return !objects.empty() &&
+             objects.back().base + objects.back().size > stack_base;
+    };
+    stack_first_ = !reaches_stack(strings.objects) && !reaches_stack(anon_);
 
     // Already empty unless the last run threw something other than a Trap.
     heap_.clear();
@@ -223,7 +231,7 @@ class Execution {
       site_offset_.resize(library.functions.size(), 0);
 
     steps_ = 0;
-    features_ = {};
+    accesses_ = {};
     depth_min_ = std::numeric_limits<std::uint64_t>::max();
     depth_max_ = depth_sum_ = depth_sq_sum_ = 0;
   }
@@ -233,24 +241,24 @@ class Execution {
   /// The object holding `addr`. Checks the regions in the order the objects
   /// were mapped (strings, buffers, stack, heap), so an address that lies
   /// in two regions resolves to the same object a first-match scan over all
-  /// objects in mapping order would return.
+  /// objects in mapping order would return. When no string or buffer
+  /// reaches the stack (`stack_first_`), a stack address can match nothing
+  /// earlier, so the stack is tested first.
   const MemObject& object_at(std::int64_t addr) const {
+    const bool in_stack = static_cast<std::uint64_t>(addr) -
+                              static_cast<std::uint64_t>(stack_base) <
+                          static_cast<std::uint64_t>(stack_.size);
+    if (stack_first_ && in_stack) return stack_;
     if (const MemObject* object = find_object(strings_->objects, addr))
       return *object;
     if (const MemObject* object = find_object(anon_, addr)) return *object;
-    if (addr >= stack_.base && addr < stack_.base + stack_.size) return stack_;
+    if (in_stack) return stack_;
     if (const MemObject* object = find_object(heap_, addr)) return *object;
     throw Trap{ExecStatus::trap_oob};
   }
 
   void count_access(RegionKind kind, std::uint64_t n = 1) {
-    if (!config_->collect_features) return;
-    switch (kind) {
-      case RegionKind::heap: features_.mem_heap += n; break;
-      case RegionKind::stack: features_.mem_stack += n; break;
-      case RegionKind::lib: features_.mem_lib += n; break;
-      case RegionKind::anon: features_.mem_anon += n; break;
-    }
+    accesses_[static_cast<std::size_t>(kind)] += n;
   }
 
   /// Records a write at `addr` so the next reset zeroes it.
@@ -303,7 +311,6 @@ class Execution {
 
   struct Frame {
     std::size_t fn = 0;
-    std::int64_t pc = 0;
     std::int64_t saved_sp = 0;
     std::int64_t saved_fp = 0;
     std::int64_t ret_pc = 0;
@@ -317,7 +324,7 @@ class Execution {
     frame.fn = fn;
     frame.regs = regs_.size();
     regs_.resize(regs_.size() + reg_count_, 0);
-    if (config_->collect_features) frame.sites = sites_of(fn);
+    frame.sites = sites_of(fn);
     frames_.push_back(frame);
     return frames_.back();
   }
@@ -325,8 +332,6 @@ class Execution {
   void setup_entry(std::size_t function_index, const CallEnv& env) {
     if (function_index >= library_->functions.size())
       throw Trap{ExecStatus::trap_type};
-    sp_ = stack_base + config_->stack_size;
-    fp_ = sp_;
     std::int64_t args[4] = {};
     for (std::size_t i = 0; i < env.args.size() && i < 4; ++i)
       args[i] = arg_value(env.args[i]);
@@ -360,18 +365,6 @@ class Execution {
     throw Trap{ExecStatus::trap_type};
   }
 
-  std::int64_t read_reg(const Frame& frame, std::uint8_t index) {
-    if (index == reg::sp) return sp_;
-    if (index == reg::fp) return fp_;
-    if (index >= reg_count_) throw Trap{ExecStatus::trap_type};
-    return regs_[frame.regs + index];
-  }
-
-  void write_reg(const Frame& frame, std::uint8_t index, std::int64_t value) {
-    if (index >= reg_count_) throw Trap{ExecStatus::trap_type};
-    regs_[frame.regs + index] = value;
-  }
-
   // --- feature bookkeeping ----------------------------------------------------
 
   /// Offset of `fn`'s per-site hit counters, allocated (zeroed) on first use
@@ -386,63 +379,72 @@ class Execution {
     return site_offset_[fn] - 1;
   }
 
-  void observe(const Frame& frame, const Instruction& inst) {
-    ++steps_;
-    if (steps_ > config_->step_limit) throw Trap{ExecStatus::trap_step_limit};
-    if (!config_->collect_features) return;
-
-    DynamicFeatures& f = features_;
-    ++f.instructions;
-
-    // One hit counter per site. A site holds exactly one opcode, so its
-    // count is also that site's branch or arithmetic frequency.
-    const std::uint64_t hits =
-        ++site_hits_[frame.sites + static_cast<std::size_t>(frame.pc)];
-    if (hits == 1) ++f.unique_instructions;
-
-    // Stack depth sample: the paper's traces bottom out at 2 (debugger +
-    // target frame), which our single entry frame reproduces as frames+1.
-    // Integer sums, converted once in finalize_features. At the default
-    // limits (depth <= 66, 2^20 steps) both stay below 2^53, where a running
-    // double sum is exact too, so the features are the same bits.
+  /// Adds `steps` depth samples of `depth`, the counted instructions of
+  /// one frame segment. Depth changes only at a call, a return or the end
+  /// of the run, so the segments cover every counted instruction. The
+  /// paper's traces bottom out at 2 (debugger + target frame), which our
+  /// single entry frame reproduces as frames+1.
+  void add_depth_segment(std::uint64_t steps) {
+    if (steps == 0) return;
     const std::uint64_t depth = frames_.size() + 1;
     depth_min_ = std::min(depth_min_, depth);
     depth_max_ = std::max(depth_max_, depth);
-    depth_sum_ += depth;
-    depth_sq_sum_ += depth * depth;
-
-    const Opcode op = inst.op;
-    const std::uint8_t classes = op_classes[static_cast<std::uint8_t>(op)];
-    if (classes & op_arith) {
-      ++f.arith_instructions;
-      f.max_arith_frequency = std::max(f.max_arith_frequency, hits);
-    }
-    if (classes & op_branch) {
-      ++f.branch_instructions;
-      f.max_branch_frequency = std::max(f.max_branch_frequency, hits);
-    }
-    if (classes & op_load) ++f.load_instructions;
-    if (classes & op_store) ++f.store_instructions;
-    if ((classes & op_call) || op == Opcode::libcall || op == Opcode::syscall)
-      ++f.call_instructions;
-    if (classes & op_call) ++f.binary_fun_calls;
-    if (op == Opcode::libcall) ++f.library_calls;
-    if (op == Opcode::syscall) ++f.syscalls;
+    depth_sum_ += steps * depth;
+    depth_sq_sum_ += steps * depth * depth;
   }
 
-  void finalize_features() {
-    // One depth sample per counted instruction.
-    const std::uint64_t samples = features_.instructions;
-    if (samples == 0) return;
-    features_.min_stack_depth = static_cast<double>(depth_min_);
-    features_.max_stack_depth = static_cast<double>(depth_max_);
+  /// Derives the Table II counters from the per-site hits. A site holds
+  /// exactly one opcode, so its hits count that opcode's classes, and a
+  /// site's count is its branch or arithmetic frequency. Costs one pass
+  /// over the code of the functions this run executed.
+  DynamicFeatures finalize_features() const {
+    DynamicFeatures f;
+    for (const std::size_t fn : executed_) {
+      const std::vector<Instruction>& code = library_->functions[fn].code;
+      const std::uint64_t* hits = site_hits_.data() + site_offset_[fn] - 1;
+      for (std::size_t pc = 0; pc < code.size(); ++pc) {
+        const std::uint64_t h = hits[pc];
+        if (h == 0) continue;
+        ++f.unique_instructions;
+        f.instructions += h;
+        const std::uint8_t classes =
+            op_classes[static_cast<std::uint8_t>(code[pc].op)];
+        if (classes & op_arith) {
+          f.arith_instructions += h;
+          f.max_arith_frequency = std::max(f.max_arith_frequency, h);
+        }
+        if (classes & op_branch) {
+          f.branch_instructions += h;
+          f.max_branch_frequency = std::max(f.max_branch_frequency, h);
+        }
+        if (classes & op_load) f.load_instructions += h;
+        if (classes & op_store) f.store_instructions += h;
+        if (classes & op_call) f.binary_fun_calls += h;
+        if (classes & op_libcall) f.library_calls += h;
+        if (classes & op_syscall) f.syscalls += h;
+      }
+    }
+    f.call_instructions = f.binary_fun_calls + f.library_calls + f.syscalls;
+    f.mem_lib = accesses_[static_cast<std::size_t>(RegionKind::lib)];
+    f.mem_anon = accesses_[static_cast<std::size_t>(RegionKind::anon)];
+    f.mem_heap = accesses_[static_cast<std::size_t>(RegionKind::heap)];
+    f.mem_stack = accesses_[static_cast<std::size_t>(RegionKind::stack)];
+
+    // One depth sample per counted instruction. Integer sums, converted
+    // once here. At the default limits (depth <= 66, 2^20 steps) both stay
+    // below 2^53, where a running double sum is exact too.
+    const std::uint64_t samples = f.instructions;
+    if (samples == 0) return f;
+    f.min_stack_depth = static_cast<double>(depth_min_);
+    f.max_stack_depth = static_cast<double>(depth_max_);
     const double mean =
         static_cast<double>(depth_sum_) / static_cast<double>(samples);
-    features_.avg_stack_depth = mean;
+    f.avg_stack_depth = mean;
     const double var =
         static_cast<double>(depth_sq_sum_) / static_cast<double>(samples) -
         mean * mean;
-    features_.std_stack_depth = var > 0.0 ? std::sqrt(var) : 0.0;
+    f.std_stack_depth = var > 0.0 ? std::sqrt(var) : 0.0;
+    return f;
   }
 
   // --- runtime library ----------------------------------------------------------
@@ -468,8 +470,8 @@ class Execution {
       write_byte(dst + i, staging_[static_cast<std::size_t>(i)]);
   }
 
-  std::int64_t run_libcall(const Frame& frame, LibFn fn) {
-    auto arg = [&](std::size_t i) { return regs_[frame.regs + i]; };
+  std::int64_t run_libcall(const std::int64_t* regs, LibFn fn) {
+    auto arg = [&](std::size_t i) { return regs[i]; };
     auto farg = [&](std::size_t i) { return std::bit_cast<double>(arg(i)); };
     auto fret = [](double v) { return std::bit_cast<std::int64_t>(v); };
     switch (fn) {
@@ -564,251 +566,277 @@ class Execution {
 
   // --- main loop --------------------------------------------------------------
 
+  /// Runs the entry frame to its return. The current frame's code, site
+  /// counters, registers and pc live in locals that only a call or a return
+  /// refreshes. A trap closes the open depth segment on its way out.
   std::int64_t execute() {
-    while (true) {
-      Frame& frame = frames_.back();
-      const auto& code = library_->functions[frame.fn].code;
-      if (frame.pc < 0 ||
-          frame.pc >= static_cast<std::int64_t>(code.size()))
-        throw Trap{ExecStatus::trap_type};  // fell past the function end
-      const Instruction inst = code[static_cast<std::size_t>(frame.pc)];
-      observe(frame, inst);
+    const std::uint64_t step_limit = config_->step_limit;
+    const int max_call_depth = config_->max_call_depth;
+    const std::size_t reg_count = reg_count_;
+    std::int64_t sp = stack_base + config_->stack_size;
+    std::int64_t fp = sp;
+    std::uint64_t steps = 0;          // counted instructions
+    std::uint64_t segment_start = 0;  // `steps` when the depth last changed
+    const auto close_segment = [&] {
+      add_depth_segment(steps - segment_start);
+      segment_start = steps;
+    };
 
-      std::int64_t next_pc = frame.pc + 1;
-      switch (inst.op) {
-        case Opcode::nop:
-          break;
-        case Opcode::mov:
-          write_reg(frame, inst.dst, read_reg(frame, inst.src1));
-          break;
-        case Opcode::ldi:
-          write_reg(frame, inst.dst, inst.imm);
-          break;
-        case Opcode::ldstr: {
-          const auto sid = static_cast<std::size_t>(inst.imm);
-          if (sid >= strings_->objects.size())
-            throw Trap{ExecStatus::trap_type};
-          write_reg(frame, inst.dst, strings_->objects[sid].base);
-          break;
-        }
-        case Opcode::load:
-          write_reg(frame, inst.dst,
-                    read_word(read_reg(frame, inst.src1) + inst.imm));
-          break;
-        case Opcode::loadb:
-          write_reg(frame, inst.dst,
-                    read_byte(read_reg(frame, inst.src1) + inst.imm));
-          break;
-        case Opcode::store:
-          write_word(read_reg(frame, inst.src1) + inst.imm,
-                     read_reg(frame, inst.src2));
-          break;
-        case Opcode::storeb:
-          write_byte(read_reg(frame, inst.src1) + inst.imm,
-                     static_cast<std::uint8_t>(
-                         read_reg(frame, inst.src2) & 0xff));
-          break;
-        case Opcode::push:
-          sp_ -= 8;
-          write_word(sp_, read_reg(frame, inst.src1));
-          break;
-        case Opcode::pop:
-          write_reg(frame, inst.dst, read_word(sp_));
-          sp_ += 8;
-          break;
-        case Opcode::add:
-          write_reg(frame, inst.dst,
-                    rt::wrap_add(read_reg(frame, inst.src1),
-                                 read_reg(frame, inst.src2)));
-          break;
-        case Opcode::sub:
-          write_reg(frame, inst.dst,
-                    rt::wrap_sub(read_reg(frame, inst.src1),
-                                 read_reg(frame, inst.src2)));
-          break;
-        case Opcode::mul:
-          write_reg(frame, inst.dst,
-                    rt::wrap_mul(read_reg(frame, inst.src1),
-                                 read_reg(frame, inst.src2)));
-          break;
-        case Opcode::divi: {
-          const std::int64_t a = read_reg(frame, inst.src1);
-          const std::int64_t b = read_reg(frame, inst.src2);
-          if (b == 0) throw Trap{ExecStatus::trap_div_zero};
-          if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
-            write_reg(frame, inst.dst, a);
-          else
-            write_reg(frame, inst.dst, a / b);
-          break;
-        }
-        case Opcode::modi: {
-          const std::int64_t a = read_reg(frame, inst.src1);
-          const std::int64_t b = read_reg(frame, inst.src2);
-          if (b == 0) throw Trap{ExecStatus::trap_div_zero};
-          if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
-            write_reg(frame, inst.dst, 0);
-          else
-            write_reg(frame, inst.dst, a % b);
-          break;
-        }
-        case Opcode::neg:
-          write_reg(frame, inst.dst,
-                    rt::wrap_sub(0, read_reg(frame, inst.src1)));
-          break;
-        case Opcode::andi:
-          write_reg(frame, inst.dst, read_reg(frame, inst.src1) &
-                                         read_reg(frame, inst.src2));
-          break;
-        case Opcode::ori:
-          write_reg(frame, inst.dst, read_reg(frame, inst.src1) |
-                                         read_reg(frame, inst.src2));
-          break;
-        case Opcode::xori:
-          write_reg(frame, inst.dst, read_reg(frame, inst.src1) ^
-                                         read_reg(frame, inst.src2));
-          break;
-        case Opcode::shl:
-          write_reg(frame, inst.dst,
-                    rt::wrap_shl(read_reg(frame, inst.src1),
-                                 read_reg(frame, inst.src2)));
-          break;
-        case Opcode::shr:
-          write_reg(frame, inst.dst,
-                    rt::wrap_shr(read_reg(frame, inst.src1),
-                                 read_reg(frame, inst.src2)));
-          break;
-        case Opcode::cmp: {
-          const std::int64_t a = read_reg(frame, inst.src1);
-          const std::int64_t b = read_reg(frame, inst.src2);
-          std::int64_t c;
-          if (inst.imm != 0) {  // fp-compare flag (see lower.cpp)
-            const double fa = std::bit_cast<double>(a);
-            const double fb = std::bit_cast<double>(b);
-            c = fa < fb ? -1 : (fa > fb ? 1 : 0);
-          } else {
-            c = a < b ? -1 : (a > b ? 1 : 0);
+    const FunctionBinary* function = nullptr;
+    const Instruction* code = nullptr;
+    std::uint64_t code_size = 0;
+    std::uint64_t* hits = nullptr;
+    std::int64_t* regs = nullptr;
+    std::int64_t pc = 0;
+    const auto enter_top_frame = [&] {
+      const Frame& frame = frames_.back();
+      function = &library_->functions[frame.fn];
+      code = function->code.data();
+      code_size = function->code.size();
+      hits = site_hits_.data() + frame.sites;
+      regs = regs_.data() + frame.regs;
+    };
+    const auto rd = [&](std::uint8_t index) -> std::int64_t {
+      if (index < reg_count) return regs[index];
+      if (index == reg::sp) return sp;
+      if (index == reg::fp) return fp;
+      throw Trap{ExecStatus::trap_type};
+    };
+    const auto wr = [&](std::uint8_t index, std::int64_t value) {
+      if (index >= reg_count) throw Trap{ExecStatus::trap_type};
+      regs[index] = value;
+    };
+
+    enter_top_frame();
+    try {
+      while (true) {
+        if (static_cast<std::uint64_t>(pc) >= code_size)
+          throw Trap{ExecStatus::trap_type};  // fell past the function end
+        if (steps == step_limit) break;      // this step is not counted
+        ++steps;
+        ++hits[pc];
+        const Instruction& inst = code[pc];
+        ++pc;
+
+        switch (inst.op) {
+          case Opcode::nop:
+            break;
+          case Opcode::mov:
+            wr(inst.dst, rd(inst.src1));
+            break;
+          case Opcode::ldi:
+            wr(inst.dst, inst.imm);
+            break;
+          case Opcode::ldstr: {
+            const auto sid = static_cast<std::size_t>(inst.imm);
+            if (sid >= strings_->objects.size())
+              throw Trap{ExecStatus::trap_type};
+            wr(inst.dst, strings_->objects[sid].base);
+            break;
           }
-          write_reg(frame, inst.dst, c);
-          break;
-        }
-        case Opcode::fadd:
-        case Opcode::fsub:
-        case Opcode::fmul:
-        case Opcode::fdiv: {
-          const double a =
-              std::bit_cast<double>(read_reg(frame, inst.src1));
-          const double b =
-              std::bit_cast<double>(read_reg(frame, inst.src2));
-          double r = 0.0;
-          switch (inst.op) {
-            case Opcode::fadd: r = a + b; break;
-            case Opcode::fsub: r = a - b; break;
-            case Opcode::fmul: r = a * b; break;
-            case Opcode::fdiv: r = b == 0.0 ? 0.0 : a / b; break;
-            default: break;
+          case Opcode::load:
+            wr(inst.dst, read_word(rd(inst.src1) + inst.imm));
+            break;
+          case Opcode::loadb:
+            wr(inst.dst, read_byte(rd(inst.src1) + inst.imm));
+            break;
+          case Opcode::store:
+            write_word(rd(inst.src1) + inst.imm, rd(inst.src2));
+            break;
+          case Opcode::storeb:
+            write_byte(rd(inst.src1) + inst.imm,
+                       static_cast<std::uint8_t>(rd(inst.src2) & 0xff));
+            break;
+          case Opcode::push:
+            sp -= 8;
+            write_word(sp, rd(inst.src1));
+            break;
+          case Opcode::pop:
+            wr(inst.dst, read_word(sp));
+            sp += 8;
+            break;
+          case Opcode::add:
+            wr(inst.dst, rt::wrap_add(rd(inst.src1), rd(inst.src2)));
+            break;
+          case Opcode::sub:
+            wr(inst.dst, rt::wrap_sub(rd(inst.src1), rd(inst.src2)));
+            break;
+          case Opcode::mul:
+            wr(inst.dst, rt::wrap_mul(rd(inst.src1), rd(inst.src2)));
+            break;
+          case Opcode::divi: {
+            const std::int64_t a = rd(inst.src1);
+            const std::int64_t b = rd(inst.src2);
+            if (b == 0) throw Trap{ExecStatus::trap_div_zero};
+            if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
+              wr(inst.dst, a);
+            else
+              wr(inst.dst, a / b);
+            break;
           }
-          write_reg(frame, inst.dst, std::bit_cast<std::int64_t>(r));
-          break;
-        }
-        case Opcode::fneg:
-          write_reg(frame, inst.dst,
-                    std::bit_cast<std::int64_t>(-std::bit_cast<double>(
-                        read_reg(frame, inst.src1))));
-          break;
-        case Opcode::cvtif:
-          write_reg(frame, inst.dst,
-                    std::bit_cast<std::int64_t>(static_cast<double>(
-                        read_reg(frame, inst.src1))));
-          break;
-        case Opcode::cvtfi: {
-          const double v =
-              std::bit_cast<double>(read_reg(frame, inst.src1));
-          std::int64_t r = 0;
-          if (v >= -9.0e18 && v <= 9.0e18) r = static_cast<std::int64_t>(v);
-          write_reg(frame, inst.dst, r);
-          break;
-        }
-        case Opcode::jmp:
-          next_pc = inst.target;
-          break;
-        case Opcode::beq: case Opcode::bne: case Opcode::blt:
-        case Opcode::bge: case Opcode::bgt: case Opcode::ble: {
-          const std::int64_t c = read_reg(frame, inst.src1);
-          bool taken = false;
-          switch (inst.op) {
-            case Opcode::beq: taken = c == 0; break;
-            case Opcode::bne: taken = c != 0; break;
-            case Opcode::blt: taken = c < 0; break;
-            case Opcode::bge: taken = c >= 0; break;
-            case Opcode::bgt: taken = c > 0; break;
-            case Opcode::ble: taken = c <= 0; break;
-            default: break;
+          case Opcode::modi: {
+            const std::int64_t a = rd(inst.src1);
+            const std::int64_t b = rd(inst.src2);
+            if (b == 0) throw Trap{ExecStatus::trap_div_zero};
+            if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
+              wr(inst.dst, 0);
+            else
+              wr(inst.dst, a % b);
+            break;
           }
-          if (taken) next_pc = inst.target;
-          break;
-        }
-        case Opcode::jmpi: {
-          const auto& fn = library_->functions[frame.fn];
-          const auto table_id = static_cast<std::size_t>(inst.imm);
-          if (table_id >= fn.jump_tables.size())
-            throw Trap{ExecStatus::trap_type};
-          const auto& table = fn.jump_tables[table_id];
-          const std::int64_t idx = read_reg(frame, inst.src1);
-          if (idx < 0 || idx >= static_cast<std::int64_t>(table.size()))
-            throw Trap{ExecStatus::trap_type};
-          next_pc = table[static_cast<std::size_t>(idx)];
-          break;
-        }
-        case Opcode::frame:
-          sp_ -= inst.imm;
-          fp_ = sp_;
-          break;
-        case Opcode::call:
-        case Opcode::callr: {
-          const std::int64_t callee =
-              inst.op == Opcode::call ? inst.imm
-                                      : read_reg(frame, inst.src1);
-          if (callee < 0 ||
-              callee >= static_cast<std::int64_t>(
-                            library_->functions.size()))
-            throw Trap{ExecStatus::trap_type};
-          if (static_cast<int>(frames_.size()) > config_->max_call_depth)
-            throw Trap{ExecStatus::trap_step_limit};
-          const std::size_t caller_regs = frame.regs;
-          const std::int64_t ret_pc = frame.pc + 1;
-          Frame& callee_frame = push_frame(static_cast<std::size_t>(callee));
-          callee_frame.saved_sp = sp_;
-          callee_frame.saved_fp = fp_;
-          callee_frame.ret_pc = ret_pc;
-          std::copy_n(regs_.begin() + static_cast<std::ptrdiff_t>(caller_regs),
-                      4,
-                      regs_.begin() +
-                          static_cast<std::ptrdiff_t>(callee_frame.regs));
-          continue;  // frame reference invalidated; restart the loop
-        }
-        case Opcode::libcall:
-          write_reg(frame, 0,
-                    run_libcall(frame, static_cast<LibFn>(inst.imm)));
-          break;
-        case Opcode::syscall:
-          write_reg(frame, 0, run_syscall(static_cast<Sys>(inst.imm)));
-          break;
-        case Opcode::ret: {
-          const std::int64_t value = regs_[frame.regs];
-          if (frames_.size() == 1) return value;
-          sp_ = frame.saved_sp;
-          fp_ = frame.saved_fp;
-          const std::int64_t resume = frame.ret_pc;
-          regs_.resize(frame.regs);
-          frames_.pop_back();
-          Frame& caller = frames_.back();
-          regs_[caller.regs] = value;
-          caller.pc = resume;
-          continue;
+          case Opcode::neg:
+            wr(inst.dst, rt::wrap_sub(0, rd(inst.src1)));
+            break;
+          case Opcode::andi:
+            wr(inst.dst, rd(inst.src1) & rd(inst.src2));
+            break;
+          case Opcode::ori:
+            wr(inst.dst, rd(inst.src1) | rd(inst.src2));
+            break;
+          case Opcode::xori:
+            wr(inst.dst, rd(inst.src1) ^ rd(inst.src2));
+            break;
+          case Opcode::shl:
+            wr(inst.dst, rt::wrap_shl(rd(inst.src1), rd(inst.src2)));
+            break;
+          case Opcode::shr:
+            wr(inst.dst, rt::wrap_shr(rd(inst.src1), rd(inst.src2)));
+            break;
+          case Opcode::cmp: {
+            const std::int64_t a = rd(inst.src1);
+            const std::int64_t b = rd(inst.src2);
+            std::int64_t c;
+            if (inst.imm != 0) {  // fp-compare flag (see lower.cpp)
+              const double fa = std::bit_cast<double>(a);
+              const double fb = std::bit_cast<double>(b);
+              c = fa < fb ? -1 : (fa > fb ? 1 : 0);
+            } else {
+              c = a < b ? -1 : (a > b ? 1 : 0);
+            }
+            wr(inst.dst, c);
+            break;
+          }
+          case Opcode::fadd:
+          case Opcode::fsub:
+          case Opcode::fmul:
+          case Opcode::fdiv: {
+            const double a = std::bit_cast<double>(rd(inst.src1));
+            const double b = std::bit_cast<double>(rd(inst.src2));
+            double r = 0.0;
+            switch (inst.op) {
+              case Opcode::fadd: r = a + b; break;
+              case Opcode::fsub: r = a - b; break;
+              case Opcode::fmul: r = a * b; break;
+              case Opcode::fdiv: r = b == 0.0 ? 0.0 : a / b; break;
+              default: break;
+            }
+            wr(inst.dst, std::bit_cast<std::int64_t>(r));
+            break;
+          }
+          case Opcode::fneg:
+            wr(inst.dst, std::bit_cast<std::int64_t>(
+                             -std::bit_cast<double>(rd(inst.src1))));
+            break;
+          case Opcode::cvtif:
+            wr(inst.dst, std::bit_cast<std::int64_t>(
+                             static_cast<double>(rd(inst.src1))));
+            break;
+          case Opcode::cvtfi: {
+            const double v = std::bit_cast<double>(rd(inst.src1));
+            std::int64_t r = 0;
+            if (v >= -9.0e18 && v <= 9.0e18) r = static_cast<std::int64_t>(v);
+            wr(inst.dst, r);
+            break;
+          }
+          case Opcode::jmp:
+            pc = inst.target;
+            break;
+          case Opcode::beq: case Opcode::bne: case Opcode::blt:
+          case Opcode::bge: case Opcode::bgt: case Opcode::ble: {
+            const std::int64_t c = rd(inst.src1);
+            bool taken = false;
+            switch (inst.op) {
+              case Opcode::beq: taken = c == 0; break;
+              case Opcode::bne: taken = c != 0; break;
+              case Opcode::blt: taken = c < 0; break;
+              case Opcode::bge: taken = c >= 0; break;
+              case Opcode::bgt: taken = c > 0; break;
+              case Opcode::ble: taken = c <= 0; break;
+              default: break;
+            }
+            if (taken) pc = inst.target;
+            break;
+          }
+          case Opcode::jmpi: {
+            const auto table_id = static_cast<std::size_t>(inst.imm);
+            if (table_id >= function->jump_tables.size())
+              throw Trap{ExecStatus::trap_type};
+            const auto& table = function->jump_tables[table_id];
+            const std::int64_t idx = rd(inst.src1);
+            if (idx < 0 || idx >= static_cast<std::int64_t>(table.size()))
+              throw Trap{ExecStatus::trap_type};
+            pc = table[static_cast<std::size_t>(idx)];
+            break;
+          }
+          case Opcode::frame:
+            sp -= inst.imm;
+            fp = sp;
+            break;
+          case Opcode::call:
+          case Opcode::callr: {
+            const std::int64_t callee =
+                inst.op == Opcode::call ? inst.imm : rd(inst.src1);
+            if (callee < 0 ||
+                callee >= static_cast<std::int64_t>(
+                              library_->functions.size()))
+              throw Trap{ExecStatus::trap_type};
+            if (static_cast<int>(frames_.size()) > max_call_depth)
+              throw Trap{ExecStatus::trap_step_limit};
+            close_segment();
+            const std::size_t caller_regs = frames_.back().regs;
+            Frame& callee_frame = push_frame(static_cast<std::size_t>(callee));
+            callee_frame.saved_sp = sp;
+            callee_frame.saved_fp = fp;
+            callee_frame.ret_pc = pc;
+            std::copy_n(regs_.data() + caller_regs, 4,
+                        regs_.data() + callee_frame.regs);
+            enter_top_frame();
+            pc = 0;
+            break;
+          }
+          case Opcode::libcall:
+            regs[0] = run_libcall(regs, static_cast<LibFn>(inst.imm));
+            break;
+          case Opcode::syscall:
+            regs[0] = run_syscall(static_cast<Sys>(inst.imm));
+            break;
+          case Opcode::ret: {
+            const std::int64_t value = regs[0];
+            close_segment();
+            if (frames_.size() == 1) {
+              steps_ = steps;
+              return value;
+            }
+            const Frame& frame = frames_.back();
+            sp = frame.saved_sp;
+            fp = frame.saved_fp;
+            pc = frame.ret_pc;
+            regs_.resize(frame.regs);
+            frames_.pop_back();
+            enter_top_frame();
+            regs[0] = value;
+            break;
+          }
         }
       }
-      frame.pc = next_pc;
+    } catch (const Trap&) {
+      close_segment();
+      steps_ = steps;
+      throw;
     }
+    close_segment();
+    steps_ = steps + 1;  // the step that overran the limit
+    throw Trap{ExecStatus::trap_step_limit};
   }
 
   const LibraryBinary* library_ = nullptr;
@@ -826,18 +854,17 @@ class Execution {
   std::vector<MemObject> heap_;
   std::int64_t heap_cursor_ = heap_base;
   std::vector<std::uint8_t> staging_;  ///< mem_copy's read-before-write copy
+  bool stack_first_ = false;  ///< no string or buffer reaches the stack
 
   // Call stack: frame registers are concatenated in regs_.
   std::vector<Frame> frames_;
   std::vector<std::int64_t> regs_;
   std::size_t reg_count_ = 0;
-  std::int64_t sp_ = 0;
-  std::int64_t fp_ = 0;
 
   // Features. site_offset_[fn] is 1 + the offset of fn's counters in
   // site_hits_, or 0 when fn has not executed in this run.
   std::uint64_t steps_ = 0;
-  DynamicFeatures features_;
+  std::array<std::uint64_t, 4> accesses_{};  ///< by RegionKind
   std::vector<std::uint64_t> site_hits_;
   std::vector<std::size_t> site_offset_;
   std::vector<std::size_t> executed_;  ///< functions with site counters

@@ -36,9 +36,6 @@ struct MachineConfig {
   std::uint64_t step_limit = 1u << 20;
   std::int64_t stack_size = 1 << 16;
   int max_call_depth = 64;
-  /// When false, skips the per-instruction feature bookkeeping (used by the
-  /// throughput benchmarks to isolate interpreter cost).
-  bool collect_features = true;
 };
 
 struct RunResult {

@@ -258,6 +258,24 @@ TEST(Decision, ParseRejectsNonDecisionAndMalformedLines) {
                    .has_value());
 }
 
+TEST(Decision, UnreadableDecisionLinesAreStillDecisionLines) {
+  // `explain` counts the lines that are decisions but do not parse (another
+  // format version), so an operator can tell them from a wrong CVE id.
+  // A stage in the removed `verify` prefilter mode.
+  const std::string old_format =
+      R"({"type":"decision","cve":"CVE-1","from_vulnerable":{"prefilter":2}})";
+  EXPECT_FALSE(obs::parse_decision_line(old_format).has_value());
+  EXPECT_TRUE(obs::is_decision_line(old_format));
+  EXPECT_TRUE(obs::is_decision_line(
+      obs::decision_jsonl_line(obs::DecisionRecord{})));
+  EXPECT_FALSE(obs::is_decision_line(""));
+  EXPECT_FALSE(obs::is_decision_line("not json"));
+  EXPECT_FALSE(obs::is_decision_line(
+      "{\"type\":\"meta\",\"format\":\"patchecko-provenance\"}"));
+  EXPECT_FALSE(obs::is_decision_line(
+      "{\"type\":\"event\",\"name\":\"pipeline.stage1\"}"));
+}
+
 TEST(Decision, ParseRejectsAStageOfAnUnknownPrefilterMode) {
   // A decision line as a scan in the removed `verify` prefilter mode wrote
   // it (`"prefilter":2`). Its `prefiltered` candidates never reached stage

@@ -2,6 +2,8 @@
 // and exact dynamic-feature accounting on hand-assembled code.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -381,16 +383,142 @@ TEST(VmFeatures, NestedCallRaisesDepth) {
   EXPECT_DOUBLE_EQ(r.features.max_stack_depth, 3.0);
 }
 
-TEST(VmFeatures, DisablingCollectionZeroesCounters) {
-  const auto lib = asm_lib({I(Opcode::ldi, 0, reg::none, reg::none, 1),
-                            I(Opcode::ret)});
-  MachineConfig config;
-  config.collect_features = false;
-  const Machine machine(lib, config);
-  CallEnv env;
-  const RunResult r = machine.run(0, env);
-  ASSERT_EQ(r.status, ExecStatus::ok);
-  EXPECT_EQ(r.features.instructions, 0u);
+// Sets the stack-depth features from hand-counted samples: `count`
+// executed instructions at each `depth`.
+void set_depths(DynamicFeatures& f,
+                std::initializer_list<std::pair<int, int>> depth_counts) {
+  double n = 0.0, sum = 0.0, squares = 0.0;
+  f.min_stack_depth = 1e9;
+  for (const auto& [depth, count] : depth_counts) {
+    n += count;
+    sum += double{1} * depth * count;
+    squares += double{1} * depth * depth * count;
+    f.min_stack_depth = std::min(f.min_stack_depth, double{1} * depth);
+    f.max_stack_depth = std::max(f.max_stack_depth, double{1} * depth);
+  }
+  f.avg_stack_depth = sum / n;
+  const double var = squares / n - f.avg_stack_depth * f.avg_stack_depth;
+  f.std_stack_depth = var > 0.0 ? std::sqrt(var) : 0.0;
+}
+
+void expect_features(const DynamicFeatures& got, const DynamicFeatures& want,
+                     const std::string& what) {
+  const auto g = got.to_array();
+  const auto w = want.to_array();
+  for (std::size_t i = 0; i < DynamicFeatures::count; ++i)
+    EXPECT_EQ(g[i], w[i]) << what << ": " << DynamicFeatures::name(i);
+}
+
+TEST(VmFeatures, TrapMidSegmentKeepsTableIICounters) {
+  // Each program traps inside a callee with instructions of the current
+  // depth already counted, so the open depth segment and every class
+  // counter must include them.
+  LibraryBinary lib = asm_lib({});
+  lib.functions.clear();
+  const auto fn = [&](std::vector<Instruction> code) {
+    FunctionBinary f;
+    f.arch = lib.arch;
+    f.code = std::move(code);
+    lib.functions.push_back(std::move(f));
+  };
+  const auto call = [](std::int64_t callee) {
+    return I(Opcode::call, reg::none, reg::none, reg::none, callee);
+  };
+  const auto ldi = [](std::uint8_t dst, std::int64_t v) {
+    return I(Opcode::ldi, dst, reg::none, reg::none, v);
+  };
+  // 0-1: step limit in a callee's loop.
+  fn({ldi(1, 3), I(Opcode::push, reg::none, 1), call(1), I(Opcode::ret)});
+  fn({I(Opcode::add, 0, 0, 1), I(Opcode::cmp, 2, 0, 1),
+      I(Opcode::jmp, reg::none, reg::none, reg::none, 0, 0)});
+  // 2-3: call depth overflow in a recursive callee.
+  fn({ldi(1, 1), call(3), I(Opcode::ret)});
+  fn({I(Opcode::add, 0, 0, 1), call(3), I(Opcode::ret)});
+  // 4-5: out-of-bounds word load from a 4-byte buffer in a callee.
+  fn({ldi(1, 8), call(5), I(Opcode::ret)});
+  fn({I(Opcode::loadb, 2, 0, reg::none, 0),
+      I(Opcode::storeb, reg::none, 0, 1, 1), I(Opcode::push, reg::none, 1),
+      I(Opcode::load, 3, 0, reg::none, 0), I(Opcode::ret)});
+  // 6-8: a callee divides by zero after its own callee returned.
+  fn({ldi(1, 4), call(7), I(Opcode::ret)});
+  fn({I(Opcode::mul, 0, 1, 1), call(8), ldi(1, 0), I(Opcode::divi, 2, 0, 1),
+      I(Opcode::ret)});
+  fn({ldi(0, 2),
+      I(Opcode::syscall, reg::none, reg::none, reg::none,
+        static_cast<std::int64_t>(Sys::sys_getpid)),
+      I(Opcode::libcall, reg::none, reg::none, reg::none,
+        static_cast<std::int64_t>(LibFn::abs64)),
+      I(Opcode::ret)});
+
+  {
+    MachineConfig config;
+    config.step_limit = 11;
+    const RunResult r = Machine(lib, config).run(0, CallEnv{});
+    EXPECT_EQ(r.status, ExecStatus::trap_step_limit);
+    EXPECT_EQ(r.steps, 12u);  // the overrunning step, not counted below
+    DynamicFeatures f;
+    f.instructions = config.step_limit;  // 3 + add,cmp,jmp,add,cmp,jmp,add,cmp
+    f.unique_instructions = 6;
+    f.arith_instructions = 6;
+    f.max_arith_frequency = 3;
+    f.branch_instructions = 2;
+    f.max_branch_frequency = 2;
+    f.store_instructions = 1;
+    f.binary_fun_calls = f.call_instructions = 1;
+    f.mem_stack = 1;
+    set_depths(f, {{2, 3}, {3, 8}});
+    expect_features(r.features, f, "step limit");
+  }
+  {
+    MachineConfig config;
+    config.max_call_depth = 2;
+    const RunResult r = Machine(lib, config).run(2, CallEnv{});
+    EXPECT_EQ(r.status, ExecStatus::trap_step_limit);
+    EXPECT_EQ(r.steps, 6u);
+    DynamicFeatures f;
+    f.instructions = 6;
+    f.unique_instructions = 4;
+    f.arith_instructions = 2;
+    f.max_arith_frequency = 2;
+    f.binary_fun_calls = f.call_instructions = 3;  // the last one traps
+    set_depths(f, {{2, 2}, {3, 2}, {4, 2}});
+    expect_features(r.features, f, "call depth");
+  }
+  {
+    CallEnv env;
+    env.buffers.push_back({1, 2, 3, 4});
+    env.args.push_back(Value::from_ptr(0));
+    const RunResult r = Machine(lib).run(4, env);
+    EXPECT_EQ(r.status, ExecStatus::trap_oob);
+    EXPECT_EQ(r.steps, 6u);
+    DynamicFeatures f;
+    f.instructions = f.unique_instructions = 6;
+    f.load_instructions = 2;   // the trapping load counts, its access not
+    f.store_instructions = 2;  // storeb + push
+    f.binary_fun_calls = f.call_instructions = 1;
+    f.mem_anon = 2;
+    f.mem_stack = 1;
+    set_depths(f, {{2, 2}, {3, 4}});
+    expect_features(r.features, f, "bad address");
+    EXPECT_EQ(r.buffers_after,
+              (std::vector<std::vector<std::uint8_t>>{{1, 8, 3, 4}}));
+  }
+  {
+    const RunResult r = Machine(lib).run(6, CallEnv{});
+    EXPECT_EQ(r.status, ExecStatus::trap_div_zero);
+    EXPECT_EQ(r.steps, 10u);
+    DynamicFeatures f;
+    f.instructions = f.unique_instructions = 10;
+    f.arith_instructions = 2;  // mul + the trapping divi
+    f.max_arith_frequency = 1;
+    f.binary_fun_calls = 2;
+    f.library_calls = 1;
+    f.syscalls = 1;
+    f.call_instructions = 4;
+    // Depth 3 before and after the depth-4 callee: two segments.
+    set_depths(f, {{2, 2}, {3, 2}, {4, 4}, {3, 2}});
+    expect_features(r.features, f, "div by zero after ret");
+  }
 }
 
 TEST(VmFeatures, DeterministicAcrossRuns) {
@@ -560,10 +688,7 @@ TEST(Vm, ReusedImageMatchesFreshThread) {
 
   MachineConfig big_stack;
   big_stack.stack_size = 1 << 18;
-  MachineConfig no_features;
-  no_features.collect_features = false;
   const Machine big_machine(lib, big_stack);
-  const Machine quiet_machine(lib, no_features);
   CallEnv other_env;
   other_env.buffers.push_back(std::vector<std::uint8_t>(48, 0x33));
   other_env.args = {Value::from_ptr(0), Value::from_int(48),
@@ -581,7 +706,6 @@ TEST(Vm, ReusedImageMatchesFreshThread) {
        }},
       {"small stack", [&] { (void)small_machine.run(scribble, empty); }},
       {"big stack", [&] { (void)big_machine.run(scribble, empty); }},
-      {"no features", [&] { (void)quiet_machine.run(scribble, empty); }},
   };
   for (const auto& [name, dirty] : dirtiers)
     for (std::size_t i = 0; i < pairs.size(); ++i) {

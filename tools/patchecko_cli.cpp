@@ -782,12 +782,16 @@ int cmd_explain(const Args& args) {
   const auto wanted_function = static_cast<std::uint64_t>(function_arg);
 
   std::size_t shown = 0;
+  std::size_t unreadable = 0;
   std::vector<std::string> available;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const auto record = obs::parse_decision_line(line);
-    if (!record) continue;  // meta or event line
+    if (!record) {  // meta or event line, or a decision this build can't read
+      if (obs::is_decision_line(line)) ++unreadable;
+      continue;
+    }
     available.push_back(record->cve_id);
     if (!only_cve.empty() && record->cve_id != only_cve) continue;
     if (by_function &&
@@ -797,6 +801,11 @@ int cmd_explain(const Args& args) {
     std::printf("%s", obs::explain_text(*record).c_str());
     ++shown;
   }
+  if (unreadable != 0)
+    std::fprintf(stderr,
+                 "%zu decision records could not be read (another format "
+                 "version?)\n",
+                 unreadable);
   if (shown != 0) return 0;
   std::fprintf(stderr, "no matching decision record in %s\n", path.c_str());
   if (!available.empty()) {
