@@ -3,7 +3,9 @@
 // least 2x faster and produce a byte-identical canonical report, and a
 // fresh single-job engine served from the same cache directory must agree
 // byte-for-byte with the multi-job cold run (determinism across both job
-// count and cache temperature). Two unit-cost rows price the content digest
+// count and cache temperature). Both warm runs read one entry per CVE and
+// nothing else: they must run the VM 0 times and look up no features.
+// Two unit-cost rows price the content digest
 // under every cache key: bulk bytes (the verified blob read and the library
 // key load_firmware takes from each record it decodes) and digest_library
 // over the Things image (the same key for a library built in memory, which
@@ -16,6 +18,7 @@
 
 #include "engine/engine.h"
 #include "harness.h"
+#include "obs/metrics.h"
 #include "util/parallel.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -84,11 +87,23 @@ int main() {
 
   ScanEngine engine(config);
   const ScanReport cold = engine.run(request);
-  const ScanReport warm = engine.run(request);
+  // A warm run with metrics on, so that vm.runs counts its VM runs.
+  const auto counted_run = [&request](ScanEngine& runner,
+                                      std::uint64_t& vm_runs) {
+    const obs::EnabledScope metrics_on(true);
+    const obs::Counter& runs = obs::Registry::global().counter("vm.runs");
+    const std::uint64_t before = runs.value();
+    ScanReport report = runner.run(request);
+    vm_runs = runs.value() - before;
+    return report;
+  };
+  std::uint64_t warm_vm_runs = 0, replay_vm_runs = 0;
+  const ScanReport warm = counted_run(engine, warm_vm_runs);
 
   EngineConfig sequential = config;
   sequential.jobs = 1;
-  const ScanReport replay = ScanEngine(sequential).run(request);  // disk only
+  ScanEngine fresh(sequential);  // disk only
+  const ScanReport replay = counted_run(fresh, replay_vm_runs);
 
   TextTable table({"run", "jobs", "seconds", "speedup", "cache hits",
                    "cache misses"});
@@ -110,6 +125,15 @@ int main() {
         name, {{"seconds", report.total_seconds},
                {"cache_misses", static_cast<double>(report.cache.misses())}});
   };
+  const auto feature_lookups = [](const ScanReport& report) {
+    return report.cache.feature_hits + report.cache.feature_misses;
+  };
+  const auto warm_row = [&](const char* name, const ScanReport& report,
+                            std::uint64_t runs) {
+    return json_row(name, report)
+        .set("vm_runs", static_cast<double>(runs))
+        .set("feature_lookups", static_cast<double>(feature_lookups(report)));
+  };
   const double ns_per_byte = digest_ns_per_byte();
   const double ns_per_function = digest_ns_per_function(firmware);
   std::printf("digest: %.3f ns/byte (16 MiB), digest_library %.1f "
@@ -117,8 +141,8 @@ int main() {
               ns_per_byte, ns_per_function, firmware.total_functions());
   bool ok = bench::write_bench_json(
       "engine_cache",
-      {json_row("cold", cold), json_row("warm_memory", warm),
-       json_row("replay_disk", replay),
+      {json_row("cold", cold), warm_row("warm_memory", warm, warm_vm_runs),
+       warm_row("replay_disk", replay, replay_vm_runs),
        bench::BenchRow("digest_bytes", {{"ns_per_byte", ns_per_byte}}),
        bench::BenchRow("digest_library",
                        {{"ns_per_function", ns_per_function}})});
@@ -135,6 +159,17 @@ int main() {
                 static_cast<unsigned long long>(warm.cache.misses()));
     ok = false;
   }
+  const auto check_warm = [&](const char* name, const ScanReport& report,
+                              std::uint64_t runs) {
+    if (runs == 0 && feature_lookups(report) == 0) return;
+    std::printf("FAIL: %s run ran the VM %llu times and looked up features "
+                "%llu times (want 0 and 0)\n",
+                name, static_cast<unsigned long long>(runs),
+                static_cast<unsigned long long>(feature_lookups(report)));
+    ok = false;
+  };
+  check_warm("warm", warm, warm_vm_runs);
+  check_warm("jobs=1 disk-served", replay, replay_vm_runs);
   if (warm.total_seconds * 2.0 > cold.total_seconds) {
     std::printf("FAIL: warm run not >= 2x faster (%.3fs vs %.3fs)\n",
                 warm.total_seconds, cold.total_seconds);

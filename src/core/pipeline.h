@@ -92,7 +92,7 @@ struct AnalyzedLibrary {
   std::shared_ptr<const retrieval::FunctionIndex> index;
 
   /// Classes of `features`, built by the first detect that scores every
-  /// function and never cached: an outcome-cache hit needs none, so a warm
+  /// function and never cached: a CVE-entry hit needs none, so a warm
   /// scan pays nothing for them. Safe to call from concurrent detects;
   /// `features` must not change after the first call.
   const FeatureClasses& feature_classes() const {
@@ -182,8 +182,9 @@ struct PatchReport {
   std::optional<std::size_t> matched_function;  ///< top-ranked candidate
   std::optional<PatchDecision> decision;        ///< absent if nothing matched
   /// Differential-pool provenance: every pooled candidate scored against
-  /// both reference profiles, with the chosen one flagged. Recomputed
-  /// deterministically each run (patch jobs are never cached).
+  /// both reference profiles, with the chosen one flagged. Cached with the
+  /// CVE's detection outcomes (engine/cache.h ScanEntry), so a warm scan
+  /// restores it bit for bit.
   std::vector<obs::PatchCandidateRecord> pool;
 };
 

@@ -32,12 +32,14 @@ struct CacheMetrics {
 
 constexpr std::uint8_t kFeatureMagic[4] = {'P', 'K', 'F', 'E'};
 constexpr std::uint8_t kOutcomeMagic[4] = {'P', 'K', 'D', 'O'};
+constexpr std::uint8_t kScanMagic[4] = {'P', 'K', 'S', 'E'};
 // v2: outcome entries carry the decision-provenance StageRecord. v3 adds
 // the retrieval-prefilter fields (outcome + per-candidate + stage record).
 // v4 drops the per-candidate and recall fields of the removed `verify`
-// prefilter mode. Old entries fail the version check and are simply
-// recomputed.
-constexpr std::uint64_t kFormatVersion = 4;
+// prefilter mode. v5 adds the per-CVE scan entry, which the engine writes
+// instead of two per-direction outcome entries. Old entries fail the
+// version check and are simply recomputed.
+constexpr std::uint64_t kFormatVersion = 5;
 
 bool check_magic(Reader& reader, const std::uint8_t (&magic)[4]) {
   std::uint8_t found[4] = {};
@@ -62,6 +64,17 @@ void absorb_profile(Digest& digest, const DynamicProfile& profile) {
 
 void absorb_features(Digest& digest, const StaticFeatureVector& features) {
   for (double value : features) digest.absorb_double(value);
+}
+
+void absorb_signature(Digest& digest, const DiffSignature& signature) {
+  for (int count : signature.libcall_counts) digest.absorb_i64(count);
+  for (std::int64_t value :
+       {std::int64_t{signature.basic_blocks}, std::int64_t{signature.edges},
+        std::int64_t{signature.cyclomatic}, std::int64_t{signature.params},
+        signature.frame_size, std::int64_t{signature.jump_tables},
+        std::int64_t{signature.string_refs},
+        std::int64_t{signature.conditional_branches}})
+    digest.absorb_i64(value);
 }
 
 }  // namespace
@@ -118,6 +131,8 @@ Digest digest_entry(const CveEntry& entry) {
   digest.absorb_u64(entry.target_uid);
   absorb_features(digest, entry.vulnerable_features);
   absorb_features(digest, entry.patched_features);
+  absorb_signature(digest, entry.vulnerable_signature);
+  absorb_signature(digest, entry.patched_signature);
   digest.absorb_u64(entry.environments.size());
   for (const CallEnv& env : entry.environments) {
     digest.absorb_u64(env.args.size());
@@ -141,6 +156,8 @@ Digest digest_entry(const CveEntry& entry) {
     digest.absorb_u64(static_cast<std::uint64_t>(arch));
     absorb_features(digest, refs.vulnerable_features);
     absorb_features(digest, refs.patched_features);
+    absorb_signature(digest, refs.vulnerable_signature);
+    absorb_signature(digest, refs.patched_signature);
     absorb_profile(digest, refs.vulnerable_profile);
     absorb_profile(digest, refs.patched_profile);
   }
@@ -151,15 +168,31 @@ std::string features_cache_key(const Digest& library) {
   return "feat-" + library.hex();
 }
 
-std::string outcome_cache_key(const Digest& library, const Digest& model,
-                              const Digest& config, const Digest& entry,
-                              bool query_is_patched) {
+namespace {
+
+/// The digest both result keys share: every input of one CVE's result.
+Digest result_key(const Digest& library, const Digest& model,
+                  const Digest& config, const Digest& entry) {
   Digest key;
   for (const Digest* part : {&library, &model, &config, &entry}) {
     const Digest::Value value = part->value();
     key.absorb_u64(value.hi);
     key.absorb_u64(value.lo);
   }
+  return key;
+}
+
+}  // namespace
+
+std::string scan_cache_key(const Digest& library, const Digest& model,
+                           const Digest& config, const Digest& entry) {
+  return "cve-" + result_key(library, model, config, entry).hex();
+}
+
+std::string outcome_cache_key(const Digest& library, const Digest& model,
+                              const Digest& config, const Digest& entry,
+                              bool query_is_patched) {
+  Digest key = result_key(library, model, config, entry);
   key.absorb_u64(query_is_patched ? 1 : 0);
   return "det-" + key.hex();
 }
@@ -193,10 +226,11 @@ std::optional<std::vector<StaticFeatureVector>> deserialize_features(
   return features;
 }
 
-std::vector<std::uint8_t> serialize_outcome(const DetectionOutcome& outcome) {
-  std::vector<std::uint8_t> out;
-  append_bytes(out, kOutcomeMagic, sizeof(kOutcomeMagic));
-  append_u64(out, kFormatVersion);
+namespace {
+
+/// An outcome after its magic and version: the body a per-direction entry
+/// holds alone and a scan entry holds twice.
+void append_outcome_body(Bytes& out, const DetectionOutcome& outcome) {
   append_string(out, outcome.cve_id);
   append_u64(out, outcome.query_is_patched ? 1 : 0);
   append_u64(out, outcome.total);
@@ -241,14 +275,10 @@ std::vector<std::uint8_t> serialize_outcome(const DetectionOutcome& outcome) {
     append_double(out, candidate.distance);
     append_i64(out, candidate.rank);
   }
-  return out;
 }
 
-std::optional<DetectionOutcome> deserialize_outcome(
-    const std::vector<std::uint8_t>& bytes) {
-  Reader reader{bytes};
-  if (!check_magic(reader, kOutcomeMagic)) return std::nullopt;
-  DetectionOutcome outcome;
+/// Reads what append_outcome_body wrote; false once any read failed.
+bool read_outcome_body(Reader& reader, DetectionOutcome& outcome) {
   outcome.cve_id = reader.read_string();
   outcome.query_is_patched = reader.read_u64() != 0;
   outcome.total = static_cast<std::size_t>(reader.read_u64());
@@ -257,15 +287,14 @@ std::optional<DetectionOutcome> deserialize_outcome(
   outcome.false_positives = static_cast<int>(reader.read_i64());
   outcome.false_negatives = static_cast<int>(reader.read_i64());
   const std::uint64_t candidate_count = reader.read_u64();
-  if (!reader.fits(candidate_count, sizeof(std::uint64_t)))
-    return std::nullopt;
+  if (!reader.fits(candidate_count, sizeof(std::uint64_t))) return false;
   outcome.candidates.resize(static_cast<std::size_t>(candidate_count));
   for (std::size_t& index : outcome.candidates)
     index = static_cast<std::size_t>(reader.read_u64());
   outcome.dl_seconds = reader.read_double();
   outcome.executed = static_cast<std::size_t>(reader.read_u64());
   const std::uint64_t ranked_count = reader.read_u64();
-  if (!reader.fits(ranked_count, 24)) return std::nullopt;
+  if (!reader.fits(ranked_count, 24)) return false;
   outcome.ranking.resize(static_cast<std::size_t>(ranked_count));
   for (RankedCandidate& ranked : outcome.ranking) {
     ranked.function_index = static_cast<std::size_t>(reader.read_u64());
@@ -286,7 +315,7 @@ std::optional<DetectionOutcome> deserialize_outcome(
   provenance.prefilter = static_cast<std::uint8_t>(reader.read_u64());
   provenance.prefilter_shortlist = reader.read_u64();
   const std::uint64_t record_count = reader.read_u64();
-  if (!reader.fits(record_count, 8)) return std::nullopt;
+  if (!reader.fits(record_count, 8)) return false;
   provenance.candidates.resize(static_cast<std::size_t>(record_count));
   for (obs::CandidateRecord& candidate : provenance.candidates) {
     candidate.function_index = reader.read_u64();
@@ -294,15 +323,109 @@ std::optional<DetectionOutcome> deserialize_outcome(
     candidate.validated = reader.read_u64() != 0;
     candidate.crash_env = reader.read_i64();
     const std::uint64_t env_count = reader.read_u64();
-    if (!reader.fits(env_count, sizeof(double))) return std::nullopt;
+    if (!reader.fits(env_count, sizeof(double))) return false;
     candidate.env_distances.resize(static_cast<std::size_t>(env_count));
     for (double& distance : candidate.env_distances)
       distance = reader.read_double();
     candidate.distance = reader.read_double();
     candidate.rank = reader.read_i64();
   }
-  if (!reader.ok || reader.pos != bytes.size()) return std::nullopt;
+  return reader.ok;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> serialize_outcome(const DetectionOutcome& outcome) {
+  std::vector<std::uint8_t> out;
+  append_bytes(out, kOutcomeMagic, sizeof(kOutcomeMagic));
+  append_u64(out, kFormatVersion);
+  append_outcome_body(out, outcome);
+  return out;
+}
+
+std::optional<DetectionOutcome> deserialize_outcome(
+    const std::vector<std::uint8_t>& bytes) {
+  Reader reader{bytes};
+  if (!check_magic(reader, kOutcomeMagic)) return std::nullopt;
+  DetectionOutcome outcome;
+  if (!read_outcome_body(reader, outcome) || reader.pos != bytes.size())
+    return std::nullopt;
   return outcome;
+}
+
+std::vector<std::uint8_t> serialize_scan(const ScanEntry& scan) {
+  std::vector<std::uint8_t> out;
+  append_bytes(out, kScanMagic, sizeof(kScanMagic));
+  append_u64(out, kFormatVersion);
+  append_outcome_body(out, scan.from_vulnerable);
+  append_outcome_body(out, scan.from_patched);
+  const PatchReport& report = scan.report;
+  append_string(out, report.cve_id);
+  append_u64(out, report.matched_function.has_value() ? 1 : 0);
+  append_u64(out, report.matched_function.value_or(0));
+  append_u64(out, report.decision.has_value() ? 1 : 0);
+  if (report.decision) {
+    const PatchDecision& decision = *report.decision;
+    append_u64(out, static_cast<std::uint64_t>(decision.verdict));
+    append_double(out, decision.votes_vulnerable);
+    append_double(out, decision.votes_patched);
+    append_double(out, decision.dynamic_distance_vulnerable);
+    append_double(out, decision.dynamic_distance_patched);
+    append_u64(out, decision.evidence.size());
+    for (const std::string& note : decision.evidence)
+      append_string(out, note);
+  }
+  append_u64(out, report.pool.size());
+  for (const obs::PatchCandidateRecord& member : report.pool) {
+    append_u64(out, member.function_index);
+    append_double(out, member.distance_vulnerable);
+    append_double(out, member.distance_patched);
+    append_u64(out, member.effect_matches_vulnerable);
+    append_u64(out, member.effect_matches_patched);
+    append_u64(out, member.chosen ? 1 : 0);
+  }
+  return out;
+}
+
+std::optional<ScanEntry> deserialize_scan(
+    const std::vector<std::uint8_t>& bytes) {
+  Reader reader{bytes};
+  if (!check_magic(reader, kScanMagic)) return std::nullopt;
+  ScanEntry scan;
+  if (!read_outcome_body(reader, scan.from_vulnerable) ||
+      !read_outcome_body(reader, scan.from_patched))
+    return std::nullopt;
+  PatchReport& report = scan.report;
+  report.cve_id = reader.read_string();
+  const bool matched = reader.read_u64() != 0;
+  const std::uint64_t matched_function = reader.read_u64();
+  if (matched)
+    report.matched_function = static_cast<std::size_t>(matched_function);
+  if (reader.read_u64() != 0) {
+    PatchDecision& decision = report.decision.emplace();
+    decision.verdict = static_cast<PatchVerdict>(reader.read_u64());
+    decision.votes_vulnerable = reader.read_double();
+    decision.votes_patched = reader.read_double();
+    decision.dynamic_distance_vulnerable = reader.read_double();
+    decision.dynamic_distance_patched = reader.read_double();
+    const std::uint64_t note_count = reader.read_u64();
+    if (!reader.fits(note_count, sizeof(std::uint64_t))) return std::nullopt;
+    decision.evidence.resize(static_cast<std::size_t>(note_count));
+    for (std::string& note : decision.evidence) note = reader.read_string();
+  }
+  const std::uint64_t pool_count = reader.read_u64();
+  if (!reader.fits(pool_count, 48)) return std::nullopt;
+  report.pool.resize(static_cast<std::size_t>(pool_count));
+  for (obs::PatchCandidateRecord& member : report.pool) {
+    member.function_index = reader.read_u64();
+    member.distance_vulnerable = reader.read_double();
+    member.distance_patched = reader.read_double();
+    member.effect_matches_vulnerable = reader.read_u64();
+    member.effect_matches_patched = reader.read_u64();
+    member.chosen = reader.read_u64() != 0;
+  }
+  if (!reader.ok || reader.pos != bytes.size()) return std::nullopt;
+  return scan;
 }
 
 // --- ResultCache -----------------------------------------------------------
@@ -403,12 +526,22 @@ void ResultCache::store_outcome(const std::string& key,
   store(outcomes_, key, outcome, &serialize_outcome);
 }
 
+std::optional<ScanEntry> ResultCache::find_scan(const std::string& key) {
+  return find(scans_, key, /*outcome=*/true, &deserialize_scan);
+}
+
+void ResultCache::store_scan(const std::string& key, const ScanEntry& scan) {
+  store(scans_, key, scan, &serialize_scan);
+}
+
 void ResultCache::clear_memory() {
   std::lock_guard<std::mutex> lock(mutex_);
-  CacheMetrics::get().evictions.add(features_.size() + outcomes_.size());
+  CacheMetrics::get().evictions.add(features_.size() + outcomes_.size() +
+                                    scans_.size());
   features_.clear();
   indexes_.clear();
   outcomes_.clear();
+  scans_.clear();
 }
 
 CacheStats ResultCache::stats() const {

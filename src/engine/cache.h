@@ -1,16 +1,18 @@
 // Content-addressed result cache for the batch scan engine.
 //
-// The expensive per-scan work — Stage-1 feature extraction plus DL scoring
-// and the Stage-2 dynamic validation — depends only on (library bytes,
-// model weights, pipeline config, CVE reference data). Large-scale scans
-// re-visit the same firmware and CVE sets constantly, so results are stored
-// under a digest of exactly those inputs: an unchanged library hits the
-// cache and skips Stage 1 entirely. Two result kinds are cached, in memory
-// and optionally as files in a cache directory:
+// The expensive per-scan work — feature extraction, DL scoring, Stage-2
+// dynamic validation and the differential stage — depends only on (library
+// bytes, model weights, pipeline config, CVE reference data). Large-scale
+// scans re-visit the same firmware and CVE sets constantly, so results are
+// stored under a digest of exactly those inputs. Two result kinds are
+// cached, in memory and optionally as files in a cache directory:
+//   * a ScanEntry, one CVE's whole result against one library (both
+//     detection outcomes and the patch report), keyed by (library, model,
+//     config, CVE entry), and
 //   * the per-function StaticFeatureVector set of an analyzed library,
-//     keyed by the library's content key, and
-//   * a DetectionOutcome, keyed by (library, model, config, CVE entry,
-//     query direction).
+//     keyed by the library's content key.
+// A warm scan reads one ScanEntry per CVE and nothing else: a library's
+// features are read (or extracted) only when one of its CVEs missed.
 // A library has one content key: the Digest of its PKLB record
 // (digest_library, binary/binary.h). load_firmware takes it from the bytes
 // it decodes (FirmwareImage::library_keys), so a scan of a loaded image
@@ -49,10 +51,23 @@ Digest digest_model(const SimilarityModel& model);
 /// worker_threads (see file comment).
 Digest digest_pipeline_config(const PipelineConfig& config);
 /// Digest of a CVE entry's reference data as the pipeline consumes it:
-/// id, reference features, environments, and dynamic reference profiles.
+/// id, reference features, differential signatures, environments, and
+/// dynamic reference profiles.
 Digest digest_entry(const CveEntry& entry);
 
+/// One CVE's complete result against one library, as the cache holds it.
+struct ScanEntry {
+  DetectionOutcome from_vulnerable;
+  DetectionOutcome from_patched;
+  PatchReport report;
+};
+
 std::string features_cache_key(const Digest& library);
+std::string scan_cache_key(const Digest& library, const Digest& model,
+                           const Digest& config, const Digest& entry);
+/// The per-direction outcome key, scan_cache_key's inputs plus the query
+/// direction. Only perfbench's traced replay still files outcomes under it;
+/// it goes when that replay does (ROADMAP item 3(d)).
 std::string outcome_cache_key(const Digest& library, const Digest& model,
                               const Digest& config, const Digest& entry,
                               bool query_is_patched);
@@ -66,7 +81,14 @@ std::optional<std::vector<StaticFeatureVector>> deserialize_features(
 std::vector<std::uint8_t> serialize_outcome(const DetectionOutcome& outcome);
 std::optional<DetectionOutcome> deserialize_outcome(
     const std::vector<std::uint8_t>& bytes);
+/// Both outcomes in serialize_outcome's encoding, then the patch report.
+/// Doubles are stored as raw bits, so NaN and inf round-trip exactly.
+std::vector<std::uint8_t> serialize_scan(const ScanEntry& scan);
+std::optional<ScanEntry> deserialize_scan(
+    const std::vector<std::uint8_t>& bytes);
 
+/// `outcome_*` count ScanEntry lookups, one per CVE a scan probes (and the
+/// traced replay's per-direction lookups).
 struct CacheStats {
   std::uint64_t feature_hits = 0;
   std::uint64_t feature_misses = 0;
@@ -104,6 +126,11 @@ class ResultCache {
   void store_index(const std::string& key,
                    std::shared_ptr<const retrieval::FunctionIndex> index);
 
+  std::optional<ScanEntry> find_scan(const std::string& key);
+  void store_scan(const std::string& key, const ScanEntry& scan);
+
+  /// Per-direction outcomes: used only by perfbench's traced replay, to be
+  /// deleted with it (ROADMAP item 3(d)). The engine never reads them.
   std::optional<DetectionOutcome> find_outcome(const std::string& key);
   void store_outcome(const std::string& key, const DetectionOutcome& outcome);
 
@@ -126,13 +153,14 @@ class ResultCache {
   /// Books one lookup in stats_ and the process-wide counters; mutex_ held.
   void count_lookup(bool outcome, bool hit, bool from_disk);
 
-  /// Guards features_, indexes_, outcomes_ and stats_.
+  /// Guards features_, indexes_, outcomes_, scans_ and stats_.
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::vector<StaticFeatureVector>> features_;
   std::unordered_map<std::string,
                      std::shared_ptr<const retrieval::FunctionIndex>>
       indexes_;  ///< keyed like features_
   std::unordered_map<std::string, DetectionOutcome> outcomes_;
+  std::unordered_map<std::string, ScanEntry> scans_;
   std::string dir_;
   bool enabled_ = true;
   std::optional<blob::BlobStore> disk_;  ///< set when enabled with a dir

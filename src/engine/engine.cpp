@@ -281,7 +281,6 @@ ScanReport ScanEngine::run(const ScanRequest& request,
   struct LibSlot {
     const LibraryBinary* binary = nullptr;
     AnalyzedLibrary analyzed;
-    Digest digest;  // valid only when the cache is enabled
   };
   std::vector<LibSlot> libs;
   std::map<std::string, std::size_t> lib_slot_by_name;
@@ -299,7 +298,7 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     }
     const auto [slot_it, inserted] =
         lib_slot_by_name.try_emplace(result.library, libs.size());
-    if (inserted) libs.push_back(LibSlot{lib_it->second, {}, {}});
+    if (inserted) libs.push_back(LibSlot{lib_it->second, {}});
     entry_lib[e] = slot_it->second;
   }
   report.analyzed_libraries = libs.size();
@@ -332,6 +331,12 @@ ScanReport ScanEngine::run(const ScanRequest& request,
   // One stage-2 memo per entry: its detect job fills it, its patch job
   // reads it. The scheduler's mutex orders the two, so it needs no lock.
   std::vector<ProfileMemo> memos(entries.size());
+  // Per entry, written by its library's analyze job and read by its detect
+  // and patch jobs (ordered by the scheduler like the memo): the cache key
+  // of its ScanEntry, and whether that entry was found, which leaves the
+  // detect and patch jobs nothing to do.
+  std::vector<std::string> scan_keys(entries.size());
+  std::vector<char> served(entries.size(), 0);
 
   // --- per-run pipeline + digests ------------------------------------------
   PipelineConfig pipeline_config = config_.pipeline;
@@ -442,33 +447,54 @@ ScanReport ScanEngine::run(const ScanRequest& request,
     bool stalled = false;
     if (job.kind == JobKind::analyze) {
       LibSlot& slot = libs[job.target];
+      // Without a cache every CVE needs the features; with one, only a CVE
+      // whose ScanEntry misses does. A hit restores the CVE's whole result.
+      bool needed = !caching;
       std::string key;
       if (caching) {
+        Digest digest;
         if (keyed) {
-          slot.digest =
-              request.firmware->library_keys[static_cast<std::size_t>(
-                  slot.binary - request.firmware->libraries.data())];
+          digest = request.firmware->library_keys[static_cast<std::size_t>(
+              slot.binary - request.firmware->libraries.data())];
         } else {
           const obs::ScopedSpan digest_span("cache.digest");
-          slot.digest = digest_library(*slot.binary);
+          digest = digest_library(*slot.binary);
         }
-        key = features_cache_key(slot.digest);
-        if (auto features = cache_.find_features(key);
-            features && features->size() == slot.binary->functions.size()) {
+        for (const std::size_t detect_id : job.dependents) {
+          const std::size_t e = jobs[detect_id].target;
+          scan_keys[e] = scan_cache_key(digest, model_digest,
+                                        config_digest,
+                                        digest_entry(*entries[e]));
+          if (auto cached = cache_.find_scan(scan_keys[e])) {
+            CveScanResult& result = report.results[e];
+            result.from_vulnerable = std::move(cached->from_vulnerable);
+            result.from_patched = std::move(cached->from_patched);
+            result.report = std::move(cached->report);
+            served[e] = 1;
+          } else {
+            needed = true;
+          }
+        }
+        key = features_cache_key(digest);
+      }
+      cache_hit = true;  // extracted no features
+      if (needed) {
+        auto features = caching ? cache_.find_features(key) : std::nullopt;
+        if (features && features->size() == slot.binary->functions.size()) {
           slot.analyzed.binary = slot.binary;
           slot.analyzed.features = std::move(*features);
-          cache_hit = true;
+        } else {
+          cache_hit = false;
+          slot.analyzed =
+              analyze_library(*slot.binary, pipeline_config.worker_threads);
+          if (caching) cache_.store_features(key, slot.analyzed.features);
         }
-      }
-      if (!cache_hit) {
-        slot.analyzed =
-            analyze_library(*slot.binary, pipeline_config.worker_threads);
-        if (caching) cache_.store_features(key, slot.analyzed.features);
       }
       // The retrieval index derives from the features alone: the memory
       // tier keeps it under the features key, so only a library without a
       // retained index builds one (and retains it for the next request).
-      if (pipeline_config.prefilter_mode != retrieval::PrefilterMode::off) {
+      if (needed &&
+          pipeline_config.prefilter_mode != retrieval::PrefilterMode::off) {
         if (caching) {
           auto index = cache_.find_index(key);
           if (index && index->size() == slot.analyzed.features.size())
@@ -479,40 +505,25 @@ ScanReport ScanEngine::run(const ScanRequest& request,
           if (caching) cache_.store_index(key, slot.analyzed.index);
         }
       }
+    } else if (!job.skipped && served[job.target]) {
+      cache_hit = true;  // restored by the analyze job
     } else if (job.kind == JobKind::detect && !job.skipped) {
       const CveEntry& entry = *entries[job.target];
       const LibSlot& slot = libs[entry_lib[job.target]];
       CveScanResult& result = report.results[job.target];
-      const Digest entry_digest = caching ? digest_entry(entry) : Digest{};
       const retrieval::QueryCatalog::Entry* query_codes =
           request.query_codes != nullptr
               ? request.query_codes->find(entry.spec.cve_id)
               : nullptr;
-      cache_hit = true;
-      for (const bool query_is_patched : {false, true}) {
-        DetectionOutcome& outcome =
-            query_is_patched ? result.from_patched : result.from_vulnerable;
-        std::string key;
-        if (caching) {
-          key = outcome_cache_key(slot.digest, model_digest, config_digest,
-                                  entry_digest, query_is_patched);
-          if (auto cached = cache_.find_outcome(key)) {
-            outcome = std::move(*cached);
-            continue;
-          }
-        }
-        cache_hit = false;
-        outcome = pipeline.detect(
-            entry, slot.analyzed, query_is_patched, cancel,
-            query_codes == nullptr
-                ? nullptr
-                : (query_is_patched ? &query_codes->patched
-                                    : &query_codes->vulnerable),
-            &memos[job.target]);
-        // A cancelled outcome is partial; caching it would poison every
-        // later warm run with the truncated result.
-        if (caching && !outcome.cancelled) cache_.store_outcome(key, outcome);
-      }
+      for (const bool query_is_patched : {false, true})
+        (query_is_patched ? result.from_patched : result.from_vulnerable) =
+            pipeline.detect(
+                entry, slot.analyzed, query_is_patched, cancel,
+                query_codes == nullptr
+                    ? nullptr
+                    : (query_is_patched ? &query_codes->patched
+                                        : &query_codes->vulnerable),
+                &memos[job.target]);
       // The patch job needs only the differential pool's profiles.
       memos[job.target].retain(patch_pool(result.from_vulnerable,
                                           result.from_patched,
@@ -541,6 +552,12 @@ ScanReport ScanEngine::run(const ScanRequest& request,
           result.stalled = true;
         stalled = result.stalled;
       }
+      // A cancelled detect or patch is partial; caching it would poison
+      // every later warm run with the truncated result.
+      if (caching && !result.stalled && !result.cancelled)
+        cache_.store_scan(scan_keys[job.target],
+                          ScanEntry{result.from_vulnerable,
+                                    result.from_patched, result.report});
     }
     const double seconds = watch.elapsed_seconds();
     const obs::ResourceSample resources =

@@ -7,9 +7,10 @@
 //
 //     analyze(library)  -->  detect(cve)  -->  patch(cve)
 //
-// executed on the shared work-stealing pool (thread_pool.h), with every
-// analyze/detect result served from the content-addressed cache (cache.h)
-// when the inputs are unchanged. Scan results are deterministic: the same
+// executed on the shared work-stealing pool (thread_pool.h). Each analyze
+// job first looks up its library's CVEs in the content-addressed cache
+// (cache.h): a CVE whose inputs are unchanged is restored whole, and its
+// detect and patch jobs do nothing. Scan results are deterministic: the same
 // request produces the same ScanReport::canonical_text() at any job count
 // and any cache temperature.
 #pragma once
@@ -167,8 +168,8 @@ struct ScanReport {
 };
 
 /// Assembles the full decision chain of one scan result from the provenance
-/// the pipeline recorded (detect-stage StageRecords survive the result
-/// cache; the patch pool is recomputed each run).
+/// the pipeline recorded (the detect-stage StageRecords and the patch pool
+/// both survive the result cache).
 obs::DecisionRecord decision_record(const CveScanResult& result);
 
 class ScanEngine {

@@ -206,7 +206,7 @@ TEST(Cache, AccountingInvariantHoldsUnderRandomOperations) {
         log += hit ? 'F' : 'f';
       } else if (op < 70) {
         ++lookups;
-        const bool hit = cache.find_outcome(key).has_value();
+        const bool hit = cache.find_scan(key).has_value();
         EXPECT_EQ(hit, model_outcomes.count(key) > 0) << "step " << step;
         log += hit ? 'O' : 'o';
       } else if (op < 85) {
@@ -214,9 +214,9 @@ TEST(Cache, AccountingInvariantHoldsUnderRandomOperations) {
         model_features.insert(key);
         log += 's';
       } else if (op < 97) {
-        DetectionOutcome outcome;
-        outcome.cve_id = key;
-        cache.store_outcome(key, outcome);
+        ScanEntry scan;
+        scan.report.cve_id = key;
+        cache.store_scan(key, scan);
         model_outcomes.insert(key);
         log += 'S';
       } else {
@@ -366,6 +366,121 @@ TEST(Cache, ProvenanceRoundTripsBitExactIncludingNonFinite) {
   EXPECT_EQ(serialize_outcome(*restored), bytes);
 }
 
+/// A scan entry with NaN, ±inf and -0.0 in its rankings, provenance,
+/// votes, dynamic distances and pool records.
+ScanEntry non_finite_scan() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ScanEntry scan;
+  scan.from_vulnerable.cve_id = "CVE-2018-9412";
+  scan.from_vulnerable.candidates = {3, 7};
+  scan.from_vulnerable.ranking = {{7, inf, -0.0}, {3, nan, 1.5}};
+  scan.from_vulnerable.rank_of_target = 1;
+  obs::CandidateRecord record;
+  record.function_index = 7;
+  record.dl_score = 0.75;
+  record.validated = true;
+  record.env_distances = {nan, -inf, 0.125};
+  record.distance = inf;
+  record.rank = 1;
+  scan.from_vulnerable.provenance.candidates = {record};
+  scan.from_patched = scan.from_vulnerable;
+  scan.from_patched.query_is_patched = true;
+  scan.from_patched.provenance.minkowski_p = -nan;
+  scan.report.cve_id = "CVE-2018-9412";
+  scan.report.matched_function = 7;
+  PatchDecision& decision = scan.report.decision.emplace();
+  decision.verdict = PatchVerdict::patched;
+  decision.votes_vulnerable = nan;
+  decision.votes_patched = -inf;
+  decision.dynamic_distance_vulnerable = inf;
+  decision.dynamic_distance_patched = -0.0;
+  decision.evidence = {"libcall memmove removed", ""};
+  scan.report.pool = {{7, nan, inf, 2, 0, true}, {3, -inf, -0.0, 0, 1, false}};
+  return scan;
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(Cache, ScanEntryRoundTripsBitExact) {
+  const ScanEntry scan = non_finite_scan();
+  const std::vector<std::uint8_t> bytes = serialize_scan(scan);
+  const auto restored = deserialize_scan(bytes);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(serialize_scan(*restored), bytes);
+  EXPECT_EQ(serialize_outcome(restored->from_vulnerable),
+            serialize_outcome(scan.from_vulnerable));
+  EXPECT_EQ(serialize_outcome(restored->from_patched),
+            serialize_outcome(scan.from_patched));
+  EXPECT_TRUE(restored->from_patched.query_is_patched);
+  EXPECT_EQ(bits_of(restored->from_vulnerable.ranking[0].secondary),
+            bits_of(-0.0));
+  EXPECT_TRUE(
+      std::isnan(restored->from_vulnerable.provenance.candidates[0]
+                     .env_distances[0]));
+
+  const PatchReport& report = restored->report;
+  EXPECT_EQ(report.cve_id, scan.report.cve_id);
+  EXPECT_EQ(report.matched_function, scan.report.matched_function);
+  ASSERT_TRUE(report.decision.has_value());
+  const PatchDecision& decision = *report.decision;
+  EXPECT_EQ(decision.verdict, PatchVerdict::patched);
+  const PatchDecision& stored = *scan.report.decision;
+  EXPECT_EQ(bits_of(decision.votes_vulnerable),
+            bits_of(stored.votes_vulnerable));
+  EXPECT_EQ(bits_of(decision.votes_patched), bits_of(stored.votes_patched));
+  EXPECT_EQ(bits_of(decision.dynamic_distance_vulnerable),
+            bits_of(stored.dynamic_distance_vulnerable));
+  EXPECT_EQ(bits_of(decision.dynamic_distance_patched),
+            bits_of(stored.dynamic_distance_patched));
+  EXPECT_EQ(decision.evidence, scan.report.decision->evidence);
+  ASSERT_EQ(report.pool.size(), 2u);
+  for (std::size_t i = 0; i < report.pool.size(); ++i) {
+    const obs::PatchCandidateRecord& got = report.pool[i];
+    const obs::PatchCandidateRecord& want = scan.report.pool[i];
+    EXPECT_EQ(got.function_index, want.function_index);
+    EXPECT_EQ(bits_of(got.distance_vulnerable),
+              bits_of(want.distance_vulnerable));
+    EXPECT_EQ(bits_of(got.distance_patched), bits_of(want.distance_patched));
+    EXPECT_EQ(got.effect_matches_vulnerable, want.effect_matches_vulnerable);
+    EXPECT_EQ(got.effect_matches_patched, want.effect_matches_patched);
+    EXPECT_EQ(got.chosen, want.chosen);
+  }
+
+  // Nothing matched: no function, no decision, an empty pool.
+  ScanEntry unmatched;
+  unmatched.report.cve_id = "CVE-2017-13209";
+  const std::vector<std::uint8_t> empty_bytes = serialize_scan(unmatched);
+  const auto empty = deserialize_scan(empty_bytes);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(empty->report.cve_id, "CVE-2017-13209");
+  EXPECT_FALSE(empty->report.matched_function.has_value());
+  EXPECT_FALSE(empty->report.decision.has_value());
+  EXPECT_TRUE(empty->report.pool.empty());
+  EXPECT_EQ(serialize_scan(*empty), empty_bytes);
+}
+
+TEST(Cache, ScanEntryDecoderRejectsEveryTruncation) {
+  ScanEntry unmatched;
+  unmatched.report.cve_id = "CVE-2017-13209";
+  for (const ScanEntry& scan : {non_finite_scan(), unmatched}) {
+    const std::vector<std::uint8_t> bytes = serialize_scan(scan);
+    ASSERT_TRUE(deserialize_scan(bytes).has_value());
+    for (std::size_t size = 0; size < bytes.size(); ++size)
+      EXPECT_FALSE(deserialize_scan(std::vector<std::uint8_t>(
+                                        bytes.begin(), bytes.begin() + size))
+                       .has_value())
+          << "prefix of " << size << " of " << bytes.size() << " bytes";
+    std::vector<std::uint8_t> trailing = bytes;
+    trailing.push_back(0);
+    EXPECT_FALSE(deserialize_scan(trailing).has_value());
+  }
+}
+
 TEST(Cache, DeserializersRejectCorruptInput) {
   EXPECT_FALSE(deserialize_features({}).has_value());
   EXPECT_FALSE(deserialize_outcome({}).has_value());
@@ -450,65 +565,77 @@ TEST(Cache, KeyChangesWithModelConfigAndLibrary) {
   PipelineConfig config;
   const Digest config_digest = digest_pipeline_config(config);
   const Digest entry_digest = digest_entry(entry);
-  const std::string key = outcome_cache_key(lib_digest, model_digest,
-                                            config_digest, entry_digest,
-                                            /*query_is_patched=*/false);
+  const std::string key =
+      scan_cache_key(lib_digest, model_digest, config_digest, entry_digest);
+  const auto key_with = [&](const PipelineConfig& changed) {
+    return scan_cache_key(lib_digest, model_digest,
+                          digest_pipeline_config(changed), entry_digest);
+  };
 
   // Model perturbation (one weight) must invalidate.
   SimilarityModel perturbed = u.model;
   ASSERT_FALSE(perturbed.network().layers().empty());
   perturbed.network().layers()[0].weights()[0] += 1.0f;
-  EXPECT_NE(outcome_cache_key(lib_digest, digest_model(perturbed),
-                              config_digest, entry_digest, false),
+  EXPECT_NE(scan_cache_key(lib_digest, digest_model(perturbed), config_digest,
+                           entry_digest),
             key);
 
   // Result-relevant config change must invalidate...
   PipelineConfig tightened;
   tightened.detection_threshold = 0.9f;
-  EXPECT_NE(outcome_cache_key(lib_digest, model_digest,
-                              digest_pipeline_config(tightened), entry_digest,
-                              false),
-            key);
+  EXPECT_NE(key_with(tightened), key);
+  PipelineConfig wider_pool;
+  wider_pool.patch_candidates = config.patch_candidates + 1;
+  EXPECT_NE(key_with(wider_pool), key);
 
   // ...but parallelism is result-neutral and must NOT invalidate.
   PipelineConfig threaded;
   threaded.worker_threads = 8;
-  EXPECT_EQ(outcome_cache_key(lib_digest, model_digest,
-                              digest_pipeline_config(threaded), entry_digest,
-                              false),
-            key);
+  EXPECT_EQ(key_with(threaded), key);
 
   // The prefilter shapes which functions reach the network, so mode, K, and
-  // the exact-fallback threshold are all part of the outcome key.
+  // the exact-fallback threshold are all part of the key.
   PipelineConfig prefiltered;
   prefiltered.prefilter_mode = retrieval::PrefilterMode::on;
-  const std::string prefiltered_key =
-      outcome_cache_key(lib_digest, model_digest,
-                        digest_pipeline_config(prefiltered), entry_digest,
-                        false);
+  const std::string prefiltered_key = key_with(prefiltered);
   EXPECT_NE(prefiltered_key, key);
   PipelineConfig wider = prefiltered;
   wider.prefilter_top_k = prefiltered.prefilter_top_k * 2;
-  EXPECT_NE(outcome_cache_key(lib_digest, model_digest,
-                              digest_pipeline_config(wider), entry_digest,
-                              false),
-            prefiltered_key);
+  EXPECT_NE(key_with(wider), prefiltered_key);
   PipelineConfig always = prefiltered;
   always.prefilter_min_total = 0;
-  EXPECT_NE(outcome_cache_key(lib_digest, model_digest,
-                              digest_pipeline_config(always), entry_digest,
-                              false),
-            prefiltered_key);
+  EXPECT_NE(key_with(always), prefiltered_key);
 
-  // Different query direction and different library are distinct entries.
-  EXPECT_NE(outcome_cache_key(lib_digest, model_digest, config_digest,
-                              entry_digest, true),
+  // The differential stage reads the references' signatures, which the
+  // entry digest must therefore cover, per-architecture ones included.
+  CveEntry resigned = entry;
+  ++resigned.patched_signature.libcall_counts[0];
+  EXPECT_NE(scan_cache_key(lib_digest, model_digest, config_digest,
+                           digest_entry(resigned)),
             key);
+  ASSERT_FALSE(entry.arch_refs.empty());
+  CveEntry arch_resigned = entry;
+  ++arch_resigned.arch_refs.begin()->second.vulnerable_signature.edges;
+  EXPECT_NE(scan_cache_key(lib_digest, model_digest, config_digest,
+                           digest_entry(arch_resigned)),
+            key);
+
+  // A different library is a distinct entry.
   const LibraryBinary other =
       u.corpus->compile_for_device(1, android_things_device());
-  EXPECT_NE(outcome_cache_key(digest_library(other), model_digest,
-                              config_digest, entry_digest, false),
+  EXPECT_NE(scan_cache_key(digest_library(other), model_digest, config_digest,
+                           entry_digest),
             key);
+
+  // The replay-only per-direction keys differ by direction and from the
+  // CVE's key.
+  const std::string vulnerable = outcome_cache_key(
+      lib_digest, model_digest, config_digest, entry_digest, false);
+  const std::string patched = outcome_cache_key(
+      lib_digest, model_digest, config_digest, entry_digest, true);
+  EXPECT_NE(vulnerable, patched);
+  EXPECT_NE(vulnerable.substr(4), key.substr(4));
+  EXPECT_NE(patched.substr(4), key.substr(4));
 }
 
 TEST(Cache, DiskEntriesSurviveProcessRestartSimulation) {
@@ -546,6 +673,23 @@ DetectionOutcome sample_outcome(const std::string& cve, std::size_t ranked) {
   return outcome;
 }
 
+/// A scan entry with `ranked` candidates per direction and as many pool
+/// members, the first chosen.
+ScanEntry sample_scan(const std::string& cve, std::size_t ranked) {
+  ScanEntry scan;
+  scan.from_vulnerable = sample_outcome(cve, ranked);
+  scan.from_patched = sample_outcome(cve, ranked);
+  scan.from_patched.query_is_patched = true;
+  scan.report.cve_id = cve;
+  for (std::size_t i = 0; i < ranked; ++i)
+    scan.report.pool.push_back({i, 0.25 * static_cast<double>(i), 0.5, i, 1,
+                                i == 0});
+  scan.report.matched_function = 0;
+  scan.report.decision.emplace();
+  scan.report.decision->evidence = {"sample"};
+  return scan;
+}
+
 std::vector<StaticFeatureVector> sample_features(double base) {
   std::vector<StaticFeatureVector> features(3);
   for (std::size_t i = 0; i < features.size(); ++i)
@@ -562,20 +706,20 @@ void expect_damaged_entries_miss_then_heal(
     const std::function<void(const std::string& dir, const std::string& key,
                              const std::string& other)>& damage) {
   const std::string dir = scratch_dir(name);
-  const DetectionOutcome outcome = sample_outcome("CVE-A", 8);
+  const ScanEntry scan = sample_scan("CVE-A", 8);
   const std::vector<StaticFeatureVector> features = sample_features(1.0);
   {
     ResultCache writer(dir);
-    writer.store_outcome("det-a", outcome);
-    writer.store_outcome("det-b", sample_outcome("CVE-B", 8));
+    writer.store_scan("cve-a", scan);
+    writer.store_scan("cve-b", sample_scan("CVE-B", 8));
     writer.store_features("feat-a", features);
     writer.store_features("feat-b", sample_features(2.0));
   }
-  damage(dir, "det-a", "det-b");
+  damage(dir, "cve-a", "cve-b");
   damage(dir, "feat-a", "feat-b");
 
   ResultCache reader(dir);
-  EXPECT_FALSE(reader.find_outcome("det-a").has_value());
+  EXPECT_FALSE(reader.find_scan("cve-a").has_value());
   EXPECT_FALSE(reader.find_features("feat-a").has_value());
   CacheStats stats = reader.stats();
   EXPECT_EQ(stats.outcome_misses, 1u);
@@ -583,12 +727,12 @@ void expect_damaged_entries_miss_then_heal(
   EXPECT_EQ(stats.hits(), 0u);
   EXPECT_EQ(stats.disk_loads, 0u);
 
-  reader.store_outcome("det-a", outcome);
+  reader.store_scan("cve-a", scan);
   reader.store_features("feat-a", features);
   ResultCache healed(dir);
-  const auto found_outcome = healed.find_outcome("det-a");
-  ASSERT_TRUE(found_outcome.has_value());
-  EXPECT_EQ(serialize_outcome(*found_outcome), serialize_outcome(outcome));
+  const auto found_scan = healed.find_scan("cve-a");
+  ASSERT_TRUE(found_scan.has_value());
+  EXPECT_EQ(serialize_scan(*found_scan), serialize_scan(scan));
   const auto found_features = healed.find_features("feat-a");
   ASSERT_TRUE(found_features.has_value());
   EXPECT_EQ(serialize_features(*found_features), serialize_features(features));
@@ -636,14 +780,14 @@ TEST(Cache, ConcurrentSameKeyWritersNeverTearDiskReads) {
   // renamed over. A reader must always see one whole entry, never a mix or
   // a partial write, and the accounting must balance.
   const std::string dir = scratch_dir("cache_race");
-  const DetectionOutcome a = sample_outcome("CVE-A", 16);
-  const DetectionOutcome b = sample_outcome("CVE-B", 256);
-  const std::vector<std::uint8_t> a_bytes = serialize_outcome(a);
-  const std::vector<std::uint8_t> b_bytes = serialize_outcome(b);
+  const ScanEntry a = sample_scan("CVE-A", 16);
+  const ScanEntry b = sample_scan("CVE-B", 256);
+  const std::vector<std::uint8_t> a_bytes = serialize_scan(a);
+  const std::vector<std::uint8_t> b_bytes = serialize_scan(b);
   const std::vector<StaticFeatureVector> fa = sample_features(1.0);
   const std::vector<StaticFeatureVector> fb = sample_features(2.0);
   ResultCache cache(dir);
-  cache.store_outcome("det-race", a);
+  cache.store_scan("cve-race", a);
   cache.store_features("feat-race", fa);
 
   std::atomic<std::uint64_t> lookups{0};
@@ -651,7 +795,7 @@ TEST(Cache, ConcurrentSameKeyWritersNeverTearDiskReads) {
   for (int w = 0; w < 4; ++w)
     threads.emplace_back([&, w] {
       for (int i = 0; i < 25; ++i) {
-        cache.store_outcome("det-race", (w % 2) != 0 ? a : b);
+        cache.store_scan("cve-race", (w % 2) != 0 ? a : b);
         cache.store_features("feat-race", (w % 2) != 0 ? fa : fb);
       }
     });
@@ -659,12 +803,12 @@ TEST(Cache, ConcurrentSameKeyWritersNeverTearDiskReads) {
     threads.emplace_back([&] {
       for (int i = 0; i < 50; ++i) {
         cache.clear_memory();
-        const auto outcome = cache.find_outcome("det-race");
+        const auto scan = cache.find_scan("cve-race");
         const auto features = cache.find_features("feat-race");
         lookups += 2;
-        ASSERT_TRUE(outcome.has_value());
-        const std::vector<std::uint8_t> bytes = serialize_outcome(*outcome);
-        ASSERT_TRUE(bytes == a_bytes || bytes == b_bytes) << "torn outcome";
+        ASSERT_TRUE(scan.has_value());
+        const std::vector<std::uint8_t> bytes = serialize_scan(*scan);
+        ASSERT_TRUE(bytes == a_bytes || bytes == b_bytes) << "torn entry";
         ASSERT_TRUE(features.has_value());
         ASSERT_TRUE(serialize_features(*features) == serialize_features(fa) ||
                     serialize_features(*features) == serialize_features(fb))
@@ -756,22 +900,56 @@ TEST(Engine, WarmRunHitsCacheAndReproducesReport) {
   const ScanReport warm = engine.run(u.request());
 
   EXPECT_EQ(cold.canonical_text(), warm.canonical_text());
-  // Cold run: every lookup missed and was stored.
+  // Cold run: every lookup missed, one per library and one per CVE, and
+  // each was stored.
   EXPECT_EQ(cold.cache.hits(), 0u);
   EXPECT_EQ(cold.cache.feature_misses, cold.analyzed_libraries);
-  EXPECT_EQ(cold.cache.outcome_misses, 2 * cold.results.size());
-  // Warm run: every analyze and detect served from cache.
+  EXPECT_EQ(cold.cache.outcome_misses, cold.results.size());
+  EXPECT_EQ(cold.cache.stores,
+            cold.analyzed_libraries + cold.results.size());
+  // Warm run: every CVE served by its one entry, so no features are read.
   EXPECT_EQ(warm.cache.misses(), 0u);
-  EXPECT_EQ(warm.cache.feature_hits, warm.analyzed_libraries);
-  EXPECT_EQ(warm.cache.outcome_hits, 2 * warm.results.size());
-  bool analyze_hit = false, detect_hit = false;
-  for (const JobTiming& timing : warm.timings) {
-    if (timing.kind == JobKind::analyze && timing.cache_hit)
-      analyze_hit = true;
-    if (timing.kind == JobKind::detect && timing.cache_hit) detect_hit = true;
+  EXPECT_EQ(warm.cache.feature_hits, 0u);
+  EXPECT_EQ(warm.cache.outcome_hits, warm.results.size());
+  EXPECT_EQ(warm.cache.stores, 0u);
+  ASSERT_FALSE(warm.timings.empty());
+  for (const JobTiming& timing : warm.timings)
+    EXPECT_TRUE(timing.cache_hit)
+        << job_kind_name(timing.kind) << " " << timing.label;
+}
+
+TEST(Engine, WarmScanRunsNoVmAndReadsNoFeatures) {
+  // A warm scan reads one entry per CVE and nothing else: no VM run, no
+  // feature lookup, no feature-class build. Its report and provenance are
+  // the cold scan's.
+  const EngineUniverse& u = universe();
+  const obs::EnabledScope obs_on(true);
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter& vm_runs = registry.counter("vm.runs");
+  const obs::Counter& class_builds =
+      registry.counter("pipeline.feature_class_builds");
+  const std::string dir = scratch_dir("engine_warm_no_vm");
+  EngineConfig config;
+  config.jobs = 4;
+  config.cache_dir = dir;
+  const ScanReport cold = ScanEngine(config).run(u.request());
+  ASSERT_FALSE(cold.results.empty());
+  ASSERT_GT(vm_runs.value(), 0u);
+
+  for (const char* tier : {"disk", "memory"}) {
+    ScanEngine engine(config);
+    if (std::string(tier) == "memory") engine.run(u.request());
+    const std::uint64_t runs0 = vm_runs.value();
+    const std::uint64_t builds0 = class_builds.value();
+    const ScanReport warm = engine.run(u.request());
+    EXPECT_EQ(vm_runs.value() - runs0, 0u) << tier;
+    EXPECT_EQ(class_builds.value() - builds0, 0u) << tier;
+    EXPECT_EQ(warm.cache.feature_hits + warm.cache.feature_misses, 0u)
+        << tier;
+    EXPECT_EQ(warm.cache.outcome_hits, warm.results.size()) << tier;
+    EXPECT_EQ(warm.canonical_text(), cold.canonical_text()) << tier;
+    EXPECT_EQ(warm.provenance_jsonl(), cold.provenance_jsonl()) << tier;
   }
-  EXPECT_TRUE(analyze_hit);
-  EXPECT_TRUE(detect_hit);
 }
 
 TEST(Engine, SuppliedLibraryDigestsKeyTheCacheLikeComputedOnes) {
@@ -820,7 +998,7 @@ TEST(Engine, SuppliedLibraryDigestsKeyTheCacheLikeComputedOnes) {
   misfiled.library_keys.pop_back();
   const ScanReport fallback = computing.run(misfiled_request);
   EXPECT_EQ(fallback.cache.misses(), 0u);
-  EXPECT_EQ(fallback.cache.feature_hits, fallback.analyzed_libraries);
+  EXPECT_EQ(fallback.cache.outcome_hits, fallback.results.size());
 }
 
 TEST(Engine, ScanOfALoadedImageDigestsNoLibrary) {
@@ -891,11 +1069,11 @@ TEST(Engine, ModelChangeInvalidatesOutcomesButNotFeatures) {
   request.model = &perturbed;
   const ScanReport report = ScanEngine(config).run(request);
 
-  // Features depend only on the library: still hits. Outcomes depend on the
-  // model: all misses.
+  // Features depend only on the library: still hits. Each CVE's entry
+  // depends on the model: all misses.
   EXPECT_EQ(report.cache.feature_hits, report.analyzed_libraries);
   EXPECT_EQ(report.cache.outcome_hits, 0u);
-  EXPECT_EQ(report.cache.outcome_misses, 2 * report.results.size());
+  EXPECT_EQ(report.cache.outcome_misses, report.results.size());
 }
 
 TEST(Engine, ConfigChangeInvalidatesOutcomes) {
@@ -911,6 +1089,7 @@ TEST(Engine, ConfigChangeInvalidatesOutcomes) {
   const ScanReport report = ScanEngine(tightened).run(u.request());
   EXPECT_EQ(report.cache.feature_hits, report.analyzed_libraries);
   EXPECT_EQ(report.cache.outcome_hits, 0u);
+  EXPECT_EQ(report.cache.outcome_misses, report.results.size());
 }
 
 TEST(Engine, MetricsCountJobsAndNestPipelineSpansUnderJobs) {
@@ -1070,43 +1249,58 @@ TEST(Engine, ProvenanceSurvivesCacheRoundTrip) {
   EXPECT_EQ(warm_report.provenance_jsonl(), cold);
 }
 
-// Only the vulnerable direction is in the cache: the detect job runs the
-// patched direction alone, so its memo lacks the vulnerable ranking's pool
-// members and the patch job must profile those itself. The report must still
-// be a cold run's.
-TEST(Engine, PartialOutcomeCacheHitStillProfiles) {
+// Deleting one CVE's entry file makes that CVE, and only it, a miss: only
+// its library reads features, only its jobs run the VM, and the report is
+// the cold one. The recomputed result is stored again.
+TEST(Engine, OneMissingEntryRecomputesOnlyItsCve) {
   const EngineUniverse& u = universe();
-  const std::string dir = scratch_dir("engine_partial_hit");
+  const obs::EnabledScope obs_on(true);
+  const obs::Counter& vm_runs = obs::Registry::global().counter("vm.runs");
+  const std::string dir = scratch_dir("engine_one_missing");
   EngineConfig config;
   config.jobs = 4;
   config.cache_dir = dir;
-  {
-    ResultCache cache(dir);
-    const Patchecko pipeline(&u.model, config.pipeline);
-    const Digest model = digest_model(u.model);
-    const Digest pipeline_config = digest_pipeline_config(config.pipeline);
-    for (const std::string& cve : u.some_cves) {
-      const CveEntry& entry = u.database->by_id(cve);
-      for (const LibraryBinary& library : u.firmware.libraries) {
-        if (library.name != entry.spec.library) continue;
-        const AnalyzedLibrary analyzed = analyze_library(library);
-        cache.store_outcome(
-            outcome_cache_key(digest_library(library), model, pipeline_config,
-                              digest_entry(entry), /*query_is_patched=*/false),
-            pipeline.detect(entry, analyzed, /*query_is_patched=*/false));
-      }
-    }
-  }
+  const ScanReport cold = ScanEngine(config).run(u.request());
+  ASSERT_GE(cold.analyzed_libraries, 2u);
 
-  EngineConfig cold_config = config;
-  cold_config.use_cache = false;
-  const ScanReport cold = ScanEngine(cold_config).run(u.request());
+  const CveEntry& entry = u.database->by_id(u.some_cves.front());
+  const auto library = std::find_if(
+      u.firmware.libraries.begin(), u.firmware.libraries.end(),
+      [&](const LibraryBinary& lib) { return lib.name == entry.spec.library; });
+  ASSERT_NE(library, u.firmware.libraries.end());
+  const auto path = cache_object(
+      dir, scan_cache_key(digest_library(*library), digest_model(u.model),
+                          digest_pipeline_config(config.pipeline),
+                          digest_entry(entry)));
+  ASSERT_TRUE(std::filesystem::remove(path));
+
+  // The VM runs one cold scan of that CVE alone does.
+  ScanRequest alone = u.request();
+  alone.cve_ids = {entry.spec.cve_id};
+  EngineConfig uncached = config;
+  uncached.use_cache = false;
+  std::uint64_t before = vm_runs.value();
+  ScanEngine(uncached).run(alone);
+  const std::uint64_t alone_runs = vm_runs.value() - before;
+  ASSERT_GT(alone_runs, 0u);
+
+  before = vm_runs.value();
   const ScanReport partial = ScanEngine(config).run(u.request());
-  ASSERT_FALSE(partial.results.empty());
-  EXPECT_EQ(partial.cache.outcome_hits, partial.results.size());
-  EXPECT_EQ(partial.cache.outcome_misses, partial.results.size());
+  EXPECT_EQ(vm_runs.value() - before, alone_runs);
+  EXPECT_EQ(partial.cache.outcome_misses, 1u);
+  EXPECT_EQ(partial.cache.outcome_hits, partial.results.size() - 1);
+  EXPECT_EQ(partial.cache.feature_hits, 1u);
+  EXPECT_EQ(partial.cache.feature_misses, 0u);
+  EXPECT_EQ(partial.cache.stores, 1u);
+  for (const JobTiming& timing : partial.timings) {
+    const bool computed = timing.kind != JobKind::analyze &&
+                          timing.label == entry.spec.cve_id;
+    EXPECT_EQ(timing.cache_hit, !computed)
+        << job_kind_name(timing.kind) << " " << timing.label;
+  }
   EXPECT_EQ(partial.canonical_text(), cold.canonical_text());
   EXPECT_EQ(partial.provenance_jsonl(), cold.provenance_jsonl());
+  EXPECT_EQ(ScanEngine(config).run(u.request()).cache.misses(), 0u);
 }
 
 TEST(Engine, InterruptAlreadySetSkipsEveryJob) {
@@ -1290,7 +1484,7 @@ TEST(Engine, PrefilterConfigChangeInvalidatesOutcomesButNotFeatures) {
   const ScanReport report = ScanEngine(prefiltered).run(u.request());
   EXPECT_EQ(report.cache.feature_hits, report.analyzed_libraries);
   EXPECT_EQ(report.cache.outcome_hits, 0u);
-  EXPECT_EQ(report.cache.outcome_misses, 2 * report.results.size());
+  EXPECT_EQ(report.cache.outcome_misses, report.results.size());
 
   EngineConfig wider = prefiltered;
   wider.pipeline.prefilter_top_k = prefiltered.pipeline.prefilter_top_k * 2;
@@ -1322,10 +1516,12 @@ TEST(Engine, PrefilteredOutcomesSurviveWarmCacheByteIdentical) {
 
 TEST(Engine, RetainedIndexIsReusedUntilClearMemory) {
   // The memory tier keeps each library's retrieval index beside its
-  // features: a warm run builds none, and clear_memory() costs exactly one
-  // rebuild per library, after which the index is retained again. This
-  // counter is the one that shows the reuse: perfbench's traced replay
-  // calls ensure_retrieval_index on a fresh AnalyzedLibrary, so its
+  // features. A scan whose CVE entries all hit needs neither. A scan whose
+  // entries miss (here: another model) but whose features hit builds no
+  // index while one is retained; clear_memory() costs exactly one rebuild
+  // per library, after which the index is retained again. This counter is
+  // the one that shows the reuse: perfbench's traced replay calls
+  // ensure_retrieval_index on a fresh AnalyzedLibrary, so its
   // retrieval.index_build_s still books one build per library.
   const EngineUniverse& u = universe();
   const obs::EnabledScope obs_on(true);
@@ -1337,22 +1533,37 @@ TEST(Engine, RetainedIndexIsReusedUntilClearMemory) {
   config.pipeline.prefilter_mode = retrieval::PrefilterMode::on;
   config.pipeline.prefilter_min_total = 0;
   ScanEngine engine(config);
-  const auto builds_during = [&](ScanReport& report) {
+  EngineConfig uncached = config;
+  uncached.use_cache = false;
+  std::vector<SimilarityModel> models(4, u.model);
+  for (std::size_t m = 1; m < models.size(); ++m)
+    models[m].network().layers()[0].weights()[0] += static_cast<float>(m);
+  // Index builds during one scan with models[m]; its report must be an
+  // uncached scan's.
+  const auto builds_during = [&](std::size_t m, ScanReport& report) {
+    ScanRequest request = u.request();
+    request.model = &models[m];
     const std::uint64_t before = builds.value();
-    report = engine.run(u.request());
-    return builds.value() - before;
+    report = engine.run(request);
+    const std::uint64_t built = builds.value() - before;
+    EXPECT_EQ(report.canonical_text(),
+              ScanEngine(uncached).run(request).canonical_text())
+        << "model " << m;
+    return built;
   };
 
-  ScanReport cold, warm, cleared, rewarmed;
-  EXPECT_EQ(builds_during(cold), cold.analyzed_libraries);
+  ScanReport cold, warm, remodeled, cleared, rewarmed;
+  EXPECT_EQ(builds_during(0, cold), cold.analyzed_libraries);
   ASSERT_GE(cold.analyzed_libraries, 2u);
-  EXPECT_EQ(builds_during(warm), 0u);
+  EXPECT_EQ(builds_during(0, warm), 0u);
+  EXPECT_EQ(warm.cache.feature_hits, 0u);
+  EXPECT_EQ(builds_during(1, remodeled), 0u);
+  EXPECT_EQ(remodeled.cache.feature_hits, remodeled.analyzed_libraries);
   engine.cache().clear_memory();
-  EXPECT_EQ(builds_during(cleared), cold.analyzed_libraries);
+  EXPECT_EQ(builds_during(2, cleared), cold.analyzed_libraries);
   EXPECT_EQ(cleared.cache.disk_loads, cleared.cache.hits());
-  EXPECT_EQ(builds_during(rewarmed), 0u);
-  for (const ScanReport* report : {&warm, &cleared, &rewarmed})
-    EXPECT_EQ(report->canonical_text(), cold.canonical_text());
+  EXPECT_EQ(builds_during(3, rewarmed), 0u);
+  EXPECT_EQ(rewarmed.cache.feature_hits, rewarmed.analyzed_libraries);
 }
 
 TEST(Engine, WarmOutcomeHitBuildsNoClasses) {
@@ -1372,7 +1583,7 @@ TEST(Engine, WarmOutcomeHitBuildsNoClasses) {
   EXPECT_EQ(builds.value() - before, cold.analyzed_libraries);
   before = builds.value();
   const ScanReport warm = engine.run(u.request());
-  EXPECT_EQ(warm.cache.outcome_hits, 2 * warm.results.size());
+  EXPECT_EQ(warm.cache.outcome_hits, warm.results.size());
   EXPECT_EQ(builds.value() - before, 0u);
   EXPECT_EQ(warm.canonical_text(), cold.canonical_text());
 

@@ -411,6 +411,13 @@ TEST(Health, EngineStallInjectionRecordsStalledOutcome) {
   const ScanReport second = ScanEngine(clean).run(u.request());
   for (const CveScanResult& result : second.results)
     EXPECT_FALSE(result.stalled) << result.cve_id;
+  // Every other CVE's entry was stored; the stalled one is the one miss.
+  EXPECT_EQ(second.cache.outcome_misses, 1u);
+  EXPECT_EQ(second.cache.outcome_hits, second.results.size() - 1);
+  EngineConfig uncached = clean;
+  uncached.use_cache = false;
+  EXPECT_EQ(second.canonical_text(),
+            ScanEngine(uncached).run(u.request()).canonical_text());
 }
 
 TEST(Health, EngineRecordsPerJobResourceAccounting) {

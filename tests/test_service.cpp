@@ -496,10 +496,12 @@ TEST(Service, ScanOverUnixSocketMatchesOneShotReportByteForByte) {
 
 TEST(Service, WarmRequestsReuseRetainedRetrievalIndexes) {
   // Every request loads the image afresh, but the engine's memory tier
-  // keeps each library's retrieval index beside its features: after the
-  // cold request, the health block's retrieval.index_builds stays flat and
-  // every report is byte-identical to the cold one. (perfbench's traced
-  // replay builds on a fresh AnalyzedLibrary, so this counter, not its
+  // keeps each library's retrieval index beside its features. A request
+  // whose CVE entries all hit needs no index; one whose CVE misses its
+  // entry takes the retained index: after the first request, the health
+  // block's retrieval.index_builds stays flat and every report is
+  // byte-identical to a one-shot scan's. (perfbench's traced replay builds
+  // on a fresh AnalyzedLibrary, so this counter, not its
   // retrieval.index_build_s, is what shows the reuse.)
   const ServiceUniverse& env = universe();
   const obs::EnabledScope obs_on(true);
@@ -519,17 +521,46 @@ TEST(Service, WarmRequestsReuseRetainedRetrievalIndexes) {
         .get("index_builds")
         .as_number(-1.0);
   };
+  const std::optional<FirmwareImage> firmware =
+      load_firmware(env.firmware_path);
+  ASSERT_TRUE(firmware.has_value());
+  const auto one_shot = [&](const std::vector<std::string>& cves) {
+    ScanRequest request;
+    request.model = &env.model;
+    request.firmware = &*firmware;
+    request.database = env.database.get();
+    request.cve_ids = cves;
+    return ScanEngine(config.engine).run(request).canonical_text();
+  };
 
-  const auto cold = submit_scan(client, env.some_cves);
+  // The first request leaves out one CVE whose library it still analyzes.
+  ASSERT_GE(env.some_cves.size(), 2u);
+  const std::string held_out = env.some_cves[1];
+  ASSERT_EQ(env.database->by_id(held_out).spec.library,
+            env.database->by_id(env.some_cves[0]).spec.library);
+  std::vector<std::string> first = env.some_cves;
+  first.erase(first.begin() + 1);
+  // One-shot scans build indexes too, and the counter is process-wide:
+  // take every expected report before the first request.
+  const std::string first_report = one_shot(first);
+  const std::string held_out_report = one_shot({held_out});
+  const std::string expected = one_shot(env.some_cves);
+  const auto cold = submit_scan(client, first);
   ASSERT_TRUE(cold.has_value());
-  const std::string cold_report = parsed(*cold).get("report").as_string();
-  ASSERT_FALSE(cold_report.empty());
+  EXPECT_EQ(parsed(*cold).get("report").as_string(), first_report);
   const double warmed_builds = index_builds();
   EXPECT_GT(warmed_builds, 0.0);
-  for (int i = 0; i < 5; ++i) {
+
+  const auto missed = submit_scan(client, {held_out});
+  ASSERT_TRUE(missed.has_value());
+  EXPECT_EQ(parsed(*missed).get("cache").get("misses").as_number(), 1.0);
+  EXPECT_EQ(parsed(*missed).get("report").as_string(), held_out_report);
+  EXPECT_EQ(index_builds(), warmed_builds) << "entry-miss request";
+
+  for (int i = 0; i < 3; ++i) {
     const auto warm = submit_scan(client, env.some_cves);
     ASSERT_TRUE(warm.has_value());
-    EXPECT_EQ(parsed(*warm).get("report").as_string(), cold_report);
+    EXPECT_EQ(parsed(*warm).get("report").as_string(), expected);
     EXPECT_EQ(index_builds(), warmed_builds) << "warm request " << i;
   }
   service.stop();
