@@ -9,7 +9,8 @@
 // under every cache key: bulk bytes (the verified blob read and the library
 // key load_firmware takes from each record it decodes) and digest_library
 // over the Things image (the same key for a library built in memory, which
-// build_firmware and a scan of a hand-assembled image pay).
+// build_firmware and a scan of a hand-assembled image pay). A third prices
+// the warm report's canonical_text() per byte.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -134,6 +135,14 @@ int main() {
         .set("vm_runs", static_cast<double>(runs))
         .set("feature_lookups", static_cast<double>(feature_lookups(report)));
   };
+  // The render a warm scan ends with: its cost per report byte.
+  std::size_t report_bytes = 0;
+  const double render_seconds = median_seconds(
+      21, [&] { report_bytes = warm.canonical_text().size(); });
+  const double render_ns_per_byte =
+      render_seconds * 1e9 / static_cast<double>(report_bytes);
+  std::printf("render: %.3f ns/byte (%zu-byte canonical report)\n",
+              render_ns_per_byte, report_bytes);
   const double ns_per_byte = digest_ns_per_byte();
   const double ns_per_function = digest_ns_per_function(firmware);
   std::printf("digest: %.3f ns/byte (16 MiB), digest_library %.1f "
@@ -145,7 +154,10 @@ int main() {
        warm_row("replay_disk", replay, replay_vm_runs),
        bench::BenchRow("digest_bytes", {{"ns_per_byte", ns_per_byte}}),
        bench::BenchRow("digest_library",
-                       {{"ns_per_function", ns_per_function}})});
+                       {{"ns_per_function", ns_per_function}}),
+       bench::BenchRow("render",
+                       {{"ns_per_report_byte", render_ns_per_byte},
+                        {"report_bytes", static_cast<double>(report_bytes)}})});
   if (warm.canonical_text() != cold.canonical_text()) {
     std::printf("FAIL: warm report differs from cold report\n");
     ok = false;

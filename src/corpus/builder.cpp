@@ -7,6 +7,7 @@
 
 #include "compiler/compiler.h"
 #include "corpus/serialize.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "source/fingerprint.h"
@@ -28,16 +29,12 @@ std::string hex_u64(std::uint64_t value) {
   return out;
 }
 
-/// %.17g round-trips every double bit-exactly, so two processes render the
-/// same scale to the same params string.
-std::string fmt_double(double value) {
-  char out[40] = {};
-  std::snprintf(out, sizeof(out), "%.17g", value);
-  return out;
-}
-
+/// append_exact round-trips every double bit-exactly, so two processes
+/// render the same scale to the same params string.
 std::string eval_params(const EvalConfig& eval) {
-  return "scale=" + fmt_double(eval.scale) + " seed=" + hex_u64(eval.seed);
+  std::string params = "scale=";
+  obs::json::append_exact(params, eval.scale);
+  return params + " seed=" + hex_u64(eval.seed);
 }
 
 /// Every DatabaseConfig / FuzzConfig / MachineConfig field that can change

@@ -8,12 +8,12 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "engine/thread_pool.h"
 #include "obs/events.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
@@ -78,33 +78,27 @@ obs::SpanLabel job_span_name(JobKind kind) {
   return "job";
 }
 
-/// Exact, locale-independent double rendering: %.17g round-trips every
-/// finite double, so canonical_text() equality == bitwise result equality.
-std::string fmt_exact(double value) {
-  char out[40];
-  std::snprintf(out, sizeof(out), "%.17g", value);
-  return out;
-}
+using obs::json::append_all;
 
-void append_outcome(std::ostringstream& out, const char* query,
+void append_outcome(std::string& out, const char* query,
                     const DetectionOutcome& outcome) {
-  out << "query " << query << ": total=" << outcome.total
-      << " tp=" << outcome.true_positives << " tn=" << outcome.true_negatives
-      << " fp=" << outcome.false_positives
-      << " fn=" << outcome.false_negatives << " executed=" << outcome.executed
-      << " rank=" << outcome.rank_of_target << "\n  candidates=[";
+  append_all(out, "query ", query, ": total=", outcome.total,
+             " tp=", outcome.true_positives, " tn=", outcome.true_negatives,
+             " fp=", outcome.false_positives,
+             " fn=", outcome.false_negatives, " executed=", outcome.executed,
+             " rank=", outcome.rank_of_target, "\n  candidates=[");
   for (std::size_t i = 0; i < outcome.candidates.size(); ++i) {
-    if (i != 0) out << ',';
-    out << outcome.candidates[i];
+    if (i != 0) out += ',';
+    append_all(out, outcome.candidates[i]);
   }
-  out << "]\n  ranking=[";
+  out += "]\n  ranking=[";
   for (std::size_t i = 0; i < outcome.ranking.size(); ++i) {
     const RankedCandidate& ranked = outcome.ranking[i];
-    if (i != 0) out << ' ';
-    out << ranked.function_index << ':' << fmt_exact(ranked.distance) << ':'
-        << fmt_exact(ranked.secondary);
+    if (i != 0) out += ' ';
+    append_all(out, ranked.function_index, ':', ranked.distance, ':',
+               ranked.secondary);
   }
-  out << "]\n";
+  out += "]\n";
 }
 
 CacheStats stats_delta(const CacheStats& after, const CacheStats& before) {
@@ -129,37 +123,39 @@ std::string_view job_kind_name(JobKind kind) {
   return "?";
 }
 
+/// Doubles are written by obs::json::append_exact, which round-trips every
+/// finite double, so canonical_text() equality is bitwise result equality.
 std::string ScanReport::canonical_text() const {
-  std::ostringstream out;
+  std::string out;
   for (const CveScanResult& result : results) {
-    out << "== " << result.cve_id << " library " << result.library << " ==\n";
+    append_all(out, "== ", result.cve_id, " library ", result.library,
+               " ==\n");
     if (result.library_missing) {
-      out << "library not in image\n";
+      out += "library not in image\n";
       continue;
     }
     append_outcome(out, "vulnerable", result.from_vulnerable);
     append_outcome(out, "patched", result.from_patched);
     if (!result.report.decision) {
-      out << "match: none\n";
+      out += "match: none\n";
       continue;
     }
     const PatchDecision& decision = *result.report.decision;
-    out << "match: function=" << *result.report.matched_function
-        << " verdict="
-        << (decision.verdict == PatchVerdict::patched ? "patched"
-                                                      : "vulnerable")
-        << " votes=" << fmt_exact(decision.votes_vulnerable) << ':'
-        << fmt_exact(decision.votes_patched)
-        << " dist=" << fmt_exact(decision.dynamic_distance_vulnerable) << ':'
-        << fmt_exact(decision.dynamic_distance_patched) << "\n";
+    append_all(out, "match: function=", *result.report.matched_function,
+               " verdict=",
+               decision.verdict == PatchVerdict::patched ? "patched"
+                                                         : "vulnerable",
+               " votes=", decision.votes_vulnerable, ':',
+               decision.votes_patched,
+               " dist=", decision.dynamic_distance_vulnerable, ':',
+               decision.dynamic_distance_patched, '\n');
     for (const std::string& note : decision.evidence)
-      out << "evidence: " << note << "\n";
+      append_all(out, "evidence: ", note, '\n');
   }
-  return out.str();
+  return out;
 }
 
 std::string ScanReport::summary_text() const {
-  std::ostringstream out;
   int vulnerable = 0, patched = 0, unresolved = 0;
   for (const CveScanResult& result : results) {
     if (result.library_missing || !result.report.decision) {
@@ -171,14 +167,15 @@ std::string ScanReport::summary_text() const {
   }
   int stalled = 0;
   for (const CveScanResult& result : results) stalled += result.stalled ? 1 : 0;
-  out << results.size() << " CVEs scanned across " << analyzed_libraries
-      << " libraries: " << vulnerable << " vulnerable, " << patched
-      << " patched, " << unresolved << " unresolved";
-  if (stalled != 0) out << " (" << stalled << " stalled by watchdog)";
-  out << "\n";
+  std::string out;
+  append_all(out, results.size(), " CVEs scanned across ", analyzed_libraries,
+             " libraries: ", vulnerable, " vulnerable, ", patched,
+             " patched, ", unresolved, " unresolved");
+  if (stalled != 0) append_all(out, " (", stalled, " stalled by watchdog)");
+  out += '\n';
   if (interrupted)
-    out << "INTERRUPTED: run cancelled mid-flight, " << jobs_cancelled
-        << " queued jobs dropped; results above are partial\n";
+    append_all(out, "INTERRUPTED: run cancelled mid-flight, ", jobs_cancelled,
+               " queued jobs dropped; results above are partial\n");
   char line[160];
   std::snprintf(line, sizeof(line),
                 "wall time %.2fs over %zu jobs; cache: %llu hits / %llu "
@@ -188,7 +185,7 @@ std::string ScanReport::summary_text() const {
                 static_cast<unsigned long long>(cache.misses()),
                 static_cast<unsigned long long>(cache.disk_loads),
                 static_cast<unsigned long long>(cache.stores));
-  out << line;
+  out += line;
   std::vector<const JobTiming*> slowest;
   for (const JobTiming& timing : timings) slowest.push_back(&timing);
   std::sort(slowest.begin(), slowest.end(),
@@ -201,9 +198,9 @@ std::string ScanReport::summary_text() const {
                   std::string(job_kind_name(slowest[i]->kind)).c_str(),
                   slowest[i]->label.c_str(), slowest[i]->seconds,
                   slowest[i]->cache_hit ? "  (cache)" : "");
-    out << line;
+    out += line;
   }
-  return out.str();
+  return out;
 }
 
 obs::DecisionRecord decision_record(const CveScanResult& result) {

@@ -11,6 +11,7 @@ namespace patchecko::obs {
 
 namespace {
 
+using json::append_all;
 using json::append_double;
 using json::append_string;
 
@@ -19,29 +20,24 @@ void append_stage(std::string& out, const StageRecord& stage) {
   append_double(out, stage.threshold);
   out += ",\"minkowski_p\":";
   append_double(out, stage.minkowski_p);
-  out += ",\"total\":" + std::to_string(stage.total);
-  out += ",\"executed\":" + std::to_string(stage.executed);
-  out += ",\"prefilter\":" + std::to_string(stage.prefilter);
-  out += ",\"prefilter_shortlist\":" + std::to_string(stage.prefilter_shortlist);
-  out += ",\"candidates\":[";
+  append_all(out, ",\"total\":", stage.total, ",\"executed\":", stage.executed,
+             ",\"prefilter\":", stage.prefilter, ",\"prefilter_shortlist\":",
+             stage.prefilter_shortlist, ",\"candidates\":[");
   for (std::size_t i = 0; i < stage.candidates.size(); ++i) {
     const CandidateRecord& candidate = stage.candidates[i];
     if (i != 0) out += ',';
-    out += "{\"function\":" + std::to_string(candidate.function_index);
-    out += ",\"dl_score\":";
+    append_all(out, "{\"function\":", candidate.function_index,
+               ",\"dl_score\":");
     append_double(out, candidate.dl_score);
-    out += ",\"validated\":";
-    out += candidate.validated ? "true" : "false";
-    out += ",\"crash_env\":" + std::to_string(candidate.crash_env);
-    out += ",\"env_distances\":[";
+    append_all(out, ",\"validated\":", candidate.validated ? "true" : "false",
+               ",\"crash_env\":", candidate.crash_env, ",\"env_distances\":[");
     for (std::size_t e = 0; e < candidate.env_distances.size(); ++e) {
       if (e != 0) out += ',';
       append_double(out, candidate.env_distances[e]);
     }
     out += "],\"distance\":";
     append_double(out, candidate.distance);
-    out += ",\"rank\":" + std::to_string(candidate.rank);
-    out += '}';
+    append_all(out, ",\"rank\":", candidate.rank, '}');
   }
   out += "]}";
 }
@@ -149,18 +145,15 @@ std::string decision_jsonl_line(const DecisionRecord& record) {
   for (std::size_t i = 0; i < record.pool.size(); ++i) {
     const PatchCandidateRecord& member = record.pool[i];
     if (i != 0) out += ',';
-    out += "{\"function\":" + std::to_string(member.function_index);
-    out += ",\"dist_vulnerable\":";
+    append_all(out, "{\"function\":", member.function_index,
+               ",\"dist_vulnerable\":");
     append_double(out, member.distance_vulnerable);
     out += ",\"dist_patched\":";
     append_double(out, member.distance_patched);
-    out += ",\"effects_vulnerable\":" +
-           std::to_string(member.effect_matches_vulnerable);
-    out += ",\"effects_patched\":" +
-           std::to_string(member.effect_matches_patched);
-    out += ",\"chosen\":";
-    out += member.chosen ? "true" : "false";
-    out += '}';
+    append_all(out, ",\"effects_vulnerable\":",
+               member.effect_matches_vulnerable, ",\"effects_patched\":",
+               member.effect_matches_patched,
+               ",\"chosen\":", member.chosen ? "true}" : "false}");
   }
   out += "],\"matched_function\":";
   out += record.matched_function ? std::to_string(*record.matched_function)

@@ -107,17 +107,16 @@ void EventLog::clear() {
 }
 
 std::string event_jsonl_line(const Event& event) {
+  using json::append_all;
   using json::append_double;
   using json::append_string;
   std::string out = "{\"type\":\"event\",\"name\":";
   append_string(out, event.name);
   out += ",\"sev\":";
   append_string(out, severity_name(event.severity));
-  out += ",\"req\":" + std::to_string(event.request);
-  out += ",\"seq\":" + std::to_string(event.seq);
-  out += ",\"thread\":" + std::to_string(event.thread);
-  out += ",\"thread_seq\":" + std::to_string(event.thread_seq);
-  out += ",\"t_s\":";
+  append_all(out, ",\"req\":", event.request, ",\"seq\":", event.seq,
+             ",\"thread\":", event.thread, ",\"thread_seq\":", event.thread_seq,
+             ",\"t_s\":");
   append_double(out, event.t_seconds);
   out += ",\"fields\":{";
   for (std::size_t i = 0; i < event.fields.size(); ++i) {
@@ -126,8 +125,8 @@ std::string event_jsonl_line(const Event& event) {
     append_string(out, field.key);
     out += ':';
     switch (field.kind) {
-      case Field::Kind::u64: out += std::to_string(field.u); break;
-      case Field::Kind::i64: out += std::to_string(field.i); break;
+      case Field::Kind::u64: append_all(out, field.u); break;
+      case Field::Kind::i64: append_all(out, field.i); break;
       case Field::Kind::f64: append_double(out, field.f); break;
       case Field::Kind::text: append_string(out, field.s); break;
     }

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <map>
-#include <sstream>
 
 #include "obs/json.h"
 
@@ -10,40 +9,13 @@ namespace patchecko::obs {
 
 namespace {
 
-/// Shortest round-trip double rendering; %.17g keeps every finite double
-/// exact and never produces inf/nan for the values exported here.
-std::string fmt_double(double value) {
-  char out[40];
-  std::snprintf(out, sizeof(out), "%.17g", value);
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using json::append_all;
+using json::append_string;
 
 template <typename Fn>
-void join(std::ostringstream& out, std::size_t n, const Fn& fn) {
+void join(std::string& out, std::size_t n, const Fn& fn) {
   for (std::size_t i = 0; i < n; ++i) {
-    if (i != 0) out << ',';
+    if (i != 0) out += ',';
     fn(i);
   }
 }
@@ -52,53 +24,57 @@ void join(std::ostringstream& out, std::size_t n, const Fn& fn) {
 
 std::string export_json(const Registry& registry, const Tracer& tracer,
                         const EventLog* events) {
-  std::ostringstream out;
   // schema_version is the explicit metrics-document version (v2 added the
   // field itself plus per-span request ids); "version" stays for readers
   // that predate it — json::schema_version() prefers the new key.
-  out << "{\"schema_version\":2,\"version\":1,\"counters\":{";
+  std::string out = "{\"schema_version\":2,\"version\":1,\"counters\":{";
   const auto counters = registry.counter_snapshots();
   join(out, counters.size(), [&](std::size_t i) {
-    out << '"' << json_escape(counters[i].name) << "\":" << counters[i].value;
+    append_string(out, counters[i].name);
+    append_all(out, ':', counters[i].value);
   });
-  out << "},\"gauges\":{";
+  out += "},\"gauges\":{";
   const auto gauges = registry.gauge_snapshots();
   join(out, gauges.size(), [&](std::size_t i) {
-    out << '"' << json_escape(gauges[i].name) << "\":{\"value\":"
-        << gauges[i].value << ",\"max\":" << gauges[i].max << '}';
+    append_string(out, gauges[i].name);
+    append_all(out, ":{\"value\":", gauges[i].value, ",\"max\":",
+               gauges[i].max, '}');
   });
-  out << "},\"histograms\":{";
+  out += "},\"histograms\":{";
   const auto histograms = registry.histogram_snapshots();
   join(out, histograms.size(), [&](std::size_t i) {
     const HistogramSnapshot& h = histograms[i];
-    out << '"' << json_escape(h.name) << "\":{\"count\":" << h.count
-        << ",\"sum_seconds\":" << fmt_double(h.sum) << ",\"le\":[";
+    append_string(out, h.name);
+    append_all(out, ":{\"count\":", h.count, ",\"sum_seconds\":", h.sum,
+               ",\"le\":[");
     join(out, h.bounds.size(),
-         [&](std::size_t b) { out << fmt_double(h.bounds[b]); });
+         [&](std::size_t b) { append_all(out, h.bounds[b]); });
     // buckets has one trailing overflow entry beyond the "le" bounds.
-    out << "],\"buckets\":[";
-    join(out, h.buckets.size(), [&](std::size_t b) { out << h.buckets[b]; });
-    out << "]}";
+    out += "],\"buckets\":[";
+    join(out, h.buckets.size(),
+         [&](std::size_t b) { append_all(out, h.buckets[b]); });
+    out += "]}";
   });
-  out << "},\"spans\":{\"dropped\":" << tracer.dropped() << ",\"events\":[";
+  append_all(out, "},\"spans\":{\"dropped\":", tracer.dropped(),
+             ",\"events\":[");
   const auto spans = tracer.spans();
   join(out, spans.size(), [&](std::size_t i) {
     const Span& span = spans[i];
-    out << "{\"id\":" << span.id << ",\"parent\":" << span.parent
-        << ",\"req\":" << span.request << ",\"name\":\""
-        << json_escape(span.name) << "\",\"thread\":" << span.thread
-        << ",\"start_s\":" << fmt_double(span.start_seconds)
-        << ",\"end_s\":" << fmt_double(span.end_seconds) << '}';
+    append_all(out, "{\"id\":", span.id, ",\"parent\":", span.parent,
+               ",\"req\":", span.request, ",\"name\":");
+    append_string(out, span.name);
+    append_all(out, ",\"thread\":", span.thread, ",\"start_s\":",
+               span.start_seconds, ",\"end_s\":", span.end_seconds, '}');
   });
-  out << "]}";
+  out += "]}";
   if (events != nullptr) {
     const std::uint64_t emitted = events->emitted();
     const std::uint64_t overflow = events->overflowed();
-    out << ",\"events\":{\"emitted\":" << emitted << ",\"overflow\":"
-        << overflow << ",\"retained\":" << emitted - overflow << '}';
+    append_all(out, ",\"events\":{\"emitted\":", emitted, ",\"overflow\":",
+               overflow, ",\"retained\":", emitted - overflow, '}');
   }
-  out << '}';
-  return out.str();
+  out += '}';
+  return out;
 }
 
 std::string summary_line(const Registry& registry, const Tracer* tracer,
@@ -203,14 +179,13 @@ std::string chrome_trace_json(const Tracer& tracer, const EventLog* events) {
     first = false;
     out += "{\"name\":";
     json::append_string(out, span.name);
-    out += ",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(span.thread);
-    out += ",\"ts\":";
+    append_all(out, ",\"ph\":\"X\",\"pid\":1,\"tid\":", span.thread,
+               ",\"ts\":");
     json::append_double(out, span.start_seconds * 1e6);
     out += ",\"dur\":";
     json::append_double(out, (span.end_seconds - span.start_seconds) * 1e6);
-    out += ",\"args\":{\"id\":" + std::to_string(span.id) +
-           ",\"parent\":" + std::to_string(span.parent) +
-           ",\"req\":" + std::to_string(span.request) + "}}";
+    append_all(out, ",\"args\":{\"id\":", span.id, ",\"parent\":", span.parent,
+               ",\"req\":", span.request, "}}");
   }
   if (events != nullptr) {
     for (const Event& event : events->events()) {
@@ -218,19 +193,18 @@ std::string chrome_trace_json(const Tracer& tracer, const EventLog* events) {
       first = false;
       out += "{\"name\":";
       json::append_string(out, event.name);
-      out += ",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" +
-             std::to_string(event.thread);
-      out += ",\"ts\":";
+      append_all(out, ",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":",
+                 event.thread, ",\"ts\":");
       json::append_double(out, event.t_seconds * 1e6);
-      out += ",\"args\":{\"req\":" + std::to_string(event.request);
+      append_all(out, ",\"args\":{\"req\":", event.request);
       for (std::size_t i = 0; i < event.fields.size(); ++i) {
         const Field& field = event.fields[i];
         out += ',';
         json::append_string(out, field.key);
         out += ':';
         switch (field.kind) {
-          case Field::Kind::u64: out += std::to_string(field.u); break;
-          case Field::Kind::i64: out += std::to_string(field.i); break;
+          case Field::Kind::u64: append_all(out, field.u); break;
+          case Field::Kind::i64: append_all(out, field.i); break;
           case Field::Kind::f64: json::append_double(out, field.f); break;
           case Field::Kind::text: json::append_string(out, field.s); break;
         }

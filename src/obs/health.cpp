@@ -61,47 +61,31 @@ const Clock& Clock::real() {
 
 std::string health_snapshot_jsonl(const HealthSnapshot& snapshot,
                                   bool include_process) {
-  std::string out = "{\"type\":\"heartbeat\",\"seq\":";
-  out += std::to_string(snapshot.seq);
-  out += ",\"t_s\":";
-  json::append_double(out, snapshot.t_seconds);
-  out += ",\"jobs\":{\"done\":";
-  out += std::to_string(snapshot.jobs_done);
-  out += ",\"total\":";
-  out += std::to_string(snapshot.jobs_total);
-  out += ",\"analyze\":";
-  out += std::to_string(snapshot.analyze_done);
-  out += ",\"detect\":";
-  out += std::to_string(snapshot.detect_done);
-  out += ",\"patch\":";
-  out += std::to_string(snapshot.patch_done);
-  out += "},\"rate_per_s\":";
-  json::append_double(out, snapshot.rate_per_second);
+  using json::append_all;
+  using json::append_double;
+  std::string out;
+  append_all(out, "{\"type\":\"heartbeat\",\"seq\":", snapshot.seq,
+             ",\"t_s\":");
+  append_double(out, snapshot.t_seconds);
+  append_all(out, ",\"jobs\":{\"done\":", snapshot.jobs_done,
+             ",\"total\":", snapshot.jobs_total,
+             ",\"analyze\":", snapshot.analyze_done,
+             ",\"detect\":", snapshot.detect_done,
+             ",\"patch\":", snapshot.patch_done, "},\"rate_per_s\":");
+  append_double(out, snapshot.rate_per_second);
   out += ",\"eta_s\":";
-  json::append_double(out, snapshot.eta_seconds);
-  out += ",\"cache\":{\"hits\":";
-  out += std::to_string(snapshot.cache_hits);
-  out += ",\"misses\":";
-  out += std::to_string(snapshot.cache_misses);
-  out += ",\"hit_ratio\":";
-  json::append_double(out, snapshot.cache_hit_ratio);
-  out += "},\"queues\":{\"ready\":";
-  out += std::to_string(snapshot.ready_depth);
-  out += ",\"pool\":";
-  out += std::to_string(snapshot.pool_queue_depth);
-  out += "},\"events\":{\"emitted\":";
-  out += std::to_string(snapshot.events_emitted);
-  out += ",\"overflow\":";
-  out += std::to_string(snapshot.events_overflowed);
-  out += "},\"stalled_jobs\":";
-  out += std::to_string(snapshot.stalled_jobs);
-  if (include_process) {
-    out += ",\"process\":{\"rss_kb\":";
-    out += std::to_string(snapshot.rss_kb);
-    out += ",\"peak_rss_kb\":";
-    out += std::to_string(snapshot.peak_rss_kb);
-    out += '}';
-  }
+  append_double(out, snapshot.eta_seconds);
+  append_all(out, ",\"cache\":{\"hits\":", snapshot.cache_hits,
+             ",\"misses\":", snapshot.cache_misses, ",\"hit_ratio\":");
+  append_double(out, snapshot.cache_hit_ratio);
+  append_all(out, "},\"queues\":{\"ready\":", snapshot.ready_depth,
+             ",\"pool\":", snapshot.pool_queue_depth,
+             "},\"events\":{\"emitted\":", snapshot.events_emitted,
+             ",\"overflow\":", snapshot.events_overflowed,
+             "},\"stalled_jobs\":", snapshot.stalled_jobs);
+  if (include_process)
+    append_all(out, ",\"process\":{\"rss_kb\":", snapshot.rss_kb,
+               ",\"peak_rss_kb\":", snapshot.peak_rss_kb, '}');
   out += '}';
   return out;
 }

@@ -1,40 +1,46 @@
 #include "obs/json.h"
 
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <limits>
 
 namespace patchecko::obs::json {
 
+void append_exact(std::string& out, double value) {
+  // Room for the longest %.17g form, "-2.2250738585072014e-308".
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
 void append_double(std::string& out, double value) {
-  if (value != value || value == std::numeric_limits<double>::infinity() ||
-      value == -std::numeric_limits<double>::infinity()) {
+  if (!std::isfinite(value)) {
     out += "null";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
+  append_exact(out, value);
 }
 
 void append_string(std::string& out, std::string_view text) {
+  static constexpr char hex[] = "0123456789abcdef";
   out += '"';
-  for (const char c : text) {
+  // Bytes that need no escape are copied one run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: out.append({'\\', 'u', '0', '0', hex[c >> 4], hex[c & 0xF]});
     }
   }
+  out.append(text.data() + run, text.size() - run);
   out += '"';
 }
 

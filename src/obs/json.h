@@ -9,11 +9,13 @@
 // corrupt provenance line degrades to "unreadable", never UB.
 #pragma once
 
+#include <charconv>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace patchecko::obs::json {
@@ -83,10 +85,37 @@ std::optional<Value> parse(std::string_view text);
 /// documents that carry neither. Non-integer values yield `fallback`.
 int schema_version(const Value& document, int fallback = 1);
 
+/// The one exact number writer: the bytes of printf's "%.17g" in the C
+/// locale (std::to_chars specifies exactly that), so every finite double
+/// round-trips bit for bit; non-finite values print as "inf", "-inf",
+/// "nan" and "-nan". Canonical reports, metrics exports and store keys use
+/// it directly.
+void append_exact(std::string& out, double value);
+
+/// Appends each part in turn: floating-point values as append_exact writes
+/// them, integers in decimal (the bytes of std::to_string), characters and
+/// text as they are.
+template <typename... Parts>
+void append_all(std::string& out, const Parts&... parts) {
+  const auto append_one = [&out](const auto& part) {
+    using Part = std::decay_t<decltype(part)>;
+    if constexpr (std::is_floating_point_v<Part>) {
+      append_exact(out, static_cast<double>(part));
+    } else if constexpr (std::is_integral_v<Part> &&
+                         !std::is_same_v<Part, char>) {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), part).ptr);
+    } else {
+      out += part;
+    }
+  };
+  (append_one(parts), ...);
+}
+
 /// Writers shared by every JSON exporter in this library. Doubles render
-/// with %.17g (round-trips every finite value exactly); non-finite values
-/// become null so emitted lines stay strict JSON. Strings escape the set
-/// parse() understands, with control characters as \uXXXX.
+/// with append_exact; non-finite values become null so emitted lines stay
+/// strict JSON. Strings escape the set parse() understands, with control
+/// characters as \uXXXX.
 void append_double(std::string& out, double value);
 void append_string(std::string& out, std::string_view text);
 

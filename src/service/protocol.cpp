@@ -285,15 +285,19 @@ std::string accepted_response(std::uint64_t request_id,
 }
 
 std::string result_response(const ResultInfo& info) {
-  std::string out =
-      "{\"type\":\"result\",\"request_id\":" + std::to_string(info.request_id) +
-      ",\"status\":\"ok\",\"corpus_version\":" +
-      std::to_string(info.corpus_version) +
-      ",\"interrupted\":" + (info.interrupted ? "true" : "false") +
-      ",\"seconds\":";
+  // A result frame is mostly its three strings, escaped at their own size
+  // or larger: one allocation up front, not one per doubling.
+  std::string out;
+  out.reserve(info.report.size() + info.summary.size() +
+              info.provenance.size() + 256);
+  obs_json::append_all(out, "{\"type\":\"result\",\"request_id\":",
+                       info.request_id,
+                       ",\"status\":\"ok\",\"corpus_version\":",
+                       info.corpus_version, ",\"interrupted\":",
+                       info.interrupted ? "true" : "false", ",\"seconds\":");
   obs_json::append_double(out, info.seconds);
-  out += ",\"cache\":{\"hits\":" + std::to_string(info.cache_hits) +
-         ",\"misses\":" + std::to_string(info.cache_misses) + "},\"report\":";
+  obs_json::append_all(out, ",\"cache\":{\"hits\":", info.cache_hits,
+                       ",\"misses\":", info.cache_misses, "},\"report\":");
   obs_json::append_string(out, info.report);
   out += ",\"summary\":";
   obs_json::append_string(out, info.summary);

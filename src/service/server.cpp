@@ -656,9 +656,16 @@ void ScanService::run_scan(const PendingScan& scan) {
   info.seconds = report.total_seconds;
   info.cache_hits = report.cache.hits();
   info.cache_misses = report.cache.misses();
-  info.report = report.canonical_text();
-  info.summary = report.summary_text();
-  if (scan.request.want_provenance) info.provenance = report.provenance_jsonl();
+  std::string frame;
+  {
+    const obs::TaskScope task(scan.id);
+    const obs::ScopedSpan span("service.render");
+    info.report = report.canonical_text();
+    info.summary = report.summary_text();
+    if (scan.request.want_provenance)
+      info.provenance = report.provenance_jsonl();
+    frame = result_response(info);
+  }
 
   entry.cache_hits = info.cache_hits;
   entry.cache_misses = info.cache_misses;
@@ -667,8 +674,7 @@ void ScanService::run_scan(const PendingScan& scan) {
   // State before response: a client that just read its result may query
   // status immediately and must not still see "running".
   set_state(scan.id, report.interrupted ? "interrupted" : "done");
-  finish(200, report.interrupted ? "interrupted" : "ok",
-         result_response(info));
+  finish(200, report.interrupted ? "interrupted" : "ok", frame);
 }
 
 // --- health ----------------------------------------------------------------

@@ -822,6 +822,121 @@ TEST(Cache, ConcurrentSameKeyWritersNeverTearDiskReads) {
   EXPECT_EQ(stats.stores, 2u + 4u * 25u * 2u);
 }
 
+// A report built by hand to reach every branch of the renderers: a matched
+// CVE whose numbers include every non-finite and extreme double, a missing
+// library and a result with no decision.
+ScanReport hand_built_report() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ScanReport report;
+  CveScanResult matched;
+  matched.cve_id = "CVE-2018-0001";
+  matched.library = "libssl";
+  DetectionOutcome& vulnerable = matched.from_vulnerable;
+  vulnerable.total = 42;
+  vulnerable.true_positives = 1;
+  vulnerable.true_negatives = 38;
+  vulnerable.false_positives = 2;
+  vulnerable.false_negatives = 1;
+  vulnerable.candidates = {3, 17, 41};
+  vulnerable.executed = 3;
+  vulnerable.rank_of_target = -1;
+  vulnerable.ranking = {{17, nan, std::copysign(nan, -1.0)},
+                        {3, inf, -inf},
+                        {41, -0.0, 0.1}};
+  DetectionOutcome& patched = matched.from_patched;
+  patched.total = 42;
+  patched.true_positives = 1;
+  patched.true_negatives = 40;
+  patched.false_negatives = 1;
+  patched.candidates = {17};
+  patched.executed = 1;
+  patched.rank_of_target = 1;
+  patched.ranking = {{17, std::numeric_limits<double>::denorm_min(),
+                      std::numeric_limits<double>::max()}};
+  matched.report.matched_function = 17;
+  PatchDecision decision;
+  decision.verdict = PatchVerdict::patched;
+  decision.votes_vulnerable = 1.0 / 3.0;
+  decision.votes_patched = 2.5e-300;
+  decision.dynamic_distance_vulnerable = 123456789.125;
+  decision.dynamic_distance_patched = -1e22;
+  decision.evidence = {"ret-guard added", "cmp imm 0x40 \"bounds\""};
+  matched.report.decision = decision;
+  report.results.push_back(matched);
+
+  CveScanResult missing;
+  missing.cve_id = "CVE-2019-0002";
+  missing.library = "libz";
+  missing.library_missing = true;
+  report.results.push_back(missing);
+
+  CveScanResult unmatched;
+  unmatched.cve_id = "CVE-2020-0003";
+  unmatched.library = "libpng";
+  unmatched.from_vulnerable.total = 7;
+  unmatched.from_patched.total = 7;
+  unmatched.from_patched.rank_of_target = 2;
+  unmatched.stalled = true;
+  report.results.push_back(unmatched);
+
+  report.analyzed_libraries = 2;
+  report.interrupted = true;
+  report.jobs_cancelled = 3;
+  report.total_seconds = 1.23456;
+  report.cache.outcome_hits = 5;
+  report.cache.outcome_misses = 2;
+  report.cache.feature_hits = 1;
+  report.cache.disk_loads = 4;
+  report.cache.stores = 2;
+  JobTiming analyze{JobKind::analyze, "libssl", 0.5};
+  JobTiming detect{JobKind::detect, "CVE-2018-0001", 0.25, true};
+  JobTiming patch{JobKind::patch, "CVE-2018-0001", 0.125};
+  report.timings = {patch, analyze, detect};
+  return report;
+}
+
+// The literals were captured from the ostringstream/snprintf renderer that
+// the one-string renderer replaced: the bytes must not change.
+TEST(Engine, CanonicalTextGolden) {
+  EXPECT_EQ(
+      hand_built_report().canonical_text(),
+      "== CVE-2018-0001 library libssl ==\n"
+      "query vulnerable: total=42 tp=1 tn=38 fp=2 fn=1 executed=3 rank=-1\n"
+      "  candidates=[3,17,41]\n"
+      "  ranking=[17:nan:-nan 3:inf:-inf 41:-0:0.10000000000000001]\n"
+      "query patched: total=42 tp=1 tn=40 fp=0 fn=1 executed=1 rank=1\n"
+      "  candidates=[17]\n"
+      "  ranking=[17:4.9406564584124654e-324:1.7976931348623157e+308]\n"
+      "match: function=17 verdict=patched votes=0.33333333333333331:2.5e-300"
+      " dist=123456789.125:-1e+22\n"
+      "evidence: ret-guard added\n"
+      "evidence: cmp imm 0x40 \"bounds\"\n"
+      "== CVE-2019-0002 library libz ==\n"
+      "library not in image\n"
+      "== CVE-2020-0003 library libpng ==\n"
+      "query vulnerable: total=7 tp=0 tn=0 fp=0 fn=0 executed=0 rank=-1\n"
+      "  candidates=[]\n"
+      "  ranking=[]\n"
+      "query patched: total=7 tp=0 tn=0 fp=0 fn=0 executed=0 rank=2\n"
+      "  candidates=[]\n"
+      "  ranking=[]\n"
+      "match: none\n");
+}
+
+TEST(Engine, SummaryTextGolden) {
+  EXPECT_EQ(hand_built_report().summary_text(),
+            "3 CVEs scanned across 2 libraries: 0 vulnerable, 1 patched, 2 "
+            "unresolved (1 stalled by watchdog)\n"
+            "INTERRUPTED: run cancelled mid-flight, 3 queued jobs dropped; "
+            "results above are partial\n"
+            "wall time 1.23s over 3 jobs; cache: 6 hits / 2 misses (4 from "
+            "disk, 2 stores)\n"
+            "  analyze libssl                  0.500s\n"
+            "  detect  CVE-2018-0001           0.250s  (cache)\n"
+            "  patch   CVE-2018-0001           0.125s\n");
+}
+
 TEST(Engine, RejectsIncompleteRequests) {
   ScanEngine engine;
   EXPECT_THROW(engine.run(ScanRequest{}), std::invalid_argument);

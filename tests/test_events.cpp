@@ -7,8 +7,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -183,6 +186,72 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(obs::json::parse("\"unterminated").has_value());
   EXPECT_FALSE(obs::json::parse("nulx").has_value());
   EXPECT_FALSE(obs::json::parse("{} trailing").has_value());  // garbage after
+}
+
+// append_exact must write the bytes of printf's "%.17g" for every double:
+// canonical reports, metrics exports and corpus-store keys all depend on it.
+TEST(Json, ExactWriterMatchesPrintf) {
+  const auto printf_17g = [](double value) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return std::string(buf);
+  };
+  const auto exact = [](double value) {
+    std::string out;
+    obs::json::append_exact(out, value);
+    return out;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(exact(inf), "inf");
+  EXPECT_EQ(exact(-inf), "-inf");
+  EXPECT_EQ(exact(nan), "nan");
+  EXPECT_EQ(exact(std::copysign(nan, -1.0)), "-nan");
+  const double specials[] = {0.0,
+                             -0.0,
+                             inf,
+                             -inf,
+                             nan,
+                             std::copysign(nan, -1.0),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::epsilon(),
+                             0.1,
+                             1e16,
+                             1e17,
+                             123456789012345678.0,
+                             1e-5,
+                             0.0001};
+  for (const double value : specials)
+    EXPECT_EQ(exact(value), printf_17g(value)) << printf_17g(value);
+
+  std::mt19937_64 rng(0x5eed);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (exact(value) != printf_17g(value) && ++mismatches <= 5)
+      ADD_FAILURE() << "bits " << bits << ": " << exact(value) << " vs "
+                    << printf_17g(value);
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  std::string out = "x=";
+  obs::json::append_double(out, 0.5);
+  out += ',';
+  obs::json::append_double(out, -inf);
+  out += ',';
+  obs::json::append_double(out, nan);
+  EXPECT_EQ(out, "x=0.5,null,null");
+
+  out.clear();
+  obs::json::append_all(out, "a", std::string("b"), 'c', -3,
+                        std::uint8_t{7}, std::uint64_t{1} << 63, 0.1, 0.5f);
+  EXPECT_EQ(out, "abc-379223372036854775808" + printf_17g(0.1) + "0.5");
 }
 
 obs::DecisionRecord sample_record() {

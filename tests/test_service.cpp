@@ -217,6 +217,37 @@ TEST(Service, ParseRequestRoundTripsBuilders) {
   EXPECT_DOUBLE_EQ(bare->profile_seconds, 1.0);
 }
 
+// The literal was captured from the per-byte string escaper that the
+// run-appending one replaced. The report holds every escape class: quotes,
+// a backslash, control characters with and without a short form, UTF-8
+// (copied through) and DEL (not a control character in JSON).
+TEST(Service, ResultResponseGolden) {
+  svc::ResultInfo info;
+  info.request_id = 9;
+  info.corpus_version = 3;
+  info.seconds = 0.1;
+  info.cache_hits = 25;
+  info.report =
+      "== \"q\" \\ path\x01\x1f\r\b\f\n\tcaf\xc3\xa9 \xe2\x86\x92 "
+      "\xf0\x9f\x94\x92\x7f";
+  info.summary = "1 CVE\n";
+  info.provenance = "{\"a\":\"b\\\\c\"}\n";
+  const std::string frame = svc::result_response(info);
+  EXPECT_EQ(frame,
+            "{\"type\":\"result\",\"request_id\":9,\"status\":\"ok\","
+            "\"corpus_version\":3,\"interrupted\":false,"
+            "\"seconds\":0.10000000000000001,"
+            "\"cache\":{\"hits\":25,\"misses\":0},"
+            "\"report\":\"== \\\"q\\\" \\\\ path\\u0001\\u001f\\u000d\\u0008"
+            "\\u000c\\n\\tcaf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x94\x92\x7f\","
+            "\"summary\":\"1 CVE\\n\","
+            "\"provenance\":\"{\\\"a\\\":\\\"b\\\\\\\\c\\\"}\\n\"}");
+  const auto parsed = json::parse(frame);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->get("report").as_string(), info.report);
+  EXPECT_EQ(parsed->get("provenance").as_string(), info.provenance);
+}
+
 TEST(Service, ParseRequestBoundsProfileCaptures) {
   // Duration is clamped at parse time: a typo must never park a daemon
   // session thread for an hour.
@@ -828,6 +859,7 @@ TEST(Service, ImageTierServesARepeatedImageWithoutDecoding) {
   const std::multiset<std::uint64_t> both = {id(miss_doc), id(hit_doc)};
   const std::multiset<std::uint64_t> miss_only = {id(miss_doc)};
   EXPECT_EQ(requests_of["service.image_digest"], both);
+  EXPECT_EQ(requests_of["service.render"], both);
   EXPECT_EQ(requests_of["setup.firmware"], miss_only);
   EXPECT_TRUE(requests_of["cache.digest"].empty());
 }
