@@ -160,13 +160,16 @@ struct Parser {
   bool parse_string(std::string& out) {
     if (!consume('"')) return false;
     while (pos < text.size()) {
+      // Bytes that need no decoding are copied one run at a time.
+      const std::size_t run = pos;
+      while (pos < text.size() && text[pos] != '"' && text[pos] != '\\' &&
+             static_cast<unsigned char>(text[pos]) >= 0x20)
+        ++pos;
+      out.append(text.data() + run, pos - run);
+      if (pos >= text.size()) break;
       const char c = text[pos++];
       if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') return false;  // raw control byte
       if (pos >= text.size()) return false;
       const char escape = text[pos++];
       switch (escape) {

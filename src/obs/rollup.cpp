@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/json.h"
-#include "obs/resource.h"
 
 namespace patchecko::obs {
 
@@ -92,16 +91,9 @@ void Rollup::observe_queue_depth(std::int64_t depth) {
   queue_depth_high_water_ = std::max(queue_depth_high_water_, depth);
 }
 
-void Rollup::set_corpus_version(std::uint64_t version) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  corpus_version_ = version;
-}
-
 RollupSnapshot Rollup::snapshot() const {
   RollupSnapshot snapshot;
   snapshot.window_seconds = config_.window_seconds;
-  snapshot.uptime_seconds = clock_->now() - epoch_;
-  snapshot.rss_kb = process_rss_kb();
   snapshot.latency_bounds = bounds_;
   snapshot.window.assign(kEndpointCount, EndpointWindow{});
   for (EndpointWindow& window : snapshot.window)
@@ -112,7 +104,6 @@ RollupSnapshot Rollup::snapshot() const {
       now_index - static_cast<std::int64_t>(slots_.size()) + 1;
 
   std::lock_guard<std::mutex> lock(mutex_);
-  snapshot.corpus_version = corpus_version_;
   snapshot.queue_depth_high_water = queue_depth_high_water_;
   snapshot.queue_wait_high_water_seconds = queue_wait_high_water_;
   snapshot.totals = totals_;
@@ -141,14 +132,10 @@ std::string rollup_snapshot_json(const RollupSnapshot& snapshot) {
   using json::append_double;
   std::string out = "{\"window_s\":";
   append_double(out, snapshot.window_seconds);
-  out += ",\"uptime_s\":";
-  append_double(out, snapshot.uptime_seconds);
-  out += ",\"corpus_version\":" + std::to_string(snapshot.corpus_version);
   out += ",\"queue\":{\"depth_hwm\":" +
          std::to_string(snapshot.queue_depth_high_water) + ",\"wait_hwm_s\":";
   append_double(out, snapshot.queue_wait_high_water_seconds);
-  out += "},\"rss_kb\":" + std::to_string(snapshot.rss_kb);
-  out += ",\"le\":[";
+  out += "},\"le\":[";
   for (std::size_t i = 0; i < snapshot.latency_bounds.size(); ++i) {
     if (i != 0) out += ',';
     append_double(out, snapshot.latency_bounds[i]);

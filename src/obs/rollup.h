@@ -82,11 +82,8 @@ struct EndpointTotals {
 
 struct RollupSnapshot {
   double window_seconds = 0.0;
-  double uptime_seconds = 0.0;  ///< since Rollup construction
-  std::uint64_t corpus_version = 0;
   std::int64_t queue_depth_high_water = 0;       ///< lifetime
   double queue_wait_high_water_seconds = 0.0;    ///< lifetime
-  std::int64_t rss_kb = -1;  ///< sampled at snapshot time; -1 = unsupported
   std::vector<double> latency_bounds;
   /// Indexed by Endpoint, kEndpointCount entries each.
   std::vector<EndpointWindow> window;
@@ -119,10 +116,6 @@ class Rollup {
   /// time by the service). No-op when disabled.
   void observe_queue_depth(std::int64_t depth);
 
-  /// The corpus generation reported in snapshots (set at startup and on
-  /// every reload).
-  void set_corpus_version(std::uint64_t version);
-
   RollupSnapshot snapshot() const;
 
  private:
@@ -147,7 +140,6 @@ class Rollup {
   std::vector<EndpointTotals> totals_;
   std::int64_t queue_depth_high_water_ = 0;
   double queue_wait_high_water_ = 0.0;
-  std::uint64_t corpus_version_ = 0;
 };
 
 }  // namespace patchecko::obs

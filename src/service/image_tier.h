@@ -32,7 +32,7 @@ struct ResidentImage {
   FirmwareImage image;
 };
 
-/// Process-lifetime totals for the `images` block of `health` and `stats`.
+/// Process-lifetime totals for the `images` block of the state document.
 struct ImageTierStats {
   std::size_t entries = 0;
   std::size_t capacity = 0;

@@ -77,11 +77,11 @@ class FrameReader {
 enum class RequestType : std::uint8_t {
   scan,     ///< run one firmware scan through the resident engine
   status,   ///< state of a previously submitted request id
-  health,   ///< heartbeat snapshot + queue/cache/resource gauges
+  health,   ///< the daemon's state document (the same answer as stats)
   reload,   ///< rebuild the CVE corpus snapshot (optionally new scale/seed)
   drain,    ///< stop admitting scans, finish the queue, then shut down
   ping,     ///< liveness probe
-  stats,    ///< rolling per-endpoint aggregates (obs::Rollup snapshot)
+  stats,    ///< the daemon's state document, rollup snapshot included
   profile,  ///< capture an N-second sampling profile of the daemon
   unknown,  ///< unrecognized "type" — answered with a structured 400
 };

@@ -28,7 +28,7 @@ namespace obs_json = patchecko::obs::json;
 // --- connection ------------------------------------------------------------
 
 /// One accepted socket. Reads happen only on the session thread; writes can
-/// come from the session thread (errors, health) *and* dispatcher threads
+/// come from the session thread (errors, stats) *and* dispatcher threads
 /// (scan results), so every write serializes on write_mutex and a failed
 /// write just marks the connection dead — a vanished client must never take
 /// the daemon down with it.
@@ -148,7 +148,6 @@ ScanService::ScanService(ServiceConfig config)
       engine_(config_.engine),
       queue_(config_.queue_limit),
       rollup_(rollup_config(config_)) {
-  rollup_.set_corpus_version(store_.current()->version);
   if (config_.access_log.enabled) {
     std::string error;
     if (!access_log_.open(config_.access_log.file, &error))
@@ -233,9 +232,7 @@ std::shared_ptr<const CorpusSnapshot> ScanService::reload(
   EvalConfig eval = store_.current()->eval;
   if (scale.has_value()) eval.scale = *scale;
   if (seed.has_value()) eval.seed = *seed;
-  auto snapshot = store_.reload(eval);
-  rollup_.set_corpus_version(snapshot->version);
-  return snapshot;
+  return store_.reload(eval);
 }
 
 // --- request registry ------------------------------------------------------
@@ -355,10 +352,10 @@ void ScanService::handle_payload(
       return;
     }
     case RequestType::health:
-      done("health", 200, "ok", health_json());
-      return;
     case RequestType::stats:
-      done("stats", 200, "ok", stats_json());
+      // One state document answers both; the rollup still counts each
+      // under its own endpoint.
+      done(request->raw_type, 200, "ok", stats_json());
       return;
     case RequestType::reload: {
       const auto snapshot = reload(request->scale, request->seed);
@@ -600,8 +597,8 @@ void ScanService::run_scan(const PendingScan& scan) {
     return;
   }
 
-  // Every request gets a heartbeat: silent (sampled only, for the health
-  // endpoint) unless --heartbeat asked for per-request JSONL files.
+  // Every request gets a heartbeat: silent (sampled only, for the state
+  // document) unless --heartbeat asked for per-request JSONL files.
   obs::HeartbeatConfig heartbeat_config;
   heartbeat_config.write_lines = config_.heartbeat.enabled;
   heartbeat_config.interval_seconds =
@@ -677,82 +674,46 @@ void ScanService::run_scan(const PendingScan& scan) {
   finish(200, report.interrupted ? "interrupted" : "ok", frame);
 }
 
-// --- health ----------------------------------------------------------------
+// --- state document --------------------------------------------------------
 
-ServiceHealth ScanService::health() const {
-  ServiceHealth health;
-  health.uptime_seconds = uptime_.elapsed_seconds();
+std::string ScanService::stats_json() const {
   const auto snapshot = store_.current();
-  health.corpus_version = snapshot->version;
-  health.corpus_cves = snapshot->database.entries().size();
-  health.draining = draining_.load(std::memory_order_acquire);
-  health.queue = queue_.stats();
-  health.cache = engine_.cache().stats();
-  health.images = images_.stats();
-  health.retrieval_query_codes = snapshot->queries.entries.size();
-  health.retrieval_query_build_seconds = snapshot->queries.build_seconds;
-  // Index builds happen inside engine analyze jobs; the registry counters
-  // are the process-lifetime totals (zero while obs is disabled).
-  obs::Registry& registry = obs::Registry::global();
-  health.retrieval_index_builds =
-      registry.counter("retrieval.index_builds").value();
-  health.retrieval_index_vectors =
-      registry.counter("retrieval.index_vectors").value();
-  health.retrieval_index_build_seconds =
-      registry.histogram("retrieval.index_build_seconds").sum();
-  return health;
-}
-
-namespace {
-
-// The `corpus`, `queue` and `images` objects that `health` and `stats` both
-// carry.
-std::string corpus_json(std::uint64_t version, std::size_t cves) {
-  return "{\"version\":" + std::to_string(version) +
-         ",\"cves\":" + std::to_string(cves) + "}";
-}
-
-std::string queue_json(const AdmissionStats& queue) {
-  return "{\"depth\":" + std::to_string(queue.depth) +
+  std::string out = "{\"type\":\"stats\",\"schema_version\":3,\"uptime_s\":";
+  obs_json::append_double(out, uptime_.elapsed_seconds());
+  out += ",\"corpus\":{\"version\":" + std::to_string(snapshot->version) +
+         ",\"cves\":" + std::to_string(snapshot->database.entries().size()) +
+         "}";
+  out += std::string(",\"draining\":") +
+         (draining_.load(std::memory_order_acquire) ? "true" : "false");
+  const AdmissionStats queue = queue_.stats();
+  out += ",\"queue\":{\"depth\":" + std::to_string(queue.depth) +
          ",\"active\":" + std::to_string(queue.active) +
          ",\"capacity\":" + std::to_string(queue.capacity) +
          ",\"admitted\":" + std::to_string(queue.admitted) +
          ",\"rejected\":" + std::to_string(queue.rejected) +
          ",\"completed\":" + std::to_string(queue.completed) + "}";
-}
-
-std::string images_json(const ImageTierStats& images) {
-  return "{\"entries\":" + std::to_string(images.entries) +
+  const ImageTierStats images = images_.stats();
+  out += ",\"images\":{\"entries\":" + std::to_string(images.entries) +
          ",\"capacity\":" + std::to_string(images.capacity) +
          ",\"bytes\":" + std::to_string(images.bytes) +
          ",\"hits\":" + std::to_string(images.hits) +
          ",\"misses\":" + std::to_string(images.misses) +
          ",\"evictions\":" + std::to_string(images.evictions) + "}";
-}
-
-}  // namespace
-
-std::string ScanService::health_json() const {
-  const ServiceHealth health = this->health();
-  std::string out = "{\"type\":\"health\",\"uptime_s\":";
-  obs_json::append_double(out, health.uptime_seconds);
-  out += ",\"corpus\":" +
-         corpus_json(health.corpus_version, health.corpus_cves);
-  out += std::string(",\"draining\":") + (health.draining ? "true" : "false");
-  out += ",\"queue\":" + queue_json(health.queue);
-  out += ",\"images\":" + images_json(health.images);
-  const std::uint64_t hits = health.cache.hits();
-  const std::uint64_t misses = health.cache.misses();
+  const CacheStats cache = engine_.cache().stats();
+  const std::uint64_t hits = cache.hits();
+  const std::uint64_t misses = cache.misses();
   const std::uint64_t lookups = hits + misses;
   out += ",\"cache\":{\"hits\":" + std::to_string(hits) +
          ",\"misses\":" + std::to_string(misses) +
-         ",\"stores\":" + std::to_string(health.cache.stores) +
-         ",\"hit_ratio\":";
+         ",\"stores\":" + std::to_string(cache.stores) + ",\"hit_ratio\":";
   obs_json::append_double(
       out, lookups == 0 ? 0.0
                         : static_cast<double>(hits) /
                               static_cast<double>(lookups));
   out += "}";
+  // The heartbeat block names the request it belongs to (and the corpus
+  // generation that request captured): a multiplexed daemon's "latest
+  // heartbeat" is meaningless without knowing *whose* heartbeat it is.
   std::optional<obs::HealthSnapshot> heartbeat;
   std::uint64_t heartbeat_request = 0;
   std::uint64_t heartbeat_corpus = 0;
@@ -764,9 +725,6 @@ std::string ScanService::health_json() const {
       heartbeat_corpus = latest_heartbeat_corpus_;
     }
   }
-  // The heartbeat block names the request it belongs to (and the corpus
-  // generation that request captured): a multiplexed daemon's "latest
-  // heartbeat" is meaningless without knowing *whose* heartbeat it is.
   out += ",\"heartbeat\":";
   if (heartbeat) {
     out += "{\"request_id\":" + std::to_string(heartbeat_request) +
@@ -777,37 +735,22 @@ std::string ScanService::health_json() const {
   } else {
     out += "null";
   }
+  // The current snapshot's query catalog, plus the process-lifetime index
+  // build totals: builds happen inside engine analyze jobs, so these are
+  // registry counters (zero while obs is disabled).
+  obs::Registry& registry = obs::Registry::global();
   out += ",\"retrieval\":{\"query_codes\":" +
-         std::to_string(health.retrieval_query_codes) +
+         std::to_string(snapshot->queries.entries.size()) +
          ",\"query_build_s\":";
-  obs_json::append_double(out, health.retrieval_query_build_seconds);
-  out += ",\"index_builds\":" + std::to_string(health.retrieval_index_builds) +
+  obs_json::append_double(out, snapshot->queries.build_seconds);
+  out += ",\"index_builds\":" +
+         std::to_string(registry.counter("retrieval.index_builds").value()) +
          ",\"index_vectors\":" +
-         std::to_string(health.retrieval_index_vectors) +
+         std::to_string(registry.counter("retrieval.index_vectors").value()) +
          ",\"index_build_s\":";
-  obs_json::append_double(out, health.retrieval_index_build_seconds);
+  obs_json::append_double(
+      out, registry.histogram("retrieval.index_build_seconds").sum());
   out += "}";
-  // Present only when serve runs store-backed (--corpus-dir): the provider
-  // renders the prebuilt store's stats object.
-  if (config_.corpus_store_stats_json)
-    out += ",\"corpus_store\":" + config_.corpus_store_stats_json();
-  out += ",\"process\":{\"rss_kb\":" + std::to_string(obs::process_rss_kb()) +
-         ",\"peak_rss_kb\":" + std::to_string(obs::process_peak_rss_kb()) +
-         "}}";
-  return out;
-}
-
-// --- stats -----------------------------------------------------------------
-
-std::string ScanService::stats_json() const {
-  const auto snapshot = store_.current();
-  const AdmissionStats queue = queue_.stats();
-  std::string out = "{\"type\":\"stats\",\"schema_version\":2,\"uptime_s\":";
-  obs_json::append_double(out, uptime_.elapsed_seconds());
-  out += ",\"corpus\":" + corpus_json(snapshot->version,
-                                       snapshot->database.entries().size());
-  out += ",\"queue\":" + queue_json(queue);
-  out += ",\"images\":" + images_json(images_.stats());
   out += ",\"rollup\":" + obs::rollup_snapshot_json(rollup_.snapshot());
   // The profiler block feeds `patchecko top`'s hot-leaf row: capture count,
   // whether one is running right now, and the hottest leaf of the last
@@ -819,9 +762,13 @@ std::string ScanService::stats_json() const {
   const auto summary = profiler.last_capture();
   out += summary ? capture_summary_json(*summary) : "null";
   out += "}";
+  // Present only when serve runs store-backed (--corpus-dir): the provider
+  // renders the prebuilt store's stats object.
   if (config_.corpus_store_stats_json)
     out += ",\"corpus_store\":" + config_.corpus_store_stats_json();
-  out += "}";
+  out += ",\"process\":{\"rss_kb\":" + std::to_string(obs::process_rss_kb()) +
+         ",\"peak_rss_kb\":" + std::to_string(obs::process_peak_rss_kb()) +
+         "}}";
   return out;
 }
 

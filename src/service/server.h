@@ -69,7 +69,7 @@ struct ServiceConfig {
   /// service layer never links against pk_corpus.
   CorpusStore::SnapshotBuilder snapshot_builder;
   /// Provider of the prebuilt store's stats JSON object; when set, the
-  /// `health` and `stats` responses carry a "corpus_store" block that
+  /// state document (stats_json()) carries a "corpus_store" block that
   /// `patchecko top` renders.
   std::function<std::string()> corpus_store_stats_json;
 
@@ -106,25 +106,6 @@ struct ServiceConfig {
   double scan_delay_seconds = 0.0;
 };
 
-/// Aggregate view for the `health` response.
-struct ServiceHealth {
-  double uptime_seconds = 0.0;
-  std::uint64_t corpus_version = 0;
-  std::size_t corpus_cves = 0;
-  bool draining = false;
-  AdmissionStats queue;
-  CacheStats cache;  ///< engine lifetime totals
-  ImageTierStats images;
-
-  // Retrieval prefilter state: the current snapshot's query catalog plus
-  // process-lifetime target-index build totals (obs registry counters).
-  std::size_t retrieval_query_codes = 0;   ///< catalog entries (CVE pairs)
-  double retrieval_query_build_seconds = 0.0;
-  std::uint64_t retrieval_index_builds = 0;
-  std::uint64_t retrieval_index_vectors = 0;
-  double retrieval_index_build_seconds = 0.0;  ///< summed across builds
-};
-
 class ScanService {
  public:
   /// Builds the resident state (corpus + database + engine) — the
@@ -154,14 +135,12 @@ class ScanService {
   /// exits cleanly when it sees this).
   bool drained() const { return drained_.load(std::memory_order_acquire); }
 
-  ServiceHealth health() const;
-  /// The full `health` response payload (one JSON object), including the
-  /// latest heartbeat snapshot and process RSS.
-  std::string health_json() const;
-
-  /// The full `stats` response payload: queue gauges plus the rollup
-  /// snapshot (windowed per-endpoint counts/latency histograms and
-  /// lifetime totals). Self-contained — `patchecko top` renders from it.
+  /// The daemon's state document, the answer to both `stats` and
+  /// `health` (schema_version 3): corpus, queue, image tier, cache, latest
+  /// heartbeat, retrieval catalog, the rollup snapshot (windowed
+  /// per-endpoint counts/latency histograms and lifetime totals), profiler,
+  /// prebuilt store and process RSS, each exactly once. Self-contained —
+  /// `patchecko top` renders from it.
   std::string stats_json() const;
 
   /// Bound TCP port (after start()); -1 when TCP is disabled.
@@ -220,7 +199,7 @@ class ScanService {
   mutable std::mutex states_mutex_;
   std::unordered_map<std::uint64_t, std::string> states_;
 
-  /// Heartbeat of the most recently dispatched scan; the health endpoint
+  /// Heartbeat of the most recently dispatched scan; the state document
   /// reads its last emitted snapshot, tagged with the request it belongs
   /// to and the corpus generation that request captured.
   mutable std::mutex heartbeat_mutex_;

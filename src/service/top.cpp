@@ -102,7 +102,8 @@ std::string render_top(const obs::json::Value& stats) {
                 stats.get("uptime_s").as_number(),
                 as_u64(corpus.get("version")), as_u64(corpus.get("cves")));
   out += buf;
-  const Value& rss = rollup.get("rss_kb");
+  // Absent on daemons older than schema 3, which render without RSS.
+  const Value& rss = stats.get("process").get("rss_kb");
   if (rss.kind() == Value::Kind::number && rss.as_number() >= 0.0) {
     std::snprintf(buf, sizeof(buf), "  rss %" PRIu64 " kB", as_u64(rss));
     out += buf;

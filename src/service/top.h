@@ -20,8 +20,8 @@ namespace patchecko::service {
 /// schema_version, corpus/queue objects, rollup with bounds + endpoint
 /// table). Returns false with *error naming the first missing piece — the
 /// CLI exits non-zero on that instead of painting a dashboard of zeros
-/// from a truncated or mis-addressed response. Optional extras (rss,
-/// profile block) stay optional: older daemons must still validate.
+/// from a truncated or mis-addressed response. Optional extras (process
+/// RSS, profile block) stay optional: older daemons must still validate.
 bool validate_stats(const obs::json::Value& stats, std::string* error);
 
 /// Renders the dashboard (trailing newline included). `stats` is the parsed

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <random>
@@ -186,6 +187,44 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(obs::json::parse("\"unterminated").has_value());
   EXPECT_FALSE(obs::json::parse("nulx").has_value());
   EXPECT_FALSE(obs::json::parse("{} trailing").has_value());  // garbage after
+}
+
+// parse() copies the bytes between escapes one run at a time: whatever
+// append_string writes must read back equal, and the strict rejections of
+// truncated escapes and raw control bytes hold.
+TEST(Json, StringsRoundTripThroughTheWriterAndStrictRejectionsHold) {
+  const std::string specials[] = {"\"",     "\\",     "/",
+                                  "\x7f",   "\xc3\xa9", "\xe2\x82\xac",
+                                  "\xf0\x9f\x98\x80"};
+  std::mt19937 rng(0x15c0);
+  for (int i = 0; i < 3000; ++i) {
+    std::string text;
+    const int length = static_cast<int>(rng() % 48);
+    for (int j = 0; j < length; ++j) {
+      const unsigned pick = rng() % 4;
+      if (pick == 0)
+        text += specials[rng() % std::size(specials)];
+      else if (pick == 1)
+        text += static_cast<char>(rng() % 0x20);  // control characters
+      else
+        text += static_cast<char>(rng() % 256);  // any byte
+    }
+    std::string doc = "{";
+    obs::json::append_string(doc, text);
+    doc += ':';
+    obs::json::append_string(doc, text);
+    doc += '}';
+    const auto value = obs::json::parse(doc);
+    ASSERT_TRUE(value.has_value()) << doc;
+    ASSERT_EQ(value->as_object().size(), 1u);
+    EXPECT_EQ(value->as_object().begin()->first, text);
+    EXPECT_EQ(value->get(text).as_string(), text);
+  }
+
+  for (const char* bad : {"\"ab\\", "\"ab\\u00", "\"ab\\u00zz\"",
+                          "\"ab\\q\"", "\"ab\x01" "cd\"", "\"ab\ncd\"",
+                          "\"ab\x1f\"", "\"abc"})
+    EXPECT_FALSE(obs::json::parse(bad).has_value()) << bad;
 }
 
 // append_exact must write the bytes of printf's "%.17g" for every double:

@@ -134,16 +134,13 @@ TEST(Rollup, QueueDepthHighWaterNeverRegresses) {
   rollup.observe_queue_depth(3);
   rollup.observe_queue_depth(7);
   rollup.observe_queue_depth(2);
-  rollup.set_corpus_version(9);
   const RollupSnapshot snapshot = rollup.snapshot();
   EXPECT_EQ(snapshot.queue_depth_high_water, 7);
-  EXPECT_EQ(snapshot.corpus_version, 9u);
 }
 
 TEST(Rollup, SnapshotJsonHasDocumentedShape) {
   ManualClock clock(5.0);
   Rollup rollup(manual_config(clock));
-  rollup.set_corpus_version(3);
   rollup.record(Endpoint::scan, 0.05, 0.2, false);
   rollup.record(Endpoint::reload, 0.5, 0.0, true);
   const RollupSnapshot snapshot = rollup.snapshot();
@@ -151,7 +148,10 @@ TEST(Rollup, SnapshotJsonHasDocumentedShape) {
   const auto parsed = json::parse(text);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed->get("window_s").as_number(), 60.0);
-  EXPECT_EQ(parsed->get("corpus_version").as_number(), 3.0);
+  // Request aggregates only: uptime, corpus and RSS are the service's.
+  EXPECT_TRUE(parsed->get("uptime_s").is_null());
+  EXPECT_TRUE(parsed->get("corpus_version").is_null());
+  EXPECT_TRUE(parsed->get("rss_kb").is_null());
   EXPECT_DOUBLE_EQ(parsed->get("queue").get("wait_hwm_s").as_number(), 0.2);
   ASSERT_EQ(parsed->get("le").as_array().size(), 2u);
   const json::Value& endpoints = parsed->get("endpoints");
@@ -163,9 +163,10 @@ TEST(Rollup, SnapshotJsonHasDocumentedShape) {
   EXPECT_EQ(endpoints.get("reload").get("total").get("errors").as_number(),
             1.0);
   EXPECT_EQ(endpoints.get("drain").get("count").as_number(), 0.0);
-  // Deterministic rendering: same snapshot, same bytes (a fresh snapshot
-  // would re-sample RSS).
+  // Deterministic rendering: same snapshot, same bytes; with no request in
+  // between, a fresh snapshot renders the same bytes too.
   EXPECT_EQ(text, rollup_snapshot_json(snapshot));
+  EXPECT_EQ(text, rollup_snapshot_json(rollup.snapshot()));
 }
 
 TEST(Rollup, TaskScopeNestsAndStampsSpansAndEvents) {
@@ -283,7 +284,26 @@ TEST(Rollup, RenderTopIsDeterministicAndDegradesGracefully) {
       << first;
   EXPECT_NE(first.find("scan"), std::string::npos);
   EXPECT_NE(first.find("endpoint"), std::string::npos);  // header row
+  EXPECT_EQ(first.find("rss"), std::string::npos);  // no process block
   EXPECT_EQ(first.back(), '\n');
+
+  // Schema 3: one state document, RSS read from its process block.
+  const char* kStatsV3 =
+      "{\"type\":\"stats\",\"schema_version\":3,\"uptime_s\":12.5,"
+      "\"corpus\":{\"version\":2,\"cves\":40},\"draining\":false,"
+      "\"queue\":{\"depth\":0,\"active\":0,\"capacity\":64,\"admitted\":9,"
+      "\"rejected\":1,\"completed\":9},"
+      "\"rollup\":{\"window_s\":60,"
+      "\"queue\":{\"depth_hwm\":3,\"wait_hwm_s\":0.5},\"le\":[0.1,1.0],"
+      "\"endpoints\":{}},"
+      "\"process\":{\"rss_kb\":20480,\"peak_rss_kb\":40960}}";
+  const auto stats_v3 = json::parse(kStatsV3);
+  ASSERT_TRUE(stats_v3.has_value());
+  std::string error;
+  EXPECT_TRUE(service::validate_stats(*stats_v3, &error)) << error;
+  const std::string v3 = service::render_top(*stats_v3);
+  EXPECT_NE(v3.find("corpus v2 (40 cves)  rss 20480 kB\n"), std::string::npos)
+      << v3;
 
   // Missing fields degrade to zeros/dashes instead of failing.
   const auto empty = json::parse("{}");

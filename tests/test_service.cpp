@@ -469,6 +469,16 @@ json::Value parsed(const std::string& payload) {
   return doc.value_or(json::Value());
 }
 
+/// The service's state document (its `stats` and `health` answer), parsed.
+json::Value state(const svc::ScanService& service) {
+  return parsed(service.stats_json());
+}
+
+/// A `queue` gauge of the service's state document.
+double queue_gauge(const svc::ScanService& service, const char* gauge) {
+  return state(service).get("queue").get(gauge).as_number(-1.0);
+}
+
 /// Submits one scan of `firmware` and returns the result payload (expects
 /// accepted first).
 std::optional<std::string> submit_image(svc::ServiceClient& client,
@@ -650,9 +660,9 @@ TEST(Service, SaturatedQueueRejectsWithBackpressureError) {
             "accepted");
   // Wait until the dispatcher owns request 1, so the single queue slot is
   // provably free for request 2 and provably full for request 3.
-  for (int i = 0; i < 200 && service.health().queue.active == 0; ++i)
+  for (int i = 0; i < 200 && queue_gauge(service, "active") == 0.0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_EQ(service.health().queue.active, 1u);
+  ASSERT_EQ(queue_gauge(service, "active"), 1.0);
 
   ASSERT_TRUE(second.send(
       svc::scan_request_json(env.firmware_path, env.some_cves, false)));
@@ -671,7 +681,7 @@ TEST(Service, SaturatedQueueRejectsWithBackpressureError) {
   ASSERT_TRUE(result1 && result2);
   EXPECT_EQ(parsed(*result1).get("report").as_string(), env.expected_report);
   EXPECT_EQ(parsed(*result2).get("report").as_string(), env.expected_report);
-  EXPECT_GE(service.health().queue.rejected, 1u);
+  EXPECT_GE(queue_gauge(service, "rejected"), 1.0);
   service.stop();
 }
 
@@ -720,7 +730,7 @@ TEST(Service, CorpusReloadMidScanDropsNoInFlightJobs) {
     const double version = doc.get("corpus_version").as_number();
     EXPECT_TRUE(version == 1.0 || version == 2.0);
   }
-  EXPECT_EQ(service.health().corpus_version, 2u);
+  EXPECT_EQ(state(service).get("corpus").get("version").as_number(), 2.0);
   service.stop();
 }
 
@@ -740,12 +750,9 @@ TEST(Service, PrefilteredReloadMidScanDropsNoJobsAndReportsIndexHealth) {
   svc::ScanService service(config);
   service.start();
 
-  // Health reports the resident catalog before any scan runs.
-  const svc::ServiceHealth boot = service.health();
-  EXPECT_GT(boot.retrieval_query_codes, 0u);
-  const std::string health = service.health_json();
-  EXPECT_NE(health.find("\"retrieval\""), std::string::npos) << health;
-  EXPECT_NE(health.find("\"query_codes\""), std::string::npos);
+  // The state document reports the resident catalog before any scan runs.
+  EXPECT_GT(state(service).get("retrieval").get("query_codes").as_number(),
+            0.0);
 
   constexpr int kScans = 4;
   std::vector<svc::ServiceClient> clients;
@@ -775,9 +782,11 @@ TEST(Service, PrefilteredReloadMidScanDropsNoJobsAndReportsIndexHealth) {
     EXPECT_EQ(doc.get("type").as_string(), "result") << *result;
     EXPECT_EQ(doc.get("report").as_string(), env.expected_report);
   }
-  EXPECT_EQ(service.health().corpus_version, 2u);
+  const json::Value reloaded_state = state(service);
+  EXPECT_EQ(reloaded_state.get("corpus").get("version").as_number(), 2.0);
   // The reload rebuilt the catalog for the new generation.
-  EXPECT_GT(service.health().retrieval_query_codes, 0u);
+  EXPECT_GT(reloaded_state.get("retrieval").get("query_codes").as_number(),
+            0.0);
   service.stop();
 }
 
@@ -1078,7 +1087,8 @@ TEST(Service, HealthAndStatusEndpointsReportServiceState) {
   response = client.call(svc::health_request_json());
   ASSERT_TRUE(response.has_value());
   const json::Value health = parsed(*response);
-  EXPECT_EQ(health.get("type").as_string(), "health");
+  EXPECT_EQ(health.get("type").as_string(), "stats");
+  EXPECT_EQ(health.get("schema_version").as_number(), 3.0);
   EXPECT_GE(health.get("uptime_s").as_number(), 0.0);
   EXPECT_EQ(health.get("corpus").get("version").as_number(), 1.0);
   EXPECT_GT(health.get("corpus").get("cves").as_number(), 0.0);
@@ -1086,7 +1096,7 @@ TEST(Service, HealthAndStatusEndpointsReportServiceState) {
   EXPECT_EQ(health.get("queue").get("admitted").as_number(), 1.0);
   EXPECT_EQ(health.get("queue").get("completed").as_number(), 1.0);
   EXPECT_FALSE(health.get("draining").as_bool(true));
-  // The per-request heartbeat fed the health endpoint its last snapshot,
+  // The per-request heartbeat fed the state document its last snapshot,
   // tagged with the request it belongs to and its corpus generation.
   const json::Value heartbeat = health.get("heartbeat");
   ASSERT_EQ(heartbeat.kind(), json::Value::Kind::object);
@@ -1100,6 +1110,114 @@ TEST(Service, HealthAndStatusEndpointsReportServiceState) {
   EXPECT_EQ(jobs.get("done").as_number(), jobs.get("total").as_number());
   EXPECT_NE(health.get("process").get("rss_kb").kind(),
             json::Value::Kind::null);
+  service.stop();
+}
+
+/// `value` rendered with its object keys in sorted order, so two parsed
+/// blocks compare by content.
+std::string canonical_json(const json::Value& value) {
+  std::string out;
+  switch (value.kind()) {
+    case json::Value::Kind::null: return "null";
+    case json::Value::Kind::boolean: return value.as_bool() ? "true" : "false";
+    case json::Value::Kind::number:
+      json::append_exact(out, value.as_number());
+      return out;
+    case json::Value::Kind::string:
+      json::append_string(out, value.as_string());
+      return out;
+    case json::Value::Kind::array:
+      out = "[";
+      for (const json::Value& item : value.as_array())
+        out += canonical_json(item) + ",";
+      return out + "]";
+    case json::Value::Kind::object:
+      out = "{";
+      for (const auto& [key, member] : value.as_object()) {
+        json::append_string(out, key);
+        out += ":" + canonical_json(member) + ",";
+      }
+      return out + "}";
+  }
+  return out;
+}
+
+/// Keys that repeat inside one object, at any depth of the compact JSON
+/// `text`. Read from the text because the parser keeps only the last of a
+/// repeated key.
+std::vector<std::string> repeated_keys(const std::string& text) {
+  std::vector<std::set<std::string>> open;  // keys of each open container
+  std::vector<std::string> repeated;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '{' || text[i] == '[') {
+      open.emplace_back();
+    } else if (text[i] == '}' || text[i] == ']') {
+      open.pop_back();
+    } else if (text[i] == '"') {
+      std::string key;
+      for (++i; i < text.size() && text[i] != '"'; ++i) {
+        if (text[i] == '\\') key += text[i++];
+        key += text[i];
+      }
+      if (i + 1 < text.size() && text[i + 1] == ':' && !open.empty() &&
+          !open.back().insert(key).second)
+        repeated.push_back(key);
+    }
+  }
+  return repeated;
+}
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size()))
+    ++count;
+  return count;
+}
+
+TEST(Service, HealthAndStatsAreOneDocument) {
+  const ServiceUniverse& env = universe();
+  svc::ScanService service(env.service_config("one_document"));
+  service.start();
+  auto client =
+      svc::ServiceClient::connect_unix(service.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(submit_scan(client, env.some_cves).has_value());
+
+  // Nothing runs between the two requests, so their deterministic blocks
+  // agree.
+  const auto health_text = client.call(svc::health_request_json());
+  const auto stats_text = client.call(svc::stats_request_json());
+  ASSERT_TRUE(health_text.has_value() && stats_text.has_value());
+  const json::Value health = parsed(*health_text);
+  const json::Value stats = parsed(*stats_text);
+  const auto keys = [](const json::Value& document) {
+    std::vector<std::string> out;
+    for (const auto& member : document.as_object())
+      out.push_back(member.first);
+    return out;
+  };
+  EXPECT_EQ(keys(health), keys(stats));
+  EXPECT_EQ(stats.get("type").as_string(), "stats");
+  EXPECT_EQ(stats.get("schema_version").as_number(), 3.0);
+  for (const char* block :
+       {"corpus", "queue", "images", "cache", "retrieval", "heartbeat"}) {
+    EXPECT_EQ(stats.get(block).kind(), json::Value::Kind::object) << block;
+    EXPECT_EQ(canonical_json(health.get(block)),
+              canonical_json(stats.get(block)))
+        << block;
+  }
+
+  // Each fact appears once: RSS under `process`, uptime at the top, and
+  // corpus_version only in the heartbeat block (the service's own
+  // generation is corpus.version).
+  for (const std::string& text : {*health_text, *stats_text}) {
+    EXPECT_EQ(repeated_keys(text), std::vector<std::string>{}) << text;
+    EXPECT_EQ(occurrences(text, "\"rss_kb\""), 1u) << text;
+    EXPECT_EQ(occurrences(text, "\"uptime_s\""), 1u) << text;
+    EXPECT_EQ(occurrences(text, "\"corpus_version\""), 1u) << text;
+  }
+  EXPECT_GE(stats.get("process").get("rss_kb").as_number(-2.0), -1.0);
   service.stop();
 }
 
@@ -1164,9 +1282,9 @@ TEST(Service, StopCancelsQueuedScansWithStructuredErrors) {
       svc::scan_request_json(env.firmware_path, env.some_cves, false)));
   ASSERT_EQ(parsed(running.receive().value_or("")).get("type").as_string(),
             "accepted");
-  for (int i = 0; i < 6000 && service.health().queue.active == 0; ++i)
+  for (int i = 0; i < 6000 && queue_gauge(service, "active") == 0.0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_EQ(service.health().queue.active, 1u);
+  ASSERT_EQ(queue_gauge(service, "active"), 1.0);
   ASSERT_TRUE(queued.send(
       svc::scan_request_json(env.firmware_path, env.some_cves, false)));
   ASSERT_EQ(parsed(queued.receive().value_or("")).get("type").as_string(),
@@ -1245,7 +1363,7 @@ TEST(Service, AccessLogAndStatsReconcileAcrossEndpoints) {
   ASSERT_TRUE(stats_response.has_value());
   const json::Value stats = parsed(*stats_response);
   EXPECT_EQ(stats.get("type").as_string(), "stats");
-  EXPECT_EQ(stats.get("schema_version").as_number(), 2.0);
+  EXPECT_EQ(stats.get("schema_version").as_number(), 3.0);
   EXPECT_EQ(stats.get("corpus").get("version").as_number(), 1.0);
   EXPECT_EQ(stats.get("queue").get("completed").as_number(), 1.0);
   const json::Value endpoints = stats.get("rollup").get("endpoints");
@@ -1256,7 +1374,6 @@ TEST(Service, AccessLogAndStatsReconcileAcrossEndpoints) {
             1.0);
   EXPECT_EQ(endpoints.get("scan").get("total").get("count").as_number(), 1.0);
   EXPECT_EQ(endpoints.get("scan").get("errors").as_number(), 0.0);
-  EXPECT_EQ(stats.get("rollup").get("corpus_version").as_number(), 1.0);
   service.stop();
 
   // One line per completed request, keys in documented order, and the scan

@@ -74,10 +74,12 @@
 // with 128+signal. The same interrupt handling applies to `batch-scan`.
 //
 // Daemon observability: `--access-log` writes one JSONL line per completed
-// request (after its response frame); the `stats` request — and the
-// periodic `--stats-out` dump — expose the sliding-window per-endpoint
-// rollup; `top` polls `stats` and renders a deterministic text dashboard
-// (`--once` for a single scriptable frame).
+// request (after its response frame); the `stats` and `health` requests —
+// and the periodic `--stats-out` dump — answer with one state document
+// (corpus, queue, image tier, cache, latest heartbeat, retrieval catalog,
+// the sliding-window per-endpoint rollup, profiler and process RSS); `top`
+// polls `stats` and renders a deterministic text dashboard (`--once` for a
+// single scriptable frame).
 //
 // Profiling: `--profile[=FILE]` on scan/batch-scan charges the run's time
 // and allocations to its span paths, prints a self-time/allocation top
@@ -872,7 +874,7 @@ int cmd_serve(const Args& args) {
     throw UsageError("--scan-delay must be >= 0");
   // Store-backed corpus: startup and SIGHUP reloads assemble snapshots from
   // the prebuilt store (self-healing on misses) instead of recompiling, and
-  // health/stats grow a corpus_store block.
+  // the state document grows a corpus_store block.
   std::shared_ptr<corpus::PrebuiltStore> prebuilt;
   if (args.has("corpus-dir")) {
     const std::string dir = args.get("corpus-dir", "");
@@ -884,7 +886,7 @@ int cmd_serve(const Args& args) {
     };
   }
 
-  // The daemon always runs with obs on: the health endpoint samples the
+  // The daemon always runs with obs on: the state document samples the
   // registry and per-request provenance needs the event machinery.
   obs::set_enabled(true);
   obs::set_events_enabled(true);
